@@ -16,10 +16,10 @@ failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
-import re
 import sys
 from datetime import datetime, timezone
 
@@ -133,14 +133,23 @@ def _emit(args, report):
 
 
 def _parse_vertex(graph, text):
-    s = text.strip().strip("()")
-    if re.fullmatch(r"-?\d+", s):
-        label = int(s)
-    elif re.fullmatch(r"-?\d+(\s*,\s*-?\d+)+", s):
-        label = tuple(int(p) for p in s.split(","))
-    else:
-        label = text
-    return graph.index_of(label)
+    """Vertex index of a label typed as the reports print it, or as "0,1".
+
+    The text is read as a Python literal first, so "3", "(0, 1)", "0,1",
+    "(0,)" and "()" name int and tuple labels; otherwise it is the string
+    label itself, such as the binary-tree root "" or "+-".
+    """
+    readings = [text]
+    try:
+        readings.insert(0, ast.literal_eval(text.strip()))
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        pass
+    for label in readings:
+        try:
+            return graph.label_index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable literal
+            continue
+    raise GraphError(f"unknown vertex label {text!r}")
 
 
 # -- subcommands ---------------------------------------------------------------

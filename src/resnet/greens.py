@@ -3,9 +3,10 @@
 Two routes to the same kernel, kept deliberately independent so that their
 agreement is evidence:
 
-  * the gram route assembles K(x, y) = <v_x, v_y> from dipole potentials
-    anchored at the base point (K is then the inverse of the Laplacian with
-    the base row and column removed);
+  * the gram route reads K(x, y) = <v_x, v_y> = v_x(y) off the dipole
+    potentials anchored at the base point: K is the inverse of the Laplacian
+    with the base row and column removed, obtained by one multi-column solve
+    against its cached sparse LU;
   * the walk route sums the Neumann series of the absorbed transition matrix
     and rescales by conductances.
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import SolverError, solve_dipole
+from .energy import SolverError
 from .graphs import GraphError, TruncatedGraph, generate, underlying
-from .laplacian import assemble_laplacian, transition_operator
+from .laplacian import assemble_laplacian, grounded_laplacian, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -76,22 +77,19 @@ class GreensMatrix:
 
 
 def greens_gram(g, tol=1e-10):
-    """Kernel from dipole inner products, one conjugate-gradient solve per column.
+    """Base-grounded kernel: column x is the dipole potential v_x, v_x(y) = K(x, y).
 
-    Exploits the reproducing identity <v_x, v_y> = v_x(y) so no quadratures
-    are needed; the result is symmetrized after recording how far the raw
+    All columns come from one multi-column solve against the grounded
+    factorization.  A direct solve has no tolerance; `tol` is recorded on
+    the result.  The kernel is symmetrized after recording how far the raw
     columns were from symmetric.
     """
     graph = underlying(g)
-    base = graph.base_point
-    kept = [i for i in range(graph.n) if i != base]
-    k = np.empty((len(kept), len(kept)))
-    for col, x in enumerate(kept):
-        v = solve_dipole(graph, x, base, tol)
-        k[:, col] = v.values[kept]
-    residual = float(np.max(np.abs(k - k.T))) if kept else 0.0
+    kept, _, lu = grounded_laplacian(graph, graph.base_point)
+    k = lu.solve(np.eye(len(kept)))
+    residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
     k = 0.5 * (k + k.T)
-    return GreensMatrix(graph, kept, k, "gram", residual, tol)
+    return GreensMatrix(graph, kept.tolist(), k, "gram", residual, tol)
 
 
 def greens_inversion_check(g, kernel):
@@ -99,12 +97,13 @@ def greens_inversion_check(g, kernel):
     graph = underlying(g)
     if graph is not kernel.graph:
         raise GraphError("kernel was computed on a different graph")
-    lap = assemble_laplacian(graph).as_csr().toarray()
-    sub = lap[np.ix_(kernel.vertices, kernel.vertices)]
-    eye = np.eye(len(kernel.vertices))
-    left = np.max(np.abs(kernel.matrix @ sub - eye))
-    right = np.max(np.abs(sub @ kernel.matrix - eye))
-    return float(max(left, right))
+    lap = assemble_laplacian(graph).as_csr()
+    sub = lap[kernel.vertices][:, kernel.vertices]
+    worst = 0.0
+    for prod in (np.asarray(kernel.matrix @ sub), np.asarray(sub @ kernel.matrix)):
+        prod[np.diag_indices_from(prod)] -= 1.0
+        worst = max(worst, float(np.max(np.abs(prod))))
+    return worst
 
 
 # -- absorbed-walk route -------------------------------------------------------

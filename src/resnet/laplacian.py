@@ -23,13 +23,11 @@ __all__ = [
     "TransitionOperator",
     "assemble_laplacian",
     "transition_operator",
-    "apply",
-    "l2_symmetry_check",
     "harmonic_extension",
+    "grounded_laplacian",
     "interior_laplacian",
     "CombDefectReport",
     "defect_recursion_comb",
-    "comb_forward_recursion",
     "write_coordinate_format",
 ]
 
@@ -91,28 +89,36 @@ def transition_operator(g):
     return graph._cache["transition"]
 
 
-def apply(op, u):
-    """Apply a Laplacian or transition operator to a vertex function."""
-    return op.apply(u)
+# -- grounded solves -----------------------------------------------------------
 
 
-def l2_symmetry_check(op, trials=100, seed=0):
-    """Max |<Lu, v> - <u, Lv>| over random pairs; zero up to roundoff."""
-    rng = np.random.default_rng(seed)
-    n = op.graph.n
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        worst = max(worst, abs(np.dot(op.apply(u), v) - np.dot(u, op.apply(v))))
-    return worst
+def grounded_laplacian(g, ground):
+    """L without the `ground` rows and columns, as (kept, block, lu), cached per ground set.
 
+    `kept` lists the remaining vertices in increasing order and `lu` is the
+    SuperLU factorization of the CSC `block`.  The block is factored
+    unscaled in MMD_AT_PLUS_A order: splu's default COLAMD order meets
+    exactly singular pivots on the steep chain family, and diagonal
+    equilibration loses digits there.
+    """
+    graph = underlying(g)
+    ground = np.unique(np.asarray(ground, dtype=np.int64))
+    key = ("grounded_lu", ground.tobytes())
+    if key not in graph._cache:
+        kept = np.setdiff1d(np.arange(graph.n), ground)
+        block = assemble_laplacian(graph).as_csr()[kept][:, kept].tocsc()
+        try:
+            lu = splu(block, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # a singular block
+            from .energy import SolverError  # energy imports this module
 
-# -- Dirichlet problems on a truncation ---------------------------------------
+            raise SolverError(f"grounded factorization failed: {exc}") from None
+        graph._cache[key] = (kept, block, lu)
+    return graph._cache[key]
 
 
 def interior_laplacian(trunc):
-    """The interior block L_II with a cached sparse LU factorization.
+    """The interior block L_II and its LU: the Laplacian grounded on the frontier.
 
     Returns (L_II, lu_solver).  The block is symmetric positive definite
     whenever the frontier is nonempty and reachable, which truncation
@@ -120,12 +126,7 @@ def interior_laplacian(trunc):
     """
     if not isinstance(trunc, TruncatedGraph):
         raise GraphError("interior solves need a TruncatedGraph")
-    if "interior_lu" not in trunc._cache:
-        graph = trunc.graph
-        lap = assemble_laplacian(graph).as_csr()
-        block = lap[trunc.interior][:, trunc.interior].tocsc()
-        trunc._cache["interior_lu"] = (block, splu(block))
-    return trunc._cache["interior_lu"]
+    return grounded_laplacian(trunc.graph, trunc.frontier)[1:]
 
 
 def harmonic_extension(trunc, boundary_values):
@@ -212,20 +213,6 @@ def defect_recursion_comb(levels):
         energy_sum=energy,
         max_residual=residual,
     )
-
-
-def comb_forward_recursion(l0, l1, levels):
-    """Iterate the comb recursion forward from (l_0, l_1).
-
-    Generic seeds excite the non-decaying branch; the characteristic roots of
-    the constant-coefficient limit are 1 and 1/2, so forward iterates settle
-    toward the root-1 branch (successive ratios tend to 1).
-    """
-    out = np.empty(levels + 1)
-    out[0], out[1] = l0, l1
-    for k in range(1, levels):
-        out[k + 1] = (3.0 * (1.0 + 1.0 / (3.0 * 2.0 ** k)) * out[k] - out[k - 1]) / 2.0
-    return out
 
 
 # -- export --------------------------------------------------------------------

@@ -6,14 +6,19 @@ and leaves at y.  Implemented routes:
   M1  dipole increment v(x) - v(y)
   M2  dipole energy ||v||^2
   M3  minimum dissipation over unit flows (least-norm flow solve)
-  M4  grounded dense solve (the quadratic form of the pseudo-inverse)
+  M4  e_x^T L_y^{-1} e_x, read off the sparse LU of the Laplacian grounded
+      at y
   M7  normalized increment (v(x) - v(y))^2 / ||v||^2, the variational
       maximizer evaluated explicitly
 
-M5 and M6 (the two constrained variational forms) are analytically the duals
-of M7 and M2; they are accepted as aliases and computed through their twins.
-Disagreement between routes is the primary correctness signal, so each route
-shares as little code with the others as possible.
+M1, M2 and M7 are three readouts of one conjugate-gradient dipole solve; M3
+(LSQR) and M4 (direct factorization) are the independent routes.  M5 and M6
+(the two constrained variational forms) are analytically the duals of M7 and
+M2; they are accepted as aliases and computed through their twins.
+
+Whole matrices and the family diagnostics read d(x, y) = K(x, x) + K(y, y)
+- 2 K(x, y) off the base-grounded kernel K, one multi-column solve against
+the cached grounded factorization.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
-from .energy import SolverError, energy_inner, solve_dipole
+from .energy import SolverError, solve_dipole
 from .graphs import GraphError, generate, underlying
-from .laplacian import assemble_laplacian
+from .greens import greens_gram
+from .laplacian import grounded_laplacian
 
 __all__ = [
     "METHODS",
@@ -63,24 +69,27 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     if x == y:
         return 0.0
     if method == "all":
-        values = {m: resistance(graph, x, y, m, tol) for m in METHODS}
+        values = _dipole_routes(solve_dipole(graph, x, y, tol))
+        values["M3"] = _min_dissipation(graph, x, y, tol)
+        values["M4"] = _grounded_quadratic_form(graph, x, y)
+        values = {m: values[m] for m in METHODS}
         lo, hi = min(values.values()), max(values.values())
         values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
         return values
     method = _ALIASES.get(method, method)
-    if method == "M1":
-        v = solve_dipole(graph, x, y, tol)
-        return float(v.values[x] - v.values[y])
-    if method == "M2":
-        return solve_dipole(graph, x, y, tol).energy
+    if method in ("M1", "M2", "M7"):
+        return _dipole_routes(solve_dipole(graph, x, y, tol))[method]
     if method == "M3":
         return _min_dissipation(graph, x, y, tol)
     if method == "M4":
         return _grounded_quadratic_form(graph, x, y)
-    if method == "M7":
-        v = solve_dipole(graph, x, y, tol)
-        return float(v.values[x] - v.values[y]) ** 2 / v.energy
     raise GraphError(f"unknown method {method!r}; choose from {METHODS} or 'all'")
+
+
+def _dipole_routes(v):
+    """M1, M2 and M7 read off one solved dipole."""
+    increment = float(v.values[v.source] - v.values[v.sink])
+    return {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
 
 
 def _flow_system(graph):
@@ -120,24 +129,12 @@ def _min_dissipation(graph, x, y, tol):
     return float(np.dot(flow, flow))
 
 
-def _grounded_dense(graph, ground):
-    lap = assemble_laplacian(graph).as_csr().toarray()
-    keep = [i for i in range(graph.n) if i != ground]
-    return lap[np.ix_(keep, keep)], keep
-
-
-def _grounded_quadratic_form(graph, x, y, size_cap=2000):
-    if graph.n > size_cap:
-        raise GraphError(
-            f"dense route capped at {size_cap} vertices (graph has {graph.n}); "
-            "use an iterative method for larger graphs"
-        )
-    reduced, keep = _grounded_dense(graph, y)
-    rhs = np.zeros(graph.n - 1)
-    pos = keep.index(x)
+def _grounded_quadratic_form(graph, x, y):
+    kept, _, lu = grounded_laplacian(graph, y)
+    pos = int(np.searchsorted(kept, x))
+    rhs = np.zeros(len(kept))
     rhs[pos] = 1.0
-    sol = np.linalg.solve(reduced, rhs)
-    return float(sol[pos])
+    return float(lu.solve(rhs)[pos])
 
 
 # -- current flows ------------------------------------------------------------
@@ -215,9 +212,10 @@ class ResistanceMatrix:
 def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
     """All pairwise resistances as a symmetric matrix with zero diagonal.
 
-    M2 builds the dipole Gram structure in n-1 conjugate-gradient solves; M4
-    is the dense grounded-inverse route.  The remaining methods fall back to
-    pairwise queries (quadratic in n; meant for small graphs).
+    M2 and M4 read every distance off the base-grounded kernel, one
+    multi-column solve against the sparse grounded factorization.  The
+    remaining methods fall back to pairwise queries (quadratic in n; meant
+    for small graphs).
     """
     graph = underlying(g)
     if graph.n > size_cap:
@@ -226,21 +224,8 @@ def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
             "query pairwise resistances instead"
         )
     method = _ALIASES.get(method, method)
-    base = graph.base_point
     if method in ("M2", "M4"):
-        k = np.zeros((graph.n, graph.n))
-        if method == "M2":
-            for x in range(graph.n):
-                if x != base:
-                    k[:, x] = solve_dipole(graph, x, base, tol).values
-        else:
-            reduced, keep = _grounded_dense(graph, base)
-            k[np.ix_(keep, keep)] = np.linalg.inv(reduced)
-        sym_residual = float(np.max(np.abs(k - k.T)))
-        k = 0.5 * (k + k.T)
-        diag = np.diag(k)
-        d = diag[:, None] + diag[None, :] - 2.0 * k
-        np.fill_diagonal(d, 0.0)
+        d, sym_residual = _kernel_distances(graph, tol)
         return ResistanceMatrix(graph, d, method, tol, sym_residual)
     if method in METHODS:
         d = np.zeros((graph.n, graph.n))
@@ -251,16 +236,22 @@ def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
     raise GraphError(f"unknown method {method!r}; choose from {METHODS}")
 
 
+def _kernel_distances(graph, tol=1e-10):
+    """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from the base-grounded kernel.
+
+    Returns the distance matrix and how far the raw kernel was from
+    symmetric.  The base row and column of K are zero, so d(base, x) = K(x, x).
+    """
+    kernel = greens_gram(graph, tol)
+    k = np.zeros((graph.n, graph.n))
+    k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
+    diag = np.diag(k)
+    d = diag[:, None] + diag[None, :] - 2.0 * k
+    np.fill_diagonal(d, 0.0)
+    return d, kernel.symmetry_residual
+
+
 # -- family diagnostics --------------------------------------------------------
-
-
-def _base_distances(graph):
-    """d(base, x) for every x, via one dense grounded inverse."""
-    reduced, keep = _grounded_dense(graph, graph.base_point)
-    inv = np.linalg.inv(reduced)
-    out = np.zeros(graph.n)
-    out[keep] = np.diag(inv)
-    return out
 
 
 def _geodesic_ray(graph):
@@ -293,7 +284,7 @@ def boundedness_diagnostic(family, radii, params=None):
     for radius in sorted(radii):
         trunc = generate(family, radius=radius, **params)
         graph = trunc.graph
-        dists = _base_distances(graph)
+        dists = _kernel_distances(graph)[0][graph.base_point]
         ray = _geodesic_ray(graph)
         ray_sum = math.fsum(
             1.0 / graph.conductance(a, b) for a, b in zip(ray, ray[1:])
@@ -327,13 +318,6 @@ def boundedness_diagnostic(family, radii, params=None):
 _RAY_FAMILIES = ("comb", "binary-tree", "nary-tree", "halfline")
 
 
-def _pinv_distances(graph):
-    lap = assemble_laplacian(graph).as_csr().toarray()
-    pinv = np.linalg.pinv(lap)
-    diag = np.diag(pinv)
-    return diag[:, None] + diag[None, :] - pinv - pinv.T
-
-
 def type_a_diagnostic(family, radius, params=None, max_depth=None):
     """Sample distances along and across the labeled rays of a family.
 
@@ -349,7 +333,7 @@ def type_a_diagnostic(family, radius, params=None, max_depth=None):
     params = dict(params or {})
     trunc = generate(family, radius=radius, **params)
     graph = trunc.graph
-    d = _pinv_distances(graph)
+    d, _ = _kernel_distances(graph)
     idx = graph.index_of
     report = {"family": family, "radius": radius, "params": params}
     if family == "comb":

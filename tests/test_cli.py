@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from resnet.cli import main
-from resnet.graphs import load_graph
+from resnet.cli import _parse_vertex, main
+from resnet.graphs import generate, load_graph
 
 
 def run(capsys, *argv):
@@ -257,3 +257,52 @@ def test_threads_flag_and_env_default(monkeypatch, capsys):
         capsys, "generate", "--family", "wye", "--threads", "2", "--deterministic"
     )
     assert report["config"]["threads"] == 2
+
+
+# every shipped family at a small size, with the parameters it requires
+SMALL_FAMILIES = [
+    ("wye", None, {}),
+    ("halfline", 3, {}),
+    ("lattice", 2, {"d": 1}),
+    ("lattice", 3, {}),
+    ("lattice", 2, {"d": 3}),
+    ("binary-tree", 3, {}),
+    ("nary-tree", 2, {}),
+    ("nary-tree", 2, {"branching": 3}),
+    ("comb", 3, {}),
+    ("bratteli", None, {"level_sizes": [1, 2, 3], "level_weights": [1.0, 2.0]}),
+    ("chain", None, {"width": 5}),
+]
+
+
+@pytest.mark.parametrize("family,radius,params", SMALL_FAMILIES)
+def test_every_printed_label_parses_back(family, radius, params, tmp_path):
+    path = tmp_path / "g.json"
+    generate(family, radius=radius, **params).write_json(path)
+    graph = load_graph(path).graph
+    for i, label in enumerate(graph.labels):
+        assert _parse_vertex(graph, str(label)) == i, label
+
+
+def test_resist_addresses_tree_root_and_depth_one(tmp_path, capsys):
+    nary = str(tmp_path / "nary.json")
+    run_json(capsys, "generate", "--family", "nary-tree", "--radius", "3", "-o", nary)
+    report = run_json(capsys, "resist", nary, "--from", "()", "--to", "(1,)")
+    assert report["from"] == "()" and report["to"] == "(1,)"
+    binary = str(tmp_path / "binary.json")
+    run_json(capsys, "generate", "--family", "binary-tree", "--radius", "3", "-o", binary)
+    report = run_json(capsys, "resist", binary, "--from", "", "--to", "+-")
+    assert report["from"] == "" and report["to"] == "+-"
+    for bad in ("(0,)", "[0]", "++++"):
+        code, _, err = run(capsys, "resist", binary, "--from", "", "--to", bad)
+        assert code == 2 and "unknown vertex label" in err, bad
+
+
+@pytest.mark.parametrize("family,radius", [("lattice", 15), ("comb", 14)])
+def test_check_passes_where_the_pcg_kernel_missed(family, radius, tmp_path, capsys):
+    # the PCG-built kernel gave greens-inversion 1.04e-8 and 3.3e-7 here
+    path = str(tmp_path / "g.json")
+    generate(family, radius=radius).write_json(path)
+    code, out, err = run(capsys, "check", path)
+    assert code == 0, err
+    assert json.loads(out)["all_passed"] is True

@@ -5,19 +5,45 @@ import math
 import numpy as np
 import pytest
 
+from resnet.energy import SolverError
 from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
 from resnet.laplacian import (
     assemble_laplacian,
-    comb_forward_recursion,
     defect_recursion_comb,
+    grounded_laplacian,
     harmonic_extension,
     interior_laplacian,
-    l2_symmetry_check,
     transition_operator,
     write_coordinate_format,
 )
 
 from conftest import dense_laplacian, random_connected_graph
+
+
+def l2_symmetry_check(op, trials=100, seed=0):
+    """Max |<Lu, v> - <u, Lv>| over random pairs; zero up to roundoff."""
+    rng = np.random.default_rng(seed)
+    n = op.graph.n
+    worst = 0.0
+    for _ in range(trials):
+        u = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        worst = max(worst, abs(np.dot(op.apply(u), v) - np.dot(u, op.apply(v))))
+    return worst
+
+
+def comb_forward_recursion(l0, l1, levels):
+    """Iterate the comb recursion forward from (l_0, l_1).
+
+    Generic seeds excite the non-decaying branch; the characteristic roots of
+    the constant-coefficient limit are 1 and 1/2, so forward iterates settle
+    toward the root-1 branch (successive ratios tend to 1).
+    """
+    out = np.empty(levels + 1)
+    out[0], out[1] = l0, l1
+    for k in range(1, levels):
+        out[k + 1] = (3.0 * (1.0 + 1.0 / (3.0 * 2.0 ** k)) * out[k] - out[k - 1]) / 2.0
+    return out
 
 
 def test_assembly_matches_dense_oracle(rng):
@@ -67,6 +93,33 @@ def test_transition_rejects_zero_degree():
 def test_l2_symmetry_of_laplacian(rng):
     g = random_connected_graph(rng, 20, 12)
     assert l2_symmetry_check(assemble_laplacian(g), trials=25) < 1e-10
+
+
+def test_grounded_laplacian_block_solve_and_cache(rng):
+    g = random_connected_graph(rng, 15, 9)
+    kept, block, lu = grounded_laplacian(g, [4, 0])
+    assert kept.tolist() == [i for i in range(g.n) if i not in (0, 4)]
+    dense = dense_laplacian(g)[np.ix_(kept, kept)]
+    assert np.allclose(block.toarray(), dense, atol=1e-13)
+    b = rng.standard_normal(len(kept))
+    assert np.allclose(dense @ lu.solve(b), b, atol=1e-10)
+    assert grounded_laplacian(g, [0, 4])[2] is lu
+    assert grounded_laplacian(g, 0)[2] is not lu
+
+
+def test_grounded_laplacian_singular_block_is_a_solver_error():
+    # vertex 2 has no edges, so grounding vertex 0 leaves a zero row
+    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
+    with pytest.raises(SolverError, match="grounded factorization failed"):
+        grounded_laplacian(g, 0)
+
+
+def test_interior_block_is_the_frontier_grounded_case():
+    trunc = generate("lattice", radius=4)
+    block, lu = interior_laplacian(trunc)
+    kept, same_block, same_lu = grounded_laplacian(trunc, trunc.frontier)
+    assert np.array_equal(kept, trunc.interior)
+    assert block is same_block and lu is same_lu
 
 
 def test_interior_block_requires_truncation(rng):

@@ -4,10 +4,12 @@ Every numeric expectation here is anchored either to the pseudo-inverse
 oracle in conftest or to a hand-derivable series/parallel closed form.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
-from resnet.energy import solve_dipole
+from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
 from resnet.resistance import (
     METHODS,
@@ -39,6 +41,41 @@ def test_all_mode_reports_disagreement(rng):
     report = resistance(g, 1, 8, "all", tol=1e-12)
     assert set(report) == set(METHODS) | {"max_rel_disagreement"}
     assert report["max_rel_disagreement"] < 1e-8
+
+
+def test_all_mode_solves_one_dipole(rng, monkeypatch):
+    g = random_connected_graph(rng, 10, 5)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return solve_dipole(*args, **kwargs)
+
+    # the package re-exports the function `resistance` over the module name
+    module = importlib.import_module("resnet.resistance")
+    monkeypatch.setattr(module, "solve_dipole", counting)
+    report = resistance(g, 2, 7, "all", tol=1e-12)
+    assert calls == [(2, 7)]
+    for method in ("M1", "M7"):
+        assert report[method] == pytest.approx(report["M2"], rel=1e-10)
+    for method, expect in [("M1", 1), ("M2", 1), ("M7", 1), ("M3", 0), ("M4", 0)]:
+        calls.clear()
+        resistance(g, 2, 7, method, tol=1e-12)
+        assert len(calls) == expect, method
+
+
+def test_m4_on_steep_chain_answers_or_raises_solver_error():
+    # conductances 2^0 .. 2^58: the dense grounded solve raised LinAlgError
+    g = generate("chain", width=60).graph
+    for x in range(g.n):
+        for y in range(g.n):
+            if x == y:
+                continue
+            try:
+                value = resistance(g, x, y, "M4")
+            except SolverError:
+                continue
+            assert np.isfinite(value)
 
 
 def test_dual_aliases(rng):

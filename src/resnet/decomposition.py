@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import EnergyVector, energy_inner, gauged
+from .energy import EnergyVector, _write_csv, energy_inner, gauged
 from .graphs import GraphError, TruncatedGraph
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import harmonic_measure_exact
@@ -55,21 +55,12 @@ class RoydenSplit:
         self.orthogonality_residual = orthogonality_residual
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex_index", "label", "value", "finite", "harmonic"])
-            for i in range(self.graph.n):
-                writer.writerow(
-                    [
-                        i,
-                        str(self.graph.labels[i]),
-                        repr(float(self.values[i])),
-                        repr(float(self.finite_part.values[i])),
-                        repr(float(self.harmonic_part.values[i])),
-                    ]
-                )
+        columns = (self.values, self.finite_part.values, self.harmonic_part.values)
+        rows = (
+            [i, str(label)] + [repr(float(v)) for v in vals]
+            for i, (label, *vals) in enumerate(zip(self.graph.labels, *columns))
+        )
+        _write_csv(path, ["vertex_index", "label", "value", "finite", "harmonic"], rows)
 
 
 def royden_split(trunc, f):
@@ -164,15 +155,16 @@ def energy_split(trunc, f):
     (Laplacian f)(x): summation by parts collapses the finite part's energy
     onto the interior because the remainder vanishes on the frontier.
     """
-    split = royden_split(trunc, f)
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError("the split needs a truncation carrying a frontier")
     graph = trunc.graph
-    fv = split.values
-    qraw = _frontier_extension(trunc, fv[trunc.frontier])
-    lap_f = assemble_laplacian(graph).apply(fv)
-    g = fv - qraw
+    fv = _as_gauged(graph, f)
+    qraw = _frontier_extension(trunc, fv.values[trunc.frontier])
+    lap_f = assemble_laplacian(graph).apply(fv.values)
+    g = fv.values - qraw
     dirichlet = float(g[trunc.interior] @ lap_f[trunc.interior])
-    boundary = split.harmonic_part.energy
-    total = gauged(graph, fv).energy
+    boundary = gauged(graph, qraw).energy
+    total = fv.energy
     return {
         "dirichlet_term": dirichlet,
         "boundary_term": boundary,

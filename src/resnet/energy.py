@@ -71,11 +71,17 @@ class EnergyVector:
         return float(np.max(np.abs(self.values))) if self.graph.n else 0.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex_index", "label", "value"])
-            for i, v in enumerate(self.values):
-                writer.writerow([i, self.graph.labels[i], repr(float(v))])
+        labels = self.graph.labels
+        rows = ([i, labels[i], repr(float(v))] for i, v in enumerate(self.values))
+        _write_csv(path, ["vertex_index", "label", "value"], rows)
+
+
+def _write_csv(path, header, rows):
+    """Write a header row and then `rows` as one CSV file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def gauged(g, values):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 __all__ = [
     "GraphError",
@@ -156,56 +156,57 @@ class ConductanceGraph:
         rejected.  Disconnected input is accepted here and reported by
         :func:`validate` (unreachable vertices are indexed last).
         """
-        adjacency = {}
-        if vertices is not None:
-            for v in vertices:
-                adjacency.setdefault(v, {})
-        for u, v, w in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u!r}")
-            w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraphError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
-            row = adjacency.setdefault(u, {})
-            prev = row.get(v)
-            if prev is not None and not math.isclose(prev, w, rel_tol=_WEIGHT_MATCH_RTOL):
-                raise GraphError(
-                    f"conflicting weights for edge ({u!r}, {v!r}): {prev!r} vs {w!r}"
-                )
-            row[v] = w
-            adjacency.setdefault(v, {})[u] = w
-        if base_point not in adjacency:
+        index = {}
+        for v in () if vertices is None else vertices:
+            index.setdefault(v, len(index))
+        edges = list(edges)
+        i, j = np.array(
+            [[index.setdefault(x, len(index)) for x in (u, v)] for u, v, _ in edges],
+            dtype=np.int64,
+        ).reshape(-1, 2).T
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        labels = list(index)
+        issues = _edge_issues(i, j, w, labels)
+        if issues:
+            raise GraphError(issues[0].detail, ValidationReport(issues))
+        if base_point not in index:
             raise GraphError(f"base point {base_point!r} not among the vertices")
+        return cls._build(labels, index[base_point], i, j, w)
 
-        # Breadth-first distances from the base point.
-        dist = {base_point: 0}
-        queue = deque([base_point])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        reached = sorted(dist, key=lambda l: (dist[l], _label_sort_key(l)))
-        unreached = sorted((l for l in adjacency if l not in dist), key=_label_sort_key)
-        order = reached + unreached
+    @classmethod
+    def _build(cls, labels, base, i, j, w):
+        """The graph on `labels` with checked index edges (i, j, w), based at index `base`.
 
-        index = {label: i for i, label in enumerate(order)}
-        indptr = np.zeros(len(order) + 1, dtype=np.int64)
-        cols, vals = [], []
-        for i, label in enumerate(order):
-            row = sorted((index[v], w) for v, w in adjacency[label].items())
-            indptr[i + 1] = indptr[i] + len(row)
-            cols.extend(c for c, _ in row)
-            vals.extend(w for _, w in row)
-        hop = np.array([dist.get(l, -1) for l in order], dtype=np.int64)
+        A repeated edge keeps its last weight.  One breadth-first search gives
+        the hop distances; vertices are ordered by (hop, label), unreached last.
+        """
+        n = len(labels)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # np.unique keeps the first of equal keys: read the listing backwards
+        keep = len(lo) - 1 - np.unique((lo * n + hi)[::-1], return_index=True)[1]
+        rows, cols = np.r_[lo[keep], hi[keep]], np.r_[hi[keep], lo[keep]]
+        vals = np.r_[w[keep], w[keep]]
+        degree = np.bincount(rows, minlength=n)
+        by_row = cols[np.argsort(rows, kind="stable")]
+        pattern = sparse.csr_matrix(
+            (np.ones(len(rows)), by_row, np.r_[0, np.cumsum(degree)]), shape=(n, n)
+        )
+        reached, pred = breadth_first_order(pattern, base, return_predecessors=True)
+        hop, pred = [-1] * n, pred.tolist()
+        hop[base] = 0
+        for v in reached[1:].tolist():
+            hop[v] = hop[pred[v]] + 1
+        order = sorted(range(n), key=lambda v: (hop[v] < 0, hop[v], _label_sort_key(labels[v])))
+        new = np.argsort(order)
+        rows, cols = new[rows], new[cols]
+        sort = np.lexsort((cols, rows))
         return cls(
-            index[base_point],
-            order,
-            indptr,
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-            hop,
+            new[base],
+            [labels[v] for v in order],
+            np.r_[0, np.cumsum(degree[order])],
+            cols[sort],
+            vals[sort],
+            np.array(hop, dtype=np.int64)[order],
         )
 
     # -- queries -----------------------------------------------------------
@@ -260,15 +261,23 @@ class ConductanceGraph:
         except KeyError:
             raise GraphError(f"unknown vertex label {label!r}") from None
 
+    def edge_arrays(self):
+        """Undirected edges as read-only arrays (i, j, w) with i < j, ordered by (i, j).
+
+        The upper triangle of :meth:`adjacency`, cached.
+        """
+        if "edge_arrays" not in self._cache:
+            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            upper = self.indices > rows
+            arrays = (rows[upper], self.indices[upper], self.weights[upper])
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._cache["edge_arrays"] = arrays
+        return self._cache["edge_arrays"]
+
     def edge_list(self):
-        """Undirected edges as (i, j, w) with i < j, ordered by (i, j)."""
-        out = []
-        for i in range(self.n):
-            nbrs, w = self.neighbors(i)
-            for j, wij in zip(nbrs, w):
-                if i < j:
-                    out.append((i, int(j), float(wij)))
-        return out
+        """Undirected edges as (i, j, w) tuples with i < j, ordered by (i, j)."""
+        return list(zip(*(arr.tolist() for arr in self.edge_arrays())))
 
     def __repr__(self):
         return (
@@ -282,7 +291,7 @@ class ConductanceGraph:
         return {
             "vertices": self.n,
             "base_point": self.base_point,
-            "edges": [[i, j, w] for i, j, w in self.edge_list()],
+            "edges": [list(edge) for edge in self.edge_list()],
             "labels": [_label_to_json(l) for l in self.labels],
         }
 
@@ -329,10 +338,7 @@ class TruncatedGraph:
         data["frontier"] = [_label_to_json(self.graph.labels[i]) for i in self.frontier]
         return data
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_data(), fh, indent=1)
-            fh.write("\n")
+    write_json = ConductanceGraph.write_json
 
 
 def underlying(g):
@@ -403,23 +409,56 @@ def validate(graph):
     return ValidationReport(issues)
 
 
-def validate_edge_data(num_vertices, base_point, edges):
-    """Validate a raw indexed edge list before any graph is built.
+def _edge_issues(i, j, w, labels):
+    """Self-loops, invalid weights and conflicting repeats among index edges.
 
-    This is the loader-side check: it sees directed duplicates, so it can
-    report asymmetric weights that :meth:`ConductanceGraph.from_edges` would
-    refuse to store.  Never raises.
+    Issues come in input order and name vertices by `labels`.  Each repeat
+    of an edge, in either orientation, is compared with its previous listing.
     """
-    issues = []
+
+    def name(k):
+        return f"({labels[i[k]]!r}, {labels[j[k]]!r})"
+
+    found = {
+        k: ValidationIssue("self-loop", f"self-loop at vertex {labels[i[k]]!r}")
+        for k in np.flatnonzero(i == j)
+    }
+    proper = (i != j) & np.isfinite(w) & (w > 0)
+    for k in np.flatnonzero((i != j) & ~proper):
+        found[k] = ValidationIssue(
+            "nonpositive-weight", f"edge {name(k)} has invalid weight {float(w[k])!r}"
+        )
+    listed = np.flatnonzero(proper)
+    key = (np.minimum(i, j) * len(labels) + np.maximum(i, j))[listed]
+    sort = np.argsort(key, kind="stable")  # listings of one edge stay in input order
+    listed, key = listed[sort], key[sort]
+    prev, cur = listed[:-1], listed[1:]
+    conflict = (key[1:] == key[:-1]) & (
+        np.abs(w[prev] - w[cur]) > _WEIGHT_MATCH_RTOL * np.maximum(w[prev], w[cur])
+    )
+    for p, k in zip(prev[conflict], cur[conflict]):
+        found[k] = ValidationIssue(
+            "asymmetric",
+            f"conflicting weights for edge {name(k)}: {float(w[p])!r} vs {float(w[k])!r}",
+        )
+    return [found[k] for k in sorted(found)]
+
+
+def _check_edge_data(num_vertices, base_point, edges):
+    """Parse a raw indexed edge list into arrays (i, j, w) and check it.
+
+    Returns the issues, each of which makes the list unusable, and the
+    arrays of the entries that parsed (None when the count is unusable).
+    """
     if not isinstance(num_vertices, int) or num_vertices < 1:
-        issues.append(ValidationIssue("bad-count", f"vertices must be a positive int, got {num_vertices!r}"))
-        return ValidationReport(issues)
+        detail = f"vertices must be a positive int, got {num_vertices!r}"
+        return [ValidationIssue("bad-count", detail)], None
+    issues = []
     if not isinstance(base_point, int) or not 0 <= base_point < num_vertices:
         issues.append(
             ValidationIssue("bad-base", f"base_point {base_point!r} not in [0, {num_vertices})")
         )
-    seen = {}
-    adjacency = {v: set() for v in range(num_vertices)}
+    parsed = []
     for e in edges:
         try:
             x, y, w = e
@@ -427,47 +466,27 @@ def validate_edge_data(num_vertices, base_point, edges):
         except (TypeError, ValueError):
             issues.append(ValidationIssue("bad-edge", f"malformed edge entry {e!r}"))
             continue
-        if not (0 <= x < num_vertices and 0 <= y < num_vertices):
+        if 0 <= x < num_vertices and 0 <= y < num_vertices:
+            parsed.append((x, y, w))
+        else:
             issues.append(ValidationIssue("bad-index", f"edge ({x}, {y}) out of range"))
-            continue
-        if x == y:
-            issues.append(ValidationIssue("self-loop", f"edge ({x}, {x})"))
-            continue
-        if not math.isfinite(w) or w <= 0.0:
-            issues.append(ValidationIssue("nonpositive-weight", f"edge ({x}, {y}) weight {w!r}"))
-            continue
-        key = (min(x, y), max(x, y))
-        if key in seen and not math.isclose(seen[key], w, rel_tol=_WEIGHT_MATCH_RTOL):
-            issues.append(
-                ValidationIssue(
-                    "asymmetric",
-                    f"edge {key} listed with weights {seen[key]!r} and {w!r}",
-                )
-            )
-            continue
-        seen[key] = w
-        adjacency[x].add(y)
-        adjacency[y].add(x)
-    for v in range(num_vertices):
-        if not adjacency[v]:
-            issues.append(ValidationIssue("zero-degree", f"vertex {v} has no edges"))
-    if isinstance(base_point, int) and 0 <= base_point < num_vertices:
-        dist = {base_point}
-        queue = deque([base_point])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist.add(v)
-                    queue.append(v)
-        if len(dist) < num_vertices:
-            missing = sorted(set(range(num_vertices)) - dist)
-            issues.append(
-                ValidationIssue(
-                    "disconnected",
-                    f"{len(missing)} vertices unreachable from base, e.g. {missing[:5]}",
-                )
-            )
+    i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
+    arrays = (i.astype(np.int64), j.astype(np.int64), w)
+    return issues + _edge_issues(*arrays, range(num_vertices)), arrays
+
+
+def validate_edge_data(num_vertices, base_point, edges):
+    """Validate a raw indexed edge list before any graph is built.
+
+    This is the loader-side check: it sees directed duplicates, so it can
+    report asymmetric weights that :meth:`ConductanceGraph.from_edges` would
+    refuse to store.  A list that passes these checks is built, and the
+    built graph's zero-degree and unreachable vertices are reported.  Never
+    raises.
+    """
+    issues, arrays = _check_edge_data(num_vertices, base_point, edges)
+    if not issues:
+        issues = validate(ConductanceGraph._build(range(num_vertices), base_point, *arrays)).issues
     return ValidationReport(issues)
 
 
@@ -485,18 +504,13 @@ def truncate(g, radius):
     graph = underlying(g)
     if radius < 1:
         raise GraphError("truncation radius must be >= 1")
-    hop = graph.hop_distance
-    keep = (hop >= 0) & (hop <= radius)
-    keep_labels = {graph.labels[i] for i in np.flatnonzero(keep)}
-    edges = [
-        (graph.labels[i], graph.labels[j], w)
-        for i, j, w in graph.edge_list()
-        if graph.labels[i] in keep_labels and graph.labels[j] in keep_labels
-    ]
-    sub = ConductanceGraph.from_edges(
-        edges, graph.labels[graph.base_point], vertices=keep_labels
+    k = int(np.count_nonzero((graph.hop_distance >= 0) & (graph.hop_distance <= radius)))
+    i, j, w = graph.edge_arrays()
+    inside = j < k  # i < j, and the ball is the index prefix [0, k)
+    ball = ConductanceGraph._build(
+        graph.labels[:k], graph.base_point, i[inside], j[inside], w[inside]
     )
-    return _ball_result(sub, radius)
+    return _ball_result(ball, radius)
 
 
 def _ball_result(graph, radius):
@@ -714,17 +728,6 @@ def generate(family, radius=None, **params):
 
 # -- JSON loading -------------------------------------------------------------
 
-_FATAL_LOAD_CODES = {
-    "bad-count",
-    "bad-base",
-    "bad-edge",
-    "bad-index",
-    "self-loop",
-    "nonpositive-weight",
-    "asymmetric",
-}
-
-
 def load_graph(path):
     """Load a graph JSON file, returning a TruncatedGraph.
 
@@ -745,25 +748,18 @@ def load_graph(path):
     for key in ("vertices", "base_point", "edges"):
         if key not in data:
             raise GraphError(f"graph file is missing the {key!r} field")
-    report = validate_edge_data(data["vertices"], data["base_point"], data["edges"])
-    fatal = [issue for issue in report.issues if issue.code in _FATAL_LOAD_CODES]
-    if fatal:
+    issues, arrays = _check_edge_data(data["vertices"], data["base_point"], data["edges"])
+    if issues:
         raise GraphError(
-            "graph file failed validation:\n" + "\n".join(map(str, fatal)),
-            ValidationReport(fatal),
+            "graph file failed validation:\n" + "\n".join(map(str, issues)),
+            ValidationReport(issues),
         )
     n = data["vertices"]
     labels = data.get("labels")
-    if labels is None:
-        labels = list(range(n))
-    else:
-        if len(labels) != n:
-            raise GraphError("labels length does not match vertex count")
-        labels = [_label_from_json(l) for l in labels]
-    edges = [(labels[int(x)], labels[int(y)], float(w)) for x, y, w in data["edges"]]
-    graph = ConductanceGraph.from_edges(
-        edges, labels[data["base_point"]], vertices=labels
-    )
+    labels = [_label_from_json(l) for l in (range(n) if labels is None else labels)]
+    if len(labels) != n or len(set(labels)) != n:
+        raise GraphError("labels must give each vertex its own label")
+    graph = ConductanceGraph._build(labels, data["base_point"], *arrays)
     if "frontier" in data:
         frontier = [_label_from_json(l) for l in data["frontier"]]
         trunc = with_frontier(graph, frontier)

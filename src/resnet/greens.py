@@ -19,11 +19,12 @@ graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .energy import SolverError
+from .energy import SolverError, _write_csv
 from .graphs import GraphError, TruncatedGraph, generate, underlying
 from .laplacian import assemble_laplacian, grounded_laplacian, transition_operator
 
@@ -53,27 +54,23 @@ class GreensMatrix:
     method: str
     symmetry_residual: float
     tol: float
-    _pos: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if not self._pos:
-            self._pos = {v: k for k, v in enumerate(self.vertices)}
+    _excluded = "grounded"  # how a vertex outside `vertices` is described
+
+    @cached_property
+    def _pos(self):
+        return {v: k for k, v in enumerate(self.vertices)}
 
     def value(self, x, y):
         try:
             return float(self.matrix[self._pos[x], self._pos[y]])
         except KeyError as exc:
-            raise GraphError(f"vertex index {exc.args[0]} is grounded or absent") from None
+            raise GraphError(f"vertex index {exc.args[0]} is {self._excluded} or absent") from None
 
     def to_csv(self, path):
-        import csv
-
         labels = [str(self.graph.labels[v]) for v in self.vertices]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label"] + labels)
-            for name, row in zip(labels, self.matrix):
-                writer.writerow([name] + [repr(float(v)) for v in row])
+        rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
+        _write_csv(path, ["label"] + labels, rows)
 
 
 def greens_gram(g, tol=1e-10):
@@ -141,17 +138,10 @@ class WalkGreens:
     rho: float
     tail_bound: float
     absorb: str
-    _pos: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if not self._pos:
-            self._pos = {v: k for k, v in enumerate(self.vertices)}
-
-    def value(self, x, y):
-        try:
-            return float(self.matrix[self._pos[x], self._pos[y]])
-        except KeyError as exc:
-            raise GraphError(f"vertex index {exc.args[0]} is absorbed or absent") from None
+    _excluded = "absorbed"
+    _pos = GreensMatrix._pos
+    value = GreensMatrix.value
 
     def to_kernel(self):
         """Rescale expected visit counts by conductances to get the symmetric kernel."""

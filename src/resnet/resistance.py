@@ -6,8 +6,8 @@ and leaves at y.  Implemented routes:
   M1  dipole increment v(x) - v(y)
   M2  dipole energy ||v||^2
   M3  minimum dissipation over unit flows (least-norm flow solve)
-  M4  e_x^T L_y^{-1} e_x, read off the sparse LU of the Laplacian grounded
-      at y
+  M4  increment v(x) - v(y) of the dipole solved directly against the
+      sparse LU of the Laplacian grounded at the base point
   M7  normalized increment (v(x) - v(y))^2 / ||v||^2, the variational
       maximizer evaluated explicitly
 
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
-from .energy import SolverError, solve_dipole
+from .energy import SolverError, _write_csv, solve_dipole
 from .graphs import GraphError, generate, underlying
 from .greens import greens_gram
 from .laplacian import grounded_laplacian
@@ -71,7 +71,7 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     if method == "all":
         values = _dipole_routes(solve_dipole(graph, x, y, tol))
         values["M3"] = _min_dissipation(graph, x, y, tol)
-        values["M4"] = _grounded_quadratic_form(graph, x, y)
+        values["M4"] = _grounded_increment(graph, x, y)
         values = {m: values[m] for m in METHODS}
         lo, hi = min(values.values()), max(values.values())
         values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
@@ -82,7 +82,7 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     if method == "M3":
         return _min_dissipation(graph, x, y, tol)
     if method == "M4":
-        return _grounded_quadratic_form(graph, x, y)
+        return _grounded_increment(graph, x, y)
     raise GraphError(f"unknown method {method!r}; choose from {METHODS} or 'all'")
 
 
@@ -96,17 +96,12 @@ def _flow_system(graph):
     # Signed incidence scaled by sqrt(c): with flow variables J_e = I_e/sqrt(c_e)
     # the node law reads A J = source vector and the dissipation is |J|^2.
     if "flow_system" not in graph._cache:
-        edges = graph.edge_list()
-        m = len(edges)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        vals = np.empty(2 * m)
-        for k, (i, j, c) in enumerate(edges):
-            s = math.sqrt(c)
-            rows[2 * k], cols[2 * k], vals[2 * k] = i, k, s
-            rows[2 * k + 1], cols[2 * k + 1], vals[2 * k + 1] = j, k, -s
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(graph.n, m))
-        graph._cache["flow_system"] = mat
+        i, j, c = graph.edge_arrays()
+        edge = np.arange(len(c))
+        s = np.sqrt(c)
+        graph._cache["flow_system"] = sparse.csr_matrix(
+            (np.r_[s, -s], (np.r_[i, j], np.r_[edge, edge])), shape=(graph.n, len(c))
+        )
     return graph._cache["flow_system"]
 
 
@@ -129,12 +124,15 @@ def _min_dissipation(graph, x, y, tol):
     return float(np.dot(flow, flow))
 
 
-def _grounded_quadratic_form(graph, x, y):
-    kept, _, lu = grounded_laplacian(graph, y)
-    pos = int(np.searchsorted(kept, x))
-    rhs = np.zeros(len(kept))
-    rhs[pos] = 1.0
-    return float(lu.solve(rhs)[pos])
+def _grounded_increment(graph, x, y):
+    # The base-grounded LU is the one greens_gram uses, so M4 adds no
+    # factorization per pair.
+    kept, _, lu = grounded_laplacian(graph, graph.base_point)
+    rhs = np.zeros(graph.n)
+    rhs[x], rhs[y] = 1.0, -1.0
+    v = np.zeros(graph.n)
+    v[kept] = lu.solve(rhs[kept])
+    return float(v[x] - v[y])
 
 
 # -- current flows ------------------------------------------------------------
@@ -142,37 +140,37 @@ def _grounded_quadratic_form(graph, x, y):
 
 @dataclass
 class CurrentFlow:
-    """Edge currents induced by a potential; orientation low index -> high."""
+    """Edge currents induced by a potential; orientation low index -> high.
+
+    `edges` are the graph's edge arrays (i, j, c), aligned with `currents`.
+    """
 
     graph: object
-    edges: list
+    edges: tuple
     currents: np.ndarray
     dissipation: float
 
     def divergence(self):
         """Net current out of each vertex; a unit dipole flow gives +-1 at the poles."""
-        div = np.zeros(self.graph.n)
-        for (i, j, _), cur in zip(self.edges, self.currents):
-            div[i] += cur
-            div[j] -= cur
-        return div
+        i, j, _ = self.edges
+        n = self.graph.n
+        return np.bincount(i, self.currents, n) - np.bincount(j, self.currents, n)
 
     def current_between(self, x, y):
-        for (i, j, _), cur in zip(self.edges, self.currents):
-            if (i, j) == (min(x, y), max(x, y)):
-                return cur if i == x else -cur
-        return 0.0
+        i, j, _ = self.edges
+        hit = np.flatnonzero((i == min(x, y)) & (j == max(x, y)))
+        if not len(hit):
+            return 0.0
+        cur = float(self.currents[hit[0]])
+        return cur if x < y else -cur
 
 
 def current_of_dipole(dipole):
     """Ohm's law edge by edge: I_(xy) = c_xy (v(x) - v(y))."""
     graph = dipole.graph
-    edges = graph.edge_list()
-    vals = dipole.values
-    currents = np.array([c * (vals[i] - vals[j]) for i, j, c in edges])
-    dissipation = math.fsum(
-        cur * cur / c for (_, _, c), cur in zip(edges, currents)
-    )
+    i, j, c = edges = graph.edge_arrays()
+    currents = c * (dipole.values[i] - dipole.values[j])
+    dissipation = math.fsum(currents * currents / c)
     return CurrentFlow(graph, edges, currents, dissipation)
 
 
@@ -200,13 +198,9 @@ class ResistanceMatrix:
         return worst
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label"] + [str(l) for l in self.graph.labels])
-            for i, row in enumerate(self.matrix):
-                writer.writerow([str(self.graph.labels[i])] + [repr(float(v)) for v in row])
+        labels = [str(l) for l in self.graph.labels]
+        rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
+        _write_csv(path, ["label"] + labels, rows)
 
 
 def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):

@@ -62,6 +62,13 @@ def test_duplicate_edge_consistent_ok_conflicting_rejected():
         ([(0, 1, -2.0)], "invalid weight"),
         ([(0, 1, 0.0)], "invalid weight"),
         ([(0, 1, float("nan"))], "invalid weight"),
+        ([(0, 1, float("inf"))], "invalid weight"),
+        ([(0, 1, 1.0), (1, 1, 1.0)], "self-loop at vertex 1"),
+        ([(0, 1, 2.0), (1, 0, 3.0)], r"conflicting weights for edge \(1, 0\): 2.0 vs 3.0"),
+        ([("a", "b", 1.0), ("b", "a", 1.5)], r"edge \('b', 'a'\)"),
+        # the first offending listing in input order is the one reported
+        ([(0, 1, -1.0), (2, 2, 1.0)], "invalid weight"),
+        ([(0, 2, 1.0), (2, 2, 1.0), (0, 1, 0.0)], "self-loop"),
     ],
 )
 def test_from_edges_rejections(edges, message):
@@ -81,6 +88,88 @@ def test_edge_list_round_trips():
     )
     assert rebuilt.labels == g.labels
     assert np.array_equal(rebuilt.weights, g.weights)
+
+
+def _same_graph(a, b):
+    assert a.labels == b.labels and a.base_point == b.base_point
+    for name in ("indptr", "indices", "weights", "hop_distance"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype and np.array_equal(left, right), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=20),
+    extra=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**31),
+    data=st.data(),
+)
+def test_from_edges_ignores_edge_order_and_orientation(n, extra, seed, data):
+    g = random_connected_graph(np.random.default_rng(seed), n, extra)
+    # mixed label types exercise the (hop, label) tie-break
+    name = lambda i: g.labels[i] if g.labels[i] % 2 else (g.labels[i], "even")
+    edges = [(name(i), name(j), w) for i, j, w in g.edge_list()]
+    order = data.draw(st.permutations(range(len(edges))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    shuffled = [
+        (edges[k][1], edges[k][0], edges[k][2]) if flip else edges[k]
+        for k, flip in zip(order, flips)
+    ]
+    base = name(g.base_point)
+    _same_graph(
+        ConductanceGraph.from_edges(shuffled, base),
+        ConductanceGraph.from_edges(edges, base),
+    )
+
+
+def test_load_graph_of_scrambled_indices_matches_from_edges(tmp_path):
+    g = generate("comb", radius=5).graph
+    rng = np.random.default_rng(3)
+    slot = rng.permutation(g.n)  # file index of each vertex
+    labels = [None] * g.n
+    for v, k in enumerate(slot):
+        labels[k] = list(g.labels[v])
+    rows = [[int(slot[i]), int(slot[j]), w] for i, j, w in g.edge_list()]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    rows = [[j, i, w] if k % 2 else [i, j, w] for k, (i, j, w) in enumerate(rows)]
+    path = tmp_path / "scrambled.json"
+    data = {"vertices": g.n, "base_point": int(slot[g.base_point]), "edges": rows, "labels": labels}
+    path.write_text(json.dumps(data))
+    labelled = [(g.labels[i], g.labels[j], w) for i, j, w in g.edge_list()]
+    _same_graph(load_graph(path).graph, ConductanceGraph.from_edges(labelled, (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("comb", dict(radius=7)), ("lattice", dict(radius=6, d=2)), ("binary-tree", dict(radius=5))],
+)
+def test_truncate_matches_from_edges_on_the_ball(family, params):
+    g = generate(family, **params).graph
+    for radius in (1, 3, params["radius"], params["radius"] + 2):
+        ball = {g.labels[v] for v in range(g.n) if g.hop_distance[v] <= radius}
+        edges = [
+            (g.labels[i], g.labels[j], w)
+            for i, j, w in g.edge_list()
+            if g.labels[i] in ball and g.labels[j] in ball
+        ]
+        t = truncate(g, radius)
+        _same_graph(
+            t.graph, ConductanceGraph.from_edges(edges, g.labels[g.base_point], vertices=ball)
+        )
+        rim = {g.labels[v] for v in range(g.n) if g.hop_distance[v] == radius}
+        assert set(t.frontier_labels) == rim
+
+
+def test_repeated_edge_is_compared_with_its_previous_listing():
+    # each listing is within the match tolerance of the one before, the
+    # third is not within it of the first; the last listing is stored
+    w1, w2, w3 = 1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12
+    g = ConductanceGraph.from_edges([(0, 1, w1), (1, 0, w2), (0, 1, w3)], 0)
+    assert g.num_edges == 1 and g.conductance(0, 1) == w3
+    # a conflicting second listing is reported once; the third agrees with it
+    rep = validate_edge_data(2, 0, [[0, 1, 1.0], [1, 0, 2.0], [0, 1, 2.0]])
+    assert [issue.code for issue in rep.issues] == ["asymmetric"]
+    assert "(1, 0): 1.0 vs 2.0" in rep.issues[0].detail
 
 
 def test_validate_edge_data_codes():

@@ -5,6 +5,7 @@ oracle in conftest or to a hand-derivable series/parallel closed form.
 """
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ def test_m4_on_steep_chain_answers_or_raises_solver_error():
             except SolverError:
                 continue
             assert np.isfinite(value)
+
+
+def test_m4_on_steep_chain_matches_series_resistance():
+    # the chain's edge (k, k+1) has conductance 2^k, so d(a, b) is a finite
+    # geometric sum; every ordered pair must land within 1e-9 of it
+    g = generate("chain", width=60).graph
+    for a in range(60):
+        for b in range(60):
+            if a == b:
+                continue
+            exact = math.fsum(2.0**-k for k in range(min(a, b), max(a, b)))
+            value = resistance(g, g.index_of(a), g.index_of(b), "M4")
+            assert abs(value - exact) <= 1e-9 * exact, (a, b)
+
+
+def test_m4_reuses_the_one_base_grounded_factorization():
+    g = generate("lattice", radius=8).graph
+    for y in range(1, g.n):
+        resistance(g, 0, y, "M4")
+    grounded = [key for key in g._cache if isinstance(key, tuple) and key[0] == "grounded_lu"]
+    assert len(grounded) == 1
 
 
 def test_dual_aliases(rng):

@@ -314,10 +314,13 @@ def cmd_walk(args):
         )
     ]
     finite = [abs(row["z"]) for row in table if math.isfinite(row["z"])]
+    lengths = [s.length for s in samples]
     payload = {
         "start": str(graph.labels[start]),
         "total_samples": sampled.total_samples,
         "unabsorbed": sampled.unabsorbed,
+        "mean_steps": sum(lengths) / len(lengths),
+        "max_steps_taken": max(lengths),
         "frontier": table,
         "max_abs_z": max(finite) if finite else 0.0,
     }

@@ -159,7 +159,9 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
     there); absorb="frontier" grounds the frontier of a truncation, which is
     the version boundary-limit quantities are built from.  The expansion
     order is chosen so the geometric tail rho^order / (1 - rho) drops below
-    `tail_tol`, with rho estimated by power iteration.
+    `tail_tol`, with rho estimated by power iteration, and is checked against
+    `order_cap`.  The series is summed by doubling, so the order reported is
+    the first 2^j - 1 at or above the one needed and the tail only tightens.
     """
     if absorb == "base":
         graph = underlying(g)
@@ -193,11 +195,16 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
             residual=rho,
             iterations=order,
         )
-    total = np.eye(len(kept))
-    term = np.eye(len(kept))
-    for _ in range(order):
-        term = term @ p_sub
-        total += term
+    # Doubling: S_2k = S_k + P^k S_k with S_k = I + P + ... + P^(k-1), so the
+    # sum runs to the first order 2^j - 1 at or above the one needed.
+    total, power, terms = np.eye(len(kept)), p_sub, 1
+    while True:
+        total = total + power @ total
+        terms *= 2
+        if terms > order:
+            break
+        power = power @ power
+    order = terms - 1
     tail = rho**order / (1.0 - rho) if rho > 0.0 else 0.0
     return WalkGreens(graph, kept, total, order, rho, tail, absorb)
 

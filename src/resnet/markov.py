@@ -15,25 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, TruncatedGraph, underlying
-from .laplacian import (
-    assemble_laplacian,
-    harmonic_extension,
-    interior_laplacian,
-    transition_operator,
-)
+from .laplacian import assemble_laplacian, interior_laplacian
 
 __all__ = [
     "PathSample",
     "cylinder_probability",
     "sample_paths",
-    "power_iterate",
     "BoundaryEstimate",
     "harmonic_measure_exact",
     "estimate_from_samples",
     "measure_z_scores",
     "poisson_reproduce",
     "martin_kernel",
-    "shift_invariant_correspondence_demo",
 ]
 
 
@@ -59,8 +52,15 @@ def cylinder_probability(g, word):
     return prob
 
 
-def _row_cdfs(graph):
-    if "row_cdf" not in graph._cache:
+def _step_tables(graph):
+    """Per-CSR-entry row CDF, log step probability and int32 target, cached.
+
+    The CDF of row x is the running sum of its weights over c(x), its last
+    entry forced to 1.  The log table is built with `math.log`, one entry at a
+    time, so the sampled log-probabilities are bitwise those of adding
+    `math.log(c_xy / c(x))` step by step.
+    """
+    if "step_tables" not in graph._cache:
         cdf = np.empty_like(graph.weights)
         degrees = graph.degrees
         for x in range(graph.n):
@@ -68,8 +68,87 @@ def _row_cdfs(graph):
             if hi > lo:
                 cdf[lo:hi] = np.cumsum(graph.weights[lo:hi]) / degrees[x]
                 cdf[hi - 1] = 1.0  # guard against rounding shortfall
-        graph._cache["row_cdf"] = cdf
-    return graph._cache["row_cdf"]
+        rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        ratio = graph.weights / degrees[rows]
+        log_step = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+        graph._cache["step_tables"] = (cdf, log_step, graph.indices.astype(np.int32))
+    return graph._cache["step_tables"]
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a, b, hi, lo, x, y, z):
+    """Write the high and low words of the 128-bit product a * b to hi and lo.
+
+    a is a constant and b a uint64 array; x, y and z are scratch arrays
+    shaped like b.  numpy has no 128-bit product, so the high word is
+    assembled from 32-bit halves; every partial sum fits in 64 bits.
+    """
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    np.bitwise_and(b, _LO32, out=x)
+    np.multiply(x, a_lo, out=y)
+    y >>= _SHIFT32
+    np.right_shift(b, _SHIFT32, out=hi)
+    np.multiply(hi, a_lo, out=z)
+    z += y  # b_hi a_lo + carry of b_lo a_lo
+    x *= a_hi
+    np.bitwise_and(z, _LO32, out=y)
+    x += y  # b_lo a_hi + low half of the line above
+    hi *= a_hi
+    z >>= _SHIFT32
+    hi += z
+    x >>= _SHIFT32
+    hi += x
+    np.multiply(b, np.uint64(a), out=lo)
+
+
+def _philox_uniforms(counter, key0, key1):
+    """Doubles of the Philox4x64-10 block at counter (counter, 0, 0, 0).
+
+    One column per key (key0, key1[j]); row w is word w converted as
+    `Generator.random()` converts it, (x >> 11) * 2**-53.  Draw t of the
+    stream `Generator(Philox(key=...))` is row t % 4 at counter t // 4 + 1.
+    The rounds work in place on a fixed set of arrays: a fresh temporary for
+    every operation raised the peak memory of a `walk` run by about 1%.
+    """
+    key1 = np.array(key1, dtype=np.uint64)
+    m = len(key1)
+    ctr = list(np.zeros((4, m), dtype=np.uint64))
+    ctr[0] += np.uint64(counter)
+    spare = list(np.empty((4, m), dtype=np.uint64))
+    scratch = np.empty((3, m), dtype=np.uint64)
+    k0 = int(key0)
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            key1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0, hi1, lo1 = spare
+        _mulhilo(_PHILOX_M[0], ctr[0], hi0, lo0, *scratch)
+        _mulhilo(_PHILOX_M[1], ctr[2], hi1, lo1, *scratch)
+        hi1 ^= ctr[1]
+        hi1 ^= np.uint64(k0)
+        hi0 ^= ctr[3]
+        hi0 ^= key1
+        spare, ctr = ctr, [hi1, lo1, hi0, lo0]
+    out = np.empty((4, m))
+    for word, row in zip(ctr, out):
+        word >>= np.uint64(11)
+        np.multiply(word, 2.0**-53, out=row)
+    return out
+
+
+def _stream_key(seed):
+    """First key word of every sample's stream, as numpy reads key=[seed, i].
+
+    numpy converts the list through one array, so a seed at or above 2**63
+    goes through float64 and a negative one wraps; asking numpy keeps that.
+    """
+    return np.random.Philox(key=[int(seed), 0]).state["state"]["key"][0]
 
 
 @dataclass
@@ -88,6 +167,11 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     so results do not depend on sampling order.  Walks still unabsorbed after
     max_steps are returned with absorbed_at=None; they are never silently
     dropped or redistributed.
+
+    All walks advance in lockstep, one array step per step count.  Sample i
+    draws exactly what `Generator(Philox(key=[seed, i])).random()` returns,
+    one draw per step, and picks the first neighbor whose row CDF exceeds it
+    (the bisection is numpy's `searchsorted(..., side="right")`).
     """
     if not isinstance(trunc, TruncatedGraph):
         raise GraphError("path sampling needs a truncation carrying a frontier")
@@ -98,59 +182,77 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
         raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
     if trunc.frontier_mask[x]:
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
-    cdf = _row_cdfs(graph)
-    degrees = graph.degrees
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    n, max_steps = max(int(n_samples), 0), max(int(max_steps), 0)
+    if n == 0:
+        return []
+    cdf, log_step, targets = _step_tables(graph)
+    row_lo, row_hi = graph.indptr[:-1], graph.indptr[1:]
+    bisections = int(np.diff(graph.indptr).max()).bit_length()
     mask = trunc.frontier_mask
-    out = []
-    for i in range(int(n_samples)):
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), i]))
-        cur = x
-        verts = [x]
-        log_p = 0.0
-        absorbed = None
-        for _ in range(int(max_steps)):
-            lo, hi = indptr[cur], indptr[cur + 1]
-            u = rng.random()
-            k = lo + int(np.searchsorted(cdf[lo:hi], u, side="right"))
-            log_p += math.log(weights[k] / degrees[cur])
-            cur = int(indices[k])
-            verts.append(cur)
-            if mask[cur]:
-                absorbed = cur
+    key0 = _stream_key(seed)
+
+    length = np.full(n, max_steps, dtype=np.int64)
+    absorbed_at = np.full(n, -1, dtype=np.int64)
+    final_log_p = np.zeros(n)
+    ids = np.arange(n)  # the walks still running, in sample order
+    cur = np.full(n, x, dtype=np.int32)
+    log_p = np.zeros(n)
+    steps = []  # steps[s]: vertex after step s + 1 of every walk running then
+    for s in range(max_steps):
+        if s % 4 == 0:
+            draws = _philox_uniforms(s // 4 + 1, key0, ids)
+        u = draws[s % 4]
+        lo, hi = row_lo[cur], row_hi[cur]
+        # numpy's searchsorted midpoints; a walk whose search has ended stays
+        # put, since its cdf[lo] exceeds u, so every walk takes as many rounds
+        # as the longest row needs.
+        for _ in range(bisections):
+            mid = (lo + hi) >> 1
+            right = cdf[mid] > u
+            lo = np.where(right, lo, mid + 1)
+            hi = np.where(right, mid, hi)
+        log_p += log_step[lo]
+        cur = targets[lo]
+        steps.append(cur)
+        done = mask[cur]
+        if done.any():
+            finished = ids[done]
+            length[finished] = s + 1
+            absorbed_at[finished] = cur[done]
+            final_log_p[finished] = log_p[done]
+            running = ~done
+            ids, cur, log_p = ids[running], cur[running], log_p[running]
+            draws = draws[:, running]
+            if len(ids) == 0:
                 break
-        out.append(
-            PathSample(
-                start=x,
-                vertices=np.array(verts, dtype=np.int64),
-                log_probability=log_p,
-                absorbed_at=absorbed,
-                length=len(verts) - 1,
-            )
+    final_log_p[ids] = log_p
+
+    # Lay the walks end to end, each as its start and its steps; walk i is
+    # running at step t + 1 exactly when length[i] > t.
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length + 1, out=offsets[1:])
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    pos = offsets[:-1]
+    flat[pos] = x
+    live = length
+    for t, step in enumerate(steps):
+        if len(step) != len(pos):
+            keep = live > t
+            pos, live = pos[keep], live[keep]
+        pos = pos + 1
+        flat[pos] = step
+    del steps  # freed before the samples are built, to lower the peak memory
+    bounds = offsets.tolist()
+    return [
+        PathSample(
+            start=x,
+            vertices=flat[a:b],
+            log_probability=lp,
+            absorbed_at=None if end < 0 else end,
+            length=b - a - 1,
         )
-    return out
-
-
-def power_iterate(trunc, boundary_values, n):
-    """n steps of u <- P u with the frontier pinned to the boundary data.
-
-    Converges to the harmonic extension as n grows; useful as a slow but
-    independent check on the direct interior solve.
-    """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("power iteration needs a truncation carrying a frontier")
-    f = np.asarray(boundary_values, dtype=float)
-    if f.shape != (len(trunc.frontier),):
-        raise GraphError(
-            f"expected {len(trunc.frontier)} boundary values, got shape {f.shape}"
-        )
-    p = transition_operator(trunc.graph).matrix
-    h = np.zeros(trunc.graph.n)
-    h[trunc.frontier] = f
-    for _ in range(int(n)):
-        h = p @ h
-        h[trunc.frontier] = f
-    return h
+        for a, b, lp, end in zip(bounds, bounds[1:], final_log_p.tolist(), absorbed_at.tolist())
+    ]
 
 
 @dataclass
@@ -215,14 +317,14 @@ def harmonic_measure_exact(trunc, x):
 def estimate_from_samples(trunc, samples):
     """Empirical harmonic measure with per-component binomial errors."""
     frontier = np.array(trunc.frontier, dtype=np.int64)
-    index = {int(v): k for k, v in enumerate(frontier)}
-    counts = np.zeros(len(frontier), dtype=np.int64)
-    unabsorbed = 0
-    for s in samples:
-        if s.absorbed_at is None:
-            unabsorbed += 1
-        else:
-            counts[index[s.absorbed_at]] += 1
+    ends = np.array([s.absorbed_at for s in samples if s.absorbed_at is not None], dtype=np.int64)
+    slot = np.full(trunc.graph.n, -1, dtype=np.int64)
+    slot[frontier] = np.arange(len(frontier))
+    hits = slot[ends]
+    if np.any(hits < 0):
+        raise GraphError(f"a sample ends at vertex index {ends[hits < 0][0]}, off the frontier")
+    counts = np.bincount(hits, minlength=len(frontier))
+    unabsorbed = len(samples) - len(ends)
     total = len(samples)
     weights = counts / total if total else counts.astype(float)
     se = np.sqrt(weights * (1.0 - weights) / total) if total else None
@@ -310,30 +412,3 @@ def martin_kernel(trunc, walk_g, x, y):
             f"G(base, {trunc.graph.labels[y]!r}) = 0; the ratio is undefined"
         )
     return walk_g.value(x, y) / denom
-
-
-def shift_invariant_correspondence_demo(trunc, boundary_function, n_samples=2000, seed=0, max_steps=None):
-    """Where-the-walk-ends data <-> harmonic functions, demonstrated both ways.
-
-    Evaluating `boundary_function` at each frontier vertex and extending
-    harmonically gives a function killed by the Laplacian on the interior;
-    conversely the expectation of the function at the absorption site,
-    estimated by Monte Carlo at the base point, recovers the same values.
-    """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the correspondence demo needs a truncation")
-    f = np.array([float(boundary_function(int(b))) for b in trunc.frontier])
-    h = harmonic_extension(trunc, f)
-    lap = assemble_laplacian(trunc.graph)
-    residual = float(np.max(np.abs(lap.apply(h)[trunc.interior])))
-    report = poisson_reproduce(
-        trunc, h, trunc.graph.base_point, n_samples, seed, max_steps
-    )
-    return {
-        "values": h,
-        "harmonic_residual": residual,
-        "base_value": report["point_value"],
-        "mc_estimate": report["mc_estimate"],
-        "std_error": report["std_error"],
-        "unabsorbed": report["unabsorbed"],
-    }

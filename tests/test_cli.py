@@ -7,6 +7,7 @@ import pytest
 
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import generate, load_graph
+from resnet.markov import sample_paths
 
 
 def run(capsys, *argv):
@@ -148,6 +149,24 @@ def test_walk_custom_start(chain_file, capsys):
     assert report["start"] == "7"
     ends = {row["label"]: row["exact"] for row in report["frontier"]}
     assert ends["8"] == pytest.approx(7.0 / 8.0)
+
+
+def test_walk_reports_path_lengths(chain_file, capsys):
+    report = run_json(capsys, "walk", chain_file, "--samples", "300", "--seed", "2")
+    trunc = load_graph(chain_file)
+    lengths = [
+        s.length for s in sample_paths(trunc, trunc.graph.base_point, 300, 100 * trunc.graph.n, 2)
+    ]
+    assert report["mean_steps"] == pytest.approx(np.mean(lengths), rel=1e-11)
+    assert report["max_steps_taken"] == max(lengths)
+    # the middle of the width-9 chain is four steps from either end, so a
+    # cap of three steps truncates every walk at exactly three
+    capped = run_json(
+        capsys, "walk", chain_file, "--samples", "50", "--max-steps", "3"
+    )
+    assert capped["unabsorbed"] == 50
+    assert capped["mean_steps"] == 3.0
+    assert capped["max_steps_taken"] == 3
 
 
 def test_walk_needs_frontier(tmp_path, capsys):

@@ -113,6 +113,33 @@ def test_walk_frontier_absorption_inverts_interior_block():
     assert greens_inversion_check(trunc, kernel) < 1e-7
 
 
+def test_walk_order_is_first_doubling_past_need():
+    g = generate("halfline", radius=6).graph
+    wg = walk_greens(g, tail_tol=1e-12)
+    assert (wg.order + 1) & wg.order == 0  # order = 2^j - 1
+    assert wg.rho ** ((wg.order + 1) // 2 - 1) / (1.0 - wg.rho) > 1e-12
+    assert wg.tail_bound == wg.rho**wg.order / (1.0 - wg.rho) <= 1e-12
+
+
+@pytest.mark.parametrize("absorb", ["base", "frontier"])
+@pytest.mark.parametrize(
+    "family, radius", [("halfline", 8), ("comb", 5), ("comb", 10), ("lattice", 6), ("binary-tree", 5)]
+)
+def test_walk_rho_never_undershoots_symmetric_radius(family, radius, absorb):
+    # P restricted off the absorbing set is similar to the symmetric
+    # D^-1/2 A D^-1/2, so eigvalsh gives its spectral radius; the tail bound
+    # rho^order / (1 - rho) is certified only if rho is not below it.  The
+    # reference is itself exact only to rounding, about len(kept) ulps.
+    trunc = generate(family, radius=radius)
+    wg = walk_greens(trunc, order_cap=300_000, absorb=absorb)
+    graph = trunc.graph
+    kept = wg.vertices
+    root_deg = np.sqrt(graph.degrees[kept])
+    sym = graph.adjacency()[kept][:, kept].toarray() / root_deg[:, None] / root_deg[None, :]
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    assert wg.rho >= rho * (1.0 - len(kept) * np.finfo(float).eps)
+
+
 def test_walk_absorb_guards(rng):
     g = random_connected_graph(rng, 6, 2)
     with pytest.raises(GraphError, match="truncation"):

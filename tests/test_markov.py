@@ -1,25 +1,107 @@
 """Path sampling, harmonic measure, and the boundary-average representation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
-from resnet.laplacian import harmonic_extension
+from resnet.laplacian import assemble_laplacian, harmonic_extension, transition_operator
 from resnet.markov import (
     BoundaryEstimate,
+    PathSample,
+    _philox_uniforms,
     cylinder_probability,
     estimate_from_samples,
     harmonic_measure_exact,
     martin_kernel,
     measure_z_scores,
     poisson_reproduce,
-    power_iterate,
     sample_paths,
-    shift_invariant_correspondence_demo,
 )
 from resnet.greens import walk_greens
 
 from conftest import dense_laplacian, random_connected_graph
+
+
+def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
+    """One walk at a time, one `Generator(Philox(key=[seed, i]))` per walk.
+
+    The reference `sample_paths` must reproduce field by field: each step
+    draws `rng.random()` and takes the first neighbor whose row CDF exceeds it.
+    """
+    graph = trunc.graph
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    degrees = graph.degrees
+    cdf = np.empty_like(weights)
+    for v in range(graph.n):
+        lo, hi = indptr[v], indptr[v + 1]
+        if hi > lo:
+            cdf[lo:hi] = np.cumsum(weights[lo:hi]) / degrees[v]
+            cdf[hi - 1] = 1.0
+    mask = trunc.frontier_mask
+    out = []
+    for i in range(int(n_samples)):
+        rng = np.random.Generator(np.random.Philox(key=[int(seed), i]))
+        cur = x
+        verts = [x]
+        log_p = 0.0
+        absorbed = None
+        for _ in range(int(max_steps)):
+            lo, hi = indptr[cur], indptr[cur + 1]
+            u = rng.random()
+            k = lo + int(np.searchsorted(cdf[lo:hi], u, side="right"))
+            log_p += math.log(weights[k] / degrees[cur])
+            cur = int(indices[k])
+            verts.append(cur)
+            if mask[cur]:
+                absorbed = cur
+                break
+        out.append(PathSample(x, np.array(verts, dtype=np.int64), log_p, absorbed, len(verts) - 1))
+    return out
+
+
+def power_iterate(trunc, boundary_values, n):
+    """n steps of u <- P u with the frontier pinned to the boundary data.
+
+    Converges to the harmonic extension as n grows; a slow but independent
+    check on the direct interior solve.
+    """
+    f = np.asarray(boundary_values, dtype=float)
+    if f.shape != (len(trunc.frontier),):
+        raise GraphError(
+            f"expected {len(trunc.frontier)} boundary values, got shape {f.shape}"
+        )
+    p = transition_operator(trunc.graph).matrix
+    h = np.zeros(trunc.graph.n)
+    h[trunc.frontier] = f
+    for _ in range(int(n)):
+        h = p @ h
+        h[trunc.frontier] = f
+    return h
+
+
+def shift_invariant_correspondence_demo(trunc, boundary_function, n_samples, seed):
+    """Boundary data <-> harmonic functions, both ways.
+
+    Evaluating `boundary_function` at each frontier vertex and extending
+    harmonically gives a function killed by the Laplacian on the interior;
+    the Monte Carlo mean of the function at the absorption site, seen from
+    the base point, recovers its value there.
+    """
+    f = np.array([float(boundary_function(int(b))) for b in trunc.frontier])
+    h = harmonic_extension(trunc, f)
+    lap = assemble_laplacian(trunc.graph)
+    residual = float(np.max(np.abs(lap.apply(h)[trunc.interior])))
+    report = poisson_reproduce(trunc, h, trunc.graph.base_point, n_samples, seed)
+    return {
+        "values": h,
+        "harmonic_residual": residual,
+        "base_value": report["point_value"],
+        "mc_estimate": report["mc_estimate"],
+        "std_error": report["std_error"],
+        "unabsorbed": report["unabsorbed"],
+    }
 
 
 def exact_measure_oracle(trunc, x):
@@ -97,6 +179,65 @@ def test_sample_paths_report_unabsorbed_honestly():
     hungry = [s for s in starved if s.absorbed_at is None]
     assert len(hungry) > 0
     assert all(s.length == 1 for s in hungry)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**32 + 7, 2**64 - 1])
+def test_philox_uniforms_match_numpy_streams(seed):
+    ids = np.array([0, 1, 2**32 + 3], dtype=np.uint64)
+    blocks = np.concatenate([_philox_uniforms(c, seed, ids) for c in (1, 2, 3, 4)])
+    for column, i in enumerate(ids):
+        key = np.array([seed, i], dtype=np.uint64)
+        expect = np.random.Generator(np.random.Philox(key=key)).random(13)
+        assert np.array_equal(blocks[:13, column], expect)
+
+
+# numpy reads key=[seed, i] through one array, so seed 2**64 - 1 passes
+# through float64 and warns about the cast; both sides read it the same way.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize(
+    "trunc, start, n, max_steps, seed",
+    [
+        (generate("lattice", radius=6), None, 200, 700, 3),
+        (generate("lattice", radius=6), 5, 200, 1, 2**64 - 1),
+        (generate("comb", radius=5), None, 200, 400, -7),
+        (generate("comb", radius=5), 3, 100, 1, 2**63 + 5),
+        (generate("binary-tree", radius=4), None, 200, 500, 2**32 + 7),
+        (generate("binary-tree", radius=4), None, 100, 1, 0),
+    ],
+)
+def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
+    x = trunc.graph.base_point if start is None else start
+    got = sample_paths(trunc, x, n, max_steps, seed)
+    want = scalar_sample_paths(trunc, x, n, max_steps, seed)
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        assert g.start == w.start
+        assert g.vertices.dtype == w.vertices.dtype
+        assert np.array_equal(g.vertices, w.vertices)
+        assert g.log_probability == w.log_probability
+        assert g.absorbed_at == w.absorbed_at
+        assert g.length == w.length
+    if max_steps == 1:
+        assert any(s.absorbed_at is None for s in got)
+
+
+def test_readme_walk_example_counts():
+    trunc = generate("chain", width=9, growth=1.0)
+    samples = sample_paths(trunc, trunc.graph.base_point, 400, 100 * trunc.graph.n, seed=4)
+    assert estimate_from_samples(trunc, samples).counts.tolist() == [207, 193]
+
+
+def test_estimate_from_samples_counts_each_end():
+    trunc = generate("comb", radius=4)
+    samples = sample_paths(trunc, trunc.graph.base_point, 300, 6, seed=1)
+    est = estimate_from_samples(trunc, samples)
+    ends = [s.absorbed_at for s in samples]
+    assert est.counts.tolist() == [ends.count(int(b)) for b in trunc.frontier]
+    assert est.unabsorbed == ends.count(None) > 0
+    assert est.total_samples == 300
+    stray = PathSample(0, np.array([0, 1]), 0.0, int(trunc.interior[1]), 1)
+    with pytest.raises(GraphError, match="off the frontier"):
+        estimate_from_samples(trunc, samples + [stray])
 
 
 def test_sample_paths_guards(rng):

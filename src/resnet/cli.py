@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import os
@@ -373,6 +374,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# numpy reads a Philox key at or above 2^63 through float64, so larger seeds
+# alias one another in `sample_paths` (2^64 - 1 gives the walks of seed 0).
+_SEED_LIMIT = 2**63
+
+
 def _int_list(text):
     return [int(p) for p in text.split(",") if p.strip()]
 
@@ -381,6 +387,7 @@ def _float_list(text):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed, echoed in reports")
@@ -393,7 +400,7 @@ def _build_parser():
     common.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("RESNET_THREADS", "1")),
+        default=None,
         help="cap on worker threads (env RESNET_THREADS is the fallback)",
     )
     common.add_argument(
@@ -476,6 +483,11 @@ def main(argv=None):
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
         return 1
+    if not 0 <= args.seed < _SEED_LIMIT:
+        sys.stderr.write(f"validation error: --seed {args.seed} is outside [0, 2^63)\n")
+        return 2
+    if args.threads is None:  # read per call: the parser is built once per process
+        args.threads = int(os.environ.get("RESNET_THREADS", "1"))
     _apply_threads(args.threads)
     try:
         payload, code = args.handler(args)

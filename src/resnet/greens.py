@@ -106,25 +106,15 @@ def greens_inversion_check(g, kernel):
 # -- absorbed-walk route -------------------------------------------------------
 
 
-def _squared_power_radius(mat, max_iter=20000, rtol=1e-12):
-    # Power iteration on mat @ mat sidesteps the sign-flip oscillation that
-    # bipartite pieces (paths, trees) inflict on the plain iteration.  The
-    # stopping test watches the normalized iterate, not the eigenvalue
-    # estimate: survival probabilities plateau near 1 for the first ~diameter
-    # steps, which fools any successive-difference test on the value alone.
-    sq = mat @ mat
-    w = np.ones(mat.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w_next = sq @ w
-        lam = float(w_next.max())
-        if lam <= 0.0:
-            return 0.0
-        w_next /= lam
-        if float(np.max(np.abs(w_next - w))) <= rtol:
-            return math.sqrt(lam)
-        w = w_next
-    return math.sqrt(lam)
+def _absorbed_radius(graph, kept):
+    # P restricted off the absorbing set is similar to the symmetric
+    # D^-1/2 A D^-1/2, whose eigenvalues eigvalsh finds backward stably; with
+    # a norm of at most 1 that backward error is at most len(kept) ulps, so
+    # max |lambda| plus that many ulps never undershoots the spectral radius.
+    root_deg = np.sqrt(graph.degrees[kept])
+    sym = graph.adjacency()[kept][:, kept].toarray() / root_deg[:, None] / root_deg[None, :]
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    return lam + len(kept) * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -159,9 +149,10 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
     there); absorb="frontier" grounds the frontier of a truncation, which is
     the version boundary-limit quantities are built from.  The expansion
     order is chosen so the geometric tail rho^order / (1 - rho) drops below
-    `tail_tol`, with rho estimated by power iteration, and is checked against
-    `order_cap`.  The series is summed by doubling, so the order reported is
-    the first 2^j - 1 at or above the one needed and the tail only tightens.
+    `tail_tol`, with rho bounded above through the symmetric eigenvalues, and
+    is checked against `order_cap`.  The series is summed by doubling, so the
+    order reported is the first 2^j - 1 at or above the one needed and the
+    tail only tightens.
     """
     if absorb == "base":
         graph = underlying(g)
@@ -177,7 +168,7 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
         raise GraphError(f'unknown absorb mode {absorb!r}; use "base" or "frontier"')
     p_full = transition_operator(graph).matrix
     p_sub = p_full[kept][:, kept].toarray()
-    rho = _squared_power_radius(p_sub) if kept else 0.0
+    rho = _absorbed_radius(graph, kept) if kept else 0.0
     if rho >= 1.0:
         raise SolverError(
             f"absorbed walk is not uniformly contracting (spectral radius {rho:.6f})",

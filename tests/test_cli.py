@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from resnet import cli
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import generate, load_graph
 from resnet.markov import sample_paths
@@ -276,6 +277,36 @@ def test_threads_flag_and_env_default(monkeypatch, capsys):
         capsys, "generate", "--family", "wye", "--threads", "2", "--deterministic"
     )
     assert report["config"]["threads"] == 2
+
+
+def test_threads_env_is_read_on_every_call(monkeypatch, capsys):
+    # the parser is built once per process; its --threads default must not be
+    applied = []
+    monkeypatch.setattr(cli, "_apply_threads", applied.append)
+    for value in ("1", "2"):
+        monkeypatch.setenv("RESNET_THREADS", value)
+        report = run_json(capsys, "generate", "--family", "wye", "--deterministic")
+        assert report["config"]["threads"] == int(value)
+    assert applied == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "command, seed",
+    [("check", -1), ("walk", 2**63), ("walk", 2**64 - 1), ("check", 2**64 - 1), ("walk", -1)],
+)
+def test_seed_outside_the_philox_range_is_a_validation_error(chain_file, capsys, command, seed):
+    # seeds at or above 2^63 alias one another in sample_paths (2^64 - 1 gives
+    # the walks of seed 0), and a negative seed crashed numpy's default_rng
+    code, out, err = run(capsys, command, chain_file, "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert err == f"validation error: --seed {seed} is outside [0, 2^63)\n"
+
+
+def test_largest_seed_is_accepted(chain_file, capsys):
+    report = run_json(capsys, "walk", chain_file, "--samples", "20", "--seed", str(2**63 - 1))
+    assert report["seed"] == 2**63 - 1
+    assert report["total_samples"] == 20
 
 
 # every shipped family at a small size, with the parameters it requires

@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
 from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
 from resnet.resistance import (
     METHODS,
+    _build_cycle_system,
+    _cycle_system,
     ResistanceMatrix,
     boundedness_diagnostic,
     continuum_reference,
@@ -98,6 +101,118 @@ def test_m4_reuses_the_one_base_grounded_factorization():
         resistance(g, 0, y, "M4")
     grounded = [key for key in g._cache if isinstance(key, tuple) and key[0] == "grounded_lu"]
     assert len(grounded) == 1
+
+
+def _tree_path_sum(graph, x, y):
+    """Series resistance of the one path from x to y in a tree."""
+    _, pred = breadth_first_order(graph.adjacency(), x, directed=False, return_predecessors=True)
+    hops, v = [], y
+    while v != x:
+        hops.append(1.0 / graph.conductance(int(pred[v]), v))
+        v = int(pred[v])
+    return math.fsum(hops)
+
+
+def _seeded_pairs(graph, count, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(int(v) for v in rng.choice(graph.n, size=2, replace=False)) for _ in range(count)]
+
+
+def test_m3_on_steep_chain_matches_series_resistance():
+    # a path has no cycles to correct, so M3 is the fsum of the edge
+    # resistances 2^-k along it
+    g = generate("chain", width=60).graph
+    for a in range(60):
+        for b in range(60):
+            if a == b:
+                continue
+            exact = math.fsum(2.0**-k for k in range(min(a, b), max(a, b)))
+            value = resistance(g, g.index_of(a), g.index_of(b), "M3")
+            assert abs(value - exact) <= 1e-13 * exact, (a, b)
+
+
+@pytest.mark.parametrize("family, radius", [("comb", 16), ("binary-tree", 9)])
+def test_m3_on_trees_is_the_path_sum(family, radius):
+    g = generate(family, radius=radius).graph
+    assert g.num_edges == g.n - 1
+    for x, y in _seeded_pairs(g, 100, 7):
+        assert resistance(g, x, y, "M3") == _tree_path_sum(g, x, y), (x, y)
+
+
+@pytest.mark.parametrize("radius", [24, 30])
+def test_m3_matches_pcg_on_lattices(radius):
+    g = generate("lattice", radius=radius).graph
+    for x, y in _seeded_pairs(g, 200, radius):
+        m2 = resistance(g, x, y, "M2", tol=1e-12)
+        assert abs(resistance(g, x, y, "M3") - m2) <= 1e-9 * m2, (x, y)
+
+
+@pytest.mark.parametrize("radius", [24, 30, 40])
+def test_m3_kvl_certificate_on_lattices(radius):
+    # conductances span 2.7 to 2.4e17 at radius 40; every flow must satisfy
+    # Kirchhoff's voltage law to 1e-12 relative, so M3 raises nothing
+    g = generate("lattice", radius=radius).graph
+    system = _cycle_system(g)
+    for x, y in _seeded_pairs(g, 200, 1):
+        assert system.kvl_residual(system.unit_flow(x, y)) <= 1e-12, (x, y)
+        assert resistance(g, x, y, "M3", tol=1e-12) > 0.0
+
+
+def test_m3_builds_one_cycle_system_per_graph(monkeypatch):
+    module = importlib.import_module("resnet.resistance")
+    built = []
+
+    def counting(graph):
+        built.append(graph)
+        return _build_cycle_system(graph)
+
+    monkeypatch.setattr(module, "_build_cycle_system", counting)
+    g = generate("lattice", radius=6).graph
+    first = resistance(g, 0, 5, "M3")
+    resistance(g, 3, 9, "M3")
+    assert resistance(g, 0, 5, "M3") == first
+    assert built == [g]
+    system = g._cache["cycle_system"]
+    assert system.cycles.shape == (g.num_edges, g.num_edges - g.n + 1)
+
+
+def test_m3_unit_flow_is_a_unit_flow(rng):
+    g = random_connected_graph(rng, 17, 12)
+    system = _cycle_system(g)
+    i, j, _ = g.edge_arrays()
+    flow = system.unit_flow(3, 11)
+    net = np.bincount(i, flow, g.n) - np.bincount(j, flow, g.n)
+    expect = np.zeros(g.n)
+    expect[3], expect[11] = 1.0, -1.0
+    assert np.allclose(net, expect, atol=1e-12)
+
+
+def test_m3_certificate_rejects_a_perturbed_flow(rng):
+    g = random_connected_graph(rng, 15, 10)
+    system = _cycle_system(g)
+    flow = system.unit_flow(2, 9)
+    assert system.kvl_residual(flow) < 1e-13
+    # a circulation around the first cycle keeps the flow a unit flow but
+    # breaks Kirchhoff's voltage law
+    bent = flow + 1e-3 * system.cycles[:, 0].toarray().ravel()
+    with pytest.raises(SolverError, match="voltage law") as exc:
+        system.certified_energy(bent, 1e-10)
+    assert exc.value.residual == system.kvl_residual(bent) > 1e-10
+    assert system.certified_energy(flow, 1e-10) == pytest.approx(
+        pinv_resistance(g, 2, 9), rel=1e-12
+    )
+
+
+def test_m3_failed_cholesky_is_a_solver_error(rng, monkeypatch):
+    module = importlib.import_module("resnet.resistance")
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(module, "cho_factor", singular)
+    g = random_connected_graph(rng, 8, 4)
+    with pytest.raises(SolverError, match="Cholesky"):
+        resistance(g, 0, 7, "M3")
 
 
 def test_dual_aliases(rng):

@@ -44,7 +44,7 @@ from .markov import (
     measure_z_scores,
     sample_paths,
 )
-from .resistance import continuum_reference, resistance, resistance_matrix
+from .resistance import _kernel_matrix, continuum_reference, resistance, resistance_matrix
 
 __all__ = ["main"]
 
@@ -253,7 +253,7 @@ def cmd_check(args):
     inv = greens_inversion_check(trunc, kernel)
     record("greens-inversion", inv, 1e-8, inv <= 1e-8)
 
-    rm = resistance_matrix(graph, method="M2", tol=args.tol)
+    rm = _kernel_matrix(kernel)  # the M2 matrix, read off the kernel above
     slack = rm.triangle_slack() if graph.n >= 3 else 0.0
     diag = float(np.max(np.abs(np.diag(rm.matrix))))
     record("metric-triangle", slack, -1e-8, slack >= -1e-8)
@@ -314,7 +314,6 @@ def cmd_walk(args):
             sampled.frontier, sampled.counts, sampled.weights, exact.weights, z
         )
     ]
-    finite = [abs(row["z"]) for row in table if math.isfinite(row["z"])]
     lengths = [s.length for s in samples]
     payload = {
         "start": str(graph.labels[start]),
@@ -323,7 +322,7 @@ def cmd_walk(args):
         "mean_steps": sum(lengths) / len(lengths),
         "max_steps_taken": max(lengths),
         "frontier": table,
-        "max_abs_z": max(finite) if finite else 0.0,
+        "max_abs_z": max((abs(row["z"]) for row in table), default=0.0),
     }
     return payload, 0
 

@@ -344,15 +344,17 @@ def measure_z_scores(sampled, exact):
 
     Components whose exact weight is 0 or 1 have zero binomial spread; they
     come back as 0 when the sample agrees exactly and +-inf when it does not.
+    The exact mu is clipped to [0, 1] first: a weight that rounds to
+    1 + 2.2e-16 is a certain hit, not a negative variance.
     """
     if sampled.total_samples <= 0:
         raise GraphError("sampled estimate holds no samples")
-    mu = exact.weights
+    mu = np.clip(exact.weights, 0.0, 1.0)
     n = sampled.total_samples
     scale = np.sqrt(mu * (1.0 - mu) / n)
     diff = sampled.weights - mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(scale > 0.0, diff / scale, np.where(diff == 0.0, 0.0, np.inf))
+        z = np.where(diff == 0.0, 0.0, diff / scale)
     return z
 
 

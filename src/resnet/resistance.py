@@ -284,6 +284,10 @@ def current_of_dipole(dipole):
 
 # -- full matrices -------------------------------------------------------------
 
+# Rows x per block of the triangle scan: the block's two buffers of
+# 64 x n doubles stay in L2 up to n of about 1000.
+_BLOCK_ROWS = 64
+
 
 @dataclass
 class ResistanceMatrix:
@@ -294,21 +298,77 @@ class ResistanceMatrix:
     sym_residual: float = 0.0
 
     def triangle_slack(self):
-        """min over triples of d(x,z) + d(z,y) - d(x,y); negative = violation."""
+        """min over distinct triples of d(x,z) + d(z,y) - d(x,y); negative = violation.
+
+        The check is exhaustive: the sum is formed for every triple with x,
+        y, z pairwise distinct.  Below three vertices there is no triple and
+        the result is +inf.  A NaN triple (a NaN entry, or inf - inf) gives
+        NaN, so a check on it fails and reports the number.
+
+        The scan is min-plus over blocks of `_BLOCK_ROWS` rows x.  Over z it
+        keeps P(x, y) = min_z fl(d(x,z) + d(z,y)), and it subtracts d(x, y)
+        once per pair at the end.  Rounding is monotone, so
+        min_z fl(a_z - c) = fl(min_z a_z - c): the result is the float the
+        per-triple minimum gives, bit for bit (a -0.0 entry may flip the
+        sign of a zero result).  The one exception, c = +inf beside a detour
+        a_z = +inf, is a NaN triple that P - c reads as -inf; such pairs are
+        checked one by one.
+
+        The exclusions z = x, z = y and x = y are written as +inf over the
+        buffers after each sum, never added, so no -inf or NaN entry leaks
+        through them.  When d is exactly symmetric, as `resistance_matrix`
+        returns it, pair (y, x) repeats pair (x, y) bit for bit, and each
+        block scans only the columns y from its own first row on.
+        """
         d = self.matrix
-        worst = np.inf
-        for z in range(d.shape[0]):
-            slack = d[:, z, None] + d[None, z, :] - d
-            np.fill_diagonal(slack, np.inf)
-            slack[z, :] = np.inf
-            slack[:, z] = np.inf
-            worst = min(worst, float(slack.min()))
+        n = d.shape[0]
+        if n < 3:
+            return math.inf
+        symmetric = np.array_equal(d, d.T)
+        worst = math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
+            for b0 in range(0, n, _BLOCK_ROWS):
+                b1 = min(b0 + _BLOCK_ROWS, n)
+                low = _block_slack(d, b0, b1, b0 if symmetric else 0)
+                if math.isnan(low):
+                    return math.nan
+                worst = min(worst, low)
         return worst
 
     def to_csv(self, path):
         labels = [str(l) for l in self.graph.labels]
         rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
         _write_csv(path, ["label"] + labels, rows)
+
+
+def _block_slack(d, b0, b1, c0):
+    """triangle_slack over the rows b0 <= x < b1 and columns y >= c0."""
+    n = d.shape[0]
+    left = d[b0:b1].T.copy()  # left[z] is column z of the block rows
+    best = np.full((b1 - b0, n - c0), np.inf, dtype=d.dtype)
+    buf = np.empty_like(best)
+    for z in range(n):
+        np.add(left[z, :, None], d[z, c0:], out=buf)
+        if z >= c0:
+            buf[:, z - c0] = np.inf  # z = y
+        if b0 <= z < b1:
+            buf[z - b0] = np.inf  # z = x
+        np.minimum(best, buf, out=best)
+    direct = d[b0:b1, c0:]
+    np.subtract(best, direct, out=best)
+    rows = np.arange(b1 - b0)
+    best[rows, rows + b0 - c0] = np.inf  # x = y
+    low = float(best.min())
+    # P - inf reads -inf while one detour is finite, but a detour of +inf
+    # makes its own triple NaN: look at each pair whose direct distance is +inf.
+    for i, j in zip(*np.nonzero(np.isposinf(direct))):
+        x, y = b0 + int(i), c0 + int(j)
+        if x != y:
+            detour = d[x] + d[:, y]
+            detour[[x, y]] = 0.0
+            if np.isposinf(detour).any():
+                return math.nan
+    return low
 
 
 def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
@@ -327,8 +387,7 @@ def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
         )
     method = _ALIASES.get(method, method)
     if method in ("M2", "M4"):
-        d, sym_residual = _kernel_distances(graph, tol)
-        return ResistanceMatrix(graph, d, method, tol, sym_residual)
+        return _kernel_matrix(greens_gram(graph, tol), method)
     if method in METHODS:
         d = np.zeros((graph.n, graph.n))
         for x in range(graph.n):
@@ -338,19 +397,19 @@ def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
     raise GraphError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def _kernel_distances(graph, tol=1e-10):
-    """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from the base-grounded kernel.
+def _kernel_matrix(kernel, method="M2"):
+    """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a base-grounded kernel.
 
-    Returns the distance matrix and how far the raw kernel was from
-    symmetric.  The base row and column of K are zero, so d(base, x) = K(x, x).
+    The base row and column of K are zero, so d(base, x) = K(x, x).  The
+    matrix records how far the raw kernel was from symmetric.
     """
-    kernel = greens_gram(graph, tol)
+    graph = kernel.graph
     k = np.zeros((graph.n, graph.n))
     k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
     diag = np.diag(k)
     d = diag[:, None] + diag[None, :] - 2.0 * k
     np.fill_diagonal(d, 0.0)
-    return d, kernel.symmetry_residual
+    return ResistanceMatrix(graph, d, method, kernel.tol, kernel.symmetry_residual)
 
 
 # -- family diagnostics --------------------------------------------------------
@@ -386,7 +445,7 @@ def boundedness_diagnostic(family, radii, params=None):
     for radius in sorted(radii):
         trunc = generate(family, radius=radius, **params)
         graph = trunc.graph
-        dists = _kernel_distances(graph)[0][graph.base_point]
+        dists = _kernel_matrix(greens_gram(graph)).matrix[graph.base_point]
         ray = _geodesic_ray(graph)
         ray_sum = math.fsum(
             1.0 / graph.conductance(a, b) for a, b in zip(ray, ray[1:])
@@ -435,7 +494,7 @@ def type_a_diagnostic(family, radius, params=None, max_depth=None):
     params = dict(params or {})
     trunc = generate(family, radius=radius, **params)
     graph = trunc.graph
-    d, _ = _kernel_distances(graph)
+    d = _kernel_matrix(greens_gram(graph)).matrix
     idx = graph.index_of
     report = {"family": family, "radius": radius, "params": params}
     if family == "comb":

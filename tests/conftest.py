@@ -6,6 +6,8 @@ and pseudo-inverts it, so agreement with the library is evidence rather than
 tautology.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,24 @@ def pinv_resistance(graph, x, y):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+def per_z_triangle_slack(d):
+    """The per-z loop `ResistanceMatrix.triangle_slack` replaced, kept as its oracle.
+
+    For each z it forms d(x,z) + d(z,y) - d(x,y) over every pair as one n x n
+    temporary, writes +inf over the excluded triples (x = y, x = z, y = z)
+    and keeps the running minimum.  The one change from the shipped loop: a
+    NaN slice returns NaN, where Python's min(worst, nan) used to skip it.
+    """
+    worst = np.inf
+    for z in range(d.shape[0]):
+        slack = d[:, z, None] + d[None, z, :] - d
+        np.fill_diagonal(slack, np.inf)
+        slack[z, :] = np.inf
+        slack[:, z] = np.inf
+        low = float(slack.min())
+        if math.isnan(low):
+            return math.nan
+        worst = min(worst, low)
+    return worst

@@ -1,6 +1,8 @@
 """End-to-end command-line tests: every invocation goes through main(argv)."""
 
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ import pytest
 from resnet import cli
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import generate, load_graph
+from resnet.greens import greens_gram
 from resnet.markov import sample_paths
+from resnet.resistance import ResistanceMatrix, resistance_matrix
+
+from conftest import per_z_triangle_slack
 
 
 def run(capsys, *argv):
@@ -168,6 +174,26 @@ def test_walk_reports_path_lengths(chain_file, capsys):
     assert capped["unabsorbed"] == 50
     assert capped["mean_steps"] == 3.0
     assert capped["max_steps_taken"] == 3
+
+
+def test_walk_perfect_sample_on_one_frontier_vertex(tmp_path, capsys):
+    # the exact weight of the lone frontier vertex rounds to 1 + 2.2e-16
+    path = str(tmp_path / "halfline.json")
+    run_json(capsys, "generate", "--family", "halfline", "--radius", "4", "-o", path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, "walk", path, "--samples", "200")
+    assert [row["z"] for row in report["frontier"]] == [0.0]
+    assert report["max_abs_z"] == 0.0
+
+
+def test_walk_reports_an_infinite_z(tmp_path, capsys):
+    # three steps never reach the frontier at distance 4: sampled 0, exact 1
+    path = str(tmp_path / "halfline.json")
+    run_json(capsys, "generate", "--family", "halfline", "--radius", "4", "-o", path)
+    report = run_json(capsys, "walk", path, "--samples", "20", "--max-steps", "3")
+    assert [row["z"] for row in report["frontier"]] == ["-inf"]
+    assert report["max_abs_z"] == "inf"
 
 
 def test_walk_needs_frontier(tmp_path, capsys):
@@ -356,3 +382,27 @@ def test_check_passes_where_the_pcg_kernel_missed(family, radius, tmp_path, caps
     code, out, err = run(capsys, "check", path)
     assert code == 0, err
     assert json.loads(out)["all_passed"] is True
+
+
+@pytest.mark.parametrize("family,radius", [("lattice", 6), ("binary-tree", 5)])
+def test_check_solves_for_the_kernel_once(family, radius, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    generate(family, radius=radius).write_json(path)
+    argv = ("check", path, "--seed", "3", "--deterministic")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return greens_gram(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("resnet") and getattr(module, "greens_gram", None) is greens_gram:
+                patch.setattr(module, "greens_gram", counted)
+        got = run_json(capsys, *argv)
+    assert len(calls) == 1
+    # the same report from the two-solve route: the matrix from a fresh
+    # resistance_matrix, the slack from the per-z loop
+    monkeypatch.setattr(cli, "_kernel_matrix", lambda k: resistance_matrix(k.graph, "M2", k.tol))
+    monkeypatch.setattr(ResistanceMatrix, "triangle_slack", lambda m: per_z_triangle_slack(m.matrix))
+    assert run_json(capsys, *argv) == got

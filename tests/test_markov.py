@@ -307,6 +307,10 @@ def test_measure_z_scores_handle_degenerate_components():
     )
     assert np.array_equal(measure_z_scores(agree, exact), [0.0, 0.0])
     assert np.all(np.isinf(measure_z_scores(disagree, exact)))
+    # an exact weight that rounds past 1 is still a certain hit
+    over = BoundaryEstimate(frontier, np.array([1.0 + 2.0**-52, 0.0]), None, 0, 0, None, "exact")
+    with np.errstate(all="raise"):
+        assert np.array_equal(measure_z_scores(agree, over), [0.0, 0.0])
     empty = BoundaryEstimate(frontier, np.zeros(2), np.zeros(2, int), 0, 0, None, "monte-carlo")
     with pytest.raises(GraphError, match="no samples"):
         measure_z_scores(empty, exact)

@@ -26,7 +26,7 @@ from resnet.resistance import (
     type_a_diagnostic,
 )
 
-from conftest import pinv_resistance, random_connected_graph
+from conftest import per_z_triangle_slack, pinv_resistance, random_connected_graph
 
 
 def test_all_routes_match_pinv_oracle(rng):
@@ -325,6 +325,88 @@ def test_triangle_slack_flags_planted_violation(rng):
     bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
     mat = ResistanceMatrix(g, bad, "M2", 1e-10)
     assert mat.triangle_slack() == pytest.approx(-1.0)
+
+
+def _same_float(a, b):
+    """Bit for bit, with any NaN equal to any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _signed_matrix(n, symmetric, plus, minus, seed):
+    """Normal entries (negative ones and a nonzero diagonal included), with
+    `plus` entries of +inf and `minus` of -inf planted at random."""
+    rng = np.random.default_rng([n, symmetric, plus, minus, seed])
+    d = rng.standard_normal((n, n))
+    if symmetric:
+        d = d + d.T
+    for value, count in ((np.inf, plus), (-np.inf, minus)):
+        x, y = rng.integers(0, max(n, 1), size=(2, count if n else 0))
+        d[x, y] = value
+        if symmetric:
+            d[y, x] = value
+    return d
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 129])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("plus, minus", [(0, 0), (1, 1), (3, 0), (0, 3), (3, 3)])
+def test_triangle_slack_equals_per_z_oracle(n, symmetric, plus, minus):
+    for seed in range(2):
+        d = _signed_matrix(n, symmetric, plus, minus, seed)
+        mat = ResistanceMatrix(None, d, "M2", 1e-10)
+        with np.errstate(invalid="ignore"):
+            want = per_z_triangle_slack(d)
+        assert _same_float(mat.triangle_slack(), want), (seed, want)
+
+
+def test_triangle_slack_scans_below_the_diagonal_when_asymmetric():
+    # the path metric on 129 points, with only d(120, 5) too long: the one
+    # violation lies in a row block past the column it needs
+    d = np.abs(np.subtract.outer(np.arange(129.0), np.arange(129.0)))
+    d[120, 5] = 200.0
+    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    assert got == per_z_triangle_slack(d) == 115.0 - 200.0
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_triangle_slack_never_reads_the_diagonal(symmetric):
+    d = _signed_matrix(65, symmetric, 0, 0, 0)
+    want = per_z_triangle_slack(d)
+    d[np.diag_indices(65)] = np.resize([np.inf, -np.inf, np.nan], 65)
+    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    assert math.isfinite(got) and _same_float(got, want)
+
+
+@pytest.mark.parametrize(
+    "family, radius, params",
+    [
+        ("lattice", 12, {}),
+        ("comb", 10, {}),
+        ("binary-tree", 7, {}),
+        ("nary-tree", 4, {"branching": 3}),
+    ],
+)
+def test_triangle_slack_equals_per_z_oracle_on_families(family, radius, params):
+    mat = resistance_matrix(generate(family, radius=radius, **params), "M2")
+    assert _same_float(mat.triangle_slack(), per_z_triangle_slack(mat.matrix))
+
+
+def test_triangle_slack_is_nan_beside_an_infinite_detour():
+    # d(0, 1) = d(0, 2) = +inf: the triple (0, 1, 2) is inf - inf, although
+    # the detour through 3 is finite and alone would read -inf
+    d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    d[0, 1] = d[0, 2] = np.inf
+    assert math.isnan(ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack())
+
+
+def test_triangle_slack_is_nan_on_a_nan_distance():
+    # the path 0-1-2-3 with d(0, 3) unknown; the old loop skipped every
+    # NaN slice and returned +inf, so the metric check passed
+    d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    d[0, 3] = d[3, 0] = np.nan
+    assert math.isnan(ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack())
 
 
 def test_matrix_csv(tmp_path, rng):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import EnergyVector, _write_csv, energy_inner, gauged
+from .energy import EnergyVector, _edge_increments, _write_csv, energy_inner, gauged
 from .graphs import GraphError, TruncatedGraph
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import harmonic_measure_exact
@@ -82,6 +82,25 @@ def royden_split(trunc, f):
     return RoydenSplit(graph, fv.values, finite, harmonic, residual)
 
 
+def _kernel_remainder(trunc, kernel, fv):
+    """L g on the kernel's vertices, for g = f minus the extension of its trace.
+
+    g vanishes on the frontier, so it is the finite part and the kernel maps
+    this right-hand side back onto it.  The kernel must be grounded at the
+    base point alone.
+    """
+    graph = trunc.graph
+    base = graph.base_point
+    expected = [i for i in range(graph.n) if i != base]
+    if list(kernel.vertices) != expected:
+        raise GraphError(
+            "kernel must cover every vertex except the base point "
+            '(use the gram route or absorb="base")'
+        )
+    g = fv.values - _frontier_extension(trunc, fv.values[trunc.frontier])
+    return assemble_laplacian(graph).apply(g)[kernel.vertices]
+
+
 def project_finite(trunc, kernel, f):
     """Finite part via the kernel: apply K to the Laplacian of f minus its extension.
 
@@ -91,16 +110,7 @@ def project_finite(trunc, kernel, f):
     if not isinstance(trunc, TruncatedGraph):
         raise GraphError("the projection needs a truncation carrying a frontier")
     graph = trunc.graph
-    base = graph.base_point
-    expected = [i for i in range(graph.n) if i != base]
-    if list(kernel.vertices) != expected:
-        raise GraphError(
-            "kernel must cover every vertex except the base point "
-            '(use the gram route or absorb="base")'
-        )
-    fv = _as_gauged(graph, f)
-    g = fv.values - _frontier_extension(trunc, fv.values[trunc.frontier])
-    rhs = assemble_laplacian(graph).apply(g)[kernel.vertices]
+    rhs = _kernel_remainder(trunc, kernel, _as_gauged(graph, f))
     out = np.zeros(graph.n)
     out[kernel.vertices] = kernel.matrix @ rhs
     return EnergyVector(graph, out)
@@ -122,17 +132,13 @@ def interpolate(trunc, kernel, f, x, measure=None):
         raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
     if len(trunc.frontier) and trunc.frontier_mask[x]:
         raise GraphError("interpolation point must be interior")
+    rhs = _kernel_remainder(trunc, kernel, fv)
     base = graph.base_point
-    expected = [i for i in range(graph.n) if i != base]
-    if list(kernel.vertices) != expected:
-        raise GraphError("kernel must cover every vertex except the base point")
-    trace = fv.values[trunc.frontier]
-    g = fv.values - _frontier_extension(trunc, trace)
-    rhs = assemble_laplacian(graph).apply(g)[kernel.vertices]
     if x == base:
         green_term = 0.0
     else:
-        green_term = float(kernel.matrix[list(kernel.vertices).index(x)] @ rhs)
+        green_term = float(kernel.matrix[kernel._pos[x]] @ rhs)
+    trace = fv.values[trunc.frontier]
     if len(trunc.frontier) == 0:
         boundary_term = 0.0
     else:
@@ -185,19 +191,21 @@ def harmonic_basis(trunc):
         raise GraphError("the basis needs a truncation carrying a frontier")
     if len(trunc.frontier) == 0:
         raise GraphError("truncation has an empty frontier; the harmonic space is trivial")
-    basis = []
-    for k in range(len(trunc.frontier)):
-        e = np.zeros(len(trunc.frontier))
-        e[k] = 1.0
-        basis.append(gauged(trunc.graph, _frontier_extension(trunc, e)))
-    return basis
+    columns = harmonic_extension(trunc, np.eye(len(trunc.frontier)))
+    return [gauged(trunc.graph, h) for h in columns.T]
 
 
 def harmonic_gram(basis):
-    """Energy inner products of a family of vectors on one graph."""
-    m = len(basis)
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = energy_inner(basis[i], basis[j])
-    return gram
+    """Energy inner products of a family of vectors on one graph: D^T C D.
+
+    D holds the edge increments of every vector as columns and C the edge
+    conductances; scaling D by sqrt(C) keeps the product exactly symmetric.
+    """
+    if not basis:
+        return np.zeros((0, 0))
+    graph = basis[0].graph
+    if any(u.graph is not graph for u in basis):
+        raise GraphError("energy inner product needs vectors on the same graph")
+    c, d = _edge_increments(graph, np.column_stack([u.values for u in basis]))
+    scaled = np.sqrt(c)[:, None] * d
+    return scaled.T @ scaled

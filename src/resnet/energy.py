@@ -32,7 +32,6 @@ __all__ = [
     "reproducing_check",
     "ProductCertificate",
     "pointwise_product",
-    "delta_expansion_check",
 ]
 
 
@@ -99,23 +98,23 @@ def delta(g, x):
     return EnergyVector(graph, vals)
 
 
-def _edge_rows(graph):
-    if "edge_rows" not in graph._cache:
-        rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-        rows.flags.writeable = False
-        graph._cache["edge_rows"] = rows
-    return graph._cache["edge_rows"]
+def _edge_increments(graph, values):
+    """Edge conductances c and increments u(i) - u(j) over the edges i < j.
+
+    `values` is a vertex vector or an (n, k) block of them; the energy form
+    is then sum over edges of c du dv.
+    """
+    i, j, c = graph.edge_arrays()
+    return c, values[i] - values[j]
 
 
 def energy_inner(u, v):
-    """<u, v> = (1/2) sum over ordered adjacent pairs of c_xy du dv."""
+    """<u, v> = sum over edges of c_xy du dv."""
     if u.graph is not v.graph:
         raise GraphError("energy inner product needs vectors on the same graph")
-    graph = u.graph
-    rows = _edge_rows(graph)
-    du = u.values[rows] - u.values[graph.indices]
-    dv = v.values[rows] - v.values[graph.indices]
-    return 0.5 * float(np.dot(graph.weights * du, dv))
+    c, du = _edge_increments(u.graph, u.values)
+    _, dv = _edge_increments(v.graph, v.values)
+    return float(np.dot(c * du, dv))
 
 
 @dataclass
@@ -237,21 +236,3 @@ def pointwise_product(u, w):
     prod = EnergyVector(u.graph, u.values * w.values)
     bound = (u.sup_norm() ** 2 + w.sup_norm() ** 2) * (u.energy + w.energy)
     return prod, ProductCertificate(product_energy=prod.energy, bound=bound)
-
-
-def delta_expansion_check(g, x, tol=1e-10):
-    """Max-norm defect of delta_x = c(x) v_x - sum_{y~x} c_xy v_y.
-
-    All dipoles v_* are grounded at the base point; the identity is exact on
-    a finite graph, so the returned defect reflects solver tolerance only.
-    """
-    graph = underlying(g)
-    base = graph.base_point
-    nbrs, wts = graph.neighbors(x)
-    rhs = np.zeros(graph.n)
-    if x != base:
-        rhs += graph.weighted_degree(x) * solve_dipole(graph, x, base, tol).values
-    for y, w in zip(nbrs, wts):
-        if int(y) != base:
-            rhs -= w * solve_dipole(graph, int(y), base, tol).values
-    return float(np.max(np.abs(rhs - delta(graph, x).values)))

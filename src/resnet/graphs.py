@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -314,7 +314,6 @@ class TruncatedGraph:
     radius: int
     interior: np.ndarray
     frontier: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.interior = np.asarray(self.interior, dtype=np.int64)

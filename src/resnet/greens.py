@@ -26,7 +26,7 @@ import numpy as np
 
 from .energy import SolverError, _write_csv
 from .graphs import GraphError, TruncatedGraph, generate, underlying
-from .laplacian import assemble_laplacian, grounded_laplacian, transition_operator
+from .laplacian import assemble_laplacian, grounded_laplacian, grounded_solve, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -342,11 +342,11 @@ def nary_tree_comparison(branching, b, radius, level=1, tol=1e-10):
 
     measured_free is the plain resistance on the truncated tree (a tree has
     a single path, so this telescopes the edge resistances); measured_wired
-    shorts the whole frontier into one vertex first.  Both disagree with the
+    shorts the whole frontier into one vertex first, which is the dipole
+    solve grounded on the frontier.  Both disagree with the
     stated root_distance, and the report quantifies by how much rather than
     hiding it.
     """
-    from .graphs import ConductanceGraph
     from .resistance import resistance
 
     stated = nary_tree_closed_forms(branching, b, level)
@@ -357,24 +357,12 @@ def nary_tree_comparison(branching, b, radius, level=1, tol=1e-10):
     root = graph.base_point
     target = graph.index_of((0,) * level)
     free = resistance(graph, root, target, method="M4", tol=tol)
-    # short the frontier: accumulate parallel edges into a single hub vertex
-    merged = {}
-    frontier = set(int(i) for i in trunc.frontier)
-    hub = "wired-hub"
-    for i, j, c in graph.edge_list():
-        a = hub if i in frontier else graph.labels[i]
-        bb = hub if j in frontier else graph.labels[j]
-        if a == bb:
-            continue
-        key = (a, bb) if str(a) <= str(bb) else (bb, a)
-        merged[key] = merged.get(key, 0.0) + c
-    wired_graph = ConductanceGraph.from_edges(
-        [(a, bb, c) for (a, bb), c in merged.items()],
-        base_point=graph.labels[root],
-    )
-    wroot = wired_graph.index_of(graph.labels[root])
-    wtarget = wired_graph.index_of((0,) * level)
-    wired = resistance(wired_graph, wroot, wtarget, method="M4", tol=tol)
+    # Grounding the frontier shorts it into one hub held at 0; the dipole
+    # injects no net current, so that hub takes none.
+    dipole = np.zeros(graph.n)
+    dipole[root], dipole[target] = 1.0, -1.0
+    v = grounded_solve(graph, trunc.frontier, dipole)
+    wired = float(v[root] - v[target])
     return {
         "stated": stated,
         "measured_free": free,

@@ -25,6 +25,7 @@ __all__ = [
     "transition_operator",
     "harmonic_extension",
     "grounded_laplacian",
+    "grounded_solve",
     "interior_laplacian",
     "CombDefectReport",
     "defect_recursion_comb",
@@ -59,12 +60,6 @@ class TransitionOperator:
 
     graph: object
     matrix: sparse.csr_matrix
-
-    def apply(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.graph.n,):
-            raise GraphError(f"expected a vector of length {self.graph.n}, got {u.shape}")
-        return self.matrix @ u
 
 
 def assemble_laplacian(g):
@@ -117,6 +112,20 @@ def grounded_laplacian(g, ground):
     return graph._cache[key]
 
 
+def grounded_solve(g, ground, rhs):
+    """The potential u with (L u)(x) = rhs(x) off `ground` and u = 0 on it.
+
+    `rhs` is a full-length vector or an (n, k) block of columns; its ground
+    rows are ignored.  This is the one solve against the cached
+    :func:`grounded_laplacian` factorization.
+    """
+    kept, _, lu = grounded_laplacian(g, ground)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    out = np.zeros(rhs.shape)
+    out[kept] = lu.solve(rhs[kept])
+    return out
+
+
 def interior_laplacian(trunc):
     """The interior block L_II and its LU: the Laplacian grounded on the frontier.
 
@@ -132,25 +141,22 @@ def interior_laplacian(trunc):
 def harmonic_extension(trunc, boundary_values):
     """Solve the Dirichlet problem: Lh = 0 on the interior, h = f on the frontier.
 
-    `boundary_values` is aligned with ``trunc.frontier``.  Returns the full
-    vertex vector.
+    `boundary_values` is aligned with ``trunc.frontier``: a vector, or an
+    (m, k) block whose k columns are extended together.  Returns the full
+    vertex vector, or an (n, k) block.  With f padded by zeros, h - f is the
+    frontier-grounded potential of the current A f that f drives inward.
     """
     if len(trunc.frontier) == 0:
         raise GraphError("harmonic extension needs a nonempty frontier")
     f = np.asarray(boundary_values, dtype=np.float64)
-    if f.shape != (len(trunc.frontier),):
+    if f.ndim not in (1, 2) or f.shape[0] != len(trunc.frontier):
         raise GraphError(
             f"expected {len(trunc.frontier)} boundary values, got shape {f.shape}"
         )
     graph = trunc.graph
-    out = np.zeros(graph.n)
-    out[trunc.frontier] = f
-    if len(trunc.interior):
-        adj = graph.adjacency()
-        rhs = adj[trunc.interior][:, trunc.frontier] @ f
-        _, lu = interior_laplacian(trunc)
-        out[trunc.interior] = lu.solve(rhs)
-    return out
+    f_pad = np.zeros((graph.n,) + f.shape[1:])
+    f_pad[trunc.frontier] = f
+    return f_pad + grounded_solve(graph, trunc.frontier, graph.adjacency() @ f_pad)
 
 
 # -- comb defect recursion -----------------------------------------------------

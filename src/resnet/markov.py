@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, TruncatedGraph, underlying
-from .laplacian import assemble_laplacian, interior_laplacian
+from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
     "PathSample",
@@ -274,34 +274,20 @@ class BoundaryEstimate:
         return float(self.weights[pos[0]])
 
 
-def _interior_position(trunc, x):
-    if "interior_pos" not in trunc._cache:
-        trunc._cache["interior_pos"] = {int(v): k for k, v in enumerate(trunc.interior)}
-    pos = trunc._cache["interior_pos"].get(int(x))
-    if pos is None:
-        raise GraphError(f"vertex index {x} is not interior to the truncation")
-    return pos
-
-
-def _frontier_adjacency(trunc):
-    if "a_if" not in trunc._cache:
-        adj = trunc.graph.adjacency()
-        trunc._cache["a_if"] = adj[trunc.interior][:, trunc.frontier].toarray()
-    return trunc._cache["a_if"]
-
-
 def harmonic_measure_exact(trunc, x):
     """Harmonic measure from x by the adjoint solve: one factorized system.
 
     h_I = L_II^-1 A_IF f, so evaluating at x against every boundary vector at
-    once means solving L_II z = e_x and reading off z^T A_IF.
+    once means solving L_II z = e_x and reading off z^T A_IF, which is A z
+    on the frontier.
     """
-    pos = _interior_position(trunc, x)
-    _, lu = interior_laplacian(trunc)
-    rhs = np.zeros(len(trunc.interior))
-    rhs[pos] = 1.0
-    z = lu.solve(rhs)
-    mu = _frontier_adjacency(trunc).T @ z
+    graph = trunc.graph
+    if not 0 <= x < graph.n or trunc.frontier_mask[x]:
+        raise GraphError(f"vertex index {x} is not interior to the truncation")
+    e_x = np.zeros(graph.n)
+    e_x[x] = 1.0
+    z = grounded_solve(graph, trunc.frontier, e_x)
+    mu = (graph.adjacency() @ z)[trunc.frontier]
     mu = np.maximum(mu, 0.0)  # clip the solver's negative dust
     return BoundaryEstimate(
         frontier=np.array(trunc.frontier, dtype=np.int64),

@@ -39,7 +39,7 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from .energy import SolverError, _write_csv, solve_dipole
 from .graphs import GraphError, generate, underlying
 from .greens import greens_gram
-from .laplacian import grounded_laplacian
+from .laplacian import grounded_solve
 
 __all__ = [
     "METHODS",
@@ -235,11 +235,9 @@ def _min_dissipation(graph, x, y, tol):
 def _grounded_increment(graph, x, y):
     # The base-grounded LU is the one greens_gram uses, so M4 adds no
     # factorization per pair.
-    kept, _, lu = grounded_laplacian(graph, graph.base_point)
     rhs = np.zeros(graph.n)
     rhs[x], rhs[y] = 1.0, -1.0
-    v = np.zeros(graph.n)
-    v[kept] = lu.solve(rhs[kept])
+    v = grounded_solve(graph, graph.base_point, rhs)
     return float(v[x] - v[y])
 
 

@@ -406,3 +406,18 @@ def test_check_solves_for_the_kernel_once(family, radius, tmp_path, capsys, monk
     monkeypatch.setattr(cli, "_kernel_matrix", lambda k: resistance_matrix(k.graph, "M2", k.tol))
     monkeypatch.setattr(ResistanceMatrix, "triangle_slack", lambda m: per_z_triangle_slack(m.matrix))
     assert run_json(capsys, *argv) == got
+
+
+def test_solver_error_exits_with_numerical_error(tmp_path, capsys):
+    # a tolerance below rounding: the cycle-space flow's KVL residual
+    # (about 1.3e-16 here) cannot meet it, so main maps the SolverError to 3
+    path = str(tmp_path / "lattice.json")
+    generate("lattice", radius=12).write_json(path)
+    code, out, err = run(
+        capsys, "resist", path, "--from", "0,0", "--to", "5,6", "--method", "M3", "--tol", "1e-20"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "numerical error: cycle-space flow breaks Kirchhoff's voltage law (residual "
+    )
+    assert err.endswith(" > tol 1.0e-20)\n")

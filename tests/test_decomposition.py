@@ -14,8 +14,29 @@ from resnet.decomposition import (
     project_finite,
     royden_split,
 )
+from resnet.laplacian import harmonic_extension
 
 from conftest import random_connected_graph
+
+
+def harmonic_basis_by_columns(trunc):
+    """One extension per frontier indicator: the loop harmonic_basis replaced."""
+    basis = []
+    for k in range(len(trunc.frontier)):
+        e = np.zeros(len(trunc.frontier))
+        e[k] = 1.0
+        basis.append(gauged(trunc.graph, harmonic_extension(trunc, e)))
+    return basis
+
+
+def pairwise_gram(basis):
+    """m(m+1)/2 energy_inner calls: the loop harmonic_gram replaced."""
+    m = len(basis)
+    gram = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            gram[i, j] = gram[j, i] = energy_inner(basis[i], basis[j])
+    return gram
 
 
 def lattice_case(rng):
@@ -144,8 +165,6 @@ def test_energy_split_identity(rng):
 
 def test_energy_split_of_harmonic_function_is_all_boundary(rng):
     trunc = generate("binary-tree", radius=4)
-    from resnet.laplacian import harmonic_extension
-
     h = harmonic_extension(trunc, rng.standard_normal(len(trunc.frontier)))
     report = energy_split(trunc, h)
     assert report["dirichlet_term"] == pytest.approx(0.0, abs=1e-10)
@@ -166,6 +185,27 @@ def test_harmonic_basis_spans_with_one_null_direction():
     combined = sum(c * b.values for c, b in zip(coeffs, basis))
     assert float(coeffs @ gram @ coeffs) < 1e-10
     assert np.allclose(combined, combined[0])  # constant, gauged to zero
+
+
+@pytest.mark.parametrize("family,radius", [("binary-tree", 5), ("lattice", 6)])
+def test_harmonic_basis_and_gram_match_the_loops(family, radius):
+    trunc = generate(family, radius=radius)
+    basis = harmonic_basis(trunc)
+    oracle = harmonic_basis_by_columns(trunc)
+    assert len(basis) == len(oracle)
+    for got, expected in zip(basis, oracle):
+        assert np.array_equal(got.values, expected.values)
+    gram = harmonic_gram(basis)
+    expected = pairwise_gram(basis)
+    assert np.array_equal(gram, gram.T)
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_harmonic_gram_guards(rng):
+    assert harmonic_gram([]).shape == (0, 0)
+    a, b = random_connected_graph(rng, 5), random_connected_graph(rng, 5)
+    with pytest.raises(GraphError, match="same graph"):
+        harmonic_gram([gauged(a, np.zeros(5)), gauged(b, np.zeros(5))])
 
 
 def test_harmonic_basis_guards(rng):

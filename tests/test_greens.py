@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from resnet import greens as greens_mod
 from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
 from resnet.greens import (
@@ -285,6 +286,47 @@ def test_nary_wired_resistance_increases_toward_limit():
     # shorting a more distant frontier helps less: the values climb toward 5/8
     assert wired[0] < wired[1] < wired[2] < 0.625
     assert wired[2] == pytest.approx(0.6249942778669659, rel=1e-8)
+
+
+def wired_root_distance(branching, b, radius):
+    """Exact wired root-to-(0,) resistance of the regular tree, by series-parallel.
+
+    R_k is the resistance from a depth-k vertex down to the shorted frontier:
+    R_k = (b^-k + R_{k+1}) / N with R_radius = 0.  The root reaches (0,) by its
+    unit edge, in parallel with the other N - 1 subtrees into the frontier
+    followed by the subtree of (0,) back out of it.
+    """
+    n, b = Fraction(branching), Fraction(b)
+    below = Fraction(0)
+    for k in range(radius - 1, 0, -1):
+        below = (b**-k + below) / n
+    detour = (1 + below) / (n - 1) + below
+    return 1 / (1 + 1 / detour)
+
+
+def test_nary_wired_resistance_is_exact(monkeypatch):
+    exact = {r: wired_root_distance(2, 2, r) for r in (4, 6, 7, 8)}
+    assert exact == {
+        4: Fraction(53, 85),
+        6: Fraction(853, 1365),
+        7: Fraction(3413, 5461),
+        8: Fraction(13653, 21845),
+    }
+    for r, value in exact.items():
+        wired = nary_tree_comparison(2, 2.0, radius=r)["measured_wired"]
+        assert abs(wired - value) <= 1e-14 * value, r
+    # the wiring is the frontier-grounded solve on the truncation itself:
+    # no second graph is built
+    trunc = generate("nary-tree", radius=5, branching=2, b=2.0)
+    monkeypatch.setattr(greens_mod, "generate", lambda *args, **kwargs: trunc)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("nary_tree_comparison rebuilt a graph")
+
+    monkeypatch.setattr(ConductanceGraph, "from_edges", no_rebuild)
+    assert nary_tree_comparison(2, 2.0, radius=5)["measured_wired"] == pytest.approx(
+        float(wired_root_distance(2, 2, 5)), rel=1e-14
+    )
 
 
 # -- layered transition products --------------------------------------------------

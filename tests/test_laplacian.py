@@ -11,6 +11,7 @@ from resnet.laplacian import (
     assemble_laplacian,
     defect_recursion_comb,
     grounded_laplacian,
+    grounded_solve,
     harmonic_extension,
     interior_laplacian,
     transition_operator,
@@ -114,6 +115,20 @@ def test_grounded_laplacian_singular_block_is_a_solver_error():
         grounded_laplacian(g, 0)
 
 
+def test_grounded_solve_vanishes_on_the_ground_and_solves_off_it(rng):
+    g = random_connected_graph(rng, 15, 9)
+    ground = [4, 0]
+    kept = [i for i in range(g.n) if i not in ground]
+    rhs = rng.standard_normal((g.n, 3))
+    u = grounded_solve(g, ground, rhs)
+    assert u.shape == (g.n, 3)
+    assert np.all(u[ground] == 0.0)
+    assert np.allclose((dense_laplacian(g) @ u)[kept], rhs[kept], atol=1e-10)
+    rhs[ground] = 99.0  # ground rows of the right-hand side are not read
+    for k in range(3):
+        assert np.array_equal(grounded_solve(g, ground, rhs[:, k]), u[:, k])
+
+
 def test_interior_block_is_the_frontier_grounded_case():
     trunc = generate("lattice", radius=4)
     block, lu = interior_laplacian(trunc)
@@ -140,6 +155,18 @@ def test_harmonic_extension_solves_dirichlet_problem(rng):
     assert h[trunc.interior].max() < f.max() + 1e-12
 
 
+@pytest.mark.parametrize(
+    "family,radius", [("lattice", 5), ("comb", 6), ("binary-tree", 4)]
+)
+def test_block_extension_equals_its_columns(family, radius, rng):
+    trunc = generate(family, radius=radius)
+    block = rng.standard_normal((len(trunc.frontier), 4))
+    h = harmonic_extension(trunc, block)
+    assert h.shape == (trunc.graph.n, 4)
+    for k in range(4):
+        assert np.array_equal(h[:, k], harmonic_extension(trunc, block[:, k]))
+
+
 def test_harmonic_extension_of_constants_is_constant():
     trunc = generate("binary-tree", radius=3, b_plus=2.0)
     h = harmonic_extension(trunc, np.full(len(trunc.frontier), 7.5))
@@ -150,6 +177,8 @@ def test_harmonic_extension_validates_input():
     trunc = truncate(generate("halfline", radius=5), 5)
     with pytest.raises(GraphError, match="boundary values"):
         harmonic_extension(trunc, np.zeros(len(trunc.frontier) + 1))
+    with pytest.raises(GraphError, match="boundary values"):
+        harmonic_extension(trunc, np.zeros((len(trunc.frontier), 2, 2)))
 
 
 def test_harmonic_extension_needs_frontier():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
-from resnet.laplacian import assemble_laplacian, harmonic_extension, transition_operator
+from resnet.laplacian import (
+    assemble_laplacian,
+    harmonic_extension,
+    interior_laplacian,
+    transition_operator,
+)
 from resnet.markov import (
     BoundaryEstimate,
     PathSample,
@@ -114,6 +119,19 @@ def exact_measure_oracle(trunc, x):
     )
     a_if = -lap[np.ix_(interior, frontier)]
     return a_if.T @ z
+
+
+def adjoint_measure_oracle(trunc, x):
+    """The sparse adjoint solve on the interior block, read through a dense A_IF.
+
+    This is the route harmonic_measure_exact took before it read A z on the
+    frontier through the shared grounded solve.
+    """
+    _, lu = interior_laplacian(trunc)
+    rhs = np.zeros(len(trunc.interior))
+    rhs[list(trunc.interior).index(x)] = 1.0
+    a_if = trunc.graph.adjacency()[trunc.interior][:, trunc.frontier].toarray()
+    return np.maximum(a_if.T @ lu.solve(rhs), 0.0)
 
 
 def test_cylinder_probability_by_hand():
@@ -274,10 +292,22 @@ def test_exact_measure_matches_dense_oracle():
         assert np.all(est.weights >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "family,radius", [("lattice", 6), ("comb", 6), ("binary-tree", 5)]
+)
+def test_exact_measure_matches_the_adjoint_interior_solve(family, radius):
+    trunc = generate(family, radius=radius)
+    for x in trunc.interior[:: max(1, len(trunc.interior) // 8)]:
+        mu = harmonic_measure_exact(trunc, int(x)).weights
+        expected = adjoint_measure_oracle(trunc, int(x))
+        assert np.max(np.abs(mu - expected)) <= 1e-15 * np.max(expected)
+
+
 def test_exact_measure_needs_interior_start():
     trunc = generate("halfline", radius=3)
-    with pytest.raises(GraphError, match="not interior"):
-        harmonic_measure_exact(trunc, int(trunc.frontier[0]))
+    for x in (int(trunc.frontier[0]), -1, trunc.graph.n):
+        with pytest.raises(GraphError, match="not interior"):
+            harmonic_measure_exact(trunc, x)
     est = harmonic_measure_exact(trunc, 0)
     with pytest.raises(GraphError, match="not on the frontier"):
         est.weight_of(0)

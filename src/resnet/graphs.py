@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +106,52 @@ def _label_to_json(label):
     return label
 
 
-def _label_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(_label_from_json(part) for part in obj)
-    return obj
+def _labels_from_json(objs):
+    """Labels read from JSON: arrays become tuples, at any depth.
+
+    A list of flat arrays converts in one pass; only nested arrays are
+    visited part by part.
+    """
+    kinds = set(map(type, objs))
+    if list not in kinds:
+        return list(objs)
+    if kinds == {list} and list not in map(type, itertools.chain.from_iterable(objs)):
+        return list(map(tuple, objs))
+    return [tuple(_labels_from_json(obj)) if type(obj) is list else obj for obj in objs]
+
+
+_EXACT_INT = 2**53  # ints within this bound compare as their floats do
+
+
+def _exact_int_array(values):
+    """The ints `values` as an int64 array if all lie within float precision, else None."""
+    try:
+        arr = np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return None
+    if len(arr) and (arr.min() < -_EXACT_INT or arr.max() > _EXACT_INT):
+        return None
+    return arr
+
+
+def _label_order(labels):
+    """Vertex indices sorted by `_label_sort_key` of their labels, ties by index.
+
+    Python's own order is that order when every label is an int, every label
+    a str, or every label a tuple of ints, all ints within float precision;
+    such label sets are sorted without building the key.
+    """
+    kinds = set(map(type, labels))
+    ints = _exact_int_array(labels) if kinds == {int} else None
+    if ints is not None:
+        return np.argsort(ints, kind="stable")
+    if kinds == {tuple}:
+        parts = list(itertools.chain.from_iterable(labels))
+        native = set(map(type, parts)) <= {int} and _exact_int_array(parts) is not None
+    else:
+        native = kinds == {str}
+    key = labels.__getitem__ if native else lambda v: _label_sort_key(labels[v])
+    return np.array(sorted(range(len(labels)), key=key), dtype=np.int64)
 
 
 class ConductanceGraph:
@@ -138,7 +181,7 @@ class ConductanceGraph:
         self.weights = weights
         self.hop_distance = hop_distance
         self.n = len(self.labels)
-        self.label_index = {label: i for i, label in enumerate(self.labels)}
+        self.label_index = dict(zip(self.labels, range(self.n)))
         for arr in (self.indptr, self.indices, self.weights, self.hop_distance):
             arr.flags.writeable = False
         self._cache = {}
@@ -192,21 +235,27 @@ class ConductanceGraph:
             (np.ones(len(rows)), by_row, np.r_[0, np.cumsum(degree)]), shape=(n, n)
         )
         reached, pred = breadth_first_order(pattern, base, return_predecessors=True)
-        hop, pred = [-1] * n, pred.tolist()
-        hop[base] = 0
-        for v in reached[1:].tolist():
-            hop[v] = hop[pred[v]] + 1
-        order = sorted(range(n), key=lambda v: (hop[v] < 0, hop[v], _label_sort_key(labels[v])))
+        # hop counts by pointer jumping up the search tree: each pass doubles
+        # how far `up` reaches and adds the hops it skipped to `hop`
+        up = np.arange(n)
+        up[reached[1:]] = pred[reached[1:]]
+        hop = (up != np.arange(n)).astype(np.int64)
+        while (up != up[up]).any():
+            hop += hop[up]
+            up = up[up]
+        hop[up != base] = -1
+        by_label = _label_order(labels)
+        order = by_label[np.argsort(np.where(hop < 0, n, hop)[by_label], kind="stable")]
         new = np.argsort(order)
         rows, cols = new[rows], new[cols]
         sort = np.lexsort((cols, rows))
         return cls(
             new[base],
-            [labels[v] for v in order],
+            [labels[v] for v in order.tolist()],
             np.r_[0, np.cumsum(degree[order])],
             cols[sort],
             vals[sort],
-            np.array(hop, dtype=np.int64)[order],
+            hop[order],
         )
 
     # -- queries -----------------------------------------------------------
@@ -364,19 +413,19 @@ def validate(graph):
     returned report.  An empty report means the graph is valid.
     """
     issues = []
-    adj = graph.adjacency()
-    asym = abs(adj - adj.T)
-    if asym.nnz and asym.max() > 0:
-        rows, cols = asym.nonzero()
-        i, j = int(rows[0]), int(cols[0])
+    n, cols, w = graph.n, graph.indices, graph.weights
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    asym = _first_asymmetry(n, rows, cols, w)
+    if asym is not None:
         issues.append(
             ValidationIssue(
                 "asymmetric",
-                f"stored weights differ across orientations, e.g. edge ({i}, {j})",
+                f"stored weights differ across orientations, e.g. edge {asym}",
             )
         )
-    if adj.diagonal().any():
-        loops = np.flatnonzero(adj.diagonal())
+    on = rows == cols
+    loops = np.flatnonzero(np.bincount(rows[on], weights=w[on], minlength=n))
+    if len(loops):
         issues.append(
             ValidationIssue("self-loop", f"diagonal entries at vertices {loops.tolist()[:5]}")
         )
@@ -406,6 +455,27 @@ def validate(graph):
             )
         )
     return ValidationReport(issues)
+
+
+def _first_asymmetry(n, rows, cols, w):
+    """The first (i, j) in row-major order where A[i, j] != A[j, i], or None.
+
+    A is the matrix of the stored entries (rows, cols, w), repeats summed,
+    and A - A^T is summed position by position.  As for a sparse matrix, a
+    NaN anywhere in A - A^T hides the asymmetry.
+    """
+    if not len(w):
+        return None
+    r, c = np.r_[rows, cols], np.r_[cols, rows]
+    key = r * n + c
+    s = np.argsort(key, kind="stable")  # each A entry ahead of its -A^T partner
+    key = key[s]
+    head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN looked for below
+        diff = np.add.reduceat(np.r_[w, -w][s], head)
+    if np.isnan(diff).any() or not diff.any():
+        return None
+    return divmod(int(key[head[np.flatnonzero(diff)[0]]]), n)
 
 
 def _edge_issues(i, j, w, labels):
@@ -443,11 +513,40 @@ def _edge_issues(i, j, w, labels):
     return [found[k] for k in sorted(found)]
 
 
+def _edge_array(num_vertices, edges):
+    """Arrays (i, j, w) of a numeric edge list whose indices are all in range, else None.
+
+    One array conversion reads a well-formed list; anything it cannot read
+    whole, or any index that is not an integer in [0, num_vertices), is left
+    to the per-entry reading of :func:`_check_edge_data`.
+    """
+    try:
+        arr = np.asarray(edges)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 3:
+        return None
+    arr = arr.astype(np.float64)
+    ends = arr[:, :2]
+    if not ((ends >= 0) & (ends < num_vertices) & (ends == np.floor(ends))).all():
+        return None
+    return ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64), arr[:, 2]
+
+
+def _vertex_index(x):
+    k = int(x)  # alone, int() would read 1.7 as vertex 1
+    if isinstance(x, numbers.Real) and k != x:
+        raise ValueError(x)
+    return k
+
+
 def _check_edge_data(num_vertices, base_point, edges):
     """Parse a raw indexed edge list into arrays (i, j, w) and check it.
 
     Returns the issues, each of which makes the list unusable, and the
     arrays of the entries that parsed (None when the count is unusable).
+    An index must be an integer: a fractional or nonfinite one makes its
+    entry malformed.
     """
     if not isinstance(num_vertices, int) or num_vertices < 1:
         detail = f"vertices must be a positive int, got {num_vertices!r}"
@@ -457,20 +556,22 @@ def _check_edge_data(num_vertices, base_point, edges):
         issues.append(
             ValidationIssue("bad-base", f"base_point {base_point!r} not in [0, {num_vertices})")
         )
-    parsed = []
-    for e in edges:
-        try:
-            x, y, w = e
-            x, y, w = int(x), int(y), float(w)
-        except (TypeError, ValueError):
-            issues.append(ValidationIssue("bad-edge", f"malformed edge entry {e!r}"))
-            continue
-        if 0 <= x < num_vertices and 0 <= y < num_vertices:
-            parsed.append((x, y, w))
-        else:
-            issues.append(ValidationIssue("bad-index", f"edge ({x}, {y}) out of range"))
-    i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
-    arrays = (i.astype(np.int64), j.astype(np.int64), w)
+    arrays = _edge_array(num_vertices, edges)
+    if arrays is None:
+        parsed = []
+        for e in edges:
+            try:
+                x, y, w = e
+                x, y, w = _vertex_index(x), _vertex_index(y), float(w)
+            except (TypeError, ValueError, OverflowError):
+                issues.append(ValidationIssue("bad-edge", f"malformed edge entry {e!r}"))
+                continue
+            if 0 <= x < num_vertices and 0 <= y < num_vertices:
+                parsed.append((x, y, w))
+            else:
+                issues.append(ValidationIssue("bad-index", f"edge ({x}, {y}) out of range"))
+        i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
+        arrays = (i.astype(np.int64), j.astype(np.int64), w)
     return issues + _edge_issues(*arrays, range(num_vertices)), arrays
 
 
@@ -522,17 +623,12 @@ def _ball_result(graph, radius):
 def with_frontier(graph, frontier_labels):
     """Designate an explicit absorbing frontier on a finite graph by label."""
     graph = underlying(graph)
-    idx = sorted(graph.index_of(l) for l in frontier_labels)
-    if graph.base_point in idx:
+    idx = np.sort(np.fromiter(map(graph.index_of, frontier_labels), dtype=np.int64))
+    if (idx == graph.base_point).any():
         raise GraphError("base point cannot be on the frontier")
     mask = np.zeros(graph.n, dtype=bool)
     mask[idx] = True
-    return TruncatedGraph(
-        graph,
-        int(graph.hop_distance.max()),
-        np.flatnonzero(~mask),
-        np.asarray(idx, dtype=np.int64),
-    )
+    return TruncatedGraph(graph, int(graph.hop_distance.max()), np.flatnonzero(~mask), idx)
 
 
 # -- generator families -------------------------------------------------------
@@ -755,13 +851,12 @@ def load_graph(path):
         )
     n = data["vertices"]
     labels = data.get("labels")
-    labels = [_label_from_json(l) for l in (range(n) if labels is None else labels)]
+    labels = range(n) if labels is None else _labels_from_json(labels)
     if len(labels) != n or len(set(labels)) != n:
         raise GraphError("labels must give each vertex its own label")
     graph = ConductanceGraph._build(labels, data["base_point"], *arrays)
     if "frontier" in data:
-        frontier = [_label_from_json(l) for l in data["frontier"]]
-        trunc = with_frontier(graph, frontier)
+        trunc = with_frontier(graph, _labels_from_json(data["frontier"]))
         if "radius" in data:
             trunc.radius = int(data["radius"])
         return trunc

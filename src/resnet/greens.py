@@ -96,11 +96,17 @@ def greens_inversion_check(g, kernel):
         raise GraphError("kernel was computed on a different graph")
     lap = assemble_laplacian(graph).as_csr()
     sub = lap[kernel.vertices][:, kernel.vertices]
-    worst = 0.0
-    for prod in (np.asarray(kernel.matrix @ sub), np.asarray(sub @ kernel.matrix)):
-        prod[np.diag_indices_from(prod)] -= 1.0
-        worst = max(worst, float(np.max(np.abs(prod))))
-    return worst
+    deviations = [
+        _identity_deviation(np.asarray(kernel.matrix @ sub)),
+        _identity_deviation(np.asarray(sub @ kernel.matrix)),
+    ]
+    return float(np.max(deviations))  # a NaN deviation stays NaN and fails the check
+
+
+def _identity_deviation(prod):
+    # overwrites `prod`, so each product is the only n x n array it holds
+    prod[np.diag_indices_from(prod)] -= 1.0
+    return float(np.max(np.abs(prod, out=prod)))
 
 
 # -- absorbed-walk route -------------------------------------------------------

@@ -254,6 +254,15 @@ def test_exit_code_map(tmp_path, capsys):
     assert run(capsys, "check", str(bad))[0] == 2
 
 
+
+@pytest.mark.parametrize("index", ["Infinity", "1.7", "NaN"])
+def test_resist_on_a_non_integer_index_is_a_validation_error(tmp_path, capsys, index):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0], [1, {index}, 1.0]]}}')
+    code, out, err = run(capsys, "resist", str(bad), "--from", "0", "--to", "1")
+    assert code == 2 and out == ""
+    assert "bad-edge: malformed edge entry [1, " in err
+
 def test_deterministic_reports_are_bit_identical(halfline_file, capsys):
     argv = ("resist", halfline_file, "--from", "0", "--to", "3", "--deterministic")
     _, first, _ = run(capsys, *argv)

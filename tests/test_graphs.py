@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resnet import graphs
 from resnet.graphs import (
     ConductanceGraph,
     GraphError,
+    _label_sort_key,
+    _label_to_json,
     as_truncated,
     generate,
     load_graph,
@@ -19,7 +22,13 @@ from resnet.graphs import (
     with_frontier,
 )
 
-from conftest import random_connected_graph
+from conftest import (
+    oracle_build,
+    oracle_load_graph,
+    random_connected_graph,
+    sparse_structure_issues,
+    truncation_digest,
+)
 
 
 def test_from_edges_orders_breadth_first_from_base():
@@ -392,3 +401,246 @@ def test_random_connected_graphs_validate(n, extra, seed):
     assert g.hop_distance.min() >= 0
     d = np.asarray(g.adjacency().sum(axis=1)).ravel()
     assert np.allclose(g.degrees, d)
+
+
+# -- array-native loading against the oracle loader -----------------------------------
+
+
+# ints past float precision, packed close enough for distinct ints to share a float
+_BIG = st.integers(2**53 - 3, 2**53 + 5) | st.integers(-(2**53) - 5, -(2**53) + 3) | (
+    st.integers(2**63 - 2, 2**64)
+)
+_SCALAR = (
+    st.integers(min_value=-20, max_value=20)
+    | _BIG
+    | st.booleans()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+_MIXED = st.recursive(_SCALAR, lambda part: st.lists(part, max_size=3).map(tuple), max_leaves=6)
+_INT_TUPLE = st.lists(st.integers(min_value=-3, max_value=3) | _BIG, max_size=4).map(tuple)
+# label sets of one kind take Python's own order where it is exact, the
+# others the full key; the pairs of kinds are where the two orders part
+_LABEL_SETS = st.one_of(
+    *(
+        st.lists(kind, min_size=1, max_size=12, unique=True)
+        for kind in (
+            st.integers(min_value=-50, max_value=50),
+            st.integers(min_value=-50, max_value=50) | _BIG,
+            st.integers(min_value=-3, max_value=3) | st.booleans(),
+            st.integers(min_value=-3, max_value=3) | st.floats(allow_nan=False),
+            st.text(max_size=3),
+            _INT_TUPLE,
+            _MIXED,
+        )
+    )
+)
+
+
+def _same_truncation(a, b):
+    _same_graph(a.graph, b.graph)
+    assert a.radius == b.radius
+    for name in ("interior", "frontier"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype and np.array_equal(left, right), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=_LABEL_SETS, data=st.data())
+def test_loading_matches_the_oracle_on_mixed_labels(labels, tmp_path_factory, data):
+    n = len(labels)
+    # a random forest on the labels in drawn order; vertices past `reach` stay unreached
+    reach = data.draw(st.integers(min_value=1, max_value=n))
+    weight = st.floats(min_value=0.1, max_value=10.0)
+    edges = [
+        (data.draw(st.integers(min_value=0, max_value=k - 1)), k, data.draw(weight))
+        for k in range(1, n)
+        if k < reach or data.draw(st.booleans())
+    ]
+    base = data.draw(st.integers(min_value=0, max_value=reach - 1))
+    frontier = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4))
+    frontier = [k for k in frontier if k != base]
+    labelled = [(labels[x], labels[y], w) for x, y, w in edges]
+
+    new = ConductanceGraph.from_edges(labelled, labels[base], vertices=labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        old = ConductanceGraph.from_edges(labelled, labels[base], vertices=labels)
+    _same_graph(new, old)
+
+    path = tmp_path_factory.mktemp("mixed") / "g.json"
+    to_json = [_label_to_json(l) for l in labels]
+    rows = [[x, y, w] if data.draw(st.booleans()) else [y, x, w] for x, y, w in edges]
+    file = {"vertices": n, "base_point": base, "edges": rows, "labels": to_json}
+    if frontier:
+        file.update(frontier=[to_json[k] for k in frontier], radius=3)
+    path.write_text(json.dumps(file))
+    _same_truncation(load_graph(path), oracle_load_graph(path))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [0, 2**53 + 1, 2**53, 2**53 - 1, -(2**53) - 1, -(2**53)],  # distinct ints, equal floats
+        [(), (2**53 + 1,), (2**53,), (1, 2**53 + 1), (1, 2**53)],
+        [0, True, 2, -1],  # bools sort after every number
+        [0, 2.5, 3, -0.5, 1],
+        [(), (1, "a"), ("a",), (0.5,), (True,), ((1,),)],
+        ["", "b", "ab", "B", "a"],
+        [(), (2, 0), (0, 2), (1, 1), (0,), (1, 0, 0)],
+    ],
+)
+def test_label_order_of_one_shell_follows_the_key(labels):
+    # all but the base sit one hop out, so the label order alone sets their indices
+    edges = [(labels[0], leaf, 1.0) for leaf in labels[1:]]
+    new = ConductanceGraph.from_edges(edges, labels[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        old = ConductanceGraph.from_edges(edges, labels[0])
+    _same_graph(new, old)
+
+
+# (family, radius, params) of every shipped family, at every size the benchmark runs
+_SHIPPED = [
+    ("lattice", 12, {}),
+    ("lattice", 15, {}),
+    ("lattice", 20, {}),
+    ("lattice", 24, {}),
+    ("lattice", 4, {"d": 3}),
+    ("comb", 10, {}),
+    ("comb", 14, {}),
+    ("comb", 16, {}),
+    ("binary-tree", 7, {}),
+    ("binary-tree", 8, {}),
+    ("binary-tree", 9, {}),
+    ("nary-tree", 5, {"branching": 3}),
+    ("nary-tree", 6, {"branching": 3}),
+    ("chain", None, {"width": 60}),
+    ("halfline", 8, {}),
+    ("wye", None, {"r1": 1.0, "r2": 2.0, "r3": 3.0}),
+    ("bratteli", None, {"level_sizes": [1, 3, 2, 4], "level_weights": [1.0, 2.0, 0.25]}),
+    ("explicit", 2, {"edges": [("a", 1, 1.0), (1, (2,), 2.0), ((2,), "b", 0.5)], "base_point": "a"}),
+]
+
+
+@pytest.fixture(scope="module")
+def shipped_files(tmp_path_factory):
+    """Each shipped family, generated and written as JSON: (key, truncation, path)."""
+    out = tmp_path_factory.mktemp("shipped")
+    files = []
+    for k, (family, radius, params) in enumerate(_SHIPPED):
+        t = generate(family, radius=radius, **params)
+        path = out / f"{k}-{family}.json"
+        t.write_json(path)
+        files.append((f"{family}-{radius}", t, path))
+    return files
+
+
+def test_shipped_families_build_and_load_as_the_oracle_does(shipped_files):
+    new, old = {}, {}
+    for key, t, path in shipped_files:
+        loaded = load_graph(path)
+        new[key, "generate"] = truncation_digest(t)
+        new[key, "load"] = truncation_digest(loaded)
+        old[key, "load"] = truncation_digest(oracle_load_graph(path))
+        for r in range(1, int(t.graph.hop_distance.max()) + 1, 3):
+            new[key, r] = truncation_digest(truncate(loaded, r))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        for (family, radius, params), (key, t, _) in zip(_SHIPPED, shipped_files):
+            old[key, "generate"] = truncation_digest(generate(family, radius=radius, **params))
+            for r in range(1, int(t.graph.hop_distance.max()) + 1, 3):
+                old[key, r] = truncation_digest(truncate(t, r))
+    assert new == old
+
+
+def test_loading_the_bench_files_builds_no_label_key(shipped_files, monkeypatch):
+    calls = []
+
+    def counted(label):
+        calls.append(label)
+        return _label_sort_key(label)
+
+    monkeypatch.setattr(graphs, "_label_sort_key", counted)
+    for (family, _, _), (key, _, path) in zip(_SHIPPED, shipped_files):
+        if family in ("nary-tree", "lattice", "binary-tree", "chain"):
+            assert validate(load_graph(path).graph).ok, key
+    assert calls == []
+
+
+def test_fractional_or_infinite_index_is_a_bad_edge(tmp_path):
+    for bad in ([0, 1.7, 1.0], [0, math.inf, 1.0], [-math.inf, 1, 1.0], [math.nan, 1, 1.0]):
+        # both go to the per-entry reading: one for its index, one for its string
+        for edges in ([[0, 1, 1.0], bad], [[0, 1, "1.0"], bad]):
+            rep = validate_edge_data(3, 0, edges)
+            assert [i.code for i in rep.issues] == ["bad-edge"], edges
+            assert rep.issues[0].detail == f"malformed edge entry {bad!r}"
+    assert validate_edge_data(2, 0, [[0.0, 1.0, 1]]).ok
+    assert validate_edge_data(2, 0, [[0, 1, "1.5"]]).ok
+    path = tmp_path / "inf.json"
+    path.write_text('{"vertices": 2, "base_point": 0, "edges": [[0, Infinity, 1.0]]}')
+    with pytest.raises(GraphError, match="bad-edge: malformed edge entry") as exc:
+        load_graph(path)
+    assert exc.value.report.codes() == ["bad-edge"]
+
+
+def test_array_and_per_entry_edge_readings_agree():
+    edges = [[0, 1, 2.5], [2, 1, 3], [3, 2, True], [1, 0, 2.5], [0, 3, 1e300]]
+    fast = graphs._check_edge_data(4, 0, edges)
+    slow = graphs._check_edge_data(4, 0, edges + [[9, 0, 1.0]])
+    assert fast[0] == [] and [i.code for i in slow[0]] == ["bad-index"]
+    for a, b in zip(fast[1], slow[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # entries the array reading cannot take keep their word-for-word issues
+    rep = validate_edge_data(3, 0, [[0, 1, None], [0, 2**70, 1.0], [0, 1, 10**400], "ab"])
+    assert [str(i) for i in rep.issues] == [
+        "bad-edge: malformed edge entry [0, 1, None]",
+        f"bad-index: edge (0, {2**70}) out of range",
+        f"bad-edge: malformed edge entry [0, 1, {10**400}]",
+        "bad-edge: malformed edge entry 'ab'",
+    ]
+
+
+def _hand_built(n, entries):
+    """A graph on n vertices whose CSR stores exactly the (row, col, weight) `entries`."""
+    rows, cols, w = np.array(entries, dtype=float).reshape(-1, 3).T
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    sort = np.lexsort((cols, rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return ConductanceGraph(0, list(range(n)), indptr, cols[sort], w[sort], np.zeros(n, int))
+
+
+def test_validate_reports_hand_built_asymmetry_and_loops():
+    one_way = _hand_built(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 2.0), (2, 1, 4.0)])
+    rep = validate(one_way)
+    assert rep.codes() == ["asymmetric"]
+    assert rep.issues[0].detail == "stored weights differ across orientations, e.g. edge (1, 2)"
+    unequal = _hand_built(2, [(0, 1, 1.0), (1, 0, 1.5)])
+    assert str(validate(unequal)) == (
+        "asymmetric: stored weights differ across orientations, e.g. edge (0, 1)"
+    )
+    looped = _hand_built(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 2, 0.5)])
+    assert [str(i) for i in validate(looped).issues] == [
+        "self-loop: diagonal entries at vertices [2]"
+    ]
+    assert validate(_hand_built(1, [])).codes() == ["zero-degree"]
+
+
+_ENTRY_WEIGHT = st.sampled_from([1.0, 2.0, 0.0, -0.0, -1.0, math.inf, math.nan, 1e-300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    entries=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), _ENTRY_WEIGHT), max_size=14
+    ),
+    mirror=st.booleans(),
+)
+def test_validate_structure_matches_sparse_arithmetic(n, entries, mirror):
+    cells = {(r % n, c % n): w for r, c, w in entries}
+    if mirror:  # mostly symmetric: each cell's transpose takes its weight unless listed
+        cells = {**{(c, r): w for (r, c), w in cells.items()}, **cells}
+    graph = _hand_built(n, [(r, c, w) for (r, c), w in cells.items()])
+    structural = [i for i in validate(graph).issues if i.code in ("asymmetric", "self-loop")]
+    assert structural == sparse_structure_issues(graph)

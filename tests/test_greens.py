@@ -1,5 +1,6 @@
 """Green kernels by the gram and walk routes, plus the closed-form benchmarks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -88,6 +89,21 @@ def test_inversion_check_rejects_foreign_graph(rng):
     with pytest.raises(GraphError, match="different graph"):
         greens_inversion_check(other, greens_gram(g))
 
+
+
+def test_inversion_check_measures_the_worst_product_and_keeps_nan(rng):
+    g = random_connected_graph(rng, 7, 4)
+    kernel = greens_gram(g)
+    off = kernel.matrix.copy()
+    off[0, -1] += 1e-3  # an asymmetric error: K L and L K deviate differently
+    sub = dense_laplacian(g)[np.ix_(kernel.vertices, kernel.vertices)]
+    eye = np.eye(len(sub))
+    expected = max(np.max(np.abs(off @ sub - eye)), np.max(np.abs(sub @ off - eye)))
+    got = greens_inversion_check(g, dataclasses.replace(kernel, matrix=off))
+    assert math.isclose(got, expected, rel_tol=1e-9)
+    broken = kernel.matrix.copy()
+    broken[-1, -1] = np.nan
+    assert math.isnan(greens_inversion_check(g, dataclasses.replace(kernel, matrix=broken)))
 
 # -- walk route -----------------------------------------------------------------
 

@@ -20,7 +20,6 @@ import ast
 import functools
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -54,19 +53,6 @@ class UsageError(Exception):
 
 
 # -- plumbing ------------------------------------------------------------------
-
-
-def _apply_threads(n):
-    n = max(1, int(n))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:  # effective even after the BLAS pools are up
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except Exception:
-        pass
-    return n
 
 
 def _round12(obj):
@@ -155,28 +141,9 @@ def _parse_vertex(graph, text):
 
 # -- subcommands ---------------------------------------------------------------
 
-_PARAM_FLAGS = (
-    "growth",
-    "d",
-    "b_plus",
-    "b_minus",
-    "branching",
-    "b",
-    "level_sizes",
-    "level_weights",
-    "width",
-    "r1",
-    "r2",
-    "r3",
-)
-
-
 def cmd_generate(args):
-    params = {}
-    for name in _PARAM_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    params = {dest: getattr(args, dest) for _, dest, _, _ in _FAMILY_FLAGS}
+    params = {k: v for k, v in params.items() if v is not None}
     trunc = generate(args.family, radius=args.radius, **params)
     graph = trunc.graph
     payload = {
@@ -385,21 +352,32 @@ def _float_list(text):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+# The `generate` parameters, one row per keyword of a FAMILIES builder:
+# (flags, dest, type, help).  The table drives the parser and cmd_generate.
+_FAMILY_FLAGS = (
+    (("--growth",), "growth", float, None),
+    (("--d",), "d", int, "lattice dimension"),
+    (("--b-plus",), "b_plus", float, None),
+    (("--b-minus",), "b_minus", float, None),
+    (("--n", "--branching"), "branching", int, "tree branching factor"),
+    (("--b",), "b", float, "tree growth base"),
+    (("--level-sizes",), "level_sizes", _int_list, None),
+    (("--level-weights",), "level_weights", _float_list, None),
+    (("--width",), "width", int, "chain width"),
+    (("--r1",), "r1", float, None),
+    (("--r2",), "r2", float, None),
+    (("--r3",), "r3", float, None),
+)
+
+
 @functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed, echoed in reports")
-    common.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     common.add_argument(
         "--deterministic",
         action="store_true",
         help="omit the timestamp so identical runs emit identical bytes",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap on worker threads (env RESNET_THREADS is the fallback)",
     )
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
@@ -415,21 +393,8 @@ def _build_parser():
     p = sub.add_parser("generate", parents=[common], help="build a named graph family")
     p.add_argument("--family", required=True, choices=families)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--growth", type=float, default=None)
-    p.add_argument("--d", type=int, default=None, help="lattice dimension")
-    p.add_argument("--b-plus", dest="b_plus", type=float, default=None)
-    p.add_argument("--b-minus", dest="b_minus", type=float, default=None)
-    p.add_argument(
-        "--n", "--branching", dest="branching", type=int, default=None,
-        help="tree branching factor",
-    )
-    p.add_argument("--b", type=float, default=None, help="tree growth base")
-    p.add_argument("--level-sizes", dest="level_sizes", type=_int_list, default=None)
-    p.add_argument("--level-weights", dest="level_weights", type=_float_list, default=None)
-    p.add_argument("--width", type=int, default=None, help="chain width")
-    p.add_argument("--r1", type=float, default=None)
-    p.add_argument("--r2", type=float, default=None)
-    p.add_argument("--r3", type=float, default=None)
+    for flags, dest, kind, text in _FAMILY_FLAGS:
+        p.add_argument(*flags, dest=dest, type=kind, default=None, help=text)
     p.add_argument("-o", "--output", default=None, help="graph JSON destination")
     p.set_defaults(handler=cmd_generate, command="generate")
 
@@ -443,10 +408,12 @@ def _build_parser():
         choices=("all", "M1", "M2", "M3", "M4", "M5", "M6", "M7"),
     )
     p.add_argument("--matrix", default=None, help="write the full matrix CSV here")
+    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.set_defaults(handler=cmd_resist, command="resist")
 
     p = sub.add_parser("check", parents=[common], help="identity suite on a graph file")
     p.add_argument("graph", help="graph JSON file")
+    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.set_defaults(handler=cmd_check, command="check")
 
     p = sub.add_parser("walk", parents=[common], help="absorbed-walk sampling report")
@@ -484,9 +451,6 @@ def main(argv=None):
     if not 0 <= args.seed < _SEED_LIMIT:
         sys.stderr.write(f"validation error: --seed {args.seed} is outside [0, 2^63)\n")
         return 2
-    if args.threads is None:  # read per call: the parser is built once per process
-        args.threads = int(os.environ.get("RESNET_THREADS", "1"))
-    _apply_threads(args.threads)
     try:
         payload, code = args.handler(args)
     except UsageError as exc:

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,7 +308,7 @@ class ConductanceGraph:
     def index_of(self, label):
         try:
             return self.label_index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise GraphError(f"unknown vertex label {label!r}") from None
 
     def edge_arrays(self):
@@ -548,16 +549,18 @@ def _check_edge_data(num_vertices, base_point, edges):
     An index must be an integer: a fractional or nonfinite one makes its
     entry malformed.
     """
-    if not isinstance(num_vertices, int) or num_vertices < 1:
+    if type(num_vertices) is not int or num_vertices < 1:
         detail = f"vertices must be a positive int, got {num_vertices!r}"
         return [ValidationIssue("bad-count", detail)], None
     issues = []
-    if not isinstance(base_point, int) or not 0 <= base_point < num_vertices:
-        issues.append(
-            ValidationIssue("bad-base", f"base_point {base_point!r} not in [0, {num_vertices})")
-        )
+    if type(base_point) is not int or not 0 <= base_point < num_vertices:
+        detail = f"base_point must be an int in [0, {num_vertices}), got {base_point!r}"
+        issues.append(ValidationIssue("bad-base", detail))
     arrays = _edge_array(num_vertices, edges)
     if arrays is None:
+        if not isinstance(edges, Iterable):
+            detail = f"edges must be a list of [x, y, c] entries, got {edges!r}"
+            return issues + [ValidationIssue("bad-edge", detail)], None
         parsed = []
         for e in edges:
             try:
@@ -823,6 +826,16 @@ def generate(family, radius=None, **params):
 
 # -- JSON loading -------------------------------------------------------------
 
+
+def _json_labels(data, key):
+    """The labels of the array field `key` of a graph file."""
+    objs = data[key]
+    if type(objs) is not list:
+        kind = type(objs).__name__
+        raise GraphError(f"the {key!r} field must be an array of labels, not {kind}")
+    return _labels_from_json(objs)
+
+
 def load_graph(path):
     """Load a graph JSON file, returning a TruncatedGraph.
 
@@ -840,6 +853,8 @@ def load_graph(path):
         raise GraphError(f"cannot read graph file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GraphError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise GraphError(f"graph file must hold a JSON object, not {type(data).__name__}")
     for key in ("vertices", "base_point", "edges"):
         if key not in data:
             raise GraphError(f"graph file is missing the {key!r} field")
@@ -851,13 +866,20 @@ def load_graph(path):
         )
     n = data["vertices"]
     labels = data.get("labels")
-    labels = range(n) if labels is None else _labels_from_json(labels)
-    if len(labels) != n or len(set(labels)) != n:
+    labels = range(n) if labels is None else _json_labels(data, "labels")
+    try:
+        distinct = len(set(labels))
+    except TypeError:  # a JSON object in a label
+        raise GraphError("a label cannot hold a JSON object") from None
+    if len(labels) != n or distinct != n:
         raise GraphError("labels must give each vertex its own label")
     graph = ConductanceGraph._build(labels, data["base_point"], *arrays)
     if "frontier" in data:
-        trunc = with_frontier(graph, _labels_from_json(data["frontier"]))
+        trunc = with_frontier(graph, _json_labels(data, "frontier"))
         if "radius" in data:
-            trunc.radius = int(data["radius"])
+            radius = data["radius"]
+            if type(radius) is not int or radius < 0:
+                raise GraphError(f"radius must be a nonnegative integer, got {radius!r}")
+            trunc.radius = radius
         return trunc
     return as_truncated(graph)

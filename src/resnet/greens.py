@@ -172,8 +172,7 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
         kept = list(g.interior)
     else:
         raise GraphError(f'unknown absorb mode {absorb!r}; use "base" or "frontier"')
-    p_full = transition_operator(graph).matrix
-    p_sub = p_full[kept][:, kept].toarray()
+    p_sub = transition_operator(graph)[kept][:, kept].toarray()
     rho = _absorbed_radius(graph, kept) if kept else 0.0
     if rho >= 1.0:
         raise SolverError(
@@ -297,7 +296,7 @@ def generating_function_check(lam, terms=200):
     }
 
 
-def chain_walk_diagonal(p_plus, width, order_cap=200_000, tail_tol=1e-10):
+def chain_walk_diagonal(p_plus, width):
     """Green diagonal at the center of a finite drifted chain, by the walk route.
 
     Geometric conductances growth^i make every interior vertex step forward
@@ -307,7 +306,7 @@ def chain_walk_diagonal(p_plus, width, order_cap=200_000, tail_tol=1e-10):
     model = binomial_closed_form(p_plus)
     growth = p_plus / (1.0 - p_plus)
     trunc = generate("chain", width=width, growth=growth)
-    wg = walk_greens(trunc, order_cap=order_cap, tail_tol=tail_tol, absorb="frontier")
+    wg = walk_greens(trunc, order_cap=200_000, tail_tol=1e-10, absorb="frontier")
     center = trunc.graph.base_point
     diagonal = wg.value(center, center)
     return {
@@ -343,7 +342,7 @@ def nary_tree_closed_forms(branching, b, level=1):
     }
 
 
-def nary_tree_comparison(branching, b, radius, level=1, tol=1e-10):
+def nary_tree_comparison(branching, b, radius, level=1):
     """Stated tree constants next to what finite truncations actually give.
 
     measured_free is the plain resistance on the truncated tree (a tree has
@@ -362,7 +361,7 @@ def nary_tree_comparison(branching, b, radius, level=1, tol=1e-10):
     graph = trunc.graph
     root = graph.base_point
     target = graph.index_of((0,) * level)
-    free = resistance(graph, root, target, method="M4", tol=tol)
+    free = resistance(graph, root, target, method="M4")
     # Grounding the frontier shorts it into one hub held at 0; the dipole
     # injects no net current, so that hub takes none.
     dipole = np.zeros(graph.n)

@@ -20,7 +20,6 @@ from .graphs import GraphError, TruncatedGraph, underlying
 
 __all__ = [
     "LaplacianOperator",
-    "TransitionOperator",
     "assemble_laplacian",
     "transition_operator",
     "harmonic_extension",
@@ -54,14 +53,6 @@ class LaplacianOperator:
         return float(np.dot(u, self.apply(u)))
 
 
-@dataclass
-class TransitionOperator:
-    """Row-stochastic walk operator P with p_xy = c_xy / c(x)."""
-
-    graph: object
-    matrix: sparse.csr_matrix
-
-
 def assemble_laplacian(g):
     """Assemble (and cache) the Laplacian of a graph or truncation."""
     graph = underlying(g)
@@ -73,14 +64,17 @@ def assemble_laplacian(g):
 
 
 def transition_operator(g):
-    """Assemble (and cache) the walk operator; zero-degree vertices have no rows."""
+    """Assemble (and cache) the CSR walk operator P with p_xy = c_xy / c(x).
+
+    A zero-degree vertex would have no row: it raises GraphError.
+    """
     graph = underlying(g)
     if "transition" not in graph._cache:
         deg = np.asarray(graph.degrees, dtype=np.float64)
         if np.any(deg <= 0):
             raise GraphError("transition operator undefined: zero-degree vertex present")
         inv = sparse.diags(1.0 / deg)
-        graph._cache["transition"] = TransitionOperator(graph, (inv @ graph.adjacency()).tocsr())
+        graph._cache["transition"] = (inv @ graph.adjacency()).tocsr()
     return graph._cache["transition"]
 
 
@@ -236,7 +230,7 @@ def write_coordinate_format(g, which, path):
     elif which == "adjacency":
         mat = graph.adjacency().tocoo()
     elif which == "transition":
-        mat = transition_operator(graph).matrix.tocoo()
+        mat = transition_operator(graph).tocoo()
     else:
         mat = assemble_laplacian(graph).as_csr().tocoo()
     order = np.lexsort((mat.col, mat.row))

@@ -414,20 +414,17 @@ def _kernel_matrix(kernel, method="M2"):
 
 
 def _geodesic_ray(graph):
-    """Hop-geodesic from the base to a deepest vertex (ties broken by label)."""
-    from .graphs import _label_sort_key
+    """Hop-geodesic from the base to a deepest vertex, ties broken by vertex index.
 
+    Vertices are ordered by (hop, label), so the deepest vertex taken is the
+    one with the largest label and each parent the one with the smallest.
+    """
     hop = graph.hop_distance
-    deepest = max(
-        (i for i in range(graph.n) if hop[i] == hop.max()),
-        key=lambda i: _label_sort_key(graph.labels[i]),
-    )
-    path = [deepest]
+    path = [int(np.flatnonzero(hop == hop.max())[-1])]
     while hop[path[-1]] > 0:
         nbrs, _ = graph.neighbors(path[-1])
-        parents = [int(j) for j in nbrs if hop[j] == hop[path[-1]] - 1]
-        path.append(min(parents, key=lambda i: _label_sort_key(graph.labels[i])))
-    return list(reversed(path))
+        path.append(int(nbrs[hop[nbrs] == hop[path[-1]] - 1].min()))
+    return path[::-1]
 
 
 def boundedness_diagnostic(family, radii, params=None):

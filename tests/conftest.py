@@ -193,3 +193,28 @@ def sparse_structure_issues(graph):
         detail = f"diagonal entries at vertices {loops.tolist()[:5]}"
         issues.append(ValidationIssue("self-loop", detail))
     return issues
+
+
+_THREE = {"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
+
+# JSON with the right field names but the wrong shapes
+WRONG_SHAPES = {
+    "top-level-int": (5, "JSON object"),
+    "top-level-list": ([_THREE], "JSON object"),
+    "vertices-bool": ({**_THREE, "vertices": True}, "bad-count"),
+    "base-point-bool": ({**_THREE, "base_point": True}, "bad-base"),
+    "edges-int": ({**_THREE, "edges": 5}, "edges must be a list"),
+    "labels-int": ({**_THREE, "labels": 7}, "'labels' field must be an array"),
+    "labels-str": ({**_THREE, "labels": "abc"}, "'labels' field must be an array"),
+    "label-object": ({**_THREE, "labels": [0, 1, {"a": 1}]}, "JSON object"),
+    "label-nested-object": ({**_THREE, "labels": [0, [1, {"a": 1}], 2]}, "JSON object"),
+    "frontier-int": ({**_THREE, "frontier": 5}, "'frontier' field must be an array"),
+    "frontier-object": ({**_THREE, "frontier": [{"a": 1}]}, "unknown vertex label"),
+    "frontier-nested-object": (
+        {**_THREE, "labels": [0, [1, 2], 2], "frontier": [[1, {"a": 1}]]},
+        "unknown vertex label",
+    ),
+    "radius-str": ({**_THREE, "frontier": [2], "radius": "x"}, "radius"),
+    "radius-null": ({**_THREE, "frontier": [2], "radius": None}, "radius"),
+    "radius-fraction": ({**_THREE, "frontier": [2], "radius": 2.5}, "radius"),
+}

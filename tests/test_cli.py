@@ -1,6 +1,8 @@
 """End-to-end command-line tests: every invocation goes through main(argv)."""
 
+import inspect
 import json
+import os
 import sys
 import warnings
 
@@ -9,12 +11,12 @@ import pytest
 
 from resnet import cli
 from resnet.cli import _parse_vertex, main
-from resnet.graphs import generate, load_graph
+from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
 from resnet.markov import sample_paths
 from resnet.resistance import ResistanceMatrix, resistance_matrix
 
-from conftest import per_z_triangle_slack
+from conftest import WRONG_SHAPES, per_z_triangle_slack
 
 
 def run(capsys, *argv):
@@ -254,6 +256,14 @@ def test_exit_code_map(tmp_path, capsys):
     assert run(capsys, "check", str(bad))[0] == 2
 
 
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_resist_on_a_wrongly_shaped_file_is_a_validation_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(WRONG_SHAPES[case][0]))
+    code, out, err = run(capsys, "resist", str(bad), "--from", "0", "--to", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "Traceback" not in err
+
 
 @pytest.mark.parametrize("index", ["Infinity", "1.7", "NaN"])
 def test_resist_on_a_non_integer_index_is_a_validation_error(tmp_path, capsys, index):
@@ -304,25 +314,65 @@ def test_reports_round_to_twelve_significant_digits(halfline_file, capsys):
     assert report["values"]["M2"] == 1.57131743166
 
 
-def test_threads_flag_and_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("RESNET_THREADS", "3")
-    report = run_json(capsys, "generate", "--family", "wye", "--deterministic")
-    assert report["config"]["threads"] == 3
-    report = run_json(
-        capsys, "generate", "--family", "wye", "--threads", "2", "--deterministic"
-    )
-    assert report["config"]["threads"] == 2
+def test_main_leaves_the_environment_unchanged(chain_file, monkeypatch, capsys):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    run_json(capsys, "generate", "--family", "wye")
+    run_json(capsys, "resist", chain_file, "--from", "0", "--to", "2", "--method", "M4")
+    run_json(capsys, "walk", chain_file, "--samples", "20")
+    run_json(capsys, "oracle", "--model", "continuum", "--x", "0.2", "--y", "0.5")
+    assert dict(os.environ) == before
 
 
-def test_threads_env_is_read_on_every_call(monkeypatch, capsys):
-    # the parser is built once per process; its --threads default must not be
-    applied = []
-    monkeypatch.setattr(cli, "_apply_threads", applied.append)
-    for value in ("1", "2"):
-        monkeypatch.setenv("RESNET_THREADS", value)
-        report = run_json(capsys, "generate", "--family", "wye", "--deterministic")
-        assert report["config"]["threads"] == int(value)
-    assert applied == [1, 2]
+def test_tol_is_a_flag_of_the_commands_that_read_it(chain_file, capsys):
+    for argv in (["resist", chain_file, "--from", "0", "--to", "2"], ["check", chain_file]):
+        report = run_json(capsys, *argv, "--tol", "1e-11")
+        assert report["config"]["tol"] == 1e-11
+    for argv in (["generate", "--family", "wye"], ["walk", chain_file], ["oracle", "--model", "nary"]):
+        code, _, err = run(capsys, *argv, "--tol", "1e-11")
+        assert code == 1 and "unrecognized arguments: --tol" in err
+
+
+# (family, radius, flag, text, keyword value, other parameters the family needs)
+FAMILY_FLAG_CASES = [
+    ("halfline", 4, "--growth", "1.5", 1.5, {}),
+    ("lattice", 2, "--d", "3", 3, {}),
+    ("binary-tree", 3, "--b-plus", "3", 3.0, {}),
+    ("binary-tree", 3, "--b-minus", "1.5", 1.5, {}),
+    ("nary-tree", 3, "--n", "3", 3, {}),
+    ("nary-tree", 3, "--branching", "3", 3, {}),
+    ("nary-tree", 3, "--b", "1.5", 1.5, {}),
+    ("bratteli", 2, "--level-sizes", "1,3,2", [1, 3, 2], {"level_weights": [1.0, 0.5]}),
+    ("bratteli", 2, "--level-weights", "2,0.25", [2.0, 0.25], {"level_sizes": [1, 2, 3]}),
+    ("chain", None, "--width", "7", 7, {}),
+    ("wye", None, "--r1", "2", 2.0, {}),
+    ("wye", None, "--r2", "3", 3.0, {}),
+    ("wye", None, "--r3", "0.5", 0.5, {}),
+]
+
+
+def test_family_flag_table_names_builder_keywords():
+    keywords = set().union(*(inspect.signature(f).parameters for f in FAMILIES.values()))
+    for _, dest, _, _ in cli._FAMILY_FLAGS:
+        assert dest in keywords, dest
+    flags = {flag for flags, _, _, _ in cli._FAMILY_FLAGS for flag in flags}
+    assert {case[2] for case in FAMILY_FLAG_CASES} == flags
+
+
+@pytest.mark.parametrize(
+    "family, radius, flag, text, value, others", FAMILY_FLAG_CASES, ids=[c[2] for c in FAMILY_FLAG_CASES]
+)
+def test_family_flag_builds_what_the_keyword_builds(family, radius, flag, text, value, others, capsys):
+    dest = next(d for flags, d, _, _ in cli._FAMILY_FLAGS if flag in flags)
+    argv = ["generate", "--family", family, flag, text]
+    argv += [] if radius is None else ["--radius", str(radius)]
+    for key, given in others.items():
+        argv += ["--" + key.replace("_", "-"), ",".join(map(str, given))]
+    report = run_json(capsys, *argv)
+    assert report["config"][dest] == (str(value) if isinstance(value, list) else value)
+    expected = generate(family, radius=radius, **others, **{dest: value}).to_data()
+    assert report["graph"] == json.loads(json.dumps(cli._round12(expected)))
 
 
 @pytest.mark.parametrize(

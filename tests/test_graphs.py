@@ -23,6 +23,7 @@ from resnet.graphs import (
 )
 
 from conftest import (
+    WRONG_SHAPES,
     oracle_build,
     oracle_load_graph,
     random_connected_graph,
@@ -371,6 +372,22 @@ def test_load_rejects_corrupt_files(tmp_path, data, match):
     path.write_text(json.dumps(data))
     with pytest.raises(GraphError, match=match):
         load_graph(path)
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_load_rejects_wrong_shapes(tmp_path, case):
+    data, match = WRONG_SHAPES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GraphError, match=match):
+        load_graph(path)
+
+
+def test_edge_data_that_is_not_a_list_is_a_bad_edge():
+    rep = validate_edge_data(3, 0, 5)
+    assert [str(i) for i in rep.issues] == [
+        "bad-edge: edges must be a list of [x, y, c] entries, got 5"
+    ]
 
 
 def test_load_missing_and_unparsable(tmp_path):

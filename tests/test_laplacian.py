@@ -75,7 +75,7 @@ def test_assembly_is_cached(rng):
 
 def test_transition_rows_and_reversibility(rng):
     g = random_connected_graph(rng, 15, 8)
-    p = transition_operator(g).matrix.toarray()
+    p = transition_operator(g).toarray()
     assert np.allclose(p.sum(axis=1), 1.0)
     assert np.all(p >= 0.0)
     # detailed balance: c(x) p_xy = c_xy = c(y) p_yx

@@ -77,7 +77,7 @@ def power_iterate(trunc, boundary_values, n):
         raise GraphError(
             f"expected {len(trunc.frontier)} boundary values, got shape {f.shape}"
         )
-    p = transition_operator(trunc.graph).matrix
+    p = transition_operator(trunc.graph)
     h = np.zeros(trunc.graph.n)
     h[trunc.frontier] = f
     for _ in range(int(n)):

@@ -280,13 +280,13 @@ def cmd_walk(args):
             sampled.frontier, sampled.counts, sampled.weights, exact.weights, z
         )
     ]
-    lengths = [s.length for s in samples]
     payload = {
         "start": str(graph.labels[start]),
         "total_samples": sampled.total_samples,
         "unabsorbed": sampled.unabsorbed,
-        "mean_steps": sum(lengths) / len(lengths),
-        "max_steps_taken": max(lengths),
+        # an exact int64 sum over the count: one rounding
+        "mean_steps": int(samples.length.sum()) / len(samples),
+        "max_steps_taken": int(samples.length.max()),
         "frontier": table,
         "max_abs_z": max((abs(row["z"]) for row in table), default=0.0),
     }

@@ -19,6 +19,7 @@ from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
     "PathSample",
+    "PathSamples",
     "cylinder_probability",
     "sample_paths",
     "BoundaryEstimate",
@@ -56,55 +57,67 @@ def _step_tables(graph):
     """Per-CSR-entry row CDF, log step probability and int32 target, cached.
 
     The CDF of row x is the running sum of its weights over c(x), its last
-    entry forced to 1.  The log table is built with `math.log`, one entry at a
-    time, so the sampled log-probabilities are bitwise those of adding
-    `math.log(c_xy / c(x))` step by step.
+    entry forced to 1.  The sums run over the position k within a row, one
+    array step for every row with a k-th entry, and add left to right, so each
+    row is bitwise its `np.cumsum`.  The rows are taken in order of falling
+    degree, so the rows with a k-th entry are a prefix and a hub costs one
+    pass per entry but no padding.  The log table is built with `math.log`,
+    one entry at a time, so the sampled log-probabilities are bitwise those of
+    adding `math.log(c_xy / c(x))` step by step.
     """
     if "step_tables" not in graph._cache:
-        cdf = np.empty_like(graph.weights)
         degrees = graph.degrees
-        for x in range(graph.n):
-            lo, hi = graph.indptr[x], graph.indptr[x + 1]
-            if hi > lo:
-                cdf[lo:hi] = np.cumsum(graph.weights[lo:hi]) / degrees[x]
-                cdf[hi - 1] = 1.0  # guard against rounding shortfall
-        rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-        ratio = graph.weights / degrees[rows]
+        count = np.diff(graph.indptr)
+        order = np.argsort(-count, kind="stable")
+        first, scale = graph.indptr[order], degrees[order]
+        # longer[k]: how many rows have more than k entries
+        longer = np.searchsorted(-count[order], -np.arange(count.max(initial=0)), side="left")
+        cdf = np.empty_like(graph.weights)
+        run = np.zeros(graph.n)
+        for k, m in enumerate(longer.tolist()):
+            at = first[:m] + k
+            run[:m] += graph.weights[at]
+            cdf[at] = run[:m] / scale[:m]
+        cdf[graph.indptr[1:][count > 0] - 1] = 1.0  # guard against rounding shortfall
+        ratio = graph.weights / np.repeat(degrees, count)
         log_step = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
         graph._cache["step_tables"] = (cdf, log_step, graph.indices.astype(np.int32))
     return graph._cache["step_tables"]
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Each constant is a column: row 0 acts on counter word 0 and key word 0, row 1
+# on counter word 2 and key word 1.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 
 
-def _mulhilo(a, b, hi, lo, x, y, z):
-    """Write the high and low words of the 128-bit product a * b to hi and lo.
+def _mulhilo(b, hi, lo, x, y, z):
+    """Write the high and low words of the 128-bit products _PHILOX_M * b to hi and lo.
 
-    a is a constant and b a uint64 array; x, y and z are scratch arrays
-    shaped like b.  numpy has no 128-bit product, so the high word is
-    assembled from 32-bit halves; every partial sum fits in 64 bits.
+    b is a (2, m) uint64 array whose row r is multiplied by _PHILOX_M[r]; x,
+    y and z are scratch arrays shaped like b.  numpy has no 128-bit product,
+    so the high word is assembled from 32-bit halves; every partial sum fits
+    in 64 bits.
     """
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
     np.bitwise_and(b, _LO32, out=x)
-    np.multiply(x, a_lo, out=y)
+    np.multiply(x, _M_LO, out=y)
     y >>= _SHIFT32
     np.right_shift(b, _SHIFT32, out=hi)
-    np.multiply(hi, a_lo, out=z)
+    np.multiply(hi, _M_LO, out=z)
     z += y  # b_hi a_lo + carry of b_lo a_lo
-    x *= a_hi
+    x *= _M_HI
     np.bitwise_and(z, _LO32, out=y)
     x += y  # b_lo a_hi + low half of the line above
-    hi *= a_hi
+    hi *= _M_HI
     z >>= _SHIFT32
     hi += z
     x >>= _SHIFT32
     hi += x
-    np.multiply(b, np.uint64(a), out=lo)
+    np.multiply(b, _PHILOX_M, out=lo)
 
 
 def _philox_uniforms(counter, key0, key1):
@@ -113,32 +126,32 @@ def _philox_uniforms(counter, key0, key1):
     One column per key (key0, key1[j]); row w is word w converted as
     `Generator.random()` converts it, (x >> 11) * 2**-53.  Draw t of the
     stream `Generator(Philox(key=...))` is row t % 4 at counter t // 4 + 1.
+    The counter is held as its multiplied words (0, 2) and its xored words
+    (1, 3), each a (2, m) array, so both products of a round are one pass.
     The rounds work in place on a fixed set of arrays: a fresh temporary for
     every operation raised the peak memory of a `walk` run by about 1%.
     """
-    key1 = np.array(key1, dtype=np.uint64)
     m = len(key1)
-    ctr = list(np.zeros((4, m), dtype=np.uint64))
-    ctr[0] += np.uint64(counter)
-    spare = list(np.empty((4, m), dtype=np.uint64))
-    scratch = np.empty((3, m), dtype=np.uint64)
-    k0 = int(key0)
+    key = np.empty((2, m), dtype=np.uint64)
+    key[0] = key0
+    key[1] = key1
+    mult = np.zeros((2, m), dtype=np.uint64)
+    mult[0] = counter
+    xor = np.zeros((2, m), dtype=np.uint64)
+    hi, lo, *scratch = np.empty((5, 2, m), dtype=np.uint64)
     for r in range(10):
         if r:
-            k0 = (k0 + _PHILOX_W[0]) % 2**64
-            key1 += np.uint64(_PHILOX_W[1])
-        hi0, lo0, hi1, lo1 = spare
-        _mulhilo(_PHILOX_M[0], ctr[0], hi0, lo0, *scratch)
-        _mulhilo(_PHILOX_M[1], ctr[2], hi1, lo1, *scratch)
-        hi1 ^= ctr[1]
-        hi1 ^= np.uint64(k0)
-        hi0 ^= ctr[3]
-        hi0 ^= key1
-        spare, ctr = ctr, [hi1, lo1, hi0, lo0]
+            key += _PHILOX_W
+        _mulhilo(mult, hi, lo, *scratch)
+        # word 0 <- hi(M1 w2) ^ w1 ^ k0, word 2 <- hi(M0 w0) ^ w3 ^ k1,
+        # word 1 <- lo(M1 w2), word 3 <- lo(M0 w0)
+        np.bitwise_xor(hi[::-1], xor, out=mult)
+        mult ^= key
+        xor, lo = lo[::-1], xor
     out = np.empty((4, m))
-    for word, row in zip(ctr, out):
-        word >>= np.uint64(11)
-        np.multiply(word, 2.0**-53, out=row)
+    for words, rows in ((mult, out[0::2]), (xor, out[1::2])):
+        words >>= np.uint64(11)
+        np.multiply(words, 2.0**-53, out=rows)
     return out
 
 
@@ -151,7 +164,7 @@ def _stream_key(seed):
     return np.random.Philox(key=[int(seed), 0]).state["state"]["key"][0]
 
 
-@dataclass
+@dataclass(slots=True)  # slots: iterating a batch builds one per walk
 class PathSample:
     start: int
     vertices: np.ndarray
@@ -160,13 +173,54 @@ class PathSample:
     length: int
 
 
+@dataclass(frozen=True)
+class PathSamples:
+    """A batch of walks from one start, laid end to end.
+
+    Walk i visits `vertices[offsets[i]:offsets[i + 1]]`, its start first.
+    `log_probability`, `absorbed_at` (-1 when the walk was cut off unabsorbed)
+    and `length` (its number of steps) hold one entry per walk.  Indexing and
+    iteration build a `PathSample` for each walk asked for.
+    """
+
+    start: int
+    offsets: np.ndarray
+    vertices: np.ndarray
+    log_probability: np.ndarray
+    absorbed_at: np.ndarray
+    length: np.ndarray
+
+    def __len__(self):
+        return len(self.length)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError out of range, negative from the end
+        end = int(self.absorbed_at[i])
+        return PathSample(
+            start=self.start,
+            vertices=self.vertices[self.offsets[i] : self.offsets[i + 1]],
+            log_probability=float(self.log_probability[i]),
+            absorbed_at=None if end < 0 else end,
+            length=int(self.length[i]),
+        )
+
+    def __iter__(self):
+        # one `tolist` per field: walk by walk, `__getitem__` costs twice as much
+        bounds = self.offsets.tolist()
+        for a, b, log_p, end, steps in zip(
+            bounds, bounds[1:], self.log_probability.tolist(),
+            self.absorbed_at.tolist(), self.length.tolist(),
+        ):
+            yield PathSample(self.start, self.vertices[a:b], log_p, None if end < 0 else end, steps)
+
+
 def sample_paths(trunc, x, n_samples, max_steps, seed):
     """Run seeded chains from interior vertex x until frontier absorption.
 
     Each sample gets its own counter-based bit stream keyed by (seed, index),
     so results do not depend on sampling order.  Walks still unabsorbed after
-    max_steps are returned with absorbed_at=None; they are never silently
-    dropped or redistributed.
+    max_steps are returned with absorbed_at -1; they are never silently
+    dropped or redistributed.  Returns one `PathSamples` batch.
 
     All walks advance in lockstep, one array step per step count.  Sample i
     draws exactly what `Generator(Philox(key=[seed, i])).random()` returns,
@@ -182,9 +236,10 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
         raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
     if trunc.frontier_mask[x]:
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
-    n, max_steps = max(int(n_samples), 0), max(int(max_steps), 0)
-    if n == 0:
-        return []
+    n, max_steps = int(n_samples), int(max_steps)
+    for name, value in (("n_samples", n), ("max_steps", max_steps)):
+        if value < 0:
+            raise GraphError(f"{name} must be >= 0, got {value}")
     cdf, log_step, targets = _step_tables(graph)
     row_lo, row_hi = graph.indptr[:-1], graph.indptr[1:]
     bisections = int(np.diff(graph.indptr).max()).bit_length()
@@ -198,7 +253,7 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     cur = np.full(n, x, dtype=np.int32)
     log_p = np.zeros(n)
     steps = []  # steps[s]: vertex after step s + 1 of every walk running then
-    for s in range(max_steps):
+    for s in range(max_steps if n else 0):
         if s % 4 == 0:
             draws = _philox_uniforms(s // 4 + 1, key0, ids)
         u = draws[s % 4]
@@ -241,18 +296,7 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
             pos, live = pos[keep], live[keep]
         pos = pos + 1
         flat[pos] = step
-    del steps  # freed before the samples are built, to lower the peak memory
-    bounds = offsets.tolist()
-    return [
-        PathSample(
-            start=x,
-            vertices=flat[a:b],
-            log_probability=lp,
-            absorbed_at=None if end < 0 else end,
-            length=b - a - 1,
-        )
-        for a, b, lp, end in zip(bounds, bounds[1:], final_log_p.tolist(), absorbed_at.tolist())
-    ]
+    return PathSamples(int(x), offsets, flat, final_log_p, absorbed_at, length)
 
 
 @dataclass
@@ -301,9 +345,9 @@ def harmonic_measure_exact(trunc, x):
 
 
 def estimate_from_samples(trunc, samples):
-    """Empirical harmonic measure with per-component binomial errors."""
+    """Empirical harmonic measure of a `PathSamples` batch, with binomial errors."""
     frontier = np.array(trunc.frontier, dtype=np.int64)
-    ends = np.array([s.absorbed_at for s in samples if s.absorbed_at is not None], dtype=np.int64)
+    ends = samples.absorbed_at[samples.absorbed_at >= 0]
     slot = np.full(trunc.graph.n, -1, dtype=np.int64)
     slot[frontier] = np.arange(len(frontier))
     hits = slot[ends]
@@ -370,10 +414,9 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     if max_steps is None:
         max_steps = 100 * graph.n
     samples = sample_paths(trunc, x, n_samples, max_steps, seed)
-    contributions = np.array(
-        [h[s.absorbed_at] if s.absorbed_at is not None else 0.0 for s in samples]
-    )
-    unabsorbed = sum(1 for s in samples if s.absorbed_at is None)
+    absorbed = samples.absorbed_at >= 0
+    contributions = np.where(absorbed, h[samples.absorbed_at], 0.0)
+    unabsorbed = len(samples) - int(np.count_nonzero(absorbed))
     mc = float(contributions.mean())
     se = float(contributions.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
     return {

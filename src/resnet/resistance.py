@@ -143,12 +143,18 @@ class _CycleSystem:
         return flow
 
     def kvl_residual(self, flow):
-        """max over cycles of |sum_e C_ec r_e f_e| / sum_e |C_ec| r_e |f_e| (0/0 reads 0)."""
+        """max over cycles of |sum_e C_ec r_e f_e| / max(sum_e |C_ec| r_e |f_e|, sum_e r_e f_e^2).
+
+        The floor sum_e r_e f_e^2 is the voltage drop the flow carries from x
+        to y.  Without it a cycle that carries no current has a scale made of
+        rounding dust, and dust over dust reads as a residual of order 1.  0/0
+        reads 0.
+        """
         if self.factor is None:
             return 0.0
         drop = self.resistances * flow
         net = np.abs(self.cycles.T @ drop)
-        scale = abs(self.cycles).T @ np.abs(drop)
+        scale = np.maximum(abs(self.cycles).T @ np.abs(drop), drop @ flow)
         ratio = np.divide(net, scale, out=np.zeros_like(net), where=scale > 0)
         return float(ratio.max())
 

@@ -84,6 +84,20 @@ def per_z_triangle_slack(d):
     return worst
 
 
+def per_row_cdf(graph):
+    """Row CDFs of the walk, one `np.cumsum` per vertex, each row's last entry set to 1.
+
+    The per-vertex loop `markov._step_tables` replaced, kept as its oracle.
+    """
+    cdf = np.empty_like(graph.weights)
+    for x in range(graph.n):
+        lo, hi = graph.indptr[x], graph.indptr[x + 1]
+        if hi > lo:
+            cdf[lo:hi] = np.cumsum(graph.weights[lo:hi]) / graph.degrees[x]
+            cdf[hi - 1] = 1.0
+    return cdf
+
+
 # -- the graph loader before array-native loading, kept as its oracle ----------
 
 

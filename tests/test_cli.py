@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every invocation goes through main(argv)."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from resnet import cli
+from resnet import cli, markov
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
@@ -187,6 +188,54 @@ def test_walk_perfect_sample_on_one_frontier_vertex(tmp_path, capsys):
         report = run_json(capsys, "walk", path, "--samples", "200")
     assert [row["z"] for row in report["frontier"]] == [0.0]
     assert report["max_abs_z"] == 0.0
+
+
+# sha256 of `walk --deterministic` stdout, pinned: the sampler's layout may
+# change, but its reports stay byte for byte the same
+WALK_DIGESTS = [
+    (
+        ["--family", "chain", "--width", "9", "--growth", "1.0"],
+        ["--samples", "400", "--seed", "4"],
+        "226fc223c73b4972f3fa8ced26c3b3929d213cdc0b6e1cef4d0dfa5a0e3fac96",
+    ),
+    (  # most walks cut off unabsorbed
+        ["--family", "binary-tree", "--radius", "4"],
+        ["--samples", "500", "--seed", "11", "--max-steps", "6"],
+        "7dd0bdf09afc040ebabe7458c9de5b804cfc5c3c301642dd13618c06528ac2e0",
+    ),
+    (
+        ["--family", "comb", "--radius", "5"],
+        ["--samples", "300", "--seed", str(2**63 - 1), "--start=1,2", "--format", "csv"],
+        "416084084f21e6373ea53fe79d2ad1fe5ad889aeb60f032cf884f18275d1eb92",
+    ),
+]
+
+
+@pytest.mark.parametrize("family, walk, digest", WALK_DIGESTS)
+def test_walk_reports_are_byte_identical(family, walk, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report echoes the graph path
+    run_json(capsys, "generate", *family, "-o", "g.json")
+    code, out, err = run(capsys, "walk", "g.json", *walk, "--deterministic")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_walk_builds_no_path_sample(chain_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk built a PathSample")
+
+    monkeypatch.setattr(markov.PathSample, "__init__", refuse)
+    report = run_json(capsys, "walk", chain_file, "--samples", "300", "--max-steps", "5")
+    assert report["total_samples"] == 300 and report["unabsorbed"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags, name", [(["--samples", "-3"], "n_samples"), (["--max-steps", "-1"], "max_steps")]
+)
+def test_walk_rejects_negative_counts(chain_file, capsys, flags, name):
+    code, out, err = run(capsys, "walk", chain_file, *flags)
+    assert code == 2 and out == ""
+    assert f"{name} must be >= 0" in err
 
 
 def test_walk_reports_an_infinite_z(tmp_path, capsys):

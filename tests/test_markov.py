@@ -1,5 +1,6 @@
 """Path sampling, harmonic measure, and the boundary-average representation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from resnet.laplacian import (
 from resnet.markov import (
     BoundaryEstimate,
     PathSample,
+    PathSamples,
     _philox_uniforms,
+    _step_tables,
     cylinder_probability,
     estimate_from_samples,
     harmonic_measure_exact,
@@ -26,7 +29,7 @@ from resnet.markov import (
 )
 from resnet.greens import walk_greens
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import dense_laplacian, per_row_cdf, random_connected_graph
 
 
 def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
@@ -38,12 +41,7 @@ def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
     graph = trunc.graph
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     degrees = graph.degrees
-    cdf = np.empty_like(weights)
-    for v in range(graph.n):
-        lo, hi = indptr[v], indptr[v + 1]
-        if hi > lo:
-            cdf[lo:hi] = np.cumsum(weights[lo:hi]) / degrees[v]
-            cdf[hi - 1] = 1.0
+    cdf = per_row_cdf(graph)
     mask = trunc.frontier_mask
     out = []
     for i in range(int(n_samples)):
@@ -199,9 +197,9 @@ def test_sample_paths_report_unabsorbed_honestly():
     assert all(s.length == 1 for s in hungry)
 
 
-@pytest.mark.parametrize("seed", [0, 4, 2**32 + 7, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 4, 5, 2**32 + 7, 2**62, 2**63 - 1, 2**64 - 1])
 def test_philox_uniforms_match_numpy_streams(seed):
-    ids = np.array([0, 1, 2**32 + 3], dtype=np.uint64)
+    ids = np.array([0, 1, 2**32 + 3, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1], dtype=np.uint64)
     blocks = np.concatenate([_philox_uniforms(c, seed, ids) for c in (1, 2, 3, 4)])
     for column, i in enumerate(ids):
         key = np.array([seed, i], dtype=np.uint64)
@@ -221,6 +219,8 @@ def test_philox_uniforms_match_numpy_streams(seed):
         (generate("comb", radius=5), 3, 100, 1, 2**63 + 5),
         (generate("binary-tree", radius=4), None, 200, 500, 2**32 + 7),
         (generate("binary-tree", radius=4), None, 100, 1, 0),
+        (generate("binary-tree", radius=3), None, 40, 0, 1),  # no step taken
+        (generate("chain", width=9, growth=1.0), None, 0, 100, 4),  # an empty batch
     ],
 )
 def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
@@ -235,8 +235,59 @@ def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
         assert g.log_probability == w.log_probability
         assert g.absorbed_at == w.absorbed_at
         assert g.length == w.length
-    if max_steps == 1:
+    # the batch's own arrays, as the array readers see them
+    assert isinstance(got, PathSamples) and got.start == x
+    assert got.offsets.dtype == got.vertices.dtype == np.int64
+    assert got.offsets.tolist() == np.cumsum([0] + [len(w.vertices) for w in want]).tolist()
+    assert got.vertices.tolist() == [int(v) for w in want for v in w.vertices]
+    assert got.log_probability.dtype == np.float64
+    assert got.log_probability.tolist() == [w.log_probability for w in want]
+    assert got.absorbed_at.dtype == got.length.dtype == np.int64
+    assert got.absorbed_at.tolist() == [-1 if w.absorbed_at is None else w.absorbed_at for w in want]
+    assert got.length.tolist() == [w.length for w in want]
+    if n and max_steps <= 1:
         assert any(s.absorbed_at is None for s in got)
+
+
+def test_path_samples_index_like_a_list():
+    trunc = generate("comb", radius=4)
+    batch = sample_paths(trunc, trunc.graph.base_point, 30, 5, seed=2)
+    walks = list(batch)
+    assert len(walks) == 30
+    for i in (0, 7, 29, -1, -30):
+        w, v = batch[i], walks[i]
+        assert (w.start, w.log_probability, w.absorbed_at, w.length) == (
+            v.start, v.log_probability, v.absorbed_at, v.length
+        )
+        assert np.array_equal(w.vertices, v.vertices)
+    for i in (30, -31):
+        with pytest.raises(IndexError):
+            batch[i]
+
+
+@pytest.mark.parametrize("name, args", [("n_samples", (-3, 10)), ("max_steps", (5, -1))])
+def test_sample_paths_reject_negative_counts(name, args):
+    trunc = generate("halfline", radius=3)
+    with pytest.raises(GraphError, match=f"{name} must be >= 0"):
+        sample_paths(trunc, 0, *args, seed=0)
+
+
+def _star(rng, leaves):
+    weights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=leaves))
+    return ConductanceGraph.from_edges([(0, i + 1, float(w)) for i, w in enumerate(weights)], 0)
+
+
+def test_step_table_cdf_equals_per_row_cumsum(rng):
+    graphs = [
+        generate("bratteli", level_sizes=[1, 3, 5, 7, 9], level_weights=[1, 2, 4, 8]).graph,
+        generate("bratteli", level_sizes=[2, 7, 3], level_weights=[0.3, 11.0]).graph,
+        _star(rng, 500),
+        random_connected_graph(rng, 40, 60),
+        generate("lattice", radius=8).graph,
+    ]
+    for g in graphs:
+        cdf, _, _ = _step_tables(g)
+        assert cdf.tobytes() == per_row_cdf(g).tobytes()
 
 
 def test_readme_walk_example_counts():
@@ -253,9 +304,11 @@ def test_estimate_from_samples_counts_each_end():
     assert est.counts.tolist() == [ends.count(int(b)) for b in trunc.frontier]
     assert est.unabsorbed == ends.count(None) > 0
     assert est.total_samples == 300
-    stray = PathSample(0, np.array([0, 1]), 0.0, int(trunc.interior[1]), 1)
+    stray_ends = samples.absorbed_at.copy()
+    stray_ends[ends.index(None)] = int(trunc.interior[1])
+    stray = dataclasses.replace(samples, absorbed_at=stray_ends)
     with pytest.raises(GraphError, match="off the frontier"):
-        estimate_from_samples(trunc, samples + [stray])
+        estimate_from_samples(trunc, stray)
 
 
 def test_sample_paths_guards(rng):

@@ -394,10 +394,13 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     Rejects inputs that are not harmonic on the interior (the representation
     only holds for those), reporting the offending residual.  Unabsorbed
     walks contribute nothing to the average and are returned in the report
-    rather than being reweighted away.
+    rather than being reweighted away.  The standard error needs at least two
+    samples.
     """
     if not isinstance(trunc, TruncatedGraph):
         raise GraphError("boundary representation needs a truncation")
+    if n_samples < 2:
+        raise GraphError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     h = np.asarray(getattr(h_values, "values", h_values), dtype=float)
     graph = trunc.graph
     if h.shape != (graph.n,):
@@ -418,7 +421,7 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     contributions = np.where(absorbed, h[samples.absorbed_at], 0.0)
     unabsorbed = len(samples) - int(np.count_nonzero(absorbed))
     mc = float(contributions.mean())
-    se = float(contributions.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    se = float(contributions.std(ddof=1) / math.sqrt(len(samples)))
     return {
         "point_value": float(h[x]),
         "exact_measure_value": exact_value,

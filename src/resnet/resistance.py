@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
 from .energy import SolverError, _write_csv, solve_dipole
 from .graphs import GraphError, generate, underlying
@@ -288,9 +288,10 @@ def current_of_dipole(dipole):
 
 # -- full matrices -------------------------------------------------------------
 
-# Rows x per block of the triangle scan: the block's two buffers of
-# 64 x n doubles stay in L2 up to n of about 1000.
-_BLOCK_ROWS = 64
+# Vertices per tile of the triangle scan, and the most z whose sums a tile
+# pair holds at once: a buffer of 1 MiB.
+_TILE = 32
+_Z_CHUNK = 128
 
 
 @dataclass
@@ -304,39 +305,83 @@ class ResistanceMatrix:
     def triangle_slack(self):
         """min over distinct triples of d(x,z) + d(z,y) - d(x,y); negative = violation.
 
-        The check is exhaustive: the sum is formed for every triple with x,
-        y, z pairwise distinct.  Below three vertices there is no triple and
-        the result is +inf.  A NaN triple (a NaN entry, or inf - inf) gives
-        NaN, so a check on it fails and reports the number.
+        The check is exhaustive: every triple with x, y, z pairwise distinct
+        is either formed or certified unable to lower the minimum.  Below
+        three vertices there is no triple and the result is +inf.  A NaN
+        triple (a NaN entry, or inf - inf) gives NaN, so a check on it fails
+        and reports the number.
 
-        The scan is min-plus over blocks of `_BLOCK_ROWS` rows x.  Over z it
-        keeps P(x, y) = min_z fl(d(x,z) + d(z,y)), and it subtracts d(x, y)
-        once per pair at the end.  Rounding is monotone, so
-        min_z fl(a_z - c) = fl(min_z a_z - c): the result is the float the
-        per-triple minimum gives, bit for bit (a -0.0 entry may flip the
-        sign of a zero result).  The one exception, c = +inf beside a detour
-        a_z = +inf, is a NaN triple that P - c reads as -inf; such pairs are
-        checked one by one.
+        The vertices are cut into tiles of `_TILE`, in depth-first order
+        from the base when the matrix has its graph (index order otherwise),
+        so a tile is a patch of nearby vertices.  For tiles X, Y and each z
+        the scan bounds every triple of the tile pair below by
+
+            LB_z = fl(fl(min_x d(x,z) + min_y d(z,y)) - max d(x,y)),
+
+        the minima over x in X, y in Y other than z and the maximum over
+        x != y.  Rounding is monotone, so LB_z <= fl(fl(d(x,z) + d(z,y)) -
+        d(x,y)) for each such triple: a z with LB_z above the running
+        minimum cannot lower it and is skipped.  The z left are bounded once
+        more with one x kept exact against all of Y, and then one y against
+        all of X; a z that every x, or every y, rules out is skipped too.
+        Every other z, a NaN bound included, is formed.  The diagonal tiles
+        go first, so the running minimum falls at once to the metric's own
+        slack (about 0) and the remote z drop out of every later pair.
+
+        Over the z it forms, a tile pair keeps P(x, y) = min_z fl(d(x,z) +
+        d(z,y)) and subtracts d(x, y) once.  As min_z fl(a_z - c) =
+        fl(min_z a_z - c), the result is the float the per-triple minimum
+        gives, bit for bit (a -0.0 entry may flip the sign of a zero
+        result).  The one exception, c = +inf beside a detour a_z = +inf,
+        is a NaN triple that P - c reads as -inf; such pairs are checked one
+        by one before the scan.
 
         The exclusions z = x, z = y and x = y are written as +inf over the
-        buffers after each sum, never added, so no -inf or NaN entry leaks
-        through them.  When d is exactly symmetric, as `resistance_matrix`
-        returns it, pair (y, x) repeats pair (x, y) bit for bit, and each
-        block scans only the columns y from its own first row on.
+        sums, never added, so no -inf or NaN entry leaks through them.  When
+        d is exactly symmetric, as `resistance_matrix` returns it, pair
+        (y, x) repeats pair (x, y) bit for bit, and only the tile pairs with
+        Y at or after X are scanned.
         """
-        d = self.matrix
-        n = d.shape[0]
+        n = self.matrix.shape[0]
         if n < 3:
             return math.inf
-        symmetric = np.array_equal(d, d.T)
-        worst = math.inf
+        symmetric = np.array_equal(self.matrix, self.matrix.T)
+        graph = self.graph
+        order = _depth_first(graph) if graph is not None and graph.n == n else np.arange(n)
+        d = self.matrix[np.ix_(order, order)]  # the scan's one n x n copy
+        starts = np.arange(0, n, _TILE)
+        tiles = [slice(lo, hi) for lo, hi in zip(starts, np.append(starts[1:], n))]
+        diagonal = np.diag_indices(n)
         with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
-            for b0 in range(0, n, _BLOCK_ROWS):
-                b1 = min(b0 + _BLOCK_ROWS, n)
-                low = _block_slack(d, b0, b1, b0 if symmetric else 0)
-                if math.isnan(low):
-                    return math.nan
-                worst = min(worst, low)
+            d[diagonal] = -np.inf  # maxima over x != y
+            colmax = np.maximum.reduceat(d, starts, axis=0)  # [X, y]: max_x d(x, y)
+            rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
+            dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
+            if (dmax == np.inf).any() and _infinite_detour(d):
+                return math.nan
+            d[diagonal] = np.inf  # minima over x != z
+            rowmin = np.minimum.reduceat(d, starts, axis=0)  # [X, z]: min_x d(x, z)
+            colmin = rowmin if symmetric else np.minimum.reduceat(d, starts, axis=1).T
+            worst = math.inf
+            count = len(tiles)
+            rows = [(a, [a]) for a in range(count)]  # the diagonal tiles first
+            rows += [(a, [b for b in range(count) if b > a or (b < a and not symmetric)])
+                     for a in range(count)]
+            for a, bs in rows:
+                xs = tiles[a]
+                bounds = (rowmin[a] + colmin[bs]) - dmax[a, bs, None]
+                for b, bound in zip(bs, bounds):
+                    ys = tiles[b]
+                    zs = np.flatnonzero(~(bound > worst))
+                    left = d[zs, xs] if symmetric else d[xs, zs].T  # left[z, x] = d(x, z)
+                    right = d[zs, ys]  # right[z, y] = d(z, y)
+                    keep = ~((left + colmin[b, zs, None]) - rowmax[xs, b] > worst).all(axis=1)
+                    keep &= ~((right + rowmin[a, zs, None]) - colmax[a, ys] > worst).all(axis=1)
+                    if keep.any():
+                        low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
+                        if math.isnan(low):
+                            return math.nan
+                        worst = min(worst, low)
         return worst
 
     def to_csv(self, path):
@@ -345,34 +390,46 @@ class ResistanceMatrix:
         _write_csv(path, ["label"] + labels, rows)
 
 
-def _block_slack(d, b0, b1, c0):
-    """triangle_slack over the rows b0 <= x < b1 and columns y >= c0."""
-    n = d.shape[0]
-    left = d[b0:b1].T.copy()  # left[z] is column z of the block rows
-    best = np.full((b1 - b0, n - c0), np.inf, dtype=d.dtype)
-    buf = np.empty_like(best)
-    for z in range(n):
-        np.add(left[z, :, None], d[z, c0:], out=buf)
-        if z >= c0:
-            buf[:, z - c0] = np.inf  # z = y
-        if b0 <= z < b1:
-            buf[z - b0] = np.inf  # z = x
-        np.minimum(best, buf, out=best)
-    direct = d[b0:b1, c0:]
-    np.subtract(best, direct, out=best)
-    rows = np.arange(b1 - b0)
-    best[rows, rows + b0 - c0] = np.inf  # x = y
-    low = float(best.min())
-    # P - inf reads -inf while one detour is finite, but a detour of +inf
-    # makes its own triple NaN: look at each pair whose direct distance is +inf.
-    for i, j in zip(*np.nonzero(np.isposinf(direct))):
-        x, y = b0 + int(i), c0 + int(j)
-        if x != y:
-            detour = d[x] + d[:, y]
-            detour[[x, y]] = 0.0
-            if np.isposinf(detour).any():
-                return math.nan
-    return low
+def _depth_first(graph):
+    """Vertices in depth-first order from the base, any unreached ones last."""
+    found = depth_first_order(graph.adjacency(), graph.base_point, directed=False,
+                              return_predecessors=False)
+    rank = np.full(graph.n, graph.n)
+    rank[found] = np.arange(len(found))
+    return np.argsort(rank, kind="stable")
+
+
+def _infinite_detour(d):
+    """Whether some pair x != y has d(x, y) = +inf beside a detour of +inf.
+
+    The diagonal of d must hold no +inf."""
+    for x, y in zip(*np.nonzero(np.isposinf(d))):
+        detour = d[x] + d[:, y]
+        detour[[x, y]] = 0.0
+        if np.isposinf(detour).any():
+            return True
+    return False
+
+
+def _tile_slack(left, right, zs, xs, ys, direct):
+    """min of fl(d(x,z) + d(z,y)) - d(x,y) over x in the slice xs, y in ys and
+    the sorted zs, over pairwise distinct triples.
+
+    left[z, x] = d(x, z) and right[z, y] = d(z, y) over zs; direct is d[xs, ys].
+    """
+    best = np.full(direct.shape, np.inf)
+    for c in range(0, len(zs), _Z_CHUNK):
+        z = zs[c:c + _Z_CHUNK]
+        sums = left[c:c + _Z_CHUNK, :, None] + right[c:c + _Z_CHUNK, None, :]  # [z, x, y]
+        i, j = z.searchsorted([xs.start, xs.stop])  # z[i:j] lie in the x tile
+        sums[np.arange(i, j), z[i:j] - xs.start] = np.inf  # z = x
+        i, j = z.searchsorted([ys.start, ys.stop])
+        sums[np.arange(i, j), :, z[i:j] - ys.start] = np.inf  # z = y
+        np.minimum(best, sums.min(axis=0), out=best)
+    best -= direct
+    if xs == ys:
+        np.fill_diagonal(best, np.inf)  # x = y
+    return float(best.min())
 
 
 def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
@@ -410,8 +467,10 @@ def _kernel_matrix(kernel, method="M2"):
     graph = kernel.graph
     k = np.zeros((graph.n, graph.n))
     k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
-    diag = np.diag(k)
-    d = diag[:, None] + diag[None, :] - 2.0 * k
+    diag = np.diag(k)  # a view of k: read it before k is scaled
+    d = np.add.outer(diag, diag)
+    k *= 2.0
+    d -= k  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
     np.fill_diagonal(d, 0.0)
     return ResistanceMatrix(graph, d, method, kernel.tol, kernel.symmetry_residual)
 

@@ -417,6 +417,16 @@ def test_poisson_reproduce_rejects_non_harmonic(rng):
         poisson_reproduce(trunc, bumpy, trunc.graph.base_point, 10, seed=0)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_poisson_reproduce_needs_two_samples(rng, n_samples):
+    # one sample has no spread to measure and zero samples no mean; a
+    # std_error of 0.0 would claim an exact estimate
+    trunc = generate("comb", radius=3)
+    h = harmonic_extension(trunc, np.ones(len(trunc.frontier)))
+    with pytest.raises(GraphError, match=f"at least 2 .*got {n_samples}$"):
+        poisson_reproduce(trunc, h, trunc.graph.base_point, n_samples, seed=0)
+
+
 def test_martin_kernel_matches_dense_ratio():
     trunc = generate("halfline", radius=5)
     wg = walk_greens(trunc, absorb="frontier", tail_tol=1e-12)

@@ -6,13 +6,15 @@ oracle in conftest or to a hand-derivable series/parallel closed form.
 
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
 from resnet.energy import SolverError, solve_dipole
-from resnet.graphs import ConductanceGraph, GraphError, generate
+from resnet.graphs import ConductanceGraph, GraphError, generate, underlying
+from resnet.greens import greens_gram
 from resnet.resistance import (
     METHODS,
     _build_cycle_system,
@@ -399,6 +401,7 @@ def test_triangle_slack_never_reads_the_diagonal(symmetric):
         ("comb", 10, {}),
         ("binary-tree", 7, {}),
         ("nary-tree", 4, {"branching": 3}),
+        ("binary-tree", 8, {}),
     ],
 )
 def test_triangle_slack_equals_per_z_oracle_on_families(family, radius, params):
@@ -420,6 +423,130 @@ def test_triangle_slack_is_nan_on_a_nan_distance():
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     d[0, 3] = d[3, 0] = np.nan
     assert math.isnan(ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack())
+
+
+def _resistance_module():
+    return importlib.import_module("resnet.resistance")
+
+
+def _near_metric(n, symmetric, seed):
+    """Distances between random points of the plane, each nudged by up to
+    1e-3: a near-metric whose remote tile pairs the scan can prune."""
+    rng = np.random.default_rng([n, symmetric, seed])
+    points = rng.uniform(0.0, 10.0, size=(n, 2))
+    d = np.hypot(*(points[:, None, :] - points[None, :, :]).transpose(2, 0, 1))
+    d += rng.uniform(-1e-3, 1e-3, size=(n, n))
+    return np.triu(d, 1) + np.triu(d, 1).T if symmetric else d
+
+
+def _counting_tiles(monkeypatch):
+    """Patch the tile evaluation to count the triple sums it forms."""
+    module = _resistance_module()
+    formed = [0]
+    tile_slack = module._tile_slack
+
+    def counted(left, right, zs, *rest):
+        formed[0] += left.shape[1] * right.shape[1] * len(zs)
+        return tile_slack(left, right, zs, *rest)
+
+    monkeypatch.setattr(module, "_tile_slack", counted)
+    return formed
+
+
+_TILE, _Z_CHUNK = _resistance_module()._TILE, _resistance_module()._Z_CHUNK
+
+
+@pytest.mark.parametrize(
+    "n", sorted({15, 16, 17, 33, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, _Z_CHUNK + 1})
+)
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_tile_scan_equals_per_z_oracle_at_tile_boundaries(monkeypatch, n, symmetric, shuffled):
+    # a shuffled scan tiles the vertices in a random order, as a graph's
+    # depth-first order would
+    graph = None
+    if shuffled:
+        graph = SimpleNamespace(n=n)
+        perm = np.random.default_rng([n, symmetric]).permutation(n)
+        monkeypatch.setattr(_resistance_module(), "_depth_first", lambda g: perm)
+    for seed in range(3):
+        for d in (_signed_matrix(n, symmetric, 0, 0, seed), _near_metric(n, symmetric, seed)):
+            got = ResistanceMatrix(graph, d, "M2", 1e-10).triangle_slack()
+            assert _same_float(got, per_z_triangle_slack(d)), (seed, got)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_tile_scan_keeps_inf_and_nan_semantics_in_any_order(monkeypatch, symmetric):
+    perm = np.random.default_rng(7).permutation(40)
+    monkeypatch.setattr(_resistance_module(), "_depth_first", lambda g: perm)
+    for plus, minus in [(1, 1), (3, 0), (0, 3), (3, 3)]:
+        for seed in range(3):
+            d = _signed_matrix(40, symmetric, plus, minus, seed)
+            d[np.diag_indices(40)] = np.resize([np.inf, -np.inf, np.nan], 40)
+            with np.errstate(invalid="ignore"):
+                want = per_z_triangle_slack(d)
+            got = ResistanceMatrix(SimpleNamespace(n=40), d, "M2", 1e-10).triangle_slack()
+            assert _same_float(got, want), (plus, minus, seed, want)
+
+
+def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):
+    # the path metric on 600 points with d(100, 400) = 1: the worst triple
+    # is 1 + (y - 400) - (y - 100) for any y > 400, found although most
+    # tile pairs are pruned
+    formed = _counting_tiles(monkeypatch)
+    d = np.abs(np.subtract.outer(np.arange(600.0), np.arange(600.0)))
+    d[100, 400] = d[400, 100] = 1.0
+    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    assert got == per_z_triangle_slack(d) == -299.0
+    assert formed[0] < 600**3 / 4
+
+
+def test_tile_scan_order_covers_every_vertex():
+    # vertex 3 is isolated, so the depth-first order from the base misses it
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 0, vertices=[0, 1, 2, 3])
+    assert _resistance_module()._depth_first(g).tolist() == [0, 1, 2, 3]
+    d = _near_metric(4, True, 0)
+    d[0, 3] = d[3, 0] = 50.0
+    got = ResistanceMatrix(g, d, "M2", 1e-10).triangle_slack()
+    assert _same_float(got, per_z_triangle_slack(d))
+    # a matrix of another size than its graph is scanned in index order
+    wider = _near_metric(6, True, 1)
+    wider[0, 5] = wider[5, 0] = 50.0
+    got = ResistanceMatrix(g, wider, "M2", 1e-10).triangle_slack()
+    assert _same_float(got, per_z_triangle_slack(wider))
+
+
+def test_tile_scan_forms_under_a_fifth_of_the_triples_on_a_binary_tree(monkeypatch):
+    # the scan forms 11% of the n^3 / 2 triple sums here, and 29% with the
+    # tile bound alone
+    formed = _counting_tiles(monkeypatch)
+    mat = resistance_matrix(generate("binary-tree", radius=8), "M2")
+    n = mat.matrix.shape[0]
+    assert mat.triangle_slack() >= -1e-12
+    assert formed[0] < 0.2 * n**3 / 2, formed[0] / (n**3 / 2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("binary-tree", radius=7),
+        generate("lattice", radius=12),
+        random_connected_graph(np.random.default_rng(3), 40, 30, base=7),
+    ],
+    ids=["binary-tree", "lattice", "random"],
+)
+def test_kernel_matrix_is_the_three_array_readout_bit_for_bit(g):
+    kernel = greens_gram(g)
+    before = kernel.matrix.copy()
+    graph = underlying(g)
+    k = np.zeros((graph.n, graph.n))
+    k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
+    diag = np.diag(k)
+    want = diag[:, None] + diag[None, :] - 2.0 * k
+    np.fill_diagonal(want, 0.0)
+    got = _resistance_module()._kernel_matrix(kernel).matrix
+    assert got.tobytes() == want.tobytes()
+    assert kernel.matrix.tobytes() == before.tobytes()
 
 
 def test_matrix_csv(tmp_path, rng):

@@ -43,7 +43,7 @@ from .markov import (
     measure_z_scores,
     sample_paths,
 )
-from .resistance import _kernel_matrix, continuum_reference, resistance, resistance_matrix
+from .resistance import ResistanceMatrix, continuum_reference, resistance, resistance_matrix
 
 __all__ = ["main"]
 
@@ -196,11 +196,9 @@ def cmd_resist(args):
                 "values": {args.method: value},
             }
     if args.matrix:
-        method = "M2" if args.method == "all" else args.method
-        rm = resistance_matrix(graph, method=method, tol=args.tol)
+        rm = resistance_matrix(graph)  # the one matrix route, whatever --method says
         rm.to_csv(args.matrix)
         payload["matrix_path"] = args.matrix
-        payload["matrix_method"] = method
         payload["matrix_symmetry_residual"] = rm.sym_residual
     return payload, 0
 
@@ -216,11 +214,11 @@ def cmd_check(args):
             {"name": name, "metric": metric, "threshold": threshold, "passed": bool(passed)}
         )
 
-    kernel = greens_gram(trunc, tol=args.tol)
+    kernel = greens_gram(trunc)
     inv = greens_inversion_check(trunc, kernel)
     record("greens-inversion", inv, 1e-8, inv <= 1e-8)
 
-    rm = _kernel_matrix(kernel)  # the M2 matrix, read off the kernel above
+    rm = ResistanceMatrix.from_kernel(kernel)  # read off the kernel above
     slack = rm.triangle_slack() if graph.n >= 3 else 0.0
     diag = float(np.max(np.abs(np.diag(rm.matrix))))
     record("metric-triangle", slack, -1e-8, slack >= -1e-8)
@@ -344,6 +342,13 @@ class _Parser(argparse.ArgumentParser):
 _SEED_LIMIT = 2**63
 
 
+class _Label(argparse.Action):
+    # Python 3.11's argparse drops a value of exactly "--" (as in --from=--)
+    # and hands on []: store it back as the binary-tree label "--".
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _int_list(text):
     return [int(p) for p in text.split(",") if p.strip()]
 
@@ -400,8 +405,8 @@ def _build_parser():
 
     p = sub.add_parser("resist", parents=[common], help="effective resistance queries")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--from", dest="from_", default=None, help="source vertex label")
-    p.add_argument("--to", default=None, help="target vertex label")
+    p.add_argument("--from", dest="from_", action=_Label, help="source vertex label")
+    p.add_argument("--to", action=_Label, help="target vertex label")
     p.add_argument(
         "--method",
         default="all",
@@ -418,7 +423,7 @@ def _build_parser():
 
     p = sub.add_parser("walk", parents=[common], help="absorbed-walk sampling report")
     p.add_argument("graph", help="graph JSON file (must carry a frontier)")
-    p.add_argument("--start", default=None, help="start vertex label (default: base)")
+    p.add_argument("--start", action=_Label, help="start vertex label (default: base)")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.set_defaults(handler=cmd_walk, command="walk")

@@ -51,7 +51,6 @@ class GreensMatrix:
     graph: object
     vertices: list
     matrix: np.ndarray
-    method: str
     symmetry_residual: float
     tol: float
 
@@ -86,7 +85,7 @@ def greens_gram(g, tol=1e-10):
     k = lu.solve(np.eye(len(kept)))
     residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
     k = 0.5 * (k + k.T)
-    return GreensMatrix(graph, kept.tolist(), k, "gram", residual, tol)
+    return GreensMatrix(graph, kept.tolist(), k, residual, tol)
 
 
 def greens_inversion_check(g, kernel):
@@ -145,7 +144,7 @@ class WalkGreens:
         k = self.matrix / degrees[None, :]
         residual = float(np.max(np.abs(k - k.T))) if len(self.vertices) else 0.0
         k = 0.5 * (k + k.T)
-        return GreensMatrix(self.graph, list(self.vertices), k, "walk", residual, self.tail_bound)
+        return GreensMatrix(self.graph, list(self.vertices), k, residual, self.tail_bound)
 
 
 def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):

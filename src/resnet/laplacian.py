@@ -49,9 +49,6 @@ class LaplacianOperator:
     def as_csr(self):
         return sparse.diags(self.diagonal) - self.offdiag
 
-    def quadratic_form(self, u):
-        return float(np.dot(u, self.apply(u)))
-
 
 def assemble_laplacian(g):
     """Assemble (and cache) the Laplacian of a graph or truncation."""

@@ -21,9 +21,11 @@ sums r_e f_e^2 with fsum.  On a tree it is the exact path sum.  M5 and M6
 (the two constrained variational forms) are analytically the duals of M7 and
 M2; they are accepted as aliases and computed through their twins.
 
-Whole matrices and the family diagnostics read d(x, y) = K(x, x) + K(y, y)
-- 2 K(x, y) off the base-grounded kernel K, one multi-column solve against
-the cached grounded factorization.
+The whole matrix has one route, `resistance_matrix(g)`: it reads d(x, y) =
+K(x, x) + K(y, y) - 2 K(x, y) off the base-grounded kernel K, one
+multi-column solve against the cached grounded factorization.  The readout
+itself is `ResistanceMatrix.from_kernel`, which `resnet check` and the
+family diagnostics call on a kernel they already hold.
 """
 
 from __future__ import annotations
@@ -288,6 +290,10 @@ def current_of_dipole(dipole):
 
 # -- full matrices -------------------------------------------------------------
 
+# The most vertices `resistance_matrix` takes: its dense kernel and matrix
+# are 2 n^2 floats.
+_MATRIX_CAP = 2000
+
 # Vertices per tile of the triangle scan, and the most z whose sums a tile
 # pair holds at once: a buffer of 1 MiB.
 _TILE = 32
@@ -298,9 +304,24 @@ _Z_CHUNK = 128
 class ResistanceMatrix:
     graph: object
     matrix: np.ndarray
-    method: str
-    tol: float
     sym_residual: float = 0.0
+
+    @classmethod
+    def from_kernel(cls, kernel):
+        """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a base-grounded kernel.
+
+        The base row and column of K are zero, so d(base, x) = K(x, x).  The
+        matrix records how far the raw kernel was from symmetric.
+        """
+        graph = kernel.graph
+        k = np.zeros((graph.n, graph.n))
+        k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
+        diag = np.diag(k)  # a view of k: read it before k is scaled
+        d = np.add.outer(diag, diag)
+        k *= 2.0
+        d -= k  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+        np.fill_diagonal(d, 0.0)
+        return cls(graph, d, kernel.symmetry_residual)
 
     def triangle_slack(self):
         """min over distinct triples of d(x,z) + d(z,y) - d(x,y); negative = violation.
@@ -432,47 +453,20 @@ def _tile_slack(left, right, zs, xs, ys, direct):
     return float(best.min())
 
 
-def resistance_matrix(g, method="M2", tol=1e-10, size_cap=2000):
+def resistance_matrix(g):
     """All pairwise resistances as a symmetric matrix with zero diagonal.
 
-    M2 and M4 read every distance off the base-grounded kernel, one
-    multi-column solve against the sparse grounded factorization.  The
-    remaining methods fall back to pairwise queries (quadratic in n; meant
-    for small graphs).
+    The one matrix route: every distance is read off the base-grounded
+    kernel.  A graph of more than `_MATRIX_CAP` vertices raises GraphError
+    before any solve.
     """
     graph = underlying(g)
-    if graph.n > size_cap:
+    if graph.n > _MATRIX_CAP:
         raise GraphError(
-            f"matrix capped at {size_cap} vertices (graph has {graph.n}); "
+            f"matrix capped at {_MATRIX_CAP} vertices (graph has {graph.n}); "
             "query pairwise resistances instead"
         )
-    method = _ALIASES.get(method, method)
-    if method in ("M2", "M4"):
-        return _kernel_matrix(greens_gram(graph, tol), method)
-    if method in METHODS:
-        d = np.zeros((graph.n, graph.n))
-        for x in range(graph.n):
-            for y in range(x + 1, graph.n):
-                d[x, y] = d[y, x] = resistance(graph, x, y, method, tol)
-        return ResistanceMatrix(graph, d, method, tol, 0.0)
-    raise GraphError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-def _kernel_matrix(kernel, method="M2"):
-    """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a base-grounded kernel.
-
-    The base row and column of K are zero, so d(base, x) = K(x, x).  The
-    matrix records how far the raw kernel was from symmetric.
-    """
-    graph = kernel.graph
-    k = np.zeros((graph.n, graph.n))
-    k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
-    diag = np.diag(k)  # a view of k: read it before k is scaled
-    d = np.add.outer(diag, diag)
-    k *= 2.0
-    d -= k  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
-    np.fill_diagonal(d, 0.0)
-    return ResistanceMatrix(graph, d, method, kernel.tol, kernel.symmetry_residual)
+    return ResistanceMatrix.from_kernel(greens_gram(graph))
 
 
 # -- family diagnostics --------------------------------------------------------
@@ -505,7 +499,7 @@ def boundedness_diagnostic(family, radii, params=None):
     for radius in sorted(radii):
         trunc = generate(family, radius=radius, **params)
         graph = trunc.graph
-        dists = _kernel_matrix(greens_gram(graph)).matrix[graph.base_point]
+        dists = ResistanceMatrix.from_kernel(greens_gram(graph)).matrix[graph.base_point]
         ray = _geodesic_ray(graph)
         ray_sum = math.fsum(
             1.0 / graph.conductance(a, b) for a, b in zip(ray, ray[1:])
@@ -554,7 +548,7 @@ def type_a_diagnostic(family, radius, params=None, max_depth=None):
     params = dict(params or {})
     trunc = generate(family, radius=radius, **params)
     graph = trunc.graph
-    d = _kernel_matrix(greens_gram(graph)).matrix
+    d = ResistanceMatrix.from_kernel(greens_gram(graph)).matrix
     idx = graph.index_of
     report = {"family": family, "radius": radius, "params": params}
     if family == "comb":

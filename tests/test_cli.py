@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
 from resnet.markov import sample_paths
-from resnet.resistance import ResistanceMatrix, resistance_matrix
+from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 
 from conftest import WRONG_SHAPES, per_z_triangle_slack
 
@@ -98,7 +99,7 @@ def test_resist_matrix_export(halfline_file, tmp_path, capsys):
         "--matrix", csv_path,
     )
     assert report["matrix_path"] == csv_path
-    assert report["matrix_method"] == "M2"
+    assert "matrix_method" not in report
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 10  # header + one row per vertex
 
@@ -482,6 +483,33 @@ def test_resist_addresses_tree_root_and_depth_one(tmp_path, capsys):
         assert code == 2 and "unknown vertex label" in err, bad
 
 
+def test_resist_and_walk_address_the_label_dash_dash(tmp_path, capsys):
+    # argparse hands a value of exactly "--" on as [], which crashed the parse
+    path = str(tmp_path / "binary.json")
+    generate("binary-tree", radius=3).write_json(path)
+    graph = load_graph(path).graph
+    want = resistance(graph, graph.index_of("--"), graph.index_of("+"), "M3")
+    report = run_json(capsys, "resist", path, "--from=--", "--to=+", "--method", "M3")
+    assert report["from"] == "--" and report["config"]["from_"] == "--"
+    assert report["values"]["M3"] == want
+    report = run_json(capsys, "resist", path, "--from=+", "--to=--", "--method", "M3")
+    assert report["to"] == "--" and report["values"]["M3"] == want
+    report = run_json(capsys, "walk", path, "--start=--", "--samples", "50")
+    assert report["start"] == "--" and report["total_samples"] == 50
+
+
+def test_resist_matrix_is_one_route_whatever_the_method(tmp_path, capsys):
+    path = str(tmp_path / "lattice.json")
+    generate("lattice", radius=12).write_json(path)
+    written = set()
+    for method in ("all", "M1", "M3", "M4", "M7"):
+        csv_path = tmp_path / f"{method}.csv"
+        report = run_json(capsys, "resist", path, "--matrix", str(csv_path), "--method", method)
+        assert "matrix_method" not in report
+        written.add(csv_path.read_bytes())
+    assert len(written) == 1
+
+
 @pytest.mark.parametrize("family,radius", [("lattice", 15), ("comb", 14)])
 def test_check_passes_where_the_pcg_kernel_missed(family, radius, tmp_path, capsys):
     # the PCG-built kernel gave greens-inversion 1.04e-8 and 3.3e-7 here
@@ -511,7 +539,8 @@ def test_check_solves_for_the_kernel_once(family, radius, tmp_path, capsys, monk
     assert len(calls) == 1
     # the same report from the two-solve route: the matrix from a fresh
     # resistance_matrix, the slack from the per-z loop
-    monkeypatch.setattr(cli, "_kernel_matrix", lambda k: resistance_matrix(k.graph, "M2", k.tol))
+    fresh = SimpleNamespace(from_kernel=lambda k: resistance_matrix(k.graph))
+    monkeypatch.setattr(cli, "ResistanceMatrix", fresh)
     monkeypatch.setattr(ResistanceMatrix, "triangle_slack", lambda m: per_z_triangle_slack(m.matrix))
     assert run_json(capsys, *argv) == got
 

@@ -50,7 +50,8 @@ def test_energy_agrees_with_quadratic_form(rng):
     u_raw = rng.standard_normal(g.n)
     v_raw = rng.standard_normal(g.n)
     u, v = gauged(g, u_raw), gauged(g, v_raw)
-    assert energy_inner(u, u) == pytest.approx(lap.quadratic_form(u_raw))
+    # the edge form against the product form u^T L u
+    assert energy_inner(u, u) == pytest.approx(float(u_raw @ lap.apply(u_raw)))
     # polarization: the inner product is the Laplacian bilinear form
     assert energy_inner(u, v) == pytest.approx(float(u_raw @ lap.apply(v_raw)))
 

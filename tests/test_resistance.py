@@ -306,7 +306,7 @@ def test_flow_dissipation_equals_energy(rng):
 
 def test_matrix_matches_pairwise_oracle(rng):
     g = random_connected_graph(rng, 12, 7)
-    mat = resistance_matrix(g, "M2", tol=1e-12)
+    mat = resistance_matrix(g)
     for x in range(g.n):
         for y in range(x + 1, g.n):
             assert mat.matrix[x, y] == pytest.approx(
@@ -318,27 +318,28 @@ def test_matrix_matches_pairwise_oracle(rng):
     assert mat.triangle_slack() >= -1e-9
 
 
-def test_matrix_m4_and_pairwise_fallback_agree(rng):
+def test_matrix_agrees_with_pairwise_routes(rng):
     g = random_connected_graph(rng, 8, 3)
-    m2 = resistance_matrix(g, "M2", tol=1e-12).matrix
-    m4 = resistance_matrix(g, "M4").matrix
-    m1 = resistance_matrix(g, "M1", tol=1e-12).matrix
-    assert np.allclose(m2, m4, rtol=1e-8, atol=1e-10)
-    assert np.allclose(m2, m1, rtol=1e-7, atol=1e-9)
+    d = resistance_matrix(g).matrix
+    for method in ("M1", "M3", "M4"):
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                assert d[x, y] == pytest.approx(resistance(g, x, y, method, tol=1e-12), rel=1e-8)
 
 
-def test_matrix_guards(rng):
-    g = random_connected_graph(rng, 6)
-    with pytest.raises(GraphError, match="capped"):
-        resistance_matrix(g, "M2", size_cap=5)
-    with pytest.raises(GraphError, match="unknown method"):
-        resistance_matrix(g, "M8")
+def test_matrix_guards(monkeypatch):
+    g = generate("chain", width=2001, growth=1.0)
+    assert g.graph.n > 2000
+    module = _resistance_module()
+    monkeypatch.setattr(module, "greens_gram", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(GraphError, match="capped at 2000 vertices"):
+        resistance_matrix(g)
 
 
 def test_triangle_slack_flags_planted_violation(rng):
     g = random_connected_graph(rng, 3)
     bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    mat = ResistanceMatrix(g, bad, "M2", 1e-10)
+    mat = ResistanceMatrix(g, bad)
     assert mat.triangle_slack() == pytest.approx(-1.0)
 
 
@@ -370,7 +371,7 @@ def _signed_matrix(n, symmetric, plus, minus, seed):
 def test_triangle_slack_equals_per_z_oracle(n, symmetric, plus, minus):
     for seed in range(2):
         d = _signed_matrix(n, symmetric, plus, minus, seed)
-        mat = ResistanceMatrix(None, d, "M2", 1e-10)
+        mat = ResistanceMatrix(None, d)
         with np.errstate(invalid="ignore"):
             want = per_z_triangle_slack(d)
         assert _same_float(mat.triangle_slack(), want), (seed, want)
@@ -381,7 +382,7 @@ def test_triangle_slack_scans_below_the_diagonal_when_asymmetric():
     # violation lies in a row block past the column it needs
     d = np.abs(np.subtract.outer(np.arange(129.0), np.arange(129.0)))
     d[120, 5] = 200.0
-    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    got = ResistanceMatrix(None, d).triangle_slack()
     assert got == per_z_triangle_slack(d) == 115.0 - 200.0
 
 
@@ -390,7 +391,7 @@ def test_triangle_slack_never_reads_the_diagonal(symmetric):
     d = _signed_matrix(65, symmetric, 0, 0, 0)
     want = per_z_triangle_slack(d)
     d[np.diag_indices(65)] = np.resize([np.inf, -np.inf, np.nan], 65)
-    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    got = ResistanceMatrix(None, d).triangle_slack()
     assert math.isfinite(got) and _same_float(got, want)
 
 
@@ -405,7 +406,7 @@ def test_triangle_slack_never_reads_the_diagonal(symmetric):
     ],
 )
 def test_triangle_slack_equals_per_z_oracle_on_families(family, radius, params):
-    mat = resistance_matrix(generate(family, radius=radius, **params), "M2")
+    mat = resistance_matrix(generate(family, radius=radius, **params))
     assert _same_float(mat.triangle_slack(), per_z_triangle_slack(mat.matrix))
 
 
@@ -414,7 +415,7 @@ def test_triangle_slack_is_nan_beside_an_infinite_detour():
     # the detour through 3 is finite and alone would read -inf
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     d[0, 1] = d[0, 2] = np.inf
-    assert math.isnan(ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack())
+    assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
 
 
 def test_triangle_slack_is_nan_on_a_nan_distance():
@@ -422,7 +423,7 @@ def test_triangle_slack_is_nan_on_a_nan_distance():
     # NaN slice and returned +inf, so the metric check passed
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     d[0, 3] = d[3, 0] = np.nan
-    assert math.isnan(ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack())
+    assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
 
 
 def _resistance_module():
@@ -471,7 +472,7 @@ def test_tile_scan_equals_per_z_oracle_at_tile_boundaries(monkeypatch, n, symmet
         monkeypatch.setattr(_resistance_module(), "_depth_first", lambda g: perm)
     for seed in range(3):
         for d in (_signed_matrix(n, symmetric, 0, 0, seed), _near_metric(n, symmetric, seed)):
-            got = ResistanceMatrix(graph, d, "M2", 1e-10).triangle_slack()
+            got = ResistanceMatrix(graph, d).triangle_slack()
             assert _same_float(got, per_z_triangle_slack(d)), (seed, got)
 
 
@@ -485,7 +486,7 @@ def test_tile_scan_keeps_inf_and_nan_semantics_in_any_order(monkeypatch, symmetr
             d[np.diag_indices(40)] = np.resize([np.inf, -np.inf, np.nan], 40)
             with np.errstate(invalid="ignore"):
                 want = per_z_triangle_slack(d)
-            got = ResistanceMatrix(SimpleNamespace(n=40), d, "M2", 1e-10).triangle_slack()
+            got = ResistanceMatrix(SimpleNamespace(n=40), d).triangle_slack()
             assert _same_float(got, want), (plus, minus, seed, want)
 
 
@@ -496,7 +497,7 @@ def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):
     formed = _counting_tiles(monkeypatch)
     d = np.abs(np.subtract.outer(np.arange(600.0), np.arange(600.0)))
     d[100, 400] = d[400, 100] = 1.0
-    got = ResistanceMatrix(None, d, "M2", 1e-10).triangle_slack()
+    got = ResistanceMatrix(None, d).triangle_slack()
     assert got == per_z_triangle_slack(d) == -299.0
     assert formed[0] < 600**3 / 4
 
@@ -507,12 +508,12 @@ def test_tile_scan_order_covers_every_vertex():
     assert _resistance_module()._depth_first(g).tolist() == [0, 1, 2, 3]
     d = _near_metric(4, True, 0)
     d[0, 3] = d[3, 0] = 50.0
-    got = ResistanceMatrix(g, d, "M2", 1e-10).triangle_slack()
+    got = ResistanceMatrix(g, d).triangle_slack()
     assert _same_float(got, per_z_triangle_slack(d))
     # a matrix of another size than its graph is scanned in index order
     wider = _near_metric(6, True, 1)
     wider[0, 5] = wider[5, 0] = 50.0
-    got = ResistanceMatrix(g, wider, "M2", 1e-10).triangle_slack()
+    got = ResistanceMatrix(g, wider).triangle_slack()
     assert _same_float(got, per_z_triangle_slack(wider))
 
 
@@ -520,7 +521,7 @@ def test_tile_scan_forms_under_a_fifth_of_the_triples_on_a_binary_tree(monkeypat
     # the scan forms 11% of the n^3 / 2 triple sums here, and 29% with the
     # tile bound alone
     formed = _counting_tiles(monkeypatch)
-    mat = resistance_matrix(generate("binary-tree", radius=8), "M2")
+    mat = resistance_matrix(generate("binary-tree", radius=8))
     n = mat.matrix.shape[0]
     assert mat.triangle_slack() >= -1e-12
     assert formed[0] < 0.2 * n**3 / 2, formed[0] / (n**3 / 2)
@@ -544,14 +545,14 @@ def test_kernel_matrix_is_the_three_array_readout_bit_for_bit(g):
     diag = np.diag(k)
     want = diag[:, None] + diag[None, :] - 2.0 * k
     np.fill_diagonal(want, 0.0)
-    got = _resistance_module()._kernel_matrix(kernel).matrix
+    got = ResistanceMatrix.from_kernel(kernel).matrix
     assert got.tobytes() == want.tobytes()
     assert kernel.matrix.tobytes() == before.tobytes()
 
 
 def test_matrix_csv(tmp_path, rng):
     g = random_connected_graph(rng, 5, 2)
-    mat = resistance_matrix(g, "M4")
+    mat = resistance_matrix(g)
     path = tmp_path / "dist.csv"
     mat.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -32,6 +32,7 @@ from .energy import (
     gauged,
     pointwise_product,
     solve_dipole,
+    solve_dipoles,
 )
 from .resistance import (
     current_of_dipole,
@@ -82,6 +83,7 @@ __all__ = [
     "gauged",
     "pointwise_product",
     "solve_dipole",
+    "solve_dipoles",
     "current_of_dipole",
     "resistance",
     "resistance_matrix",

@@ -8,12 +8,16 @@ which kills constants; the quotient is made concrete by pinning every vector
 to 0 at the base point.  Dipoles — solutions of L v = delta_x - delta_y —
 are the reproducing kernels of this space: <v, f> = f(x) - f(y) for every
 finite-energy f.
+
+Every dipole comes from one Jacobi-preconditioned conjugate-gradient loop,
+`_pcg`, which runs over a vector or a block of right-hand sides:
+`solve_dipole` solves one pair and `solve_dipoles` a list of pairs in one
+pass, with the same result per pair bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,7 @@ __all__ = [
     "delta",
     "energy_inner",
     "solve_dipole",
+    "solve_dipoles",
     "reproducing_check",
     "ProductCertificate",
     "pointwise_product",
@@ -146,63 +151,168 @@ def solve_dipole(g, x, y, tol=1e-10):
     The Laplacian is positive semidefinite with the constants as kernel; the
     right-hand side is mean-free, and the residual is re-projected off the
     constants every iteration to stop roundoff drift.  Jacobi (degree)
-    preconditioning; iteration cap 20 * n; relative residual target `tol`.
+    preconditioning; iteration cap 20 * n; relative residual target `tol`,
+    which must be a positive number.  A solve that breaks down or stalls
+    raises SolverError with its last residual and iteration count.
     """
     graph = underlying(g)
+    _check_pair(graph, x, y)
+    lap = _dipole_laplacian(graph, tol)
+    rhs = np.zeros(graph.n)
+    rhs[x], rhs[y] = 1.0, -1.0
+    return _dipole_vectors(graph, lap, rhs, [(x, y)], tol)[0]
+
+
+def solve_dipoles(g, pairs, tol=1e-10):
+    """One DipoleVector per (x, y) in `pairs`, from one block PCG loop.
+
+    Every pair is checked as :func:`solve_dipole` checks it before any solve.
+    The pairs share each sparse product and reduction, but each column keeps
+    its own step lengths and residual and stops at its own iteration, so
+    every result equals ``solve_dipole(g, x, y, tol)`` bit for bit.  A column
+    that breaks down or stalls is frozen; after the loop the first such pair
+    in input order raises the SolverError its single solve would have raised.
+    """
+    graph = underlying(g)
+    pairs = [(int(x), int(y)) for x, y in pairs]
+    for x, y in pairs:
+        _check_pair(graph, x, y)
+    lap = _dipole_laplacian(graph, tol)
+    if not pairs:
+        return []
+    rhs = np.zeros((graph.n, len(pairs)), order="F")
+    cols = np.arange(len(pairs))
+    sources, sinks = np.array(pairs).T
+    rhs[sources, cols] = 1.0
+    rhs[sinks, cols] = -1.0
+    return _dipole_vectors(graph, lap, rhs, pairs, tol)
+
+
+def _check_pair(graph, x, y):
     if x == y:
         raise GraphError("dipole endpoints must differ")
     for v in (x, y):
         if not 0 <= v < graph.n:
             raise GraphError(f"vertex index {v} out of range [0, {graph.n})")
-    if tol <= 0:
-        raise GraphError("tol must be positive")
-    lap = assemble_laplacian(graph)
-    diag = lap.diagonal
-    if np.any(diag <= 0):
-        raise GraphError("dipole solve undefined: zero-degree vertex present")
 
-    n = graph.n
-    b = np.zeros(n)
-    b[x], b[y] = 1.0, -1.0
-    b_norm = math.sqrt(2.0)
-    u = np.zeros(n)
-    r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(np.dot(r, z))
+
+def _check_tol(tol):
+    # `not tol > 0` also rejects NaN, against which every residual test passes
+    # (M3's KVL certificate) or fails (PCG runs until it breaks down)
+    if not tol > 0:
+        raise GraphError(f"tol must be positive, got {tol!r}")
+
+
+def _dipole_laplacian(graph, tol):
+    """The Laplacian a dipole solve runs on, once `tol` and the degrees pass."""
+    _check_tol(tol)
+    lap = assemble_laplacian(graph)
+    if np.any(lap.diagonal <= 0):
+        raise GraphError("dipole solve undefined: zero-degree vertex present")
+    return lap
+
+
+def _dipole_vectors(graph, lap, rhs, pairs, tol):
+    """Solve for every column of `rhs` and wrap each as a gauged DipoleVector
+    that carries its true relative residual ||L v - rhs|| / ||rhs||."""
+    u, iterations, errors = _pcg(lap, rhs, tol)
+    for error in errors:
+        if error is not None:
+            raise error
+    u = u - u[graph.base_point]
+    rhs = rhs.reshape(u.shape, order="F")
+    t = lap.diagonal[:, None] * u
+    t -= lap.offdiag @ u
+    t -= rhs
+    true_res = np.sqrt(np.vecdot(t, t, axis=0)) / np.sqrt(np.vecdot(rhs, rhs, axis=0))
+    return [
+        DipoleVector(EnergyVector(graph, u[:, j]), x, y, float(true_res[j]), int(iterations[j]))
+        for j, (x, y) in enumerate(pairs)
+    ]
+
+
+def _pcg(lap, rhs, tol):
+    """Jacobi-preconditioned CG on L u = rhs for a mean-free vector or block.
+
+    `rhs` has shape (n,) or (n, k); a block must be Fortran-ordered, so that
+    each column is contiguous and its dot products and sums are the very
+    BLAS and pairwise calls a single vector gets.  Each column keeps its own
+    alpha, beta and residual.  A column that converges, breaks down or hits
+    the cap of max(20 n, 50) iterations leaves the block there, and the rest
+    go on.  Returns (u, iterations, errors): u is an (n, k) block (k = 1
+    for a vector), iterations[j] is the step at which column j converged and
+    errors[j] is the SolverError of a column that did not (None otherwise).
+    """
+    n = rhs.shape[0]
+    block = rhs.ndim == 2
+    k = rhs.shape[1] if block else 1
+    diag, adj = (lap.diagonal[:, None] if block else lap.diagonal), lap.offdiag
+    # on a vector the per-column values are numpy scalars: test them as plain
+    # truth, since an ndarray.any() call costs more than the scalar arithmetic
+    any_, all_ = (np.ndarray.any, np.ndarray.all) if block else (bool, bool)
+    out = np.zeros((n, k), order="F")
+    iterations = np.zeros(k, dtype=np.int64)
+    errors = [None] * k
+
+    def stopped(mask):
+        """(column, residual) of each live column that `mask` picks."""
+        mask = np.atleast_1d(mask)
+        return zip(live[mask].tolist(), np.atleast_1d(res)[mask].tolist())
+
+    live = np.arange(k)
+    b_norm = np.sqrt(np.vecdot(rhs, rhs, axis=0))
+    u = np.zeros_like(rhs, order="F")
+    r = rhs.copy(order="F")
+    p = r / diag
+    rz = np.vecdot(r, p, axis=0)
+    res = np.ones(k) if block else np.float64(1.0)
     cap = max(20 * n, 50)
-    res = 1.0
     for it in range(1, cap + 1):
-        ap = lap.apply(p)
-        denom = float(np.dot(p, ap))
-        if not denom > 0.0:
-            # direction collapse: the Krylov space is exhausted at this
-            # precision, so no further progress is possible
-            raise SolverError(
-                f"dipole solve broke down at residual {res:.3e} after {it} iterations",
-                residual=res,
-                iterations=it,
-            )
+        ap = diag * p
+        ap -= adj @ p  # in place: `diag * p - adj @ p` would come back C-ordered
+        denom = np.vecdot(p, ap, axis=0)
+        ok = (denom > 0.0) & (rz > 0.0)
+        if not all_(ok):
+            # direction collapse, or a preconditioned residual that underflowed
+            # to 0: the Krylov space is exhausted at this precision, so no
+            # further progress is possible
+            for j, rj in stopped(~ok):
+                errors[j] = SolverError(
+                    f"dipole solve broke down at residual {rj:.3e} after {it} iterations",
+                    residual=rj,
+                    iterations=it,
+                )
+            if not any_(ok):
+                break
+            live, rz, denom, res, b_norm = (a[ok] for a in (live, rz, denom, res, b_norm))
+            u, r, p, ap = (a[:, ok] for a in (u, r, p, ap))
         alpha = rz / denom
         u += alpha * p
         r -= alpha * ap
-        r -= r.mean()
-        res = float(np.linalg.norm(r)) / b_norm
-        if res <= tol:
-            break
+        r -= np.add.reduce(r, axis=0) / n  # bitwise r.mean() per column
+        res = np.sqrt(np.vecdot(r, r, axis=0)) / b_norm
+        done = res <= tol
+        if any_(done):
+            cols = live[np.atleast_1d(done)]
+            out[:, cols] = u.reshape(n, -1)[:, np.atleast_1d(done)]
+            iterations[cols] = it
+            if all_(done):
+                break
+            keep = ~done
+            live, rz, res, b_norm = (a[keep] for a in (live, rz, res, b_norm))
+            u, r, p = (a[:, keep] for a in (u, r, p))
         z = r / diag
-        rz_next = float(np.dot(r, z))
+        rz_next = np.vecdot(r, z, axis=0)
         p = z + (rz_next / rz) * p
         rz = rz_next
     else:
-        raise SolverError(
-            f"dipole solve stalled at residual {res:.3e} after {cap} iterations",
-            residual=res,
-            iterations=cap,
-        )
-    vec = EnergyVector(graph, u)
-    true_res = float(np.linalg.norm(lap.apply(vec.values) - b)) / b_norm
-    return DipoleVector(vec, x, y, true_res, it)
+        for j, rj in stopped(np.ones(live.size, dtype=bool)):
+            errors[j] = SolverError(
+                f"dipole solve stalled at residual {rj:.3e} after {cap} iterations",
+                residual=rj,
+                iterations=cap,
+            )
+    return out, iterations, errors
 
 
 def reproducing_check(v, f):

@@ -38,7 +38,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
-from .energy import SolverError, _write_csv, solve_dipole
+from .energy import SolverError, _check_tol, _write_csv, solve_dipole
 from .graphs import GraphError, generate, underlying
 from .greens import greens_gram
 from .laplacian import grounded_solve
@@ -70,10 +70,13 @@ def resistance(g, x, y, method="M2", tol=1e-10):
 
     `method` is one of M1, M2, M3, M4, M7 (M5/M6 are dual aliases of M7/M2),
     or "all" for a dict of every route plus their max pairwise relative
-    disagreement.
+    disagreement.  `tol` must be a positive number for every method, M4's
+    direct solve included, so a bad tolerance fails the same way on every
+    route.
     """
     graph = underlying(g)
     _check_pair(graph, x, y)
+    _check_tol(tol)
     if x == y:
         return 0.0
     if method == "all":
@@ -486,6 +489,14 @@ def _geodesic_ray(graph):
     return path[::-1]
 
 
+def _base_distances(kernel):
+    """d(base, x) for every x: the base row of `ResistanceMatrix.from_kernel`,
+    bit for bit, read off the kernel's diagonal without the n x n matrix."""
+    dists = np.zeros(kernel.graph.n)
+    dists[kernel.vertices] = np.diag(kernel.matrix)
+    return dists
+
+
 def boundedness_diagnostic(family, radii, params=None):
     """Track max_x d(base, x) across radii to see whether the metric stays bounded.
 
@@ -499,7 +510,7 @@ def boundedness_diagnostic(family, radii, params=None):
     for radius in sorted(radii):
         trunc = generate(family, radius=radius, **params)
         graph = trunc.graph
-        dists = ResistanceMatrix.from_kernel(greens_gram(graph)).matrix[graph.base_point]
+        dists = _base_distances(greens_gram(graph))
         ray = _geodesic_ray(graph)
         ray_sum = math.fsum(
             1.0 / graph.conductance(a, b) for a, b in zip(ray, ray[1:])

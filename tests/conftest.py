@@ -15,6 +15,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
+from resnet.energy import solve_dipole
 from resnet.graphs import ConductanceGraph, TruncatedGraph, ValidationIssue, as_truncated
 
 
@@ -82,6 +83,12 @@ def per_z_triangle_slack(d):
             return math.nan
         worst = min(worst, low)
     return worst
+
+
+def per_pair_dipoles(g, pairs, tol=1e-10):
+    """The per-pair loop `energy.solve_dipoles` replaced, kept as its oracle:
+    one `solve_dipole` per pair, so the first failing pair raises its error."""
+    return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
 
 
 def per_row_cdf(graph):

@@ -11,14 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from resnet import cli, markov
+from resnet import cli, energy, markov
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
 from resnet.markov import sample_paths
 from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 
-from conftest import WRONG_SHAPES, per_z_triangle_slack
+from conftest import WRONG_SHAPES, per_pair_dipoles, per_z_triangle_slack
 
 
 def run(capsys, *argv):
@@ -543,6 +543,60 @@ def test_check_solves_for_the_kernel_once(family, radius, tmp_path, capsys, monk
     monkeypatch.setattr(cli, "ResistanceMatrix", fresh)
     monkeypatch.setattr(ResistanceMatrix, "triangle_slack", lambda m: per_z_triangle_slack(m.matrix))
     assert run_json(capsys, *argv) == got
+
+
+@pytest.mark.parametrize("family,radius", [("lattice", 6), ("comb", 5), ("binary-tree", 5)])
+def test_check_reports_equal_the_per_pair_dipole_loop(family, radius, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    generate(family, radius=radius).write_json(path)
+    for seed in ("3", "40"):
+        argv = ("check", path, "--seed", seed, "--deterministic")
+        got = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "solve_dipoles", per_pair_dipoles)
+            assert run(capsys, *argv) == got
+        assert got[0] == 0, got[2]
+
+
+def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    generate("lattice", radius=6).write_json(path)
+    calls = {"solve_dipole": 0, "solve_dipoles": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    originals = {name: getattr(energy, name) for name in calls}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("resnet"):
+            for fn_name, fn in originals.items():
+                if getattr(module, fn_name, None) is fn:
+                    monkeypatch.setattr(module, fn_name, counted(fn_name, fn))
+    run_json(capsys, "check", path, "--seed", "3")
+    assert calls == {"solve_dipole": 0, "solve_dipoles": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resist", "--from", "0,0", "--to", "2,3", "--method", "M2"),
+        ("resist", "--from", "0,0", "--to", "2,3", "--method", "M3"),
+        ("check",),
+    ],
+    ids=["M2", "M3", "check"],
+)
+def test_nan_tolerance_is_a_validation_error(argv, tmp_path, capsys):
+    # M3 used to exit 0 uncertified (residual > nan is False) and M2 ran
+    # until "broke down ... after 213 iterations", exit 3
+    path = str(tmp_path / "lattice.json")
+    generate("lattice", radius=6).write_json(path)
+    code, out, err = run(capsys, argv[0], path, *argv[1:], "--tol", "nan")
+    assert (code, out) == (2, "")
+    assert "tol must be positive, got nan" in err
 
 
 def test_solver_error_exits_with_numerical_error(tmp_path, capsys):

@@ -12,11 +12,12 @@ from resnet.energy import (
     pointwise_product,
     reproducing_check,
     solve_dipole,
+    solve_dipoles,
 )
 from resnet.graphs import GraphError, generate
 from resnet.laplacian import assemble_laplacian
 
-from conftest import dense_laplacian, pinv_resistance, random_connected_graph
+from conftest import dense_laplacian, per_pair_dipoles, pinv_resistance, random_connected_graph
 
 
 def oracle_dipole(graph, x, y):
@@ -113,6 +114,94 @@ def test_dipole_endpoint_guards(rng):
         solve_dipole(g, 0, 6)
     with pytest.raises(GraphError, match="tol"):
         solve_dipole(g, 0, 1, tol=0.0)
+
+
+def test_dipole_rejects_a_nan_tolerance(rng):
+    # every residual comparison with NaN is False: PCG would run on until it broke down
+    g = random_connected_graph(rng, 6)
+    for tol in (float("nan"), -1e-10):
+        with pytest.raises(GraphError, match="tol must be positive"):
+            solve_dipole(g, 0, 1, tol=tol)
+        with pytest.raises(GraphError, match="tol must be positive"):
+            solve_dipoles(g, [(0, 1)], tol=tol)
+
+
+def test_underflowed_preconditioned_residual_is_a_breakdown():
+    # r . D^-1 r underflows to 0 while ||r|| is about 6e-160; dividing by it
+    # raised ZeroDivisionError out of the solver
+    g = generate("lattice", radius=12).graph
+    with pytest.raises(SolverError, match="broke down at residual 6.315e-160 after 495 iterations"):
+        solve_dipole(g, g.index_of((7, 4)), g.index_of((5, 5)), tol=1e-300)
+
+
+CHECK_FAMILIES = [
+    ("lattice", 15, {}),
+    ("lattice", 20, {}),
+    ("comb", 14, {}),
+    ("binary-tree", 8, {}),
+    ("binary-tree", 9, {}),
+    ("nary-tree", 5, {"branching": 3}),
+    ("chain", None, {"width": 60}),
+]
+
+
+@pytest.mark.parametrize("family,radius,params", CHECK_FAMILIES)
+def test_block_dipoles_equal_single_solves_bitwise(family, radius, params):
+    g = generate(family, radius=radius, **params).graph
+    rng = np.random.default_rng(11)
+    pairs = [tuple(int(v) for v in rng.choice(g.n, size=2, replace=False)) for _ in range(12)]
+    pairs += [pairs[0], pairs[3][::-1], (g.base_point, g.n - 1)]  # repeated, reversed, base
+    block = solve_dipoles(g, pairs, tol=1e-12)
+    assert len(block) == len(pairs)
+    for (x, y), got, want in zip(pairs, block, per_pair_dipoles(g, pairs, tol=1e-12)):
+        assert (got.source, got.sink) == (x, y)
+        assert got.values.tobytes() == want.values.tobytes(), (x, y)
+        assert got.iterations == want.iterations, (x, y)
+        assert got.solve_residual == want.solve_residual, (x, y)
+        assert not got.values.flags.writeable
+
+
+def test_block_dipoles_of_no_pairs(rng):
+    g = random_connected_graph(rng, 5)
+    assert solve_dipoles(g, []) == []
+
+
+def test_block_dipoles_guard_every_pair_before_solving(rng):
+    g = random_connected_graph(rng, 6)
+    with pytest.raises(GraphError, match="must differ"):
+        solve_dipoles(g, [(0, 1), (2, 2)])
+    with pytest.raises(GraphError, match="out of range"):
+        solve_dipoles(g, [(0, 1), (0, 6)])
+    with pytest.raises(GraphError, match="out of range"):
+        solve_dipoles(g, [(-1, 2)])
+
+
+def test_block_raises_the_first_failing_pair_in_input_order():
+    # at tol 1e-300 every column breaks down; (2,3)-(2,1) does so first, at
+    # step 211, but the per-pair loop raises for (1,5)-(3,2) at step 212
+    g = generate("lattice", radius=6).graph
+    labels = [((1, 5), (3, 2)), ((0, 6), (3, 1)), ((2, 3), (2, 1))]
+    pairs = [(g.index_of(a), g.index_of(b)) for a, b in labels]
+    with pytest.raises(SolverError) as single:
+        per_pair_dipoles(g, pairs, tol=1e-300)
+    with pytest.raises(SolverError) as block:
+        solve_dipoles(g, pairs, tol=1e-300)
+    assert str(block.value) == str(single.value)
+    assert str(block.value) == "dipole solve broke down at residual 3.805e-161 after 212 iterations"
+    assert (block.value.residual, block.value.iterations) == (
+        single.value.residual,
+        single.value.iterations,
+    )
+    # a column that stalls at the cap of 20 n steps still comes first when it
+    # is first in input order, though the other column broke down at step 211
+    labels = [((3, 3), (1, 5)), ((2, 3), (2, 1))]
+    pairs = [(g.index_of(a), g.index_of(b)) for a, b in labels]
+    with pytest.raises(SolverError) as single:
+        per_pair_dipoles(g, pairs, tol=1e-300)
+    with pytest.raises(SolverError) as block:
+        solve_dipoles(g, pairs, tol=1e-300)
+    assert str(block.value) == str(single.value)
+    assert str(block.value) == "dipole solve stalled at residual 1.401e-154 after 560 iterations"
 
 
 def test_dipole_solver_error_carries_state():

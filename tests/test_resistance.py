@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
-from resnet.energy import SolverError, solve_dipole
+from resnet.energy import SolverError, solve_dipole, solve_dipoles
 from resnet.graphs import ConductanceGraph, GraphError, generate, underlying
 from resnet.greens import greens_gram
 from resnet.resistance import (
@@ -20,6 +20,7 @@ from resnet.resistance import (
     _build_cycle_system,
     _cycle_system,
     ResistanceMatrix,
+    _base_distances,
     boundedness_diagnostic,
     continuum_reference,
     current_of_dipole,
@@ -40,6 +41,14 @@ def test_all_routes_match_pinv_oracle(rng):
             assert resistance(g, x, y, method, tol=1e-12) == pytest.approx(
                 expect, rel=1e-7
             ), method
+
+
+def test_every_method_rejects_a_tolerance_that_is_not_positive(rng):
+    g = random_connected_graph(rng, 6, 2)
+    for method in METHODS + ("M5", "M6", "all"):
+        for tol in (float("nan"), 0.0, -1.0):
+            with pytest.raises(GraphError, match="tol must be positive"):
+                resistance(g, 1, 4, method, tol=tol)
 
 
 def test_all_mode_reports_disagreement(rng):
@@ -144,8 +153,10 @@ def test_m3_on_trees_is_the_path_sum(family, radius):
 @pytest.mark.parametrize("radius", [24, 30])
 def test_m3_matches_pcg_on_lattices(radius):
     g = generate("lattice", radius=radius).graph
-    for x, y in _seeded_pairs(g, 200, radius):
-        m2 = resistance(g, x, y, "M2", tol=1e-12)
+    pairs = _seeded_pairs(g, 200, radius)
+    # one block solve: each energy is bitwise that of resistance(g, x, y, "M2", tol=1e-12)
+    for (x, y), dipole in zip(pairs, solve_dipoles(g, pairs, tol=1e-12)):
+        m2 = dipole.energy
         assert abs(resistance(g, x, y, "M3") - m2) <= 1e-9 * m2, (x, y)
 
 
@@ -561,6 +572,30 @@ def test_matrix_csv(tmp_path, rng):
         [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
     )
     assert np.array_equal(got, mat.matrix)
+
+
+@pytest.mark.parametrize(
+    "family,radius,params", [("binary-tree", 6, {}), ("lattice", 8, {}), ("comb", 6, {})]
+)
+def test_base_distances_are_the_base_row_of_the_matrix(family, radius, params):
+    graph = generate(family, radius=radius, **params).graph
+    kernel = greens_gram(graph)
+    row = ResistanceMatrix.from_kernel(kernel).matrix[graph.base_point]
+    assert _base_distances(kernel).tobytes() == row.tobytes()
+
+
+def test_boundedness_diagnostic_builds_no_distance_matrix(monkeypatch):
+    maxima = []
+    for radius in (4, 6):
+        graph = generate("binary-tree", radius=radius).graph
+        maxima.append(float(ResistanceMatrix.from_kernel(greens_gram(graph)).matrix[graph.base_point].max()))
+
+    def unbuilt(cls, kernel):
+        raise AssertionError("the diagnostic built the n x n distance matrix")
+
+    monkeypatch.setattr(ResistanceMatrix, "from_kernel", classmethod(unbuilt))
+    report = boundedness_diagnostic("binary-tree", [4, 6])
+    assert [row["max_distance"] for row in report["per_radius"]] == maxima
 
 
 def test_boundedness_diagnostic_trends():

@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .decomposition import energy_split, royden_split
-from .energy import SolverError, gauged, pointwise_product, reproducing_check, solve_dipoles
+from .decomposition import energy_splits
+from .energy import SolverError, pointwise_products, reproducing_checks, solve_dipoles
 from .graphs import FAMILIES, GraphError, generate, load_graph, validate
 from .greens import (
     binomial_closed_form,
@@ -203,6 +203,43 @@ def cmd_resist(args):
     return payload, 0
 
 
+# The sampled checks of `cmd_check`, each one pass over an (n, k) block of
+# random functions drawn from `rng` in turn.
+
+
+def _worst(values, floor):
+    """The largest of `floor` and `values`; NaN if any value is NaN, which
+    Python's max would skip."""
+    return float(np.max(values, initial=floor))
+
+
+def _algebra_bound(graph, rng):
+    """Worst relative excess of a product's energy over its bound, 200 pairs."""
+    uw = rng.standard_normal((200, 2, graph.n))  # the stream of 200 (u, w) draws in turn
+    _, cert = pointwise_products(graph, uw[:, 0].T, uw[:, 1].T)
+    excess = (cert.product_energy - cert.bound) / np.maximum(1.0, np.abs(cert.bound))
+    return _worst(excess, -np.inf)
+
+
+def _reproducing_property(graph, rng, tol):
+    """Worst reproducing residual of 25 random dipoles, each against a random f."""
+    pairs, fs = [], []
+    for _ in range(25):  # each pair, then its test function f
+        pairs.append(rng.choice(graph.n, size=2, replace=False))
+        fs.append(rng.standard_normal(graph.n))
+    dipoles = solve_dipoles(graph, pairs, tol=tol)
+    f = np.array(fs).T
+    f = f - f[graph.base_point]  # gauged, as the sup norm below needs
+    residual = reproducing_checks(dipoles, f)
+    return _worst(residual / np.maximum(1.0, np.max(np.abs(f), axis=0)), 0.0)
+
+
+def _royden_pythagoras(trunc, rng):
+    """Worst relative residual of the energy split of 10 random functions."""
+    split = energy_splits(trunc, rng.standard_normal((10, trunc.graph.n)).T)
+    return _worst(split["identity_residual"] / np.maximum(1.0, split["total"]), 0.0)
+
+
 def cmd_check(args):
     trunc = _load_validated(args.graph)
     graph = trunc.graph
@@ -225,32 +262,11 @@ def cmd_check(args):
     record("metric-triangle", slack, -1e-8, slack >= -1e-8)
     record("metric-zero-diagonal", diag, 0.0, diag == 0.0)
 
-    worst = -np.inf
-    for _ in range(200):
-        u = gauged(graph, rng.standard_normal(graph.n))
-        w = gauged(graph, rng.standard_normal(graph.n))
-        _, cert = pointwise_product(u, w)
-        scale = max(1.0, abs(cert.bound))
-        worst = max(worst, (cert.product_energy - cert.bound) / scale)
+    worst = _algebra_bound(graph, rng)
     record("energy-algebra-bound", worst, 1e-9, worst <= 1e-9)
-
-    pairs, fs = [], []
-    for _ in range(25):  # each pair, then its test function f
-        pairs.append(rng.choice(graph.n, size=2, replace=False))
-        fs.append(gauged(graph, rng.standard_normal(graph.n)))
-    dipoles = solve_dipoles(graph, pairs, tol=args.tol)
-    worst = 0.0
-    for v, f in zip(dipoles, fs):
-        worst = max(worst, reproducing_check(v, f) / max(1.0, f.sup_norm()))
+    worst = _reproducing_property(graph, rng, args.tol)
     record("reproducing-property", worst, 1e-8, worst <= 1e-8)
-
-    worst = 0.0
-    for _ in range(10):
-        f = gauged(graph, rng.standard_normal(graph.n))
-        split = energy_split(trunc, f)
-        worst = max(
-            worst, split["identity_residual"] / max(1.0, split["total"])
-        )
+    worst = _royden_pythagoras(trunc, rng)
     record("royden-pythagoras", worst, 1e-8, worst <= 1e-8)
 
     ok = all(c["passed"] for c in checks)

@@ -13,8 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import EnergyVector, _edge_increments, _write_csv, energy_inner, gauged
-from .graphs import GraphError, TruncatedGraph
+from .energy import (
+    EnergyVector,
+    _column_dots,
+    _edge_increments,
+    _energy_form,
+    _gauge,
+    _write_csv,
+    energy_inner,
+    gauged,
+)
+from .graphs import GraphError, TruncatedGraph, underlying
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import harmonic_measure_exact
 
@@ -24,6 +33,7 @@ __all__ = [
     "project_finite",
     "interpolate",
     "energy_split",
+    "energy_splits",
     "harmonic_basis",
     "harmonic_gram",
 ]
@@ -38,9 +48,9 @@ def _as_gauged(graph, f):
 
 
 def _frontier_extension(trunc, boundary):
-    """Full-length vector: given data on the frontier, harmonic inside."""
+    """Full-length vector, or (n, k) block: given data on the frontier, harmonic inside."""
     if len(trunc.frontier) == 0:
-        return np.zeros(trunc.graph.n)
+        return np.zeros((trunc.graph.n,) + boundary.shape[1:])
     return harmonic_extension(trunc, boundary)
 
 
@@ -161,21 +171,37 @@ def energy_split(trunc, f):
     (Laplacian f)(x): summation by parts collapses the finite part's energy
     onto the interior because the remainder vanishes on the frontier.
     """
+    fv = _as_gauged(underlying(trunc), f)
+    split = energy_splits(trunc, fv.values[:, None])
+    return {key: float(value[0]) for key, value in split.items()}
+
+
+def energy_splits(trunc, f):
+    """:func:`energy_split` of every column of an (n, k) block of functions.
+
+    The columns are gauged at the base point and share one harmonic
+    extension, one Laplacian apply and one energy form; each term of the
+    returned dict is a length-k array whose entry j equals the single split
+    of column j bit for bit.
+    """
     if not isinstance(trunc, TruncatedGraph):
         raise GraphError("the split needs a truncation carrying a frontier")
     graph = trunc.graph
-    fv = _as_gauged(graph, f)
-    qraw = _frontier_extension(trunc, fv.values[trunc.frontier])
-    lap_f = assemble_laplacian(graph).apply(fv.values)
-    g = fv.values - qraw
-    dirichlet = float(g[trunc.interior] @ lap_f[trunc.interior])
-    boundary = gauged(graph, qraw).energy
-    total = fv.energy
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2 or f.shape[0] != graph.n:
+        raise GraphError(f"expected a ({graph.n}, k) block, got shape {f.shape}")
+    f = _gauge(graph, f)
+    qraw = _frontier_extension(trunc, f[trunc.frontier])
+    lap_f = assemble_laplacian(graph).apply(f)
+    g = f - qraw
+    dirichlet = _column_dots(g[trunc.interior], lap_f[trunc.interior])
+    boundary = _energy_form(graph, _gauge(graph, qraw))
+    total = _energy_form(graph, f)
     return {
         "dirichlet_term": dirichlet,
         "boundary_term": boundary,
         "total": total,
-        "identity_residual": abs(dirichlet + boundary - total),
+        "identity_residual": np.abs(dirichlet + boundary - total),
     }
 
 

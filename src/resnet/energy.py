@@ -12,7 +12,10 @@ finite-energy f.
 Every dipole comes from one Jacobi-preconditioned conjugate-gradient loop,
 `_pcg`, which runs over a vector or a block of right-hand sides:
 `solve_dipole` solves one pair and `solve_dipoles` a list of pairs in one
-pass, with the same result per pair bit for bit.
+pass, with the same result per pair bit for bit.  The reproducing check and
+the product bound follow the same pattern: `reproducing_checks` and
+`pointwise_products` take an (n, k) block of functions, and the single forms
+are their k = 1 case.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ __all__ = [
     "solve_dipole",
     "solve_dipoles",
     "reproducing_check",
+    "reproducing_checks",
     "ProductCertificate",
     "pointwise_product",
+    "pointwise_products",
 ]
 
 
@@ -61,7 +66,7 @@ class EnergyVector:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.graph.n,):
             raise GraphError(f"expected {self.graph.n} values, got shape {vals.shape}")
-        vals = vals - vals[self.graph.base_point]
+        vals = _gauge(self.graph, vals)
         vals.flags.writeable = False
         self.values = vals
 
@@ -88,6 +93,11 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _gauge(graph, values):
+    """A vertex vector, or each column of an (n, k) block, minus its base-point value."""
+    return values - values[graph.base_point]
+
+
 def gauged(g, values):
     """Wrap raw values as an EnergyVector on the graph, gauging at the base."""
     return EnergyVector(underlying(g), values)
@@ -107,10 +117,14 @@ def _edge_increments(graph, values):
     """Edge conductances c and increments u(i) - u(j) over the edges i < j.
 
     `values` is a vertex vector or an (n, k) block of them; the energy form
-    is then sum over edges of c du dv.
+    is then sum over edges of c du dv.  A block is gathered as k rows, so
+    its (m, k) increments come back with contiguous columns.
     """
     i, j, c = graph.edge_arrays()
-    return c, values[i] - values[j]
+    if values.ndim == 1:
+        return c, values[i] - values[j]
+    rows = values.T
+    return c, (rows.take(i, axis=1) - rows.take(j, axis=1)).T
 
 
 def energy_inner(u, v):
@@ -120,6 +134,26 @@ def energy_inner(u, v):
     c, du = _edge_increments(u.graph, u.values)
     _, dv = _edge_increments(v.graph, v.values)
     return float(np.dot(c * du, dv))
+
+
+def _column_dots(a, b):
+    """a[:, j] . b[:, j] for every column j of two (n, k) blocks.
+
+    Both are made Fortran-ordered first (a no-op if they are): on contiguous
+    columns `np.vecdot` makes the very BLAS `ddot` call that `np.dot` makes
+    on a vector, so entry j equals ``np.dot(a[:, j], b[:, j])`` bit for bit.
+    """
+    return np.vecdot(np.asfortranarray(a), np.asfortranarray(b), axis=0)
+
+
+def _energy_form(graph, a, b=None):
+    """<a_j, b_j> for every column j of two (n, k) blocks (b defaults to a).
+
+    Entry j equals ``energy_inner`` of column j of each block bit for bit.
+    """
+    c, da = _edge_increments(graph, a)
+    db = da if b is None else _edge_increments(graph, b)[1]
+    return _column_dots(c[:, None] * da, db)
 
 
 @dataclass
@@ -317,13 +351,37 @@ def _pcg(lap, rhs, tol):
 
 def reproducing_check(v, f):
     """|<v, f> - (f(source) - f(sink))| for a solved dipole and any f."""
-    inner = energy_inner(v.vector, f)
-    increment = float(f.values[v.source] - f.values[v.sink])
-    return abs(inner - increment)
+    if v.graph is not f.graph:
+        raise GraphError("energy inner product needs vectors on the same graph")
+    return float(reproducing_checks([v], f.values[:, None])[0])
+
+
+def reproducing_checks(dipoles, f):
+    """:func:`reproducing_check` of each dipole against its column of `f`.
+
+    `f` is an (n, k) block holding one function per dipole, all on the
+    dipoles' graph.  Returns the k residuals as an array, each equal to its
+    single check bit for bit.
+    """
+    if not dipoles:
+        return np.zeros(0)
+    graph = dipoles[0].graph
+    if any(v.graph is not graph for v in dipoles):
+        raise GraphError("energy inner product needs vectors on the same graph")
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (graph.n, len(dipoles)):
+        raise GraphError(f"expected {(graph.n, len(dipoles))} values, got shape {f.shape}")
+    cols = np.arange(len(dipoles))
+    sources, sinks = np.array([(v.source, v.sink) for v in dipoles]).T
+    inner = _energy_form(graph, np.array([v.values for v in dipoles]).T, f)
+    return np.abs(inner - (f[sources, cols] - f[sinks, cols]))
 
 
 @dataclass
 class ProductCertificate:
+    """Energy of a pointwise product and its bound: floats, or one array
+    entry per column for :func:`pointwise_products`."""
+
     product_energy: float
     bound: float
 
@@ -343,6 +401,29 @@ def pointwise_product(u, w):
     """
     if u.graph is not w.graph:
         raise GraphError("pointwise product needs vectors on the same graph")
-    prod = EnergyVector(u.graph, u.values * w.values)
-    bound = (u.sup_norm() ** 2 + w.sup_norm() ** 2) * (u.energy + w.energy)
-    return prod, ProductCertificate(product_energy=prod.energy, bound=bound)
+    prod, cert = pointwise_products(u.graph, u.values[:, None], w.values[:, None])
+    energy = float(cert.product_energy[0])
+    return (
+        EnergyVector(u.graph, prod[:, 0], _energy=energy),
+        ProductCertificate(product_energy=energy, bound=float(cert.bound[0])),
+    )
+
+
+def pointwise_products(g, u, w):
+    """:func:`pointwise_product` of every column pair of two (n, k) blocks.
+
+    Both blocks are gauged at the base point first.  Returns the gauged
+    (n, k) product block and one ProductCertificate whose two fields are
+    length-k arrays; column j equals the single product bit for bit.
+    """
+    graph = underlying(g)
+    u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    if u.ndim != 2 or u.shape != w.shape or u.shape[0] != graph.n:
+        raise GraphError(f"expected two ({graph.n}, k) blocks, got {u.shape} and {w.shape}")
+    u, w = _gauge(graph, u), _gauge(graph, w)
+    prod = _gauge(graph, u * w)
+    sup_u, sup_w = (np.max(np.abs(a), axis=0) for a in (u, w))
+    # libm pow, as Python's float ** 2 (x * x rounds differently about once in 1000)
+    sup2 = np.float_power(sup_u, 2) + np.float_power(sup_w, 2)
+    bound = sup2 * (_energy_form(graph, u) + _energy_form(graph, w))
+    return prod, ProductCertificate(product_energy=_energy_form(graph, prod), bound=bound)

@@ -41,10 +41,14 @@ class LaplacianOperator:
     offdiag: sparse.csr_matrix
 
     def apply(self, u):
+        """L u for a vertex vector, or for each column of an (n, k) block."""
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.graph.n,):
-            raise GraphError(f"expected a vector of length {self.graph.n}, got {u.shape}")
-        return self.diagonal * u - self.offdiag @ u
+        if u.ndim not in (1, 2) or u.shape[0] != self.graph.n:
+            raise GraphError(
+                f"expected a vector of length {self.graph.n} or an (n, k) block, got {u.shape}"
+            )
+        diag = self.diagonal if u.ndim == 1 else self.diagonal[:, None]
+        return diag * u - self.offdiag @ u
 
     def as_csr(self):
         return sparse.diags(self.diagonal) - self.offdiag

@@ -15,7 +15,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
-from resnet.energy import solve_dipole
+from resnet.decomposition import energy_split
+from resnet.energy import gauged, pointwise_product, reproducing_check, solve_dipole, solve_dipoles
 from resnet.graphs import ConductanceGraph, TruncatedGraph, ValidationIssue, as_truncated
 
 
@@ -89,6 +90,52 @@ def per_pair_dipoles(g, pairs, tol=1e-10):
     """The per-pair loop `energy.solve_dipoles` replaced, kept as its oracle:
     one `solve_dipole` per pair, so the first failing pair raises its error."""
     return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
+
+
+# -- the per-sample loops of `check`, kept as oracles of its block passes -------
+#
+# Each has the signature of the `cli` function it stands for and draws from
+# `rng` in the same order.  The one change from the shipped loops: a NaN sample
+# makes the result NaN, where Python's max(worst, nan) used to skip it.
+
+
+def _worse(worst, value):
+    return value if math.isnan(value) or value > worst else worst
+
+
+def per_sample_algebra_bound(graph, rng):
+    """One `pointwise_product` per pair of draws: the loop `cli._algebra_bound` replaced."""
+    worst = -np.inf
+    for _ in range(200):
+        u = gauged(graph, rng.standard_normal(graph.n))
+        w = gauged(graph, rng.standard_normal(graph.n))
+        _, cert = pointwise_product(u, w)
+        scale = max(1.0, abs(cert.bound))
+        worst = _worse(worst, (cert.product_energy - cert.bound) / scale)
+    return worst
+
+
+def per_sample_reproducing_property(graph, rng, tol):
+    """One `reproducing_check` per dipole: the loop `cli._reproducing_property` replaced."""
+    pairs, fs = [], []
+    for _ in range(25):  # each pair, then its test function f
+        pairs.append(rng.choice(graph.n, size=2, replace=False))
+        fs.append(gauged(graph, rng.standard_normal(graph.n)))
+    dipoles = solve_dipoles(graph, pairs, tol=tol)
+    worst = 0.0
+    for v, f in zip(dipoles, fs):
+        worst = _worse(worst, reproducing_check(v, f) / max(1.0, f.sup_norm()))
+    return worst
+
+
+def per_sample_royden_pythagoras(trunc, rng):
+    """One `energy_split` per draw: the loop `cli._royden_pythagoras` replaced."""
+    worst = 0.0
+    for _ in range(10):
+        f = gauged(trunc.graph, rng.standard_normal(trunc.graph.n))
+        split = energy_split(trunc, f)
+        worst = _worse(worst, split["identity_residual"] / max(1.0, split["total"]))
+    return worst
 
 
 def per_row_cdf(graph):

@@ -11,14 +11,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from resnet import cli, energy, markov
+from resnet import cli, decomposition, energy, markov
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
 from resnet.markov import sample_paths
 from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 
-from conftest import WRONG_SHAPES, per_pair_dipoles, per_z_triangle_slack
+from conftest import (
+    WRONG_SHAPES,
+    per_pair_dipoles,
+    per_sample_algebra_bound,
+    per_sample_reproducing_property,
+    per_sample_royden_pythagoras,
+    per_z_triangle_slack,
+)
 
 
 def run(capsys, *argv):
@@ -561,7 +568,14 @@ def test_check_reports_equal_the_per_pair_dipole_loop(family, radius, tmp_path, 
 def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.json")
     generate("lattice", radius=6).write_json(path)
-    calls = {"solve_dipole": 0, "solve_dipoles": 0}
+    calls = _count_calls(monkeypatch, energy, ["solve_dipole", "solve_dipoles"])
+    run_json(capsys, "check", path, "--seed", "3")
+    assert calls == {"solve_dipole": 0, "solve_dipoles": 1}
+
+
+def _count_calls(monkeypatch, module, names):
+    """Count the calls to each named function of `module`, wherever resnet holds it."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -570,14 +584,89 @@ def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
 
         return call
 
-    originals = {name: getattr(energy, name) for name in calls}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("resnet"):
-            for fn_name, fn in originals.items():
-                if getattr(module, fn_name, None) is fn:
-                    monkeypatch.setattr(module, fn_name, counted(fn_name, fn))
+    originals = {name: getattr(module, name) for name in names}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("resnet"):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family,radius,params",
+    [
+        ("lattice", 6, {}),
+        ("comb", 5, {}),
+        ("binary-tree", 5, {}),
+        ("nary-tree", 3, {"branching": 3}),
+        ("no-frontier", 6, {}),
+    ],
+)
+def test_check_reports_equal_the_per_sample_loops(family, radius, params, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    if family == "no-frontier":  # a plain graph file: energy_split extends by zero
+        generate("lattice", radius=radius).graph.write_json(path)
+        assert len(load_graph(path).frontier) == 0
+    else:
+        generate(family, radius=radius, **params).write_json(path)
+    for seed in ("3", "40"):
+        argv = ("check", path, "--seed", seed, "--deterministic")
+        got = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_algebra_bound", per_sample_algebra_bound)
+            patch.setattr(cli, "_reproducing_property", per_sample_reproducing_property)
+            patch.setattr(cli, "_royden_pythagoras", per_sample_royden_pythagoras)
+            assert run(capsys, *argv) == got
+        assert got[0] == 0, got[2]
+
+
+def test_check_runs_each_sampled_check_as_one_block(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    generate("lattice", radius=6).write_json(path)
+    energy_calls = _count_calls(
+        monkeypatch, energy,
+        ["pointwise_product", "pointwise_products", "reproducing_check", "reproducing_checks"],
+    )
+    split_calls = _count_calls(monkeypatch, decomposition, ["energy_split", "energy_splits"])
     run_json(capsys, "check", path, "--seed", "3")
-    assert calls == {"solve_dipole": 0, "solve_dipoles": 1}
+    assert {**energy_calls, **split_calls} == {
+        "pointwise_product": 0,
+        "pointwise_products": 1,
+        "reproducing_check": 0,
+        "reproducing_checks": 1,
+        "energy_split": 0,
+        "energy_splits": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "name,target,samples",
+    [
+        ("energy-algebra-bound", "pointwise_products", lambda out: out[1].product_energy),
+        ("reproducing-property", "reproducing_checks", lambda out: out),
+        ("royden-pythagoras", "energy_splits", lambda out: out["identity_residual"]),
+    ],
+    ids=["algebra", "reproducing", "royden"],
+)
+def test_a_nan_sample_fails_its_check(name, target, samples, tmp_path, capsys, monkeypatch):
+    # Python's max(worst, nan) keeps worst: a NaN sample used to pass, with
+    # the metric at "-inf" or 0.0 and exit 0
+    block_form = getattr(cli, target)
+
+    def planted(*args):
+        out = block_form(*args)
+        samples(out)[3] = np.nan  # one sample of the block reads NaN
+        return out
+
+    path = str(tmp_path / "g.json")
+    generate("lattice", radius=6).write_json(path)
+    monkeypatch.setattr(cli, target, planted)
+    code, out, err = run(capsys, "check", path, "--seed", "3")
+    assert code == 3, err
+    report = json.loads(out)
+    assert report["all_passed"] is False
+    assert [(c["name"], c["metric"]) for c in report["checks"] if not c["passed"]] == [(name, "nan")]
 
 
 @pytest.mark.parametrize(

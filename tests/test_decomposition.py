@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from resnet.energy import energy_inner, gauged
-from resnet.graphs import GraphError, generate, truncate
+from resnet.graphs import GraphError, as_truncated, generate, truncate
 from resnet.greens import greens_gram, walk_greens
 from resnet.decomposition import (
     energy_split,
+    energy_splits,
     harmonic_basis,
     harmonic_gram,
     interpolate,
     project_finite,
     royden_split,
 )
-from resnet.laplacian import harmonic_extension
+from resnet.laplacian import assemble_laplacian, harmonic_extension
 
 from conftest import random_connected_graph
 
@@ -169,6 +170,61 @@ def test_energy_split_of_harmonic_function_is_all_boundary(rng):
     report = energy_split(trunc, h)
     assert report["dirichlet_term"] == pytest.approx(0.0, abs=1e-10)
     assert report["boundary_term"] == pytest.approx(report["total"], rel=1e-10)
+
+
+def parent_energy_split(trunc, f):
+    """`energy_split` before its block form: one vector at a time."""
+    graph = trunc.graph
+    fv = gauged(graph, f)
+    if len(trunc.frontier):
+        qraw = harmonic_extension(trunc, fv.values[trunc.frontier])
+    else:
+        qraw = np.zeros(graph.n)
+    lap_f = assemble_laplacian(graph).apply(fv.values)
+    g = fv.values - qraw
+    dirichlet = float(g[trunc.interior] @ lap_f[trunc.interior])
+    boundary = gauged(graph, qraw).energy
+    total = fv.energy
+    return {
+        "dirichlet_term": dirichlet,
+        "boundary_term": boundary,
+        "total": total,
+        "identity_residual": abs(dirichlet + boundary - total),
+    }
+
+
+SPLIT_CASES = {
+    "lattice-6": lambda: generate("lattice", radius=6),
+    "comb-5": lambda: generate("comb", radius=5),
+    "binary-tree-5": lambda: generate("binary-tree", radius=5),
+    "nary-tree-3": lambda: generate("nary-tree", radius=3, branching=3),
+    "no-frontier": lambda: as_truncated(generate("lattice", radius=6).graph),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_energy_splits_equal_the_single_split_per_column(case):
+    trunc = SPLIT_CASES[case]()
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((10, trunc.graph.n))
+    block = energy_splits(trunc, raw.T)
+    assert set(block) == {"dirichlet_term", "boundary_term", "total", "identity_residual"}
+    for j, f in enumerate(raw):
+        single = energy_split(trunc, f)
+        assert single == parent_energy_split(trunc, f)
+        assert single == {key: float(value[j]) for key, value in block.items()}
+    if case == "no-frontier":
+        assert not np.any(block["boundary_term"])
+
+
+def test_energy_splits_guards():
+    trunc = generate("lattice", radius=3)
+    with pytest.raises(GraphError, match="truncation"):
+        energy_splits(trunc.graph, np.zeros((trunc.graph.n, 2)))
+    with pytest.raises(GraphError, match="block"):
+        energy_splits(trunc, np.zeros(trunc.graph.n))
+    with pytest.raises(GraphError, match="block"):
+        energy_splits(trunc, np.zeros((trunc.graph.n + 1, 2)))
 
 
 def test_harmonic_basis_spans_with_one_null_direction():

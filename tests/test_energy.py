@@ -6,15 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from resnet.energy import (
     SolverError,
+    _column_dots,
+    _energy_form,
     delta,
     energy_inner,
     gauged,
     pointwise_product,
+    pointwise_products,
     reproducing_check,
+    reproducing_checks,
     solve_dipole,
     solve_dipoles,
 )
-from resnet.graphs import GraphError, generate
+from resnet.graphs import GraphError, as_truncated, generate
 from resnet.laplacian import assemble_laplacian
 
 from conftest import dense_laplacian, per_pair_dipoles, pinv_resistance, random_connected_graph
@@ -272,3 +276,120 @@ def test_energy_vector_csv_round_trip(tmp_path, rng):
     assert lines[0] == "vertex_index,label,value"
     values = np.array([float(row.split(",")[-1]) for row in lines[1:]])
     assert np.array_equal(values, vec.values)
+
+
+# -- block forms ---------------------------------------------------------------
+
+
+def parent_pointwise_product(u, w):
+    """`pointwise_product` before its block form: (product values, product
+    energy, bound) from `energy_inner` and Python's float ** 2."""
+    prod = gauged(u.graph, u.values * w.values)
+    bound = (u.sup_norm() ** 2 + w.sup_norm() ** 2) * (energy_inner(u, u) + energy_inner(w, w))
+    return prod.values, energy_inner(prod, prod), bound
+
+
+def parent_reproducing_check(v, f):
+    """`reproducing_check` before its block form."""
+    return abs(energy_inner(v.vector, f) - float(f.values[v.source] - f.values[v.sink]))
+
+
+BLOCK_GRAPHS = [
+    lambda: generate("lattice", radius=8).graph,
+    lambda: generate("binary-tree", radius=6).graph,
+    lambda: as_truncated(random_connected_graph(np.random.default_rng(5), 40, 30, base=7)).graph,
+]
+
+
+def gauged_block(g, raw, order):
+    """The columns of `raw`, each gauged as `gauged` does, in the given memory order."""
+    return np.array(np.array([gauged(g, col).values for col in raw.T]).T, order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 200])
+@pytest.mark.parametrize("make", BLOCK_GRAPHS, ids=["lattice-8", "binary-tree-6", "random-40"])
+def test_energy_form_is_energy_inner_per_column(make, k, order):
+    g = make()
+    rng = np.random.default_rng(k)
+    a = gauged_block(g, rng.standard_normal((g.n, k)), order)
+    b = gauged_block(g, rng.standard_normal((g.n, k)), order)
+    cross, self_a = _energy_form(g, a, b), _energy_form(g, a)
+    assert cross.shape == self_a.shape == (k,)
+    for j in range(k):
+        u, v = gauged(g, a[:, j]), gauged(g, b[:, j])
+        assert cross[j] == energy_inner(u, v)
+        assert self_a[j] == energy_inner(u, u)
+    # np.dot on strided columns takes another BLAS path, which rounds
+    # differently: _column_dots matches it on contiguous copies, whatever the order
+    dots = [np.dot(a[:, j].copy(), b[:, j].copy()) for j in range(k)]
+    assert np.array_equal(_column_dots(a, b), dots)
+
+
+@pytest.mark.parametrize("make", BLOCK_GRAPHS, ids=["lattice-8", "binary-tree-6", "random-40"])
+def test_single_forms_are_unchanged(make):
+    g = make()
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        u, w = (gauged(g, rng.uniform(-3.0, 3.0, g.n)) for _ in range(2))
+        prod, cert = pointwise_product(u, w)
+        values, energy, bound = parent_pointwise_product(u, w)
+        assert np.array_equal(prod.values, values)
+        assert (prod.energy, cert.product_energy, cert.bound) == (energy, energy, bound)
+    pairs = [rng.choice(g.n, size=2, replace=False) for _ in range(10)]
+    for v in solve_dipoles(g, pairs, tol=1e-12):
+        f = gauged(g, rng.standard_normal(g.n))
+        assert reproducing_check(v, f) == parent_reproducing_check(v, f)
+    # a sup norm s whose square rounds one way as s * s and the other as
+    # s ** 2, far enough to move the bound: the bound must take s ** 2
+    w = gauged(g, rng.uniform(-1.0, 1.0, g.n))
+    u_raw = rng.uniform(-1.0, 1.0, g.n)
+    u_raw[g.base_point] = 0.0
+    for s in rng.uniform(1.0, 2.0, 100_000).tolist():
+        if s * s == s**2:
+            continue
+        u_raw[(g.base_point + 1) % g.n] = s
+        u = gauged(g, u_raw)
+        energies = energy_inner(u, u) + energy_inner(w, w)
+        bound = parent_pointwise_product(u, w)[2]
+        if (s * s + w.sup_norm() ** 2) * energies != bound:
+            break
+    else:
+        pytest.fail("no sup norm in the sample moves the bound")
+    assert pointwise_product(u, w)[1].bound == bound
+
+
+@pytest.mark.parametrize("make", BLOCK_GRAPHS, ids=["lattice-8", "binary-tree-6", "random-40"])
+def test_block_forms_equal_single_forms_per_column(make):
+    g = make()
+    rng = np.random.default_rng(12)
+    u_raw, w_raw = rng.standard_normal((2, 200, g.n))  # un-gauged: the block form gauges
+    prod, cert = pointwise_products(g, u_raw.T, w_raw.T)
+    assert prod.shape == (g.n, 200)
+    assert cert.product_energy.shape == cert.bound.shape == (200,)
+    for j in range(200):
+        one, single = pointwise_product(gauged(g, u_raw[j]), gauged(g, w_raw[j]))
+        assert np.array_equal(prod[:, j], one.values)
+        assert (cert.product_energy[j], cert.bound[j]) == (single.product_energy, single.bound)
+    pairs = [rng.choice(g.n, size=2, replace=False) for _ in range(25)]
+    dipoles = solve_dipoles(g, pairs, tol=1e-12)
+    fs = [gauged(g, rng.standard_normal(g.n)) for _ in pairs]
+    got = reproducing_checks(dipoles, np.array([f.values for f in fs]).T)
+    assert np.array_equal(got, [reproducing_check(v, f) for v, f in zip(dipoles, fs)])
+
+
+def test_block_form_guards(rng):
+    g = random_connected_graph(rng, 6, 2)
+    with pytest.raises(GraphError, match="blocks"):
+        pointwise_products(g, np.zeros((6, 3)), np.zeros((6, 2)))
+    with pytest.raises(GraphError, match="blocks"):
+        pointwise_products(g, np.zeros(6), np.zeros(6))
+    dipoles = solve_dipoles(g, [(1, 2), (3, 4)])
+    with pytest.raises(GraphError, match="got shape"):
+        reproducing_checks(dipoles, np.zeros((6, 3)))
+    other = solve_dipole(random_connected_graph(rng, 6, 2), 1, 2)
+    with pytest.raises(GraphError, match="same graph"):
+        reproducing_checks([dipoles[0], other], np.zeros((6, 2)))
+    with pytest.raises(GraphError, match="same graph"):
+        reproducing_check(other, gauged(g, np.zeros(6)))
+    assert reproducing_checks([], np.zeros((6, 0))).shape == (0,)

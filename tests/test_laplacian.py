@@ -67,6 +67,19 @@ def test_apply_and_quadratic_form(rng):
         lap.apply(np.zeros(g.n + 1))
 
 
+def test_apply_to_a_block_is_apply_per_column(rng):
+    for g in (random_connected_graph(rng, 30, 20), generate("binary-tree", radius=5).graph):
+        lap = assemble_laplacian(g)
+        for order in ("C", "F"):
+            block = np.array(rng.standard_normal((g.n, 7)), order=order)
+            out = lap.apply(block)
+            for j in range(7):
+                assert np.array_equal(out[:, j], lap.apply(block[:, j].copy()))
+        for shape in ((g.n + 1, 2), (g.n, 2, 2), ()):
+            with pytest.raises(GraphError, match="block"):
+                lap.apply(np.zeros(shape))
+
+
 def test_assembly_is_cached(rng):
     g = random_connected_graph(rng, 6)
     assert assemble_laplacian(g) is assemble_laplacian(g)

@@ -23,7 +23,7 @@ from .energy import (
     energy_inner,
     gauged,
 )
-from .graphs import GraphError, TruncatedGraph, underlying
+from .graphs import GraphError, TruncatedGraph
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import harmonic_measure_exact
 
@@ -171,7 +171,9 @@ def energy_split(trunc, f):
     (Laplacian f)(x): summation by parts collapses the finite part's energy
     onto the interior because the remainder vanishes on the frontier.
     """
-    fv = _as_gauged(underlying(trunc), f)
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError("the split needs a truncation carrying a frontier")
+    fv = _as_gauged(trunc.graph, f)
     split = energy_splits(trunc, fv.values[:, None])
     return {key: float(value[0]) for key, value in split.items()}
 

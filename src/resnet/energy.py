@@ -15,7 +15,8 @@ Every dipole comes from one Jacobi-preconditioned conjugate-gradient loop,
 pass, with the same result per pair bit for bit.  The reproducing check and
 the product bound follow the same pattern: `reproducing_checks` and
 `pointwise_products` take an (n, k) block of functions, and the single forms
-are their k = 1 case.
+are their k = 1 case.  Every energy, `energy_inner` included, comes from one
+column-wise form, `_energy_form`.
 """
 
 from __future__ import annotations
@@ -117,23 +118,18 @@ def _edge_increments(graph, values):
     """Edge conductances c and increments u(i) - u(j) over the edges i < j.
 
     `values` is a vertex vector or an (n, k) block of them; the energy form
-    is then sum over edges of c du dv.  A block is gathered as k rows, so
-    its (m, k) increments come back with contiguous columns.
+    is then sum over edges of c du dv.
     """
     i, j, c = graph.edge_arrays()
-    if values.ndim == 1:
-        return c, values[i] - values[j]
-    rows = values.T
-    return c, (rows.take(i, axis=1) - rows.take(j, axis=1)).T
+    return c, values[i] - values[j]
 
 
 def energy_inner(u, v):
-    """<u, v> = sum over edges of c_xy du dv."""
+    """<u, v> = sum over edges of c_xy du dv: the k = 1 case of `_energy_form`."""
     if u.graph is not v.graph:
         raise GraphError("energy inner product needs vectors on the same graph")
-    c, du = _edge_increments(u.graph, u.values)
-    _, dv = _edge_increments(v.graph, v.values)
-    return float(np.dot(c * du, dv))
+    other = None if v is u else v.values[:, None]
+    return float(_energy_form(u.graph, u.values[:, None], other)[0])
 
 
 def _column_dots(a, b):
@@ -147,12 +143,21 @@ def _column_dots(a, b):
 
 
 def _energy_form(graph, a, b=None):
-    """<a_j, b_j> for every column j of two (n, k) blocks (b defaults to a).
+    """<a_j, b_j> = sum over edges of c da_j db_j for every column j of two
+    (n, k) blocks (b defaults to a).
 
-    Entry j equals ``energy_inner`` of column j of each block bit for bit.
+    Each block is gathered as k rows, so its (m, k) increments come back with
+    contiguous columns and entry j equals ``np.dot(c * da_j, db_j)`` on the
+    vectors of column j bit for bit.
     """
-    c, da = _edge_increments(graph, a)
-    db = da if b is None else _edge_increments(graph, b)[1]
+    i, j, c = graph.edge_arrays()
+
+    def increments(block):
+        rows = block.T
+        return (rows.take(i, axis=1) - rows.take(j, axis=1)).T
+
+    da = increments(a)
+    db = da if b is None else increments(b)
     return _column_dots(c[:, None] * da, db)
 
 

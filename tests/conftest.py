@@ -92,6 +92,13 @@ def per_pair_dipoles(g, pairs, tol=1e-10):
     return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
 
 
+def vector_energy_inner(u, v):
+    """<u, v> as `energy_inner` computed it before it became the k = 1 case of
+    `energy._energy_form`: one `np.dot` over the edge increments of two vectors."""
+    i, j, c = u.graph.edge_arrays()
+    return float(np.dot(c * (u.values[i] - u.values[j]), v.values[i] - v.values[j]))
+
+
 # -- the per-sample loops of `check`, kept as oracles of its block passes -------
 #
 # Each has the signature of the `cli` function it stands for and draws from

@@ -17,7 +17,7 @@ from resnet.decomposition import (
 )
 from resnet.laplacian import assemble_laplacian, harmonic_extension
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, vector_energy_inner
 
 
 def harmonic_basis_by_columns(trunc):
@@ -183,8 +183,9 @@ def parent_energy_split(trunc, f):
     lap_f = assemble_laplacian(graph).apply(fv.values)
     g = fv.values - qraw
     dirichlet = float(g[trunc.interior] @ lap_f[trunc.interior])
-    boundary = gauged(graph, qraw).energy
-    total = fv.energy
+    q = gauged(graph, qraw)
+    boundary = vector_energy_inner(q, q)
+    total = vector_energy_inner(fv, fv)
     return {
         "dirichlet_term": dirichlet,
         "boundary_term": boundary,
@@ -225,6 +226,15 @@ def test_energy_splits_guards():
         energy_splits(trunc, np.zeros(trunc.graph.n))
     with pytest.raises(GraphError, match="block"):
         energy_splits(trunc, np.zeros((trunc.graph.n + 1, 2)))
+
+
+def test_energy_split_checks_the_truncation_first(rng):
+    g = random_connected_graph(rng, 6)
+    # neither the wrong length nor a non-graph gets as far as gauging f
+    for not_a_truncation in (g, truncate(g, 2).graph, object()):
+        for f in (np.zeros(6), np.zeros(7), gauged(random_connected_graph(rng, 6), np.zeros(6))):
+            with pytest.raises(GraphError, match="truncation"):
+                energy_split(not_a_truncation, f)
 
 
 def test_harmonic_basis_spans_with_one_null_direction():

@@ -21,7 +21,13 @@ from resnet.energy import (
 from resnet.graphs import GraphError, as_truncated, generate
 from resnet.laplacian import assemble_laplacian
 
-from conftest import dense_laplacian, per_pair_dipoles, pinv_resistance, random_connected_graph
+from conftest import (
+    dense_laplacian,
+    per_pair_dipoles,
+    pinv_resistance,
+    random_connected_graph,
+    vector_energy_inner,
+)
 
 
 def oracle_dipole(graph, x, y):
@@ -283,15 +289,17 @@ def test_energy_vector_csv_round_trip(tmp_path, rng):
 
 def parent_pointwise_product(u, w):
     """`pointwise_product` before its block form: (product values, product
-    energy, bound) from `energy_inner` and Python's float ** 2."""
+    energy, bound) from vector energies and Python's float ** 2."""
     prod = gauged(u.graph, u.values * w.values)
-    bound = (u.sup_norm() ** 2 + w.sup_norm() ** 2) * (energy_inner(u, u) + energy_inner(w, w))
-    return prod.values, energy_inner(prod, prod), bound
+    energies = vector_energy_inner(u, u) + vector_energy_inner(w, w)
+    bound = (u.sup_norm() ** 2 + w.sup_norm() ** 2) * energies
+    return prod.values, vector_energy_inner(prod, prod), bound
 
 
 def parent_reproducing_check(v, f):
     """`reproducing_check` before its block form."""
-    return abs(energy_inner(v.vector, f) - float(f.values[v.source] - f.values[v.sink]))
+    increment = float(f.values[v.source] - f.values[v.sink])
+    return abs(vector_energy_inner(v.vector, f) - increment)
 
 
 BLOCK_GRAPHS = [
@@ -318,8 +326,8 @@ def test_energy_form_is_energy_inner_per_column(make, k, order):
     assert cross.shape == self_a.shape == (k,)
     for j in range(k):
         u, v = gauged(g, a[:, j]), gauged(g, b[:, j])
-        assert cross[j] == energy_inner(u, v)
-        assert self_a[j] == energy_inner(u, u)
+        assert cross[j] == vector_energy_inner(u, v) == energy_inner(u, v)
+        assert self_a[j] == vector_energy_inner(u, u) == energy_inner(u, u) == u.energy
     # np.dot on strided columns takes another BLAS path, which rounds
     # differently: _column_dots matches it on contiguous copies, whatever the order
     dots = [np.dot(a[:, j].copy(), b[:, j].copy()) for j in range(k)]
@@ -350,12 +358,13 @@ def test_single_forms_are_unchanged(make):
             continue
         u_raw[(g.base_point + 1) % g.n] = s
         u = gauged(g, u_raw)
-        energies = energy_inner(u, u) + energy_inner(w, w)
+        energies = vector_energy_inner(u, u) + vector_energy_inner(w, w)
         bound = parent_pointwise_product(u, w)[2]
         if (s * s + w.sup_norm() ** 2) * energies != bound:
             break
     else:
-        pytest.fail("no sup norm in the sample moves the bound")
+        # a libm whose pow is correctly rounded has s ** 2 == s * s for every s
+        pytest.skip("no sup norm in the sample squares differently as s * s and s ** 2")
     assert pointwise_product(u, w)[1].bound == bound
 
 

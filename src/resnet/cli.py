@@ -59,7 +59,7 @@ def _round12(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.12g}") if math.isfinite(obj) else repr(obj)
+        return float(f"{obj:.12g}") if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, np.floating):
         return _round12(float(obj))
     if isinstance(obj, np.integer):

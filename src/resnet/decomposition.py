@@ -126,7 +126,7 @@ def project_finite(trunc, kernel, f):
     return EnergyVector(graph, out)
 
 
-def interpolate(trunc, kernel, f, x, measure=None):
+def interpolate(trunc, kernel, f, x):
     """Rebuild f(x) from kernel data plus harmonic measure against frontier values.
 
     The kernel term reproduces the interior-supported part; the boundary term
@@ -152,7 +152,7 @@ def interpolate(trunc, kernel, f, x, measure=None):
     if len(trunc.frontier) == 0:
         boundary_term = 0.0
     else:
-        mu_x = measure if measure is not None else harmonic_measure_exact(trunc, x)
+        mu_x = harmonic_measure_exact(trunc, x)
         mu_base = harmonic_measure_exact(trunc, base)
         boundary_term = float(mu_x.weights @ trace - mu_base.weights @ trace)
     value = green_term + boundary_term

@@ -227,8 +227,8 @@ def solve_dipoles(g, pairs, tol=1e-10):
     return _dipole_vectors(graph, lap, rhs, pairs, tol)
 
 
-def _check_pair(graph, x, y):
-    if x == y:
+def _check_pair(graph, x, y, distinct=True):
+    if distinct and x == y:
         raise GraphError("dipole endpoints must differ")
     for v in (x, y):
         if not 0 <= v < graph.n:

@@ -81,7 +81,12 @@ def greens_gram(g, tol=1e-10):
     columns were from symmetric.
     """
     graph = underlying(g)
-    kept, _, lu = grounded_laplacian(graph, graph.base_point)
+    return _grounded_kernel(graph, graph.base_point, tol)
+
+
+def _grounded_kernel(graph, ground, tol):
+    """The inverse of L without the `ground` rows and columns, one column per kept vertex."""
+    kept, _, lu = grounded_laplacian(graph, ground)
     k = lu.solve(np.eye(len(kept)))
     residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
     k = 0.5 * (k + k.T)

@@ -325,6 +325,10 @@ def harmonic_measure_exact(trunc, x):
     once means solving L_II z = e_x and reading off z^T A_IF, which is A z
     on the frontier.
     """
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError("harmonic measure needs a truncation carrying a frontier")
+    if len(trunc.frontier) == 0:
+        raise GraphError("truncation has an empty frontier; walks cannot absorb")
     graph = trunc.graph
     if not 0 <= x < graph.n or trunc.frontier_mask[x]:
         raise GraphError(f"vertex index {x} is not interior to the truncation")

@@ -24,8 +24,9 @@ M2; they are accepted as aliases and computed through their twins.
 The whole matrix has one route, `resistance_matrix(g)`: it reads d(x, y) =
 K(x, x) + K(y, y) - 2 K(x, y) off the base-grounded kernel K, one
 multi-column solve against the cached grounded factorization.  The readout
-itself is `ResistanceMatrix.from_kernel`, which `resnet check` and the
-family diagnostics call on a kernel they already hold.
+itself is `ResistanceMatrix.from_kernel`, which `resnet check` calls on a
+kernel it already holds and `radius_sweep` calls on the frontier-grounded
+kernel of the wired metric.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
-from .energy import SolverError, _check_tol, _write_csv, solve_dipole
+from .energy import SolverError, _check_pair, _check_tol, _write_csv, solve_dipole
 from .graphs import GraphError, generate, underlying
-from .greens import greens_gram
+from .greens import _grounded_kernel, greens_gram
 from .laplacian import grounded_solve
 
 __all__ = [
@@ -50,19 +51,12 @@ __all__ = [
     "current_of_dipole",
     "ResistanceMatrix",
     "resistance_matrix",
-    "boundedness_diagnostic",
-    "type_a_diagnostic",
+    "radius_sweep",
     "continuum_reference",
 ]
 
 METHODS = ("M1", "M2", "M3", "M4", "M7")
 _ALIASES = {"M5": "M7", "M6": "M2"}
-
-
-def _check_pair(graph, x, y):
-    for v in (x, y):
-        if not 0 <= v < graph.n:
-            raise GraphError(f"vertex index {v} out of range [0, {graph.n})")
 
 
 def resistance(g, x, y, method="M2", tol=1e-10):
@@ -75,7 +69,7 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     route.
     """
     graph = underlying(g)
-    _check_pair(graph, x, y)
+    _check_pair(graph, x, y, distinct=False)
     _check_tol(tol)
     if x == y:
         return 0.0
@@ -311,9 +305,10 @@ class ResistanceMatrix:
 
     @classmethod
     def from_kernel(cls, kernel):
-        """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a base-grounded kernel.
+        """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a grounded kernel.
 
-        The base row and column of K are zero, so d(base, x) = K(x, x).  The
+        K is zero on the grounded rows and columns, so d(x, ground) = K(x, x)
+        and the grounded vertices lie at distance 0 from each other.  The
         matrix records how far the raw kernel was from symmetric.
         """
         graph = kernel.graph
@@ -472,136 +467,60 @@ def resistance_matrix(g):
     return ResistanceMatrix.from_kernel(greens_gram(graph))
 
 
-# -- family diagnostics --------------------------------------------------------
+# -- radius sweep ---------------------------------------------------------------
 
 
-def _geodesic_ray(graph):
-    """Hop-geodesic from the base to a deepest vertex, ties broken by vertex index.
+def radius_sweep(family, radii, params=None):
+    """The free and the wired resistance metric of one family across radii.
 
-    Vertices are ordered by (hop, label), so the deepest vertex taken is the
-    one with the largest label and each parent the one with the smallest.
+    The wired metric shorts the frontier into one node: its matrix is read
+    off the frontier-grounded kernel.  For each radius and each metric the
+    report gives the largest d(base, x) and the covering numbers N(eps) for
+    eps = D0 / 2^k, k = 1..5, where D0 is the free diameter at the smallest
+    radius.  A bounded metric keeps the first bounded as the radius grows; a
+    totally bounded completion keeps every N(eps) bounded.
     """
-    hop = graph.hop_distance
-    path = [int(np.flatnonzero(hop == hop.max())[-1])]
-    while hop[path[-1]] > 0:
-        nbrs, _ = graph.neighbors(path[-1])
-        path.append(int(nbrs[hop[nbrs] == hop[path[-1]] - 1].min()))
-    return path[::-1]
-
-
-def _base_distances(kernel):
-    """d(base, x) for every x: the base row of `ResistanceMatrix.from_kernel`,
-    bit for bit, read off the kernel's diagonal without the n x n matrix."""
-    dists = np.zeros(kernel.graph.n)
-    dists[kernel.vertices] = np.diag(kernel.matrix)
-    return dists
-
-
-def boundedness_diagnostic(family, radii, params=None):
-    """Track max_x d(base, x) across radii to see whether the metric stays bounded.
-
-    Also reports the plain resistance sum (sum of 1/c) along a hop geodesic,
-    the series whose convergence controls the one-ray picture.
-    """
-    if len(radii) < 2:
-        raise GraphError("boundedness diagnostic needs at least two radii")
+    radii = sorted(radii)
+    if not radii:
+        raise GraphError("radius sweep needs at least one radius")
     params = dict(params or {})
-    rows = []
-    for radius in sorted(radii):
+    rows, epsilons = [], None
+    for radius in radii:
         trunc = generate(family, radius=radius, **params)
-        graph = trunc.graph
-        dists = _base_distances(greens_gram(graph))
-        ray = _geodesic_ray(graph)
-        ray_sum = math.fsum(
-            1.0 / graph.conductance(a, b) for a, b in zip(ray, ray[1:])
-        )
-        rows.append(
-            {
-                "radius": radius,
-                "vertices": graph.n,
-                "max_distance": float(dists.max()),
-                "ray_resistance_sum": ray_sum,
-                "ray_tip": str(graph.labels[ray[-1]]),
-            }
-        )
-    maxima = [row["max_distance"] for row in rows]
-    diffs = np.diff(maxima)
-    if len(diffs) and np.all(diffs[1:] <= diffs[:-1] + 1e-12) and diffs[-1] <= 0.75 * diffs[0] + 1e-12:
-        trend = "bounded"
-    elif len(diffs) and diffs[-1] >= 0.9 * diffs[0] - 1e-12:
-        trend = "growing"
-    else:
-        trend = "inconclusive"
-    return {
-        "family": family,
-        "params": params,
-        "per_radius": rows,
-        "max_distance_diffs": diffs.tolist(),
-        "trend": trend,
-    }
-
-
-_RAY_FAMILIES = ("comb", "binary-tree", "nary-tree", "halfline")
-
-
-def type_a_diagnostic(family, radius, params=None, max_depth=None):
-    """Sample distances along and across the labeled rays of a family.
-
-    Distinct comb teeth keep a positive distance floor however deep one goes
-    (the completion is not totally bounded there); tree rays with summable
-    edge resistances collapse; the half-line has a single Cauchy ray.
-    Reports signatures, not certificates.
-    """
-    if family not in _RAY_FAMILIES:
-        raise GraphError(
-            f"type-A diagnostic unsupported for family {family!r}: no labeled rays"
-        )
-    params = dict(params or {})
-    trunc = generate(family, radius=radius, **params)
-    graph = trunc.graph
-    d = ResistanceMatrix.from_kernel(greens_gram(graph)).matrix
-    idx = graph.index_of
-    report = {"family": family, "radius": radius, "params": params}
-    if family == "comb":
-        depth = radius - 2 if max_depth is None else min(max_depth, radius - 2)
-        cross = []
-        for k in range(1, depth + 1):
-            cross.append(
-                {
-                    "k": k,
-                    "d01": float(d[idx((0, k)), idx((1, k))]),
-                    "d02": float(d[idx((0, k)), idx((2, k))]),
-                    "d12": float(d[idx((1, k)), idx((2, k))]),
-                }
+        if len(trunc.frontier) == 0:
+            raise GraphError(
+                f"family {family!r} at radius {radius} has an empty frontier; "
+                "the wired metric shorts nothing"
             )
-        floor = min(min(row["d01"], row["d02"], row["d12"]) for row in cross)
-        report.update(
-            cross_teeth=cross,
-            distance_floor=floor,
-            signature="separated" if floor > 1e-2 else "collapsing",
-        )
-        return report
-    if family in ("binary-tree", "nary-tree"):
-        word = (lambda n: "+" * n) if family == "binary-tree" else (lambda n: (0,) * n)
-        depth = radius - 1 if max_depth is None else min(max_depth, radius - 1)
-        steps = [
-            {"level": n, "step": float(d[idx(word(n)), idx(word(n + 1))])}
-            for n in range(depth)
-        ]
-        vals = [s["step"] for s in steps]
-        collapsing = all(b < a for a, b in zip(vals, vals[1:])) and vals[-1] < 0.25 * vals[0]
-        report.update(
-            within_ray=steps, signature="collapsing" if collapsing else "separated"
-        )
-        return report
-    depth = radius if max_depth is None else min(max_depth, radius)
-    steps = [
-        {"level": n, "step": float(d[idx(n), idx(n + 1)])} for n in range(depth)
-    ]
-    vals = [s["step"] for s in steps]
-    cauchy = all(b <= a for a, b in zip(vals, vals[1:]))
-    report.update(within_ray=steps, signature="cauchy-ray" if cauchy else "growing")
-    return report
+        graph = trunc.graph
+        free = resistance_matrix(graph).matrix
+        wired = ResistanceMatrix.from_kernel(_grounded_kernel(graph, trunc.frontier, 1e-10)).matrix
+        if epsilons is None:
+            epsilons = [float(free.max()) / 2**k for k in range(1, 6)]
+        row = {"radius": radius, "n": graph.n}
+        for name, d in (("free", free), ("wired", wired)):
+            row[name] = {
+                "max_base_distance": float(d[graph.base_point].max()),
+                "covering": _covering_numbers(d, epsilons),
+            }
+        rows.append(row)
+    return {"family": family, "params": params, "epsilons": epsilons, "per_radius": rows}
+
+
+def _covering_numbers(d, epsilons):
+    """N(eps) for each eps of the falling list `epsilons`.
+
+    N(eps) is the size of the greedy farthest-point net started at vertex 0
+    (Gonzalez 1985): the vertex farthest from the net joins it until every
+    vertex lies within eps of the net.
+    """
+    gap, size, counts = d[0].copy(), 1, []
+    for eps in epsilons:
+        while gap.max() > eps:
+            np.minimum(gap, d[gap.argmax()], out=gap)
+            size += 1
+        counts.append(size)
+    return counts
 
 
 def continuum_reference(x, y):

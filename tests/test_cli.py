@@ -371,6 +371,14 @@ def test_reports_round_to_twelve_significant_digits(halfline_file, capsys):
     assert report["values"]["M2"] == 1.57131743166
 
 
+def test_rounding_spells_numpy_nonfinite_floats_as_python_does():
+    nan, inf = np.float64("nan"), np.float64("inf")
+    assert cli._round12(nan) == "nan"
+    assert cli._round12({"a": inf, "b": [-inf, (np.float32("nan"), 2.0)]}) == {
+        "a": "inf", "b": ["-inf", ["nan", 2.0]],
+    }
+
+
 def test_main_leaves_the_environment_unchanged(chain_file, monkeypatch, capsys):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

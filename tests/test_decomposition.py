@@ -131,18 +131,6 @@ def test_interpolation_reconstructs_pointwise(rng):
     assert at_base["residual"] < 1e-10
 
 
-def test_interpolation_reuses_supplied_measure(rng):
-    trunc, f = lattice_case(rng)
-    kernel = greens_gram(trunc.graph, tol=1e-13)
-    from resnet.markov import harmonic_measure_exact
-
-    x = int(trunc.interior[1])
-    mu = harmonic_measure_exact(trunc, x)
-    direct = interpolate(trunc, kernel, f, x)
-    reused = interpolate(trunc, kernel, f, x, measure=mu)
-    assert reused["value"] == direct["value"]
-
-
 def test_interpolation_guards(rng):
     trunc, f = lattice_case(rng)
     kernel = greens_gram(trunc.graph, tol=1e-13)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
+from resnet.graphs import ConductanceGraph, GraphError, as_truncated, generate, truncate
 from resnet.laplacian import (
     assemble_laplacian,
     harmonic_extension,
@@ -364,6 +364,15 @@ def test_exact_measure_needs_interior_start():
     est = harmonic_measure_exact(trunc, 0)
     with pytest.raises(GraphError, match="not on the frontier"):
         est.weight_of(0)
+
+
+def test_exact_measure_needs_a_nonempty_frontier():
+    with pytest.raises(GraphError, match="needs a truncation"):
+        harmonic_measure_exact(generate("halfline", radius=3).graph, 0)
+    with pytest.raises(GraphError, match="empty frontier"):
+        harmonic_measure_exact(as_truncated(generate("halfline", radius=3).graph), 0)
+    with pytest.raises(GraphError, match="empty frontier"):
+        harmonic_measure_exact(generate("wye"), 0)
 
 
 def test_sampled_measure_agrees_with_exact():

@@ -1,7 +1,8 @@
-"""Effective resistance routes, current flows, metric matrices, diagnostics.
+"""Effective resistance routes, current flows, metric matrices, the radius sweep.
 
 Every numeric expectation here is anchored either to the pseudo-inverse
-oracle in conftest or to a hand-derivable series/parallel closed form.
+oracle in conftest or to a hand-derivable series/parallel closed form,
+except the sweep's covering numbers, which are pinned as measured.
 """
 
 import importlib
@@ -20,16 +21,14 @@ from resnet.resistance import (
     _build_cycle_system,
     _cycle_system,
     ResistanceMatrix,
-    _base_distances,
-    boundedness_diagnostic,
     continuum_reference,
     current_of_dipole,
+    radius_sweep,
     resistance,
     resistance_matrix,
-    type_a_diagnostic,
 )
 
-from conftest import per_z_triangle_slack, pinv_resistance, random_connected_graph
+from conftest import dense_laplacian, per_z_triangle_slack, pinv_resistance, random_connected_graph
 
 
 def test_all_routes_match_pinv_oracle(rng):
@@ -574,65 +573,80 @@ def test_matrix_csv(tmp_path, rng):
     assert np.array_equal(got, mat.matrix)
 
 
+def wired_pinv_distances(trunc):
+    """d(x, y) with the frontier shorted into one node, from the pseudo-inverse
+    of the Laplacian Q^T L Q whose Q sends every frontier vertex to the first."""
+    n = trunc.graph.n
+    node = np.arange(n)
+    node[trunc.frontier] = trunc.frontier[0]
+    q = np.zeros((n, n))
+    q[np.arange(n), node] = 1.0
+    pinv = np.linalg.pinv(q.T @ dense_laplacian(trunc.graph) @ q)[np.ix_(node, node)]
+    return np.add.outer(np.diag(pinv), np.diag(pinv)) - 2.0 * pinv
+
+
 @pytest.mark.parametrize(
     "family,radius,params", [("binary-tree", 6, {}), ("lattice", 8, {}), ("comb", 6, {})]
 )
 def test_base_distances_are_the_base_row_of_the_matrix(family, radius, params):
-    graph = generate(family, radius=radius, **params).graph
-    kernel = greens_gram(graph)
-    row = ResistanceMatrix.from_kernel(kernel).matrix[graph.base_point]
-    assert _base_distances(kernel).tobytes() == row.tobytes()
+    trunc = generate(family, radius=radius, **params)
+    graph = trunc.graph
+    row = radius_sweep(family, [radius], params)["per_radius"][0]
+    assert row["n"] == graph.n
+    free = resistance_matrix(graph).matrix[graph.base_point]
+    assert row["free"]["max_base_distance"] == float(free.max())
+    wired = wired_pinv_distances(trunc)[graph.base_point]
+    assert row["wired"]["max_base_distance"] == pytest.approx(wired.max(), rel=1e-9)
+    assert row["wired"]["max_base_distance"] < row["free"]["max_base_distance"]
 
 
-def test_boundedness_diagnostic_builds_no_distance_matrix(monkeypatch):
-    maxima = []
-    for radius in (4, 6):
-        graph = generate("binary-tree", radius=radius).graph
-        maxima.append(float(ResistanceMatrix.from_kernel(greens_gram(graph)).matrix[graph.base_point].max()))
-
-    def unbuilt(cls, kernel):
-        raise AssertionError("the diagnostic built the n x n distance matrix")
-
-    monkeypatch.setattr(ResistanceMatrix, "from_kernel", classmethod(unbuilt))
-    report = boundedness_diagnostic("binary-tree", [4, 6])
-    assert [row["max_distance"] for row in report["per_radius"]] == maxima
+def test_sweep_lattice_needs_one_net_in_both_metrics():
+    report = radius_sweep("lattice", [16, 12, 20])
+    assert [row["radius"] for row in report["per_radius"]] == [12, 16, 20]
+    for row in report["per_radius"]:
+        assert row["free"]["covering"] == row["wired"]["covering"] == [2, 4, 8, 13, 17]
 
 
-def test_boundedness_diagnostic_trends():
-    bounded = boundedness_diagnostic("halfline", [4, 6, 8, 10])
-    assert bounded["trend"] == "bounded"
-    # geometric weights: the ray resistance sum approaches a finite limit
-    sums = [row["ray_resistance_sum"] for row in bounded["per_radius"]]
-    assert sums[-1] == pytest.approx(sums[-2], rel=1e-2)
-    growing = boundedness_diagnostic("halfline", [4, 6, 8, 10], {"growth": 1.0})
-    assert growing["trend"] == "growing"
-    assert growing["per_radius"][-1]["max_distance"] == pytest.approx(10.0)
-    with pytest.raises(GraphError, match="two radii"):
-        boundedness_diagnostic("halfline", [4])
+def test_sweep_comb_teeth_stay_separated_in_the_free_metric():
+    rows = radius_sweep("comb", [8, 10, 12, 14])["per_radius"]
+    # each tooth end lies farther than D0 / 2 from every other point of the
+    # net: one more net point per tooth, while d(base, .) stays below 2
+    assert [row["free"]["covering"][0] for row in rows] == [7, 9, 11, 13]
+    assert all(row["free"]["max_base_distance"] < 2.0 for row in rows)
+    # shorting the frontier joins the tooth ends
+    assert [row["wired"]["covering"][0] for row in rows] == [1, 1, 1, 1]
+    assert [row["wired"]["covering"][2] for row in rows] == [8, 10, 12, 14]
 
 
-def test_type_a_comb_teeth_stay_separated():
-    report = type_a_diagnostic("comb", radius=8)
-    assert report["signature"] == "separated"
-    assert report["distance_floor"] > 1e-2
-    assert all(row["d12"] > 0 for row in report["cross_teeth"])
+def test_sweep_tree_rays_collapse_in_the_wired_metric():
+    rows = radius_sweep("binary-tree", [5, 7, 9])["per_radius"]
+    assert all(row["wired"]["covering"] == [1, 1, 2, 7, 8] for row in rows)
+    assert [row["free"]["covering"][0] for row in rows] == [1, 5, 5]
 
 
-def test_type_a_tree_ray_collapses():
-    report = type_a_diagnostic("binary-tree", radius=7, params={"b_plus": 2.0})
-    steps = [s["step"] for s in report["within_ray"]]
-    assert report["signature"] == "collapsing"
-    assert all(b < a for a, b in zip(steps, steps[1:]))
+def test_sweep_halfline_is_one_cauchy_ray():
+    for row in radius_sweep("halfline", [8, 16])["per_radius"]:
+        assert row["free"]["covering"] == row["wired"]["covering"] == [2, 3, 4, 4, 5]
 
 
-def test_type_a_halfline_cauchy():
-    report = type_a_diagnostic("halfline", radius=9)
-    assert report["signature"] == "cauchy-ray"
+def test_sweep_tells_a_bounded_metric_from_a_growing_one():
+    # halfline edges carry c = e^k: d(0, r) is the partial sum of e^-k,
+    # bounded by e / (e - 1); with growth 1 it is r itself
+    limit = math.e / (math.e - 1.0)
+    for row in radius_sweep("halfline", [4, 6, 8, 10])["per_radius"]:
+        series = math.fsum(math.exp(-k) for k in range(row["radius"]))
+        for metric in ("free", "wired"):
+            assert row[metric]["max_base_distance"] == pytest.approx(series, rel=1e-12)
+            assert row[metric]["max_base_distance"] < limit
+    for row in radius_sweep("halfline", [4, 6, 8, 10], {"growth": 1.0})["per_radius"]:
+        assert row["free"]["max_base_distance"] == pytest.approx(row["radius"], rel=1e-12)
 
 
-def test_type_a_rejects_unlabeled_families():
-    with pytest.raises(GraphError, match="unsupported"):
-        type_a_diagnostic("lattice", radius=3)
+def test_sweep_rejects_no_radii_and_an_empty_frontier():
+    with pytest.raises(GraphError, match="at least one radius"):
+        radius_sweep("halfline", [])
+    with pytest.raises(GraphError, match="empty frontier"):
+        radius_sweep("wye", [1])
 
 
 def test_continuum_reference_closed_form():

@@ -1,12 +1,12 @@
 """Splitting finite-energy functions: interior-supported part + harmonic part.
 
 On a truncation the finitely-supported span and the harmonic extensions of
-frontier data are orthogonal complements in the energy inner product.  The
-split is computed by one harmonic extension; the kernel route (applying the
-Green matrix to the Laplacian of the interior-vanishing remainder) recovers
-the same finite part and serves as its cross-check.  The interpolation
-formula rebuilds point values from a kernel term plus a harmonic-measure
-term against the frontier data.
+frontier data are orthogonal complements in the energy inner product.  One
+helper gauges f (a vector or an (n, k) block) and extends its frontier trace
+q; f - q vanishes on the frontier and is the finite part.  The orthogonal
+split, the energy split and the kernel route (the Green matrix applied to
+L (f - q), a cross-check on the finite part) all start from that pair.  The
+interpolation formula adds a harmonic-measure term against the frontier data.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .energy import (
 )
 from .graphs import GraphError, TruncatedGraph
 from .laplacian import assemble_laplacian, harmonic_extension
-from .markov import harmonic_measure_exact
+from .markov import _harmonic_measures
 
 __all__ = [
     "RoydenSplit",
@@ -39,19 +39,28 @@ __all__ = [
 ]
 
 
-def _as_gauged(graph, f):
-    if isinstance(f, EnergyVector):
-        if f.graph is not graph:
-            raise GraphError("function was built on a different graph")
-        return f
-    return gauged(graph, np.asarray(f, dtype=float))
+def _trace_split(trunc, f, needs="the split", block=False):
+    """Check the truncation, gauge f and extend its frontier trace: returns (f, q).
 
-
-def _frontier_extension(trunc, boundary):
-    """Full-length vector, or (n, k) block: given data on the frontier, harmonic inside."""
+    f is a vertex vector or an EnergyVector, or with `block` an (n, k) block.
+    q is harmonic inside and equals f on the frontier (q = 0 when the
+    frontier is empty), so f - q is the finite part before gauging.
+    """
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError(f"{needs} needs a truncation carrying a frontier")
+    graph = trunc.graph
+    if block:
+        f = np.asarray(f, dtype=np.float64)
+        if f.ndim != 2 or f.shape[0] != graph.n:
+            raise GraphError(f"expected a ({graph.n}, k) block, got shape {f.shape}")
+        f = _gauge(graph, f)
+    elif getattr(f, "graph", graph) is not graph:
+        raise GraphError("function was built on a different graph")
+    else:
+        f = gauged(graph, getattr(f, "values", f)).values
     if len(trunc.frontier) == 0:
-        return np.zeros((trunc.graph.n,) + boundary.shape[1:])
-    return harmonic_extension(trunc, boundary)
+        return f, np.zeros(f.shape)
+    return f, harmonic_extension(trunc, f[trunc.frontier])
 
 
 class RoydenSplit:
@@ -81,34 +90,27 @@ def royden_split(trunc, f):
     masses.  With an empty frontier the harmonic part is zero and f is
     entirely finite.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the split needs a truncation carrying a frontier")
-    graph = trunc.graph
-    fv = _as_gauged(graph, f)
-    qraw = _frontier_extension(trunc, fv.values[trunc.frontier])
-    harmonic = gauged(graph, qraw)
-    finite = gauged(graph, fv.values - harmonic.values)
-    residual = abs(energy_inner(finite, harmonic))
-    return RoydenSplit(graph, fv.values, finite, harmonic, residual)
+    f, q = _trace_split(trunc, f)
+    harmonic = gauged(trunc.graph, q)
+    finite = gauged(trunc.graph, f - harmonic.values)
+    return RoydenSplit(trunc.graph, f, finite, harmonic, abs(energy_inner(finite, harmonic)))
 
 
-def _kernel_remainder(trunc, kernel, fv):
-    """L g on the kernel's vertices, for g = f minus the extension of its trace.
+def _kernel_remainder(trunc, kernel, f, needs):
+    """Gauged f, and L (f - q) on the kernel's vertices, which K maps back onto f - q.
 
-    g vanishes on the frontier, so it is the finite part and the kernel maps
-    this right-hand side back onto it.  The kernel must be grounded at the
-    base point alone.
+    The kernel must be grounded at the base point alone.
     """
+    f, q = _trace_split(trunc, f, needs)
     graph = trunc.graph
-    base = graph.base_point
-    expected = [i for i in range(graph.n) if i != base]
-    if list(kernel.vertices) != expected:
+    if kernel.graph is not graph:
+        raise GraphError("kernel was computed on a different graph")
+    if list(kernel.vertices) != [i for i in range(graph.n) if i != graph.base_point]:
         raise GraphError(
             "kernel must cover every vertex except the base point "
             '(use the gram route or absorb="base")'
         )
-    g = fv.values - _frontier_extension(trunc, fv.values[trunc.frontier])
-    return assemble_laplacian(graph).apply(g)[kernel.vertices]
+    return f, assemble_laplacian(graph).apply(f - q)[kernel.vertices]
 
 
 def project_finite(trunc, kernel, f):
@@ -117,13 +119,10 @@ def project_finite(trunc, kernel, f):
     Independent of `royden_split` except for the shared extension, so
     agreement between the two is a genuine consistency check on K.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the projection needs a truncation carrying a frontier")
-    graph = trunc.graph
-    rhs = _kernel_remainder(trunc, kernel, _as_gauged(graph, f))
-    out = np.zeros(graph.n)
+    _, rhs = _kernel_remainder(trunc, kernel, f, "the projection")
+    out = np.zeros(trunc.graph.n)
     out[kernel.vertices] = kernel.matrix @ rhs
-    return EnergyVector(graph, out)
+    return EnergyVector(trunc.graph, out)
 
 
 def interpolate(trunc, kernel, f, x):
@@ -131,36 +130,26 @@ def interpolate(trunc, kernel, f, x):
 
     The kernel term reproduces the interior-supported part; the boundary term
     integrates the frontier trace against the measures seen from x and from
-    the base point (the base correction keeps everything gauged).  Returns
-    the pieces and the reconstruction residual.
+    the base point (one block solve; the base term keeps everything gauged).
+    Returns the pieces and the reconstruction residual.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("interpolation needs a truncation carrying a frontier")
+    f, rhs = _kernel_remainder(trunc, kernel, f, "interpolation")
     graph = trunc.graph
-    fv = _as_gauged(graph, f)
     if not 0 <= x < graph.n:
         raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
-    if len(trunc.frontier) and trunc.frontier_mask[x]:
-        raise GraphError("interpolation point must be interior")
-    rhs = _kernel_remainder(trunc, kernel, fv)
     base = graph.base_point
-    if x == base:
-        green_term = 0.0
-    else:
-        green_term = float(kernel.matrix[kernel._pos[x]] @ rhs)
-    trace = fv.values[trunc.frontier]
-    if len(trunc.frontier) == 0:
-        boundary_term = 0.0
-    else:
-        mu_x = harmonic_measure_exact(trunc, x)
-        mu_base = harmonic_measure_exact(trunc, base)
-        boundary_term = float(mu_x.weights @ trace - mu_base.weights @ trace)
+    boundary_term = 0.0
+    if len(trunc.frontier):  # the measure solve rejects a frontier point x
+        trace = f[trunc.frontier]
+        mu_x, mu_base = _harmonic_measures(trunc, [x, base])
+        boundary_term = float(mu_x @ trace - mu_base @ trace)
+    green_term = 0.0 if x == base else float(kernel.matrix[kernel._pos[x]] @ rhs)
     value = green_term + boundary_term
     return {
         "value": value,
         "green_term": green_term,
         "boundary_term": boundary_term,
-        "residual": abs(value - float(fv.values[x])),
+        "residual": abs(value - float(f[x])),
     }
 
 
@@ -171,10 +160,8 @@ def energy_split(trunc, f):
     (Laplacian f)(x): summation by parts collapses the finite part's energy
     onto the interior because the remainder vanishes on the frontier.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the split needs a truncation carrying a frontier")
-    fv = _as_gauged(trunc.graph, f)
-    split = energy_splits(trunc, fv.values[:, None])
+    f, q = _trace_split(trunc, f)
+    split = _energy_terms(trunc, f[:, None], q[:, None])
     return {key: float(value[0]) for key, value in split.items()}
 
 
@@ -182,22 +169,18 @@ def energy_splits(trunc, f):
     """:func:`energy_split` of every column of an (n, k) block of functions.
 
     The columns are gauged at the base point and share one harmonic
-    extension, one Laplacian apply and one energy form; each term of the
-    returned dict is a length-k array whose entry j equals the single split
-    of column j bit for bit.
+    extension, one Laplacian apply and one energy form; entry j of each
+    returned length-k array equals the single split of column j bit for bit.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the split needs a truncation carrying a frontier")
+    return _energy_terms(trunc, *_trace_split(trunc, f, block=True))
+
+
+def _energy_terms(trunc, f, q):
+    """The terms of :func:`energy_splits` for a gauged block f and its extension q."""
     graph = trunc.graph
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] != graph.n:
-        raise GraphError(f"expected a ({graph.n}, k) block, got shape {f.shape}")
-    f = _gauge(graph, f)
-    qraw = _frontier_extension(trunc, f[trunc.frontier])
     lap_f = assemble_laplacian(graph).apply(f)
-    g = f - qraw
-    dirichlet = _column_dots(g[trunc.interior], lap_f[trunc.interior])
-    boundary = _energy_form(graph, _gauge(graph, qraw))
+    dirichlet = _column_dots((f - q)[trunc.interior], lap_f[trunc.interior])
+    boundary = _energy_form(graph, _gauge(graph, q))
     total = _energy_form(graph, f)
     return {
         "dirichlet_term": dirichlet,

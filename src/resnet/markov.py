@@ -2,9 +2,9 @@
 
 The walk steps from x to a neighbor y with probability c_xy / c(x).  On a
 truncation the frontier absorbs, and where a walk lands is the harmonic
-measure seen from its start; averaging boundary data against that measure
-reproduces harmonic functions pointwise.  Both an exact linear-algebra route
-and a seeded Monte Carlo route are provided so each can audit the other.
+measure seen from its start; averaging boundary data against it reproduces
+harmonic functions.  The exact measures from k starts come from one adjoint
+block solve, the single measure being its k = 1 case; seeded walks audit them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,14 @@ __all__ = [
     "poisson_reproduce",
     "martin_kernel",
 ]
+
+
+def _require_frontier(trunc, needs):
+    """Raise GraphError unless trunc is a truncation with a nonempty frontier."""
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError(f"{needs} needs a truncation carrying a frontier")
+    if len(trunc.frontier) == 0:
+        raise GraphError("truncation has an empty frontier; walks cannot absorb")
 
 
 def cylinder_probability(g, word):
@@ -227,10 +235,7 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     one draw per step, and picks the first neighbor whose row CDF exceeds it
     (the bisection is numpy's `searchsorted(..., side="right")`).
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("path sampling needs a truncation carrying a frontier")
-    if len(trunc.frontier) == 0:
-        raise GraphError("truncation has an empty frontier; walks cannot absorb")
+    _require_frontier(trunc, "path sampling")
     graph = trunc.graph
     if not 0 <= x < graph.n:
         raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
@@ -318,25 +323,29 @@ class BoundaryEstimate:
         return float(self.weights[pos[0]])
 
 
-def harmonic_measure_exact(trunc, x):
-    """Harmonic measure from x by the adjoint solve: one factorized system.
+def _harmonic_measures(trunc, points):
+    """Harmonic measures from k interior points by one adjoint block solve.
 
     h_I = L_II^-1 A_IF f, so evaluating at x against every boundary vector at
-    once means solving L_II z = e_x and reading off z^T A_IF, which is A z
-    on the frontier.
+    once means solving L_II z = e_x and reading off z^T A_IF, which is A z on
+    the frontier.  Row j of the returned (k, m) array is the measure from
+    points[j]; rows are contiguous, so their dot products match a vector's.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("harmonic measure needs a truncation carrying a frontier")
-    if len(trunc.frontier) == 0:
-        raise GraphError("truncation has an empty frontier; walks cannot absorb")
+    _require_frontier(trunc, "harmonic measure")
     graph = trunc.graph
-    if not 0 <= x < graph.n or trunc.frontier_mask[x]:
-        raise GraphError(f"vertex index {x} is not interior to the truncation")
-    e_x = np.zeros(graph.n)
-    e_x[x] = 1.0
-    z = grounded_solve(graph, trunc.frontier, e_x)
-    mu = (graph.adjacency() @ z)[trunc.frontier]
-    mu = np.maximum(mu, 0.0)  # clip the solver's negative dust
+    e = np.zeros((graph.n, len(points)))
+    for j, x in enumerate(points):
+        if not 0 <= x < graph.n or trunc.frontier_mask[x]:
+            raise GraphError(f"vertex index {x} is not interior to the truncation")
+        e[x, j] = 1.0
+    z = grounded_solve(graph, trunc.frontier, e)
+    mu = (graph.adjacency() @ z)[trunc.frontier].T
+    return np.maximum(mu, 0.0, order="C")  # clip the solver's negative dust
+
+
+def harmonic_measure_exact(trunc, x):
+    """Harmonic measure from x: the k = 1 case of the adjoint block solve."""
+    (mu,) = _harmonic_measures(trunc, [x])
     return BoundaryEstimate(
         frontier=np.array(trunc.frontier, dtype=np.int64),
         weights=mu,
@@ -383,6 +392,8 @@ def measure_z_scores(sampled, exact):
     """
     if sampled.total_samples <= 0:
         raise GraphError("sampled estimate holds no samples")
+    if not np.array_equal(sampled.frontier, exact.frontier):
+        raise GraphError("the two estimates come from a different graph: their frontiers differ")
     mu = np.clip(exact.weights, 0.0, 1.0)
     n = sampled.total_samples
     scale = np.sqrt(mu * (1.0 - mu) / n)
@@ -401,12 +412,13 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     rather than being reweighted away.  The standard error needs at least two
     samples.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("boundary representation needs a truncation")
+    _require_frontier(trunc, "boundary representation")
     if n_samples < 2:
         raise GraphError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
-    h = np.asarray(getattr(h_values, "values", h_values), dtype=float)
     graph = trunc.graph
+    if getattr(h_values, "graph", graph) is not graph:
+        raise GraphError("function was built on a different graph")
+    h = np.asarray(getattr(h_values, "values", h_values), dtype=float)
     if h.shape != (graph.n,):
         raise GraphError(f"expected {graph.n} vertex values, got shape {h.shape}")
     lap = assemble_laplacian(graph)
@@ -443,6 +455,8 @@ def martin_kernel(trunc, walk_g, x, y):
         raise GraphError(
             'Martin ratios need the frontier-absorbed series; pass absorb="frontier"'
         )
+    if walk_g.graph is not trunc.graph:
+        raise GraphError("walk series was computed on a different graph")
     base = trunc.graph.base_point
     denom = walk_g.value(base, y)
     if denom == 0.0:

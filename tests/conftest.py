@@ -9,15 +9,25 @@ tautology.
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
-from resnet.decomposition import energy_split
-from resnet.energy import gauged, pointwise_product, reproducing_check, solve_dipole, solve_dipoles
+from resnet.decomposition import RoydenSplit, energy_split
+from resnet.energy import (
+    EnergyVector,
+    energy_inner,
+    gauged,
+    pointwise_product,
+    reproducing_check,
+    solve_dipole,
+    solve_dipoles,
+)
 from resnet.graphs import ConductanceGraph, TruncatedGraph, ValidationIssue, as_truncated
+from resnet.laplacian import assemble_laplacian, grounded_solve, harmonic_extension
 
 
 def random_connected_graph(rng, n, extra_edges=0, base=0):
@@ -63,6 +73,30 @@ def pinv_resistance(graph, x, y):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+def count_calls(monkeypatch, module, names, where=None):
+    """Count the calls to each named function of `module`, wherever resnet holds it.
+
+    With `where`, only the calls for which ``where(*args, **kwargs)`` is true count.
+    """
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if where is None or where(*args, **kwargs):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    originals = {name: getattr(module, name) for name in names}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("resnet"):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+    return calls
 
 
 def per_z_triangle_slack(d):
@@ -157,6 +191,75 @@ def per_row_cdf(graph):
             cdf[lo:hi] = np.cumsum(graph.weights[lo:hi]) / graph.degrees[x]
             cdf[hi - 1] = 1.0
     return cdf
+
+
+# -- the split and the harmonic measure before the one split helper -----------
+#
+# Each extends the frontier trace on its own and solves one harmonic measure
+# per point, as `royden_split`, `project_finite`, `interpolate` and
+# `harmonic_measure_exact` did before they shared the split helper and the
+# block measure solve.
+
+
+def single_harmonic_measure(trunc, x):
+    """The harmonic measure from x by its own adjoint solve against e_x."""
+    graph = trunc.graph
+    e_x = np.zeros(graph.n)
+    e_x[x] = 1.0
+    z = grounded_solve(graph, trunc.frontier, e_x)
+    return np.maximum((graph.adjacency() @ z)[trunc.frontier], 0.0)
+
+
+def _parent_gauged_and_extension(trunc, f):
+    graph = trunc.graph
+    fv = f if isinstance(f, EnergyVector) else gauged(graph, np.asarray(f, dtype=float))
+    if len(trunc.frontier) == 0:
+        return fv, np.zeros(graph.n)
+    return fv, harmonic_extension(trunc, fv.values[trunc.frontier])
+
+
+def parent_royden_split(trunc, f):
+    """`royden_split` with its own gauge and extension."""
+    graph = trunc.graph
+    fv, qraw = _parent_gauged_and_extension(trunc, f)
+    harmonic = gauged(graph, qraw)
+    finite = gauged(graph, fv.values - harmonic.values)
+    residual = abs(energy_inner(finite, harmonic))
+    return RoydenSplit(graph, fv.values, finite, harmonic, residual)
+
+
+def _parent_kernel_remainder(trunc, kernel, f):
+    fv, qraw = _parent_gauged_and_extension(trunc, f)
+    return fv, assemble_laplacian(trunc.graph).apply(fv.values - qraw)[kernel.vertices]
+
+
+def parent_project_finite(trunc, kernel, f):
+    """`project_finite`: K applied to the Laplacian of f minus its extension."""
+    _, rhs = _parent_kernel_remainder(trunc, kernel, f)
+    out = np.zeros(trunc.graph.n)
+    out[kernel.vertices] = kernel.matrix @ rhs
+    return EnergyVector(trunc.graph, out)
+
+
+def parent_interpolate(trunc, kernel, f, x):
+    """`interpolate` with one single-point measure solve for x and one for the base."""
+    fv, rhs = _parent_kernel_remainder(trunc, kernel, f)
+    base = trunc.graph.base_point
+    green_term = 0.0 if x == base else float(kernel.matrix[kernel._pos[x]] @ rhs)
+    trace = fv.values[trunc.frontier]
+    if len(trunc.frontier) == 0:
+        boundary_term = 0.0
+    else:
+        mu_x = single_harmonic_measure(trunc, x)
+        mu_base = single_harmonic_measure(trunc, base)
+        boundary_term = float(mu_x @ trace - mu_base @ trace)
+    value = green_term + boundary_term
+    return {
+        "value": value,
+        "green_term": green_term,
+        "boundary_term": boundary_term,
+        "residual": abs(value - float(fv.values[x])),
+    }
 
 
 # -- the graph loader before array-native loading, kept as its oracle ----------

@@ -180,7 +180,7 @@ def test_c07_regular_tree_stated_constant():
     assert ok, (
         "measured root-to-level-1 resistance (free {:.6f}, wired {:.6f}) is not "
         "within 2% of the stated 1/5: the single root edge already has "
-        "resistance 1/2, so every route from the root exceeds the stated "
+        "resistance 1, so every route from the root exceeds the stated "
         "value; the wired values converge to 5/8 from below. The stated 1/5 is "
         "exactly 1/c(x) for the level-1 vertex x, whose weighted degree is "
         "c(x) = b^(L-1) + N*b^L = 1 + 2*2 = 5: that is 1/||delta_x||_E^2, the "

@@ -20,6 +20,7 @@ from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 
 from conftest import (
     WRONG_SHAPES,
+    count_calls,
     per_pair_dipoles,
     per_sample_algebra_bound,
     per_sample_reproducing_property,
@@ -576,29 +577,9 @@ def test_check_reports_equal_the_per_pair_dipole_loop(family, radius, tmp_path, 
 def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.json")
     generate("lattice", radius=6).write_json(path)
-    calls = _count_calls(monkeypatch, energy, ["solve_dipole", "solve_dipoles"])
+    calls = count_calls(monkeypatch, energy, ["solve_dipole", "solve_dipoles"])
     run_json(capsys, "check", path, "--seed", "3")
     assert calls == {"solve_dipole": 0, "solve_dipoles": 1}
-
-
-def _count_calls(monkeypatch, module, names):
-    """Count the calls to each named function of `module`, wherever resnet holds it."""
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    originals = {name: getattr(module, name) for name in names}
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("resnet"):
-            for name, fn in originals.items():
-                if getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counted(name, fn))
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -632,11 +613,11 @@ def test_check_reports_equal_the_per_sample_loops(family, radius, params, tmp_pa
 def test_check_runs_each_sampled_check_as_one_block(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.json")
     generate("lattice", radius=6).write_json(path)
-    energy_calls = _count_calls(
+    energy_calls = count_calls(
         monkeypatch, energy,
         ["pointwise_product", "pointwise_products", "reproducing_check", "reproducing_checks"],
     )
-    split_calls = _count_calls(monkeypatch, decomposition, ["energy_split", "energy_splits"])
+    split_calls = count_calls(monkeypatch, decomposition, ["energy_split", "energy_splits"])
     run_json(capsys, "check", path, "--seed", "3")
     assert {**energy_calls, **split_calls} == {
         "pointwise_product": 0,

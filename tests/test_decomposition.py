@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from resnet import laplacian
 from resnet.energy import energy_inner, gauged
 from resnet.graphs import GraphError, as_truncated, generate, truncate
 from resnet.greens import greens_gram, walk_greens
@@ -17,7 +18,14 @@ from resnet.decomposition import (
 )
 from resnet.laplacian import assemble_laplacian, harmonic_extension
 
-from conftest import random_connected_graph, vector_energy_inner
+from conftest import (
+    count_calls,
+    parent_interpolate,
+    parent_project_finite,
+    parent_royden_split,
+    random_connected_graph,
+    vector_energy_inner,
+)
 
 
 def harmonic_basis_by_columns(trunc):
@@ -140,6 +148,74 @@ def test_interpolation_guards(rng):
         interpolate(trunc, kernel, f, trunc.graph.n)
 
 
+def test_kernel_routes_reject_a_kernel_of_another_graph():
+    trunc = generate("halfline", radius=6)
+    other = greens_gram(generate("halfline", radius=6, growth=2.0).graph, tol=1e-13)
+    f = np.linspace(0.0, 1.0, trunc.graph.n)
+    with pytest.raises(GraphError, match="different graph"):
+        project_finite(trunc, other, f)
+    with pytest.raises(GraphError, match="different graph"):
+        interpolate(trunc, other, f, 2)
+
+
+PARITY_CASES = {
+    "lattice-6": lambda: generate("lattice", radius=6),
+    "comb-8": lambda: generate("comb", radius=8),
+    "binary-tree-6": lambda: generate("binary-tree", radius=6),
+    "chain-30": lambda: generate("chain", width=30),
+    "halfline-16": lambda: generate("halfline", radius=16),
+    "no-frontier": lambda: as_truncated(generate("lattice", radius=4).graph),
+}
+
+
+def _same_bits(u, v):
+    return u.graph is v.graph and u.values.tobytes() == v.values.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_split_routes_equal_the_parent_bodies(case):
+    trunc = PARITY_CASES[case]()
+    graph = trunc.graph
+    kernel = greens_gram(graph, tol=1e-13)
+    rng = np.random.default_rng(23)
+    for raw in rng.standard_normal((3, graph.n)):
+        for f in (raw, gauged(graph, raw)):
+            got, want = royden_split(trunc, f), parent_royden_split(trunc, f)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert _same_bits(got.finite_part, want.finite_part)
+            assert _same_bits(got.harmonic_part, want.harmonic_part)
+            assert got.orthogonality_residual == want.orthogonality_residual
+            assert _same_bits(project_finite(trunc, kernel, f), parent_project_finite(trunc, kernel, f))
+        points = [int(x) for x in trunc.interior[:: max(1, len(trunc.interior) // 6)]]
+        for x in points + [graph.base_point]:
+            got = interpolate(trunc, kernel, raw, x)
+            want = parent_interpolate(trunc, kernel, raw, x)
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
+                k: np.float64(v).tobytes() for k, v in want.items()
+            }
+
+
+@pytest.mark.parametrize(
+    "route,solves",
+    [
+        (lambda trunc, kernel, f: royden_split(trunc, f), 1),
+        (lambda trunc, kernel, f: project_finite(trunc, kernel, f), 1),
+        (lambda trunc, kernel, f: interpolate(trunc, kernel, f, int(trunc.interior[5])), 2),
+    ],
+    ids=["royden_split", "project_finite", "interpolate"],
+)
+def test_split_routes_count_their_frontier_solves(route, solves, monkeypatch):
+    trunc = generate("comb", radius=5)
+    kernel = greens_gram(trunc.graph, tol=1e-13)
+    f = np.random.default_rng(5).standard_normal(trunc.graph.n)
+    calls = count_calls(
+        monkeypatch, laplacian, ["grounded_solve"],
+        where=lambda g, ground, rhs: np.array_equal(ground, trunc.frontier),
+    )
+    route(trunc, kernel, f)
+    assert calls == {"grounded_solve": solves}
+
+
 def test_energy_split_identity(rng):
     for trunc in [generate("lattice", radius=3, d=2), generate("comb", radius=4)]:
         f = rng.standard_normal(trunc.graph.n)
@@ -187,6 +263,7 @@ SPLIT_CASES = {
     "comb-5": lambda: generate("comb", radius=5),
     "binary-tree-5": lambda: generate("binary-tree", radius=5),
     "nary-tree-3": lambda: generate("nary-tree", radius=3, branching=3),
+    "chain-30": lambda: generate("chain", width=30),
     "no-frontier": lambda: as_truncated(generate("lattice", radius=6).graph),
 }
 

@@ -13,10 +13,13 @@ from resnet.laplacian import (
     interior_laplacian,
     transition_operator,
 )
+from resnet import laplacian
+from resnet.energy import gauged
 from resnet.markov import (
     BoundaryEstimate,
     PathSample,
     PathSamples,
+    _harmonic_measures,
     _philox_uniforms,
     _step_tables,
     cylinder_probability,
@@ -29,7 +32,13 @@ from resnet.markov import (
 )
 from resnet.greens import walk_greens
 
-from conftest import dense_laplacian, per_row_cdf, random_connected_graph
+from conftest import (
+    count_calls,
+    dense_laplacian,
+    per_row_cdf,
+    random_connected_graph,
+    single_harmonic_measure,
+)
 
 
 def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
@@ -375,6 +384,41 @@ def test_exact_measure_needs_a_nonempty_frontier():
         harmonic_measure_exact(generate("wye"), 0)
 
 
+MEASURE_GRAPHS = {
+    "lattice-12": lambda: generate("lattice", radius=12),
+    "lattice-20": lambda: generate("lattice", radius=20),
+    "lattice-40": lambda: generate("lattice", radius=40),
+    "comb-10": lambda: generate("comb", radius=10),
+    "binary-tree-7": lambda: generate("binary-tree", radius=7),
+    "chain-60": lambda: generate("chain", width=60),
+    "halfline-32": lambda: generate("halfline", radius=32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEASURE_GRAPHS))
+def test_block_measures_equal_the_single_solves(case):
+    trunc = MEASURE_GRAPHS[case]()
+    points = [int(x) for x in trunc.interior[::15]] + [trunc.graph.base_point]
+    block = _harmonic_measures(trunc, points)
+    assert block.shape == (len(points), len(trunc.frontier))
+    for x, row in zip(points, block):
+        single = single_harmonic_measure(trunc, x)
+        assert row.tobytes() == single.tobytes()
+    for x in points[:3]:
+        weights = harmonic_measure_exact(trunc, x).weights
+        assert weights.tobytes() == single_harmonic_measure(trunc, x).tobytes()
+
+
+def test_harmonic_measure_exact_makes_one_frontier_solve(monkeypatch):
+    trunc = generate("comb", radius=5)
+    calls = count_calls(
+        monkeypatch, laplacian, ["grounded_solve"],
+        where=lambda g, ground, rhs: np.array_equal(ground, trunc.frontier),
+    )
+    harmonic_measure_exact(trunc, int(trunc.interior[3]))
+    assert calls == {"grounded_solve": 1}
+
+
 def test_sampled_measure_agrees_with_exact():
     trunc = generate("chain", width=9, growth=1.0)
     x = trunc.graph.base_point
@@ -386,6 +430,16 @@ def test_sampled_measure_agrees_with_exact():
     exact = harmonic_measure_exact(trunc, x)
     z = measure_z_scores(sampled, exact)
     assert np.max(np.abs(z)) < 4.0
+
+
+def test_measure_z_scores_reject_estimates_of_another_graph():
+    sampled_on = generate("chain", width=10)
+    samples = sample_paths(sampled_on, sampled_on.graph.base_point, 200, 5000, seed=3)
+    sampled = estimate_from_samples(sampled_on, samples)
+    exact_on = generate("chain", width=12)
+    exact = harmonic_measure_exact(exact_on, exact_on.graph.base_point)
+    with pytest.raises(GraphError, match="different graph"):
+        measure_z_scores(sampled, exact)
 
 
 def test_measure_z_scores_handle_degenerate_components():
@@ -426,6 +480,21 @@ def test_poisson_reproduce_rejects_non_harmonic(rng):
         poisson_reproduce(trunc, bumpy, trunc.graph.base_point, 10, seed=0)
 
 
+def test_poisson_reproduce_rejects_a_function_of_another_graph():
+    trunc = generate("halfline", radius=6)
+    other = generate("halfline", radius=6, growth=2.0)
+    h = gauged(other.graph, np.ones(other.graph.n))  # harmonic on either graph
+    with pytest.raises(GraphError, match="different graph"):
+        poisson_reproduce(trunc, h, trunc.graph.base_point, 10, seed=0)
+
+
+def test_poisson_reproduce_needs_a_nonempty_frontier():
+    with pytest.raises(GraphError, match="boundary representation needs a truncation"):
+        poisson_reproduce(generate("wye").graph, np.zeros(3), 0, 10, seed=0)
+    with pytest.raises(GraphError, match="empty frontier"):
+        poisson_reproduce(generate("wye"), np.zeros(3), 0, 10, seed=0)
+
+
 @pytest.mark.parametrize("n_samples", [0, 1])
 def test_poisson_reproduce_needs_two_samples(rng, n_samples):
     # one sample has no spread to measure and zero samples no mean; a
@@ -456,6 +525,14 @@ def test_martin_kernel_requires_frontier_series():
     trunc = generate("halfline", radius=5)
     wg = walk_greens(trunc, absorb="base")
     with pytest.raises(GraphError, match="frontier"):
+        martin_kernel(trunc, wg, 1, 2)
+
+
+def test_martin_kernel_rejects_a_series_of_another_graph():
+    trunc = generate("halfline", radius=5)
+    other = generate("halfline", radius=5, growth=2.0)
+    wg = walk_greens(other, absorb="frontier", tail_tol=1e-12)
+    with pytest.raises(GraphError, match="different graph"):
         martin_kernel(trunc, wg, 1, 2)
 
 

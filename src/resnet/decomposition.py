@@ -23,7 +23,7 @@ from .energy import (
     energy_inner,
     gauged,
 )
-from .graphs import GraphError, TruncatedGraph
+from .graphs import GraphError, _require_frontier
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import _harmonic_measures
 
@@ -46,8 +46,7 @@ def _trace_split(trunc, f, needs="the split", block=False):
     q is harmonic inside and equals f on the frontier (q = 0 when the
     frontier is empty), so f - q is the finite part before gauging.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError(f"{needs} needs a truncation carrying a frontier")
+    _require_frontier(trunc, needs, empty_ok=True)
     graph = trunc.graph
     if block:
         f = np.asarray(f, dtype=np.float64)
@@ -198,10 +197,7 @@ def harmonic_basis(trunc):
     one-dimensional kernel (the indicators sum to the constant boundary
     function, whose extension is constant, hence energy-null).
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("the basis needs a truncation carrying a frontier")
-    if len(trunc.frontier) == 0:
-        raise GraphError("truncation has an empty frontier; the harmonic space is trivial")
+    _require_frontier(trunc, "the basis")
     columns = harmonic_extension(trunc, np.eye(len(trunc.frontier)))
     return [gauged(trunc.graph, h) for h in columns.T]
 

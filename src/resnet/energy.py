@@ -22,6 +22,8 @@ column-wise form, `_energy_form`.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,14 +283,24 @@ def _pcg(lap, rhs, tol):
     go on.  Returns (u, iterations, errors): u is an (n, k) block (k = 1
     for a vector), iterations[j] is the step at which column j converged and
     errors[j] is the SolverError of a column that did not (None otherwise).
+
+    Every step writes into buffers allocated once (again only when columns
+    leave a block).  A vector keeps its alpha, beta and residual as Python
+    floats and takes its dot products with `np.dot`, the `ddot` call that
+    `np.vecdot` makes on a contiguous column; float arithmetic rounds as
+    numpy's scalar arithmetic does, so both forms give the same bits.
     """
     n = rhs.shape[0]
     block = rhs.ndim == 2
     k = rhs.shape[1] if block else 1
-    diag, adj = (lap.diagonal[:, None] if block else lap.diagonal), lap.offdiag
-    # on a vector the per-column values are numpy scalars: test them as plain
-    # truth, since an ndarray.any() call costs more than the scalar arithmetic
-    any_, all_ = (np.ndarray.any, np.ndarray.all) if block else (bool, bool)
+    if block:
+        diag = lap.diagonal[:, None]
+        dots, sqrt = functools.partial(np.vecdot, axis=0), np.sqrt
+        any_, all_ = np.ndarray.any, np.ndarray.all
+    else:
+        diag = lap.diagonal
+        dots, sqrt = _float_dot, math.sqrt
+        any_ = all_ = bool
     out = np.zeros((n, k), order="F")
     iterations = np.zeros(k, dtype=np.int64)
     errors = [None] * k
@@ -299,23 +311,24 @@ def _pcg(lap, rhs, tol):
         return zip(live[mask].tolist(), np.atleast_1d(res)[mask].tolist())
 
     live = np.arange(k)
-    b_norm = np.sqrt(np.vecdot(rhs, rhs, axis=0))
+    b_norm = sqrt(dots(rhs, rhs))
     u = np.zeros_like(rhs, order="F")
     r = rhs.copy(order="F")
     p = r / diag
-    rz = np.vecdot(r, p, axis=0)
-    res = np.ones(k) if block else np.float64(1.0)
+    ap, z, t = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    rz = dots(r, p)
+    res = np.ones(k) if block else 1.0
     cap = max(20 * n, 50)
     for it in range(1, cap + 1):
-        ap = diag * p
-        ap -= adj @ p  # in place: `diag * p - adj @ p` would come back C-ordered
-        denom = np.vecdot(p, ap, axis=0)
+        np.multiply(diag, p, out=ap)
+        ap -= lap.adjacency_product(p, t)  # in place: `ap` stays Fortran-ordered
+        denom = dots(p, ap)
         ok = (denom > 0.0) & (rz > 0.0)
         if not all_(ok):
             # direction collapse, or a preconditioned residual that underflowed
             # to 0: the Krylov space is exhausted at this precision, so no
             # further progress is possible
-            for j, rj in stopped(~ok):
+            for j, rj in stopped(np.logical_not(ok)):
                 errors[j] = SolverError(
                     f"dipole solve broke down at residual {rj:.3e} after {it} iterations",
                     residual=rj,
@@ -324,12 +337,12 @@ def _pcg(lap, rhs, tol):
             if not any_(ok):
                 break
             live, rz, denom, res, b_norm = (a[ok] for a in (live, rz, denom, res, b_norm))
-            u, r, p, ap = (a[:, ok] for a in (u, r, p, ap))
+            u, r, p, ap, z, t = (a[:, ok] for a in (u, r, p, ap, z, t))
         alpha = rz / denom
-        u += alpha * p
-        r -= alpha * ap
+        u += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, ap, out=t)
         r -= np.add.reduce(r, axis=0) / n  # bitwise r.mean() per column
-        res = np.sqrt(np.vecdot(r, r, axis=0)) / b_norm
+        res = sqrt(dots(r, r)) / b_norm
         done = res <= tol
         if any_(done):
             cols = live[np.atleast_1d(done)]
@@ -339,10 +352,11 @@ def _pcg(lap, rhs, tol):
                 break
             keep = ~done
             live, rz, res, b_norm = (a[keep] for a in (live, rz, res, b_norm))
-            u, r, p = (a[:, keep] for a in (u, r, p))
-        z = r / diag
-        rz_next = np.vecdot(r, z, axis=0)
-        p = z + (rz_next / rz) * p
+            u, r, p, ap, z, t = (a[:, keep] for a in (u, r, p, ap, z, t))
+        np.divide(r, diag, out=z)
+        rz_next = dots(r, z)
+        p *= rz_next / rz  # p = z + beta p, as beta p + z
+        p += z
         rz = rz_next
     else:
         for j, rj in stopped(np.ones(live.size, dtype=bool)):
@@ -352,6 +366,10 @@ def _pcg(lap, rhs, tol):
                 iterations=cap,
             )
     return out, iterations, errors
+
+
+def _float_dot(a, b):
+    return float(np.dot(a, b))
 
 
 def reproducing_check(v, f):

@@ -97,6 +97,30 @@ def _label_sort_key(label):
     return (3, repr(label), "")
 
 
+def _offsets(counts):
+    """CSR row offsets [0, c0, c0 + c1, ...] of the int64 `counts`."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _tree_depths(reached, pred):
+    """Depths in a search tree from its `reached` order and predecessors; -1 off the tree.
+
+    By pointer jumping up the tree: each pass doubles how far `up` reaches
+    and adds the hops it skipped to `depth`.
+    """
+    n = len(pred)
+    up = np.arange(n)
+    up[reached[1:]] = pred[reached[1:]]
+    depth = (up != np.arange(n)).astype(np.int64)
+    while (up != up[up]).any():
+        depth += depth[up]
+        up = up[up]
+    depth[up != reached[0]] = -1
+    return depth
+
+
 def _label_to_json(label):
     if isinstance(label, tuple):
         return [_label_to_json(part) for part in label]
@@ -116,8 +140,13 @@ def _labels_from_json(objs):
     kinds = set(map(type, objs))
     if list not in kinds:
         return list(objs)
-    if kinds == {list} and list not in map(type, itertools.chain.from_iterable(objs)):
-        return list(map(tuple, objs))
+    if kinds == {list}:
+        labels = list(map(tuple, objs))
+        try:
+            hash(tuple(labels))  # a label holding an array (or an object) is unhashable
+            return labels
+        except TypeError:
+            pass
     return [tuple(_labels_from_json(obj)) if type(obj) is list else obj for obj in objs]
 
 
@@ -228,34 +257,23 @@ class ConductanceGraph:
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         # np.unique keeps the first of equal keys: read the listing backwards
         keep = len(lo) - 1 - np.unique((lo * n + hi)[::-1], return_index=True)[1]
-        rows, cols = np.r_[lo[keep], hi[keep]], np.r_[hi[keep], lo[keep]]
-        vals = np.r_[w[keep], w[keep]]
+        lo, hi, w = lo[keep], hi[keep], w[keep]
+        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         degree = np.bincount(rows, minlength=n)
         by_row = cols[np.argsort(rows, kind="stable")]
-        pattern = sparse.csr_matrix(
-            (np.ones(len(rows)), by_row, np.r_[0, np.cumsum(degree)]), shape=(n, n)
-        )
-        reached, pred = breadth_first_order(pattern, base, return_predecessors=True)
-        # hop counts by pointer jumping up the search tree: each pass doubles
-        # how far `up` reaches and adds the hops it skipped to `hop`
-        up = np.arange(n)
-        up[reached[1:]] = pred[reached[1:]]
-        hop = (up != np.arange(n)).astype(np.int64)
-        while (up != up[up]).any():
-            hop += hop[up]
-            up = up[up]
-        hop[up != base] = -1
+        pattern = sparse.csr_matrix((np.ones(len(rows)), by_row, _offsets(degree)), shape=(n, n))
+        hop = _tree_depths(*breadth_first_order(pattern, base, return_predecessors=True))
         by_label = _label_order(labels)
         order = by_label[np.argsort(np.where(hop < 0, n, hop)[by_label], kind="stable")]
         new = np.argsort(order)
         rows, cols = new[rows], new[cols]
-        sort = np.lexsort((cols, rows))
+        sort = np.argsort(rows * n + cols)  # the keys are distinct: any sort is the one order
         return cls(
             new[base],
-            [labels[v] for v in order.tolist()],
-            np.r_[0, np.cumsum(degree[order])],
+            map(labels.__getitem__, order.tolist()),
+            _offsets(degree[order]),
             cols[sort],
-            vals[sort],
+            np.concatenate((w, w))[sort],
             hop[order],
         )
 
@@ -390,6 +408,15 @@ class TruncatedGraph:
     write_json = ConductanceGraph.write_json
 
 
+def _require_frontier(trunc, needs, empty_ok=False):
+    """Raise GraphError unless `trunc` is a truncation with a frontier, nonempty
+    unless `empty_ok`.  `needs` names what needs it and starts the message."""
+    if not isinstance(trunc, TruncatedGraph):
+        raise GraphError(f"{needs} needs a truncation carrying a frontier")
+    if not empty_ok and len(trunc.frontier) == 0:
+        raise GraphError(f"{needs} needs a nonempty frontier; this truncation has an empty frontier")
+
+
 def underlying(g):
     """The ConductanceGraph beneath either graph type."""
     return g.graph if isinstance(g, TruncatedGraph) else g
@@ -467,13 +494,12 @@ def _first_asymmetry(n, rows, cols, w):
     """
     if not len(w):
         return None
-    r, c = np.r_[rows, cols], np.r_[cols, rows]
-    key = r * n + c
+    key = np.concatenate((rows, cols)) * n + np.concatenate((cols, rows))
     s = np.argsort(key, kind="stable")  # each A entry ahead of its -A^T partner
     key = key[s]
-    head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     with np.errstate(invalid="ignore"):  # inf - inf is the NaN looked for below
-        diff = np.add.reduceat(np.r_[w, -w][s], head)
+        diff = np.add.reduceat(np.concatenate((w, -w))[s], head)
     if np.isnan(diff).any() or not diff.any():
         return None
     return divmod(int(key[head[np.flatnonzero(diff)[0]]]), n)
@@ -626,7 +652,13 @@ def _ball_result(graph, radius):
 def with_frontier(graph, frontier_labels):
     """Designate an explicit absorbing frontier on a finite graph by label."""
     graph = underlying(graph)
-    idx = np.sort(np.fromiter(map(graph.index_of, frontier_labels), dtype=np.int64))
+    labels = list(frontier_labels)
+    try:
+        idx = np.fromiter(map(graph.label_index.__getitem__, labels), np.int64, len(labels))
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        # index_of raises the GraphError that names the first unknown label
+        idx = np.fromiter(map(graph.index_of, labels), np.int64, len(labels))
+    idx.sort()
     if (idx == graph.base_point).any():
         raise GraphError("base point cannot be on the frontier")
     mask = np.zeros(graph.n, dtype=bool)

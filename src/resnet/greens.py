@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .energy import SolverError, _write_csv
-from .graphs import GraphError, TruncatedGraph, generate, underlying
-from .laplacian import assemble_laplacian, grounded_laplacian, grounded_solve, transition_operator
+from .graphs import GraphError, _require_frontier, generate, underlying
+from .laplacian import grounded_laplacian, grounded_solve, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -88,22 +88,37 @@ def _grounded_kernel(graph, ground, tol):
     """The inverse of L without the `ground` rows and columns, one column per kept vertex."""
     kept, _, lu = grounded_laplacian(graph, ground)
     k = lu.solve(np.eye(len(kept)))
-    residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
-    k = 0.5 * (k + k.T)
-    return GreensMatrix(graph, kept.tolist(), k, residual, tol)
+    # one n x n temporary: the asymmetry k - k^T, then the symmetrized
+    # k + k^T, halved in place (bitwise 0.5 * (k + k^T))
+    t = np.subtract(k, k.T)
+    residual = float(np.max(np.abs(t, out=t))) if len(kept) else 0.0
+    np.add(k, k.T, out=t)
+    t *= 0.5
+    return GreensMatrix(graph, kept.tolist(), t, residual, tol)
 
 
 def greens_inversion_check(g, kernel):
-    """max-norm deviation of K * L_grounded from the identity (both orders)."""
+    """max-norm deviation of K * L_grounded from the identity (both orders).
+
+    L_grounded is the block of the cached grounded factorization whose
+    ground is every vertex the kernel leaves out (the kernel's vertices must
+    be in increasing order).  When K is exactly symmetric, K L equals
+    (L K)^T bit for bit (the same terms summed in the same order), so one
+    product measures both orders; an asymmetric K gets both products.
+    """
     graph = underlying(g)
     if graph is not kernel.graph:
         raise GraphError("kernel was computed on a different graph")
-    lap = assemble_laplacian(graph).as_csr()
-    sub = lap[kernel.vertices][:, kernel.vertices]
-    deviations = [
-        _identity_deviation(np.asarray(kernel.matrix @ sub)),
-        _identity_deviation(np.asarray(sub @ kernel.matrix)),
-    ]
+    off = np.ones(graph.n, dtype=bool)
+    off[kernel.vertices] = False
+    kept, block, _ = grounded_laplacian(graph, np.flatnonzero(off))
+    if not np.array_equal(kept, kernel.vertices):
+        raise GraphError("kernel vertices must be distinct and in increasing order")
+    sub = block.T  # the CSR form of the symmetric block: the same arrays
+    k = kernel.matrix
+    deviations = [_identity_deviation(np.asarray(sub @ k))]
+    if not np.array_equal(k, k.T):
+        deviations.append(_identity_deviation(np.asarray(k @ sub)))
     return float(np.max(deviations))  # a NaN deviation stays NaN and fails the check
 
 
@@ -168,10 +183,7 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
         graph = underlying(g)
         kept = [i for i in range(graph.n) if i != graph.base_point]
     elif absorb == "frontier":
-        if not isinstance(g, TruncatedGraph):
-            raise GraphError('absorb="frontier" needs a truncation carrying a frontier')
-        if len(g.frontier) == 0:
-            raise GraphError("truncation has an empty frontier; nothing absorbs")
+        _require_frontier(g, 'absorb="frontier"')
         graph = g.graph
         kept = list(g.interior)
     else:

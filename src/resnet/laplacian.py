@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools  # the CSR kernels behind `A @ x`
 from scipy.sparse.linalg import splu
 
-from .graphs import GraphError, TruncatedGraph, underlying
+from .graphs import GraphError, TruncatedGraph, _offsets, _require_frontier, underlying
 
 __all__ = [
     "LaplacianOperator",
@@ -49,6 +50,22 @@ class LaplacianOperator:
             )
         diag = self.diagonal if u.ndim == 1 else self.diagonal[:, None]
         return diag * u - self.offdiag @ u
+
+    def adjacency_product(self, u, out):
+        """A u written into `out`, bit for bit ``self.offdiag @ u``.
+
+        On a vector this is the one CSR kernel call that ``offdiag @ u``
+        makes after scipy's operator dispatch, which costs more than the
+        product itself at the sizes a CG step runs on.
+        """
+        if u.ndim == 1:
+            out.fill(0.0)
+            n = self.graph.n
+            adj = self.offdiag
+            _sparsetools.csr_matvec(n, n, adj.indptr, adj.indices, adj.data, u, out)
+        else:
+            out[...] = self.offdiag @ u
+        return out
 
     def as_csr(self):
         return sparse.diags(self.diagonal) - self.offdiag
@@ -90,13 +107,19 @@ def grounded_laplacian(g, ground):
     unscaled in MMD_AT_PLUS_A order: splu's default COLAMD order meets
     exactly singular pivots on the steep chain family, and diagonal
     equilibration loses digits there.
+
+    The block is built straight from the graph's CSR arrays: each row gets
+    its diagonal entry c(x) between the columns below and above x, the
+    ground rows and columns are masked out, and the entries a zero would
+    hold are dropped.  As the graph stores A symmetric with sorted rows,
+    those row-major arrays are the CSC arrays of the block, equal to the
+    ``as_csr()[kept][:, kept].tocsc()`` slicing they replace.
     """
     graph = underlying(g)
     ground = np.unique(np.asarray(ground, dtype=np.int64))
     key = ("grounded_lu", ground.tobytes())
     if key not in graph._cache:
-        kept = np.setdiff1d(np.arange(graph.n), ground)
-        block = assemble_laplacian(graph).as_csr()[kept][:, kept].tocsc()
+        kept, block = _grounded_block(graph, ground)
         try:
             lu = splu(block, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # a singular block
@@ -105,6 +128,26 @@ def grounded_laplacian(g, ground):
             raise SolverError(f"grounded factorization failed: {exc}") from None
         graph._cache[key] = (kept, block, lu)
     return graph._cache[key]
+
+
+def _grounded_block(graph, ground):
+    """(kept, CSC block of L without the `ground` rows and columns)."""
+    n = graph.n
+    is_kept = np.ones(n, dtype=bool)
+    is_kept[ground] = False
+    kept = np.flatnonzero(is_kept)
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    # each diagonal entry goes ahead of the first column above its row
+    at = graph.indptr[:-1] + np.bincount(rows[graph.indices < rows], minlength=n)
+    vertices = np.arange(n)
+    rows = np.insert(rows, at, vertices)
+    cols = np.insert(graph.indices, at, vertices)
+    vals = np.insert(-graph.weights, at, assemble_laplacian(graph).diagonal)
+    keep = is_kept[rows] & is_kept[cols] & (vals != 0.0)
+    slot = np.cumsum(is_kept) - 1  # the new index of each kept vertex
+    m = len(kept)
+    indptr = _offsets(np.bincount(slot[rows[keep]], minlength=m))
+    return kept, sparse.csc_matrix((vals[keep], slot[cols[keep]], indptr), shape=(m, m))
 
 
 def grounded_solve(g, ground, rhs):
@@ -141,8 +184,7 @@ def harmonic_extension(trunc, boundary_values):
     vertex vector, or an (n, k) block.  With f padded by zeros, h - f is the
     frontier-grounded potential of the current A f that f drives inward.
     """
-    if len(trunc.frontier) == 0:
-        raise GraphError("harmonic extension needs a nonempty frontier")
+    _require_frontier(trunc, "harmonic extension")
     f = np.asarray(boundary_values, dtype=np.float64)
     if f.ndim not in (1, 2) or f.shape[0] != len(trunc.frontier):
         raise GraphError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, TruncatedGraph, underlying
+from .graphs import GraphError, _require_frontier, underlying
 from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
@@ -29,14 +29,6 @@ __all__ = [
     "poisson_reproduce",
     "martin_kernel",
 ]
-
-
-def _require_frontier(trunc, needs):
-    """Raise GraphError unless trunc is a truncation with a nonempty frontier."""
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError(f"{needs} needs a truncation carrying a frontier")
-    if len(trunc.frontier) == 0:
-        raise GraphError("truncation has an empty frontier; walks cannot absorb")
 
 
 def cylinder_probability(g, word):

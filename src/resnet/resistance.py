@@ -40,7 +40,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
 from .energy import SolverError, _check_pair, _check_tol, _write_csv, solve_dipole
-from .graphs import GraphError, generate, underlying
+from .graphs import GraphError, _offsets, _tree_depths, generate, underlying
 from .greens import _grounded_kernel, greens_gram
 from .laplacian import grounded_solve
 
@@ -179,13 +179,15 @@ def _build_cycle_system(graph):
     n = graph.n
     i, j, c = graph.edge_arrays()
     r = 1.0 / c
-    tree = minimum_spanning_tree(sparse.csr_matrix((r, (i, j)), shape=(n, n)))
+    # edge_arrays is ordered by (i, j): with the row offsets of i it is the
+    # CSR form of the upper triangle, and its keys i*n + j are sorted
+    upper = sparse.csr_matrix((r, j, _offsets(np.bincount(i, minlength=n))), shape=(n, n))
+    tree = minimum_spanning_tree(upper)
     order, pred = breadth_first_order(
         tree, graph.base_point, directed=False, return_predecessors=True
     )
     if len(order) < n:
         raise GraphError("graph is disconnected: no unit flow joins every pair")
-    # edge_arrays is ordered by (i, j), so its keys i*n + j are sorted
     child = order[1:].astype(np.int64)
     up = pred[child].astype(np.int64)
     tree_edge = np.searchsorted(i * n + j, np.minimum(child, up) * n + np.maximum(child, up))
@@ -193,43 +195,54 @@ def _build_cycle_system(graph):
     sign = np.zeros(n)
     parent_edge[child] = tree_edge
     sign[child] = np.where(child < up, 1.0, -1.0)
-    parent = pred.tolist()
-    depth = [0] * n
-    for v in child.tolist():
-        depth[v] = depth[parent[v]] + 1
+    depth = _tree_depths(order, pred)
 
     # Fundamental cycles, all at once: the non-tree edge i -> j, then the tree
     # path from j up to the common ancestor (toward the root) and down to i.
+    # Each step records the ends still open and which of them climb; their
+    # entries are read off in one pass after the loop.
     in_tree = np.zeros(len(c), dtype=bool)
     in_tree[tree_edge] = True
     chords = np.flatnonzero(~in_tree)
     k = len(chords)
-    depth_arr = np.asarray(depth)
-    rows, cols, vals = [chords], [np.arange(k)], [np.ones(k)]
     a, b, col = j[chords], i[chords], np.arange(k)
+    depth_a, depth_b = depth[a], depth[b]
+    steps = []
     while len(col):
-        climb_a = depth_arr[a] >= depth_arr[b]
-        climb_b = depth_arr[b] >= depth_arr[a]
+        climb_a, climb_b = depth_a >= depth_b, depth_b >= depth_a
+        steps.append((a, b, col, climb_a, climb_b))
+        a = np.where(climb_a, pred[a], a)
+        b = np.where(climb_b, pred[b], b)
+        depth_a, depth_b = depth_a - climb_a, depth_b - climb_b
+        open_ = a != b
+        a, b, col, depth_a, depth_b = (v[open_] for v in (a, b, col, depth_a, depth_b))
+    rows, cols, vals = [chords], [np.arange(k)], [np.ones(k)]
+    if steps:
+        a, b, col, climb_a, climb_b = (np.concatenate(v) for v in zip(*steps))
         for ends, climb, direction in ((a, climb_a, 1.0), (b, climb_b, -1.0)):
             rows.append(parent_edge[ends[climb]])
             cols.append(col[climb])
             vals.append(direction * sign[ends[climb]])
-        a = np.where(climb_a, pred[a], a)
-        b = np.where(climb_b, pred[b], b)
-        open_ = a != b
-        a, b, col = a[open_], b[open_], col[open_]
     cycles = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(c), k),
     )
     factor = None
     if k:
-        gram = (cycles.T @ sparse.diags(r) @ cycles).toarray()
+        # C^T (R C): every term is +-r_e, summed over e in increasing order as
+        # the product C^T R C sums it
+        scaled = sparse.csr_matrix(
+            (cycles.data * np.repeat(r, np.diff(cycles.indptr)), cycles.indices, cycles.indptr),
+            shape=cycles.shape,
+        )
+        gram = (cycles.T @ scaled).toarray()
         try:
             factor = cho_factor(gram)
         except LinAlgError as exc:
             raise SolverError(f"cycle-space Cholesky failed ({k} cycles): {exc}") from None
-    return _CycleSystem(parent, parent_edge.tolist(), sign.tolist(), depth, r, cycles, factor)
+    return _CycleSystem(
+        pred.tolist(), parent_edge.tolist(), sign.tolist(), depth.tolist(), r, cycles, factor
+    )
 
 
 def _min_dissipation(graph, x, y, tol):
@@ -312,12 +325,13 @@ class ResistanceMatrix:
         matrix records how far the raw kernel was from symmetric.
         """
         graph = kernel.graph
-        k = np.zeros((graph.n, graph.n))
-        k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
-        diag = np.diag(k)  # a view of k: read it before k is scaled
-        d = np.add.outer(diag, diag)
-        k *= 2.0
-        d -= k  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+        runs = _runs(kernel.vertices)
+        diag = np.zeros(graph.n)
+        diag[kernel.vertices] = np.diagonal(kernel.matrix)
+        d = np.add.outer(diag, diag)  # the one n x n buffer
+        for rows, krows in runs:  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+            for cols, kcols in runs:
+                d[rows, cols] -= 2.0 * kernel.matrix[krows, kcols]
         np.fill_diagonal(d, 0.0)
         return cls(graph, d, kernel.symmetry_residual)
 
@@ -374,7 +388,8 @@ class ResistanceMatrix:
         with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
             d[diagonal] = -np.inf  # maxima over x != y
             colmax = np.maximum.reduceat(d, starts, axis=0)  # [X, y]: max_x d(x, y)
-            rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
+            # [x, Y]: max_y d(x, y), which is colmax^T when d is symmetric
+            rowmax = colmax.T if symmetric else np.maximum.reduceat(d, starts, axis=1)
             dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
             if (dmax == np.inf).any() and _infinite_detour(d):
                 return math.nan
@@ -407,6 +422,18 @@ class ResistanceMatrix:
         labels = [str(l) for l in self.graph.labels]
         rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
         _write_csv(path, ["label"] + labels, rows)
+
+
+def _runs(vertices):
+    """(vertex slice, position slice) of each run of consecutive vertices in an
+    increasing list: a grounded kernel's block of a matrix over every vertex
+    is then a few slices (one when the ground is a prefix or a suffix)."""
+    v = np.asarray(vertices, dtype=np.int64)
+    if not len(v):
+        return []
+    cuts = np.flatnonzero(np.diff(v) != 1) + 1
+    starts, stops = np.concatenate(([0], cuts)), np.concatenate((cuts, [len(v)]))
+    return [(slice(v[a], v[a] + b - a), slice(a, b)) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 def _depth_first(graph):

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from resnet.decomposition import RoydenSplit, energy_split
 from resnet.energy import (
     EnergyVector,
+    SolverError,
     energy_inner,
     gauged,
     pointwise_product,
@@ -27,7 +28,12 @@ from resnet.energy import (
     solve_dipoles,
 )
 from resnet.graphs import ConductanceGraph, TruncatedGraph, ValidationIssue, as_truncated
-from resnet.laplacian import assemble_laplacian, grounded_solve, harmonic_extension
+from resnet.laplacian import (
+    assemble_laplacian,
+    grounded_laplacian,
+    grounded_solve,
+    harmonic_extension,
+)
 
 
 def random_connected_graph(rng, n, extra_edges=0, base=0):
@@ -124,6 +130,113 @@ def per_pair_dipoles(g, pairs, tol=1e-10):
     """The per-pair loop `energy.solve_dipoles` replaced, kept as its oracle:
     one `solve_dipole` per pair, so the first failing pair raises its error."""
     return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
+
+
+def parent_pcg(lap, rhs, tol):
+    """The CG loop `energy._pcg` had before it stepped in preallocated buffers,
+    kept as its oracle: Jacobi-preconditioned CG on L u = rhs for a mean-free
+    vector or block.
+
+    `rhs` has shape (n,) or (n, k); a block must be Fortran-ordered, so that
+    each column is contiguous and its dot products and sums are the very
+    BLAS and pairwise calls a single vector gets.  Each column keeps its own
+    alpha, beta and residual.  A column that converges, breaks down or hits
+    the cap of max(20 n, 50) iterations leaves the block there, and the rest
+    go on.  Returns (u, iterations, errors): u is an (n, k) block (k = 1
+    for a vector), iterations[j] is the step at which column j converged and
+    errors[j] is the SolverError of a column that did not (None otherwise).
+    """
+    n = rhs.shape[0]
+    block = rhs.ndim == 2
+    k = rhs.shape[1] if block else 1
+    diag, adj = (lap.diagonal[:, None] if block else lap.diagonal), lap.offdiag
+    # on a vector the per-column values are numpy scalars: test them as plain
+    # truth, since an ndarray.any() call costs more than the scalar arithmetic
+    any_, all_ = (np.ndarray.any, np.ndarray.all) if block else (bool, bool)
+    out = np.zeros((n, k), order="F")
+    iterations = np.zeros(k, dtype=np.int64)
+    errors = [None] * k
+
+    def stopped(mask):
+        """(column, residual) of each live column that `mask` picks."""
+        mask = np.atleast_1d(mask)
+        return zip(live[mask].tolist(), np.atleast_1d(res)[mask].tolist())
+
+    live = np.arange(k)
+    b_norm = np.sqrt(np.vecdot(rhs, rhs, axis=0))
+    u = np.zeros_like(rhs, order="F")
+    r = rhs.copy(order="F")
+    p = r / diag
+    rz = np.vecdot(r, p, axis=0)
+    res = np.ones(k) if block else np.float64(1.0)
+    cap = max(20 * n, 50)
+    for it in range(1, cap + 1):
+        ap = diag * p
+        ap -= adj @ p  # in place: `diag * p - adj @ p` would come back C-ordered
+        denom = np.vecdot(p, ap, axis=0)
+        ok = (denom > 0.0) & (rz > 0.0)
+        if not all_(ok):
+            # direction collapse, or a preconditioned residual that underflowed
+            # to 0: the Krylov space is exhausted at this precision, so no
+            # further progress is possible
+            for j, rj in stopped(~ok):
+                errors[j] = SolverError(
+                    f"dipole solve broke down at residual {rj:.3e} after {it} iterations",
+                    residual=rj,
+                    iterations=it,
+                )
+            if not any_(ok):
+                break
+            live, rz, denom, res, b_norm = (a[ok] for a in (live, rz, denom, res, b_norm))
+            u, r, p, ap = (a[:, ok] for a in (u, r, p, ap))
+        alpha = rz / denom
+        u += alpha * p
+        r -= alpha * ap
+        r -= np.add.reduce(r, axis=0) / n  # bitwise r.mean() per column
+        res = np.sqrt(np.vecdot(r, r, axis=0)) / b_norm
+        done = res <= tol
+        if any_(done):
+            cols = live[np.atleast_1d(done)]
+            out[:, cols] = u.reshape(n, -1)[:, np.atleast_1d(done)]
+            iterations[cols] = it
+            if all_(done):
+                break
+            keep = ~done
+            live, rz, res, b_norm = (a[keep] for a in (live, rz, res, b_norm))
+            u, r, p = (a[:, keep] for a in (u, r, p))
+        z = r / diag
+        rz_next = np.vecdot(r, z, axis=0)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    else:
+        for j, rj in stopped(np.ones(live.size, dtype=bool)):
+            errors[j] = SolverError(
+                f"dipole solve stalled at residual {rj:.3e} after {cap} iterations",
+                residual=rj,
+                iterations=cap,
+            )
+    return out, iterations, errors
+
+
+def two_product_inversion_check(g, kernel):
+    """`greens.greens_inversion_check` as it was before it formed one product
+    for a symmetric kernel: K L and L K, with L sliced out of the assembled
+    sparse Laplacian."""
+    graph = getattr(g, "graph", g)
+    sub = assemble_laplacian(graph).as_csr()[kernel.vertices][:, kernel.vertices]
+    deviations = []
+    for prod in (kernel.matrix @ sub, sub @ kernel.matrix):
+        prod = np.asarray(prod)
+        prod[np.diag_indices_from(prod)] -= 1.0
+        deviations.append(float(np.max(np.abs(prod))))
+    return float(np.max(deviations))
+
+
+def parent_symmetrized_kernel(graph, ground):
+    """The grounded kernel symmetrized by `0.5 * (k + k.T)`, and the max of |k - k.T|."""
+    kept, _, lu = grounded_laplacian(graph, ground)
+    k = lu.solve(np.eye(len(kept)))
+    return 0.5 * (k + k.T), float(np.max(np.abs(k - k.T)))
 
 
 def vector_energy_inner(u, v):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from resnet import cli, decomposition, energy, markov
+from resnet import cli, decomposition, energy, laplacian, markov
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
@@ -580,6 +580,32 @@ def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, energy, ["solve_dipole", "solve_dipoles"])
     run_json(capsys, "check", path, "--seed", "3")
     assert calls == {"solve_dipole": 0, "solve_dipoles": 1}
+
+
+@pytest.mark.parametrize("family,radius", [("lattice", 6), ("comb", 5), ("binary-tree", 5)])
+def test_check_factorizes_each_ground_set_once(family, radius, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    trunc = generate(family, radius=radius)
+    trunc.write_json(path)
+    grounds = []
+    factorizations = count_calls(monkeypatch, laplacian, ["splu"])
+    count_calls(
+        monkeypatch, laplacian, ["_grounded_block"],
+        where=lambda graph, ground: grounds.append(ground.tolist()) or True,
+    )
+    slices, sparse_laplacian = [], laplacian.LaplacianOperator.as_csr
+
+    def as_csr(self):  # every Laplacian block comes from `grounded_laplacian`
+        slices.append(self)
+        return sparse_laplacian(self)
+
+    monkeypatch.setattr(laplacian.LaplacianOperator, "as_csr", as_csr)
+    run_json(capsys, "check", path, "--seed", "3")
+    # the base point for the kernel and its inversion check, the frontier for
+    # the energy splits
+    assert grounds == [[trunc.graph.base_point], trunc.frontier.tolist()]
+    assert factorizations == {"splu": 2}
+    assert slices == []
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from resnet.decomposition import (
     royden_split,
 )
 from resnet.laplacian import assemble_laplacian, harmonic_extension
+from resnet.markov import harmonic_measure_exact, poisson_reproduce, sample_paths
 
 from conftest import (
     count_calls,
@@ -345,6 +346,31 @@ def test_harmonic_basis_guards(rng):
         harmonic_basis(g)
     with pytest.raises(GraphError, match="empty frontier"):
         harmonic_basis(truncate(g, 99))
+
+
+FRONTIER_GUARDS = {
+    "path sampling": lambda t: sample_paths(t, 0, 1, 10, seed=0),
+    "harmonic measure": lambda t: harmonic_measure_exact(t, 0),
+    "boundary representation": lambda t: poisson_reproduce(t, np.zeros(3), 0, 10, seed=0),
+    "the basis": harmonic_basis,
+    'absorb="frontier"': lambda t: walk_greens(t, absorb="frontier"),
+    "harmonic extension": lambda t: harmonic_extension(t, np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("needs", FRONTIER_GUARDS)
+def test_frontier_guards_share_one_message(needs):
+    wye = generate("wye")  # a finite family: its frontier is empty
+    with pytest.raises(GraphError) as exc:
+        FRONTIER_GUARDS[needs](wye.graph)
+    assert str(exc.value) == f"{needs} needs a truncation carrying a frontier"
+    with pytest.raises(GraphError) as exc:
+        FRONTIER_GUARDS[needs](wye)
+    assert str(exc.value) == f"{needs} needs a nonempty frontier; this truncation has an empty frontier"
+    # the split only needs a truncation: with no frontier, f is all finite
+    with pytest.raises(GraphError, match="^the split needs a truncation carrying a frontier$"):
+        royden_split(wye.graph, np.zeros(3))
+    assert royden_split(wye, np.ones(3)).orthogonality_residual == 0.0
 
 
 def test_split_csv(tmp_path, rng):

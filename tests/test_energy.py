@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from resnet.energy import (
     SolverError,
     _column_dots,
+    _pcg,
     _energy_form,
     delta,
     energy_inner,
@@ -23,6 +24,7 @@ from resnet.laplacian import assemble_laplacian
 
 from conftest import (
     dense_laplacian,
+    parent_pcg,
     per_pair_dipoles,
     pinv_resistance,
     random_connected_graph,
@@ -169,6 +171,43 @@ def test_block_dipoles_equal_single_solves_bitwise(family, radius, params):
         assert got.iterations == want.iterations, (x, y)
         assert got.solve_residual == want.solve_residual, (x, y)
         assert not got.values.flags.writeable
+
+
+def _pcg_outcome(result):
+    """Every bit of a `_pcg` result: the block, its layout, the iteration
+    counts and each error's message, residual and step."""
+    u, iterations, errors = result
+    failures = [None if e is None else (str(e), e.residual, e.iterations) for e in errors]
+    return u.tobytes(), u.shape, u.flags.f_contiguous, iterations.tolist(), failures
+
+
+# the `check` families and the graphs of the benchmark's `queries` workload
+PCG_GRAPHS = CHECK_FAMILIES + [
+    ("lattice", 12, {}),
+    ("lattice", 24, {}),
+    ("comb", 16, {}),
+    ("nary-tree", 6, {"branching": 3}),
+]
+
+
+@pytest.mark.parametrize("family,radius,params", PCG_GRAPHS)
+def test_pcg_equals_the_parent_loop_bitwise(family, radius, params):
+    g = generate(family, radius=radius, **params).graph
+    lap = assemble_laplacian(g)
+    rng = np.random.default_rng(17)
+    pairs = [tuple(int(v) for v in rng.choice(g.n, size=2, replace=False)) for _ in range(4)]
+    pairs.append((g.base_point, g.n - 1))
+    block = np.zeros((g.n, len(pairs)), order="F")
+    for j, (x, y) in enumerate(pairs):
+        block[x, j], block[y, j] = 1.0, -1.0
+    # at 1e-300 columns break down or stall, each at its own step
+    for tol, columns in ((1e-10, range(len(pairs))), (1e-300, [0])):
+        outcome = _pcg_outcome(_pcg(lap, block, tol))
+        assert outcome == _pcg_outcome(parent_pcg(lap, block, tol))
+        assert any(outcome[-1]) == (tol == 1e-300)
+        for j in columns:
+            rhs = block[:, j].copy()
+            assert _pcg_outcome(_pcg(lap, rhs, tol)) == _pcg_outcome(parent_pcg(lap, rhs, tol))
 
 
 def test_block_dipoles_of_no_pairs(rng):

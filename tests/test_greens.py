@@ -22,7 +22,13 @@ from resnet.greens import (
     walk_greens,
 )
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import (
+    count_calls,
+    dense_laplacian,
+    parent_symmetrized_kernel,
+    random_connected_graph,
+    two_product_inversion_check,
+)
 
 
 def grounded_inverse(graph, ground):
@@ -101,9 +107,40 @@ def test_inversion_check_measures_the_worst_product_and_keeps_nan(rng):
     expected = max(np.max(np.abs(off @ sub - eye)), np.max(np.abs(sub @ off - eye)))
     got = greens_inversion_check(g, dataclasses.replace(kernel, matrix=off))
     assert math.isclose(got, expected, rel_tol=1e-9)
+    assert got == two_product_inversion_check(g, dataclasses.replace(kernel, matrix=off))
     broken = kernel.matrix.copy()
     broken[-1, -1] = np.nan
     assert math.isnan(greens_inversion_check(g, dataclasses.replace(kernel, matrix=broken)))
+
+CHECK_FAMILIES = [
+    ("lattice", 15, {}),
+    ("lattice", 20, {}),
+    ("comb", 14, {}),
+    ("binary-tree", 8, {}),
+    ("binary-tree", 9, {}),
+    ("nary-tree", 5, {"branching": 3}),
+]
+
+
+@pytest.mark.parametrize("family,radius,params", CHECK_FAMILIES)
+def test_inversion_check_of_a_symmetric_kernel_is_one_product(family, radius, params, monkeypatch):
+    trunc = generate(family, radius=radius, **params)
+    kernel = greens_gram(trunc)
+    symmetric, residual = parent_symmetrized_kernel(trunc.graph, trunc.graph.base_point)
+    assert kernel.matrix.tobytes() == symmetric.tobytes()
+    assert kernel.symmetry_residual == residual
+    products = count_calls(monkeypatch, greens_mod, ["_identity_deviation"])
+    assert greens_inversion_check(trunc, kernel) == two_product_inversion_check(trunc, kernel)
+    assert products == {"_identity_deviation": 1}
+
+
+def test_inversion_check_needs_increasing_kernel_vertices(rng):
+    g = random_connected_graph(rng, 6, 2)
+    kernel = greens_gram(g)
+    flipped = dataclasses.replace(kernel, vertices=kernel.vertices[::-1], matrix=kernel.matrix[::-1, ::-1])
+    with pytest.raises(GraphError, match="increasing order"):
+        greens_inversion_check(g, flipped)
+
 
 # -- walk route -----------------------------------------------------------------
 

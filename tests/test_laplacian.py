@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from resnet import laplacian
 from resnet.energy import SolverError
 from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
 from resnet.laplacian import (
@@ -119,6 +120,64 @@ def test_grounded_laplacian_block_solve_and_cache(rng):
     assert np.allclose(dense @ lu.solve(b), b, atol=1e-10)
     assert grounded_laplacian(g, [0, 4])[2] is lu
     assert grounded_laplacian(g, 0)[2] is not lu
+
+
+# one graph of every family
+BLOCK_GRAPHS = [
+    ("lattice", 12, {}),
+    ("lattice", 4, {"d": 3}),
+    ("comb", 10, {}),
+    ("binary-tree", 7, {}),
+    ("nary-tree", 4, {"branching": 3}),
+    ("chain", None, {"width": 60}),
+    ("halfline", 8, {}),
+    ("wye", None, {"r1": 1.0, "r2": 2.0, "r3": 3.0}),
+    ("bratteli", None, {"level_sizes": [1, 3, 2, 4], "level_weights": [1.0, 2.0, 0.25]}),
+    ("explicit", 2, {"edges": [("a", 1, 1.0), (1, (2,), 2.0), ((2,), "b", 0.5)], "base_point": "a"}),
+]
+
+
+def _sliced_block(g, kept):
+    """The grounded block as it was cut out of the assembled sparse Laplacian."""
+    return assemble_laplacian(g).as_csr()[kept][:, kept].tocsc()
+
+
+def _same_arrays(block, sliced):
+    assert block.format == sliced.format == "csc" and block.shape == sliced.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(block, name), getattr(sliced, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("family,radius,params", BLOCK_GRAPHS)
+def test_grounded_block_equals_the_sliced_laplacian(family, radius, params):
+    trunc = generate(family, radius=radius, **params)
+    g = trunc.graph
+    for ground in ([g.base_point], trunc.frontier):
+        if len(ground):
+            kept, block, _ = grounded_laplacian(g, ground)
+            assert np.array_equal(kept, np.setdiff1d(np.arange(g.n), ground))
+            _same_arrays(block, _sliced_block(g, kept))
+
+
+def test_grounded_block_of_two_ground_points_and_an_isolated_vertex(rng):
+    g = random_connected_graph(rng, 15, 9)
+    kept, block, _ = grounded_laplacian(g, [4, 0])
+    _same_arrays(block, _sliced_block(g, kept))
+    # a zero-degree vertex has no diagonal entry in either block
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 3, 2.0)], 0, vertices=[0, 1, 2, 3])
+    kept, block = laplacian._grounded_block(g, np.array([1]))
+    _same_arrays(block, _sliced_block(g, kept))
+
+
+def test_adjacency_product_is_the_sparse_product(rng):
+    for family, radius, params in BLOCK_GRAPHS[:3]:
+        lap = assemble_laplacian(generate(family, radius=radius, **params))
+        n = lap.graph.n
+        for u in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
+            out = np.full(u.shape, np.nan, order="F")
+            assert lap.adjacency_product(u, out) is out
+            assert out.tobytes() == np.asarray(lap.offdiag @ u, order="F").tobytes()
 
 
 def test_grounded_laplacian_singular_block_is_a_solver_error():

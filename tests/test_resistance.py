@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from resnet.energy import SolverError, solve_dipole, solve_dipoles
 from resnet.graphs import ConductanceGraph, GraphError, generate, underlying
-from resnet.greens import greens_gram
+from resnet.greens import _grounded_kernel, greens_gram
 from resnet.resistance import (
     METHODS,
     _build_cycle_system,
@@ -537,7 +537,7 @@ def test_tile_scan_forms_under_a_fifth_of_the_triples_on_a_binary_tree(monkeypat
     assert formed[0] < 0.2 * n**3 / 2, formed[0] / (n**3 / 2)
 
 
-@pytest.mark.parametrize(
+KERNEL_GRAPHS = pytest.mark.parametrize(
     "g",
     [
         generate("binary-tree", radius=7),
@@ -546,10 +546,11 @@ def test_tile_scan_forms_under_a_fifth_of_the_triples_on_a_binary_tree(monkeypat
     ],
     ids=["binary-tree", "lattice", "random"],
 )
-def test_kernel_matrix_is_the_three_array_readout_bit_for_bit(g):
-    kernel = greens_gram(g)
+
+
+def _assert_three_array_readout(kernel):
     before = kernel.matrix.copy()
-    graph = underlying(g)
+    graph = kernel.graph
     k = np.zeros((graph.n, graph.n))
     k[np.ix_(kernel.vertices, kernel.vertices)] = kernel.matrix
     diag = np.diag(k)
@@ -558,6 +559,19 @@ def test_kernel_matrix_is_the_three_array_readout_bit_for_bit(g):
     got = ResistanceMatrix.from_kernel(kernel).matrix
     assert got.tobytes() == want.tobytes()
     assert kernel.matrix.tobytes() == before.tobytes()
+
+
+@KERNEL_GRAPHS
+def test_kernel_matrix_is_the_three_array_readout_bit_for_bit(g):
+    _assert_three_array_readout(greens_gram(g))
+
+
+@KERNEL_GRAPHS
+def test_kernel_matrix_readout_of_a_suffix_and_a_scattered_ground(g):
+    # the frontier is a suffix of the vertices; three points cut the rest into runs
+    graph = underlying(g)
+    for ground in (getattr(g, "frontier", [graph.n - 1]), [2, 5, 6]):
+        _assert_three_array_readout(_grounded_kernel(graph, ground, 1e-10))
 
 
 def test_matrix_csv(tmp_path, rng):

@@ -179,22 +179,12 @@ def cmd_resist(args):
     else:
         x = _parse_vertex(graph, args.from_)
         y = _parse_vertex(graph, args.to)
-        if args.method == "all":
-            values = resistance(graph, x, y, method="all", tol=args.tol)
-            disagreement = values.pop("max_rel_disagreement")
-            payload = {
-                "from": str(graph.labels[x]),
-                "to": str(graph.labels[y]),
-                "values": values,
-                "max_rel_disagreement": disagreement,
-            }
-        else:
-            value = resistance(graph, x, y, method=args.method, tol=args.tol)
-            payload = {
-                "from": str(graph.labels[x]),
-                "to": str(graph.labels[y]),
-                "values": {args.method: value},
-            }
+        values = resistance(graph, x, y, method=args.method, tol=args.tol)
+        if args.method != "all":
+            values = {args.method: values}
+        payload = {"from": str(graph.labels[x]), "to": str(graph.labels[y]), "values": values}
+        if "max_rel_disagreement" in values:
+            payload["max_rel_disagreement"] = values.pop("max_rel_disagreement")
     if args.matrix:
         rm = resistance_matrix(graph)  # the one matrix route, whatever --method says
         rm.to_csv(args.matrix)

@@ -23,7 +23,7 @@ from .energy import (
     energy_inner,
     gauged,
 )
-from .graphs import GraphError, _require_frontier
+from .graphs import GraphError, _require_frontier, _require_vertex
 from .laplacian import assemble_laplacian, harmonic_extension
 from .markov import _harmonic_measures
 
@@ -134,8 +134,7 @@ def interpolate(trunc, kernel, f, x):
     """
     f, rhs = _kernel_remainder(trunc, kernel, f, "interpolation")
     graph = trunc.graph
-    if not 0 <= x < graph.n:
-        raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
+    x = _require_vertex(graph, x)
     base = graph.base_point
     boundary_term = 0.0
     if len(trunc.frontier):  # the measure solve rejects a frontier point x

@@ -11,12 +11,12 @@ finite-energy f.
 
 Every dipole comes from one Jacobi-preconditioned conjugate-gradient loop,
 `_pcg`, which runs over a vector or a block of right-hand sides:
-`solve_dipole` solves one pair and `solve_dipoles` a list of pairs in one
-pass, with the same result per pair bit for bit.  The reproducing check and
-the product bound follow the same pattern: `reproducing_checks` and
-`pointwise_products` take an (n, k) block of functions, and the single forms
-are their k = 1 case.  Every energy, `energy_inner` included, comes from one
-column-wise form, `_energy_form`.
+`solve_dipoles` solves a list of pairs in one pass, and `solve_dipole` is
+its k = 1 case.  The reproducing check and the product bound follow the
+same pattern: `reproducing_checks` and `pointwise_products` take an (n, k)
+block of functions, and the single forms are their k = 1 case.  Every
+energy, `energy_inner` included, comes from one column-wise form,
+`_energy_form`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, underlying
-from .laplacian import assemble_laplacian
+from .graphs import GraphError, _require_vertex, underlying
+from .laplacian import _dipole_rhs, assemble_laplacian
 
 __all__ = [
     "SolverError",
@@ -109,10 +109,8 @@ def gauged(g, values):
 def delta(g, x):
     """The gauged indicator of vertex `x` (for x = base this is 1_x - 1)."""
     graph = underlying(g)
-    if not 0 <= x < graph.n:
-        raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
     vals = np.zeros(graph.n)
-    vals[x] = 1.0
+    vals[_require_vertex(graph, x)] = 1.0
     return EnergyVector(graph, vals)
 
 
@@ -194,47 +192,36 @@ def solve_dipole(g, x, y, tol=1e-10):
     constants every iteration to stop roundoff drift.  Jacobi (degree)
     preconditioning; iteration cap 20 * n; relative residual target `tol`,
     which must be a positive number.  A solve that breaks down or stalls
-    raises SolverError with its last residual and iteration count.
+    raises SolverError with its last residual and iteration count.  This is
+    the k = 1 case of :func:`solve_dipoles`.
     """
-    graph = underlying(g)
-    _check_pair(graph, x, y)
-    lap = _dipole_laplacian(graph, tol)
-    rhs = np.zeros(graph.n)
-    rhs[x], rhs[y] = 1.0, -1.0
-    return _dipole_vectors(graph, lap, rhs, [(x, y)], tol)[0]
+    return solve_dipoles(g, [(x, y)], tol)[0]
 
 
 def solve_dipoles(g, pairs, tol=1e-10):
     """One DipoleVector per (x, y) in `pairs`, from one block PCG loop.
 
-    Every pair is checked as :func:`solve_dipole` checks it before any solve.
-    The pairs share each sparse product and reduction, but each column keeps
-    its own step lengths and residual and stops at its own iteration, so
-    every result equals ``solve_dipole(g, x, y, tol)`` bit for bit.  A column
-    that breaks down or stalls is frozen; after the loop the first such pair
-    in input order raises the SolverError its single solve would have raised.
+    Every pair is checked before any solve.  The pairs share each sparse
+    product and reduction, but each column keeps its own step lengths and
+    residual and stops at its own iteration, so every result equals
+    ``solve_dipole(g, x, y, tol)`` bit for bit; a single pair goes to the
+    loop as a vector.  A column that breaks down or stalls is frozen; after
+    the loop the first such pair in input order raises the SolverError its
+    single solve would have raised.
     """
     graph = underlying(g)
-    pairs = [(int(x), int(y)) for x, y in pairs]
-    for x, y in pairs:
-        _check_pair(graph, x, y)
+    pairs = [_check_pair(graph, x, y) for x, y in pairs]
     lap = _dipole_laplacian(graph, tol)
     if not pairs:
         return []
-    rhs = np.zeros((graph.n, len(pairs)), order="F")
-    cols = np.arange(len(pairs))
-    sources, sinks = np.array(pairs).T
-    rhs[sources, cols] = 1.0
-    rhs[sinks, cols] = -1.0
-    return _dipole_vectors(graph, lap, rhs, pairs, tol)
+    return _dipole_vectors(graph, lap, _dipole_rhs(graph.n, pairs), pairs, tol)
 
 
 def _check_pair(graph, x, y, distinct=True):
+    """(x, y) as int vertex indices of `graph`, distinct unless not `distinct`."""
     if distinct and x == y:
         raise GraphError("dipole endpoints must differ")
-    for v in (x, y):
-        if not 0 <= v < graph.n:
-            raise GraphError(f"vertex index {v} out of range [0, {graph.n})")
+    return _require_vertex(graph, x), _require_vertex(graph, y)
 
 
 def _check_tol(tol):

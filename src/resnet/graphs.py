@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -285,8 +286,7 @@ class ConductanceGraph:
 
     def neighbors(self, x):
         """Neighbor indices and weights of vertex index `x` as array views."""
-        if not 0 <= x < self.n:
-            raise GraphError(f"vertex index {x} out of range [0, {self.n})")
+        x = _require_vertex(self, x)
         lo, hi = self.indptr[x], self.indptr[x + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
@@ -415,6 +415,24 @@ def _require_frontier(trunc, needs, empty_ok=False):
         raise GraphError(f"{needs} needs a truncation carrying a frontier")
     if not empty_ok and len(trunc.frontier) == 0:
         raise GraphError(f"{needs} needs a nonempty frontier; this truncation has an empty frontier")
+
+
+def _require_vertex(graph, x, interior_of=None):
+    """`x` as an int vertex index of `graph`, or GraphError.
+
+    `x` must be an integer as `operator.index` reads it (so 1.5 and 1.0 are
+    rejected, numpy integers accepted) and lie in [0, n).  With a truncation
+    `interior_of`, it must also lie off that truncation's frontier.
+    """
+    try:
+        k = operator.index(x)
+    except TypeError:
+        k = -1
+    if not 0 <= k < graph.n or (interior_of is not None and interior_of.frontier_mask[k]):
+        if interior_of is not None:
+            raise GraphError(f"vertex index {x} is not interior to the truncation")
+        raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
+    return k
 
 
 def underlying(g):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .energy import SolverError, _write_csv
 from .graphs import GraphError, _require_frontier, generate, underlying
-from .laplacian import grounded_laplacian, grounded_solve, transition_operator
+from .laplacian import _grounded_drop, grounded_laplacian, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -363,13 +363,11 @@ def nary_tree_comparison(branching, b, radius, level=1):
 
     measured_free is the plain resistance on the truncated tree (a tree has
     a single path, so this telescopes the edge resistances); measured_wired
-    shorts the whole frontier into one vertex first, which is the dipole
-    solve grounded on the frontier.  Both disagree with the
-    stated root_distance, and the report quantifies by how much rather than
-    hiding it.
+    shorts the whole frontier into one vertex first.  Both are the grounded
+    dipole drop, grounded at the root and on the frontier.  Both disagree
+    with the stated root_distance, and the report quantifies by how much
+    rather than hiding it.
     """
-    from .resistance import resistance
-
     stated = nary_tree_closed_forms(branching, b, level)
     if level >= radius:
         raise GraphError("comparison level must be interior to the truncation")
@@ -377,13 +375,8 @@ def nary_tree_comparison(branching, b, radius, level=1):
     graph = trunc.graph
     root = graph.base_point
     target = graph.index_of((0,) * level)
-    free = resistance(graph, root, target, method="M4")
-    # Grounding the frontier shorts it into one hub held at 0; the dipole
-    # injects no net current, so that hub takes none.
-    dipole = np.zeros(graph.n)
-    dipole[root], dipole[target] = 1.0, -1.0
-    v = grounded_solve(graph, trunc.frontier, dipole)
-    wired = float(v[root] - v[target])
+    free = _grounded_drop(graph, root, root, target)  # route M4
+    wired = _grounded_drop(graph, trunc.frontier, root, target)
     return {
         "stated": stated,
         "measured_free": free,

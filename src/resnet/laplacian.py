@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools  # the CSR kernels behind `A @ x`
 from scipy.sparse.linalg import splu
 
-from .graphs import GraphError, TruncatedGraph, _offsets, _require_frontier, underlying
+from .graphs import GraphError, _offsets, _require_frontier, underlying
 
 __all__ = [
     "LaplacianOperator",
@@ -164,6 +164,28 @@ def grounded_solve(g, ground, rhs):
     return out
 
 
+def _dipole_rhs(n, pairs):
+    """The unit dipoles delta_x - delta_y of `pairs` as the columns of a
+    Fortran-ordered (n, k) block; one pair comes back as a vector."""
+    rhs = np.zeros((n, len(pairs)), order="F")
+    for j, (x, y) in enumerate(pairs):
+        rhs[x, j], rhs[y, j] = 1.0, -1.0
+    return rhs[:, 0] if len(pairs) == 1 else rhs
+
+
+def _grounded_drop(g, ground, x, y):
+    """v(x) - v(y) of the unit dipole delta_x - delta_y solved with `ground` held at 0.
+
+    With the base point as ground this is the free resistance (route M4);
+    with the frontier of a truncation it is the wired one, the frontier
+    shorted into one node at 0 (the dipole injects no net current, so that
+    node takes none).
+    """
+    graph = underlying(g)
+    v = grounded_solve(graph, ground, _dipole_rhs(graph.n, [(x, y)]))
+    return float(v[x] - v[y])
+
+
 def interior_laplacian(trunc):
     """The interior block L_II and its LU: the Laplacian grounded on the frontier.
 
@@ -171,8 +193,7 @@ def interior_laplacian(trunc):
     whenever the frontier is nonempty and reachable, which truncation
     guarantees.
     """
-    if not isinstance(trunc, TruncatedGraph):
-        raise GraphError("interior solves need a TruncatedGraph")
+    _require_frontier(trunc, "an interior solve")
     return grounded_laplacian(trunc.graph, trunc.frontier)[1:]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, _require_frontier, underlying
+from .graphs import GraphError, _require_frontier, _require_vertex, underlying
 from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
@@ -34,12 +34,9 @@ __all__ = [
 def cylinder_probability(g, word):
     """Probability that the chain traces the given vertex-index word."""
     graph = underlying(g)
-    word = [int(w) for w in word]
+    word = [_require_vertex(graph, w) for w in word]
     if not word:
         raise GraphError("cylinder word must contain at least the starting vertex")
-    for v in word:
-        if not 0 <= v < graph.n:
-            raise GraphError(f"vertex index {v} out of range [0, {graph.n})")
     prob = 1.0
     degrees = graph.degrees
     for a, b in zip(word, word[1:]):
@@ -229,8 +226,7 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     """
     _require_frontier(trunc, "path sampling")
     graph = trunc.graph
-    if not 0 <= x < graph.n:
-        raise GraphError(f"vertex index {x} out of range [0, {graph.n})")
+    x = _require_vertex(graph, x)
     if trunc.frontier_mask[x]:
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
     n, max_steps = int(n_samples), int(max_steps)
@@ -327,9 +323,7 @@ def _harmonic_measures(trunc, points):
     graph = trunc.graph
     e = np.zeros((graph.n, len(points)))
     for j, x in enumerate(points):
-        if not 0 <= x < graph.n or trunc.frontier_mask[x]:
-            raise GraphError(f"vertex index {x} is not interior to the truncation")
-        e[x, j] = 1.0
+        e[_require_vertex(graph, x, interior_of=trunc), j] = 1.0
     z = grounded_solve(graph, trunc.frontier, e)
     mu = (graph.adjacency() @ z)[trunc.frontier].T
     return np.maximum(mu, 0.0, order="C")  # clip the solver's negative dust

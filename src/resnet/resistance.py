@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum
 from .energy import SolverError, _check_pair, _check_tol, _write_csv, solve_dipole
 from .graphs import GraphError, _offsets, _tree_depths, generate, underlying
 from .greens import _grounded_kernel, greens_gram
-from .laplacian import grounded_solve
+from .laplacian import _grounded_drop
 
 __all__ = [
     "METHODS",
@@ -66,35 +66,34 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     or "all" for a dict of every route plus their max pairwise relative
     disagreement.  `tol` must be a positive number for every method, M4's
     direct solve included, so a bad tolerance fails the same way on every
-    route.
+    route.  For x = y every route gives 0.0 without a solve.
     """
+    routes = METHODS if method == "all" else (_ALIASES.get(method, method),)
+    if routes[0] not in METHODS:
+        raise GraphError(f"unknown method {method!r}; choose from {METHODS} or 'all'")
     graph = underlying(g)
-    _check_pair(graph, x, y, distinct=False)
+    x, y = _check_pair(graph, x, y, distinct=False)
     _check_tol(tol)
-    if x == y:
-        return 0.0
-    if method == "all":
-        values = _dipole_routes(solve_dipole(graph, x, y, tol))
-        values["M3"] = _min_dissipation(graph, x, y, tol)
-        values["M4"] = _grounded_increment(graph, x, y)
-        values = {m: values[m] for m in METHODS}
-        lo, hi = min(values.values()), max(values.values())
-        values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
-        return values
-    method = _ALIASES.get(method, method)
-    if method in ("M1", "M2", "M7"):
-        return _dipole_routes(solve_dipole(graph, x, y, tol))[method]
-    if method == "M3":
-        return _min_dissipation(graph, x, y, tol)
-    if method == "M4":
-        return _grounded_increment(graph, x, y)
-    raise GraphError(f"unknown method {method!r}; choose from {METHODS} or 'all'")
-
-
-def _dipole_routes(v):
-    """M1, M2 and M7 read off one solved dipole."""
-    increment = float(v.values[v.source] - v.values[v.sink])
-    return {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
+    values = dict.fromkeys(routes, 0.0)
+    if x != y:
+        readouts = values.keys() & {"M1", "M2", "M7"}  # three readouts of one solve
+        if readouts:
+            v = solve_dipole(graph, x, y, tol)
+            increment = float(v.values[x] - v.values[y])
+            dipole = {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
+            values.update((m, dipole[m]) for m in readouts)
+        if "M3" in values:
+            system = _cycle_system(graph)
+            values["M3"] = system.certified_energy(system.unit_flow(x, y), tol)
+        if "M4" in values:
+            # the base-grounded LU is the one greens_gram uses, so M4 adds no
+            # factorization per pair
+            values["M4"] = _grounded_drop(graph, graph.base_point, x, y)
+    if method != "all":
+        return values[routes[0]]
+    lo, hi = min(values.values()), max(values.values())
+    values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
+    return values
 
 
 @dataclass
@@ -243,20 +242,6 @@ def _build_cycle_system(graph):
     return _CycleSystem(
         pred.tolist(), parent_edge.tolist(), sign.tolist(), depth.tolist(), r, cycles, factor
     )
-
-
-def _min_dissipation(graph, x, y, tol):
-    system = _cycle_system(graph)
-    return system.certified_energy(system.unit_flow(x, y), tol)
-
-
-def _grounded_increment(graph, x, y):
-    # The base-grounded LU is the one greens_gram uses, so M4 adds no
-    # factorization per pair.
-    rhs = np.zeros(graph.n)
-    rhs[x], rhs[y] = 1.0, -1.0
-    v = grounded_solve(graph, graph.base_point, rhs)
-    return float(v[x] - v[y])
 
 
 # -- current flows ------------------------------------------------------------

@@ -20,20 +20,31 @@ from resnet.decomposition import RoydenSplit, energy_split
 from resnet.energy import (
     EnergyVector,
     SolverError,
+    _check_pair,
+    _check_tol,
+    _dipole_laplacian,
+    _dipole_vectors,
     energy_inner,
     gauged,
     pointwise_product,
     reproducing_check,
-    solve_dipole,
     solve_dipoles,
 )
-from resnet.graphs import ConductanceGraph, TruncatedGraph, ValidationIssue, as_truncated
+from resnet.graphs import (
+    ConductanceGraph,
+    GraphError,
+    TruncatedGraph,
+    ValidationIssue,
+    as_truncated,
+    underlying,
+)
 from resnet.laplacian import (
     assemble_laplacian,
     grounded_laplacian,
     grounded_solve,
     harmonic_extension,
 )
+from resnet.resistance import _cycle_system
 
 
 def random_connected_graph(rng, n, extra_edges=0, base=0):
@@ -126,10 +137,69 @@ def per_z_triangle_slack(d):
     return worst
 
 
+def parent_solve_dipole(g, x, y, tol=1e-10):
+    """`solve_dipole` as it was before it became the k = 1 case of
+    `solve_dipoles`, kept as its oracle: its own vector right-hand side,
+    handed to the PCG loop."""
+    graph = underlying(g)
+    _check_pair(graph, x, y)
+    lap = _dipole_laplacian(graph, tol)
+    rhs = np.zeros(graph.n)
+    rhs[x], rhs[y] = 1.0, -1.0
+    return _dipole_vectors(graph, lap, rhs, [(x, y)], tol)[0]
+
+
 def per_pair_dipoles(g, pairs, tol=1e-10):
     """The per-pair loop `energy.solve_dipoles` replaced, kept as its oracle:
-    one `solve_dipole` per pair, so the first failing pair raises its error."""
-    return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
+    one single solve per pair, so the first failing pair raises its error."""
+    return [parent_solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
+
+
+_PARENT_METHODS = ("M1", "M2", "M3", "M4", "M7")
+
+
+def parent_resistance(g, x, y, method="M2", tol=1e-10):
+    """`resistance()` as it was before every method resolved to one route
+    table, kept as its oracle: a branch for "all" and one per single route.
+    For x = y it returns 0.0 under every method, "all" included."""
+    graph = underlying(g)
+    _check_pair(graph, x, y, distinct=False)
+    _check_tol(tol)
+    if x == y:
+        return 0.0
+    if method == "all":
+        values = _parent_dipole_routes(parent_solve_dipole(graph, x, y, tol))
+        values["M3"] = _parent_min_dissipation(graph, x, y, tol)
+        values["M4"] = _parent_grounded_increment(graph, x, y)
+        values = {m: values[m] for m in _PARENT_METHODS}
+        lo, hi = min(values.values()), max(values.values())
+        values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
+        return values
+    method = {"M5": "M7", "M6": "M2"}.get(method, method)
+    if method in ("M1", "M2", "M7"):
+        return _parent_dipole_routes(parent_solve_dipole(graph, x, y, tol))[method]
+    if method == "M3":
+        return _parent_min_dissipation(graph, x, y, tol)
+    if method == "M4":
+        return _parent_grounded_increment(graph, x, y)
+    raise GraphError(f"unknown method {method!r}")
+
+
+def _parent_dipole_routes(v):
+    increment = float(v.values[v.source] - v.values[v.sink])
+    return {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
+
+
+def _parent_min_dissipation(graph, x, y, tol):
+    system = _cycle_system(graph)
+    return system.certified_energy(system.unit_flow(x, y), tol)
+
+
+def _parent_grounded_increment(graph, x, y):
+    rhs = np.zeros(graph.n)
+    rhs[x], rhs[y] = 1.0, -1.0
+    v = grounded_solve(graph, graph.base_point, rhs)
+    return float(v[x] - v[y])
 
 
 def parent_pcg(lap, rhs, tol):

@@ -100,6 +100,23 @@ def test_resist_all_methods_agree(halfline_file, capsys):
     assert values["M2"] == pytest.approx(0.18512235160447665, rel=1e-10)
 
 
+@pytest.mark.parametrize("family, argv, vertex", [
+    ("wye", (), "a"),
+    ("lattice", ("--radius", "3"), "1,2"),
+])
+def test_resist_from_a_vertex_to_itself_is_0_on_every_route(tmp_path, capsys, family, argv, vertex):
+    path = str(tmp_path / "graph.json")
+    run_json(capsys, "generate", "--family", family, *argv, "-o", path)
+    report = run_json(capsys, "resist", path, "--from", vertex, "--to", vertex)
+    assert report["values"] == dict.fromkeys(["M1", "M2", "M3", "M4", "M7"], 0.0)
+    assert report["max_rel_disagreement"] == 0.0
+    for method in ("M1", "M2", "M3", "M4", "M5", "M6", "M7"):
+        report = run_json(capsys, "resist", path, "--from", vertex, "--to", vertex,
+                          "--method", method)
+        assert report["values"] == {method: 0.0}
+        assert "max_rel_disagreement" not in report
+
+
 def test_resist_matrix_export(halfline_file, tmp_path, capsys):
     csv_path = str(tmp_path / "dist.csv")
     report = run_json(
@@ -312,6 +329,15 @@ def test_exit_code_map(tmp_path, capsys):
         "vertices": 2, "base_point": 0, "edges": [[0, 1, -3.0]],
     }))
     assert run(capsys, "check", str(bad))[0] == 2
+
+
+def test_check_on_a_file_that_fails_validation_is_exit_2(tmp_path, capsys):
+    # vertex 2 has no edge: the file loads, and `validate` rejects it
+    bad = tmp_path / "isolated.json"
+    bad.write_text(json.dumps({"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0]]}))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert "graph failed validation" in err and "zero-degree" in err
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))

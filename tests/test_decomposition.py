@@ -149,6 +149,16 @@ def test_interpolation_guards(rng):
         interpolate(trunc, kernel, f, trunc.graph.n)
 
 
+def test_interpolation_rejects_a_non_integer_point(rng):
+    trunc, f = lattice_case(rng)
+    kernel = greens_gram(trunc.graph, tol=1e-13)
+    x = int(trunc.interior[1])
+    for point in (x + 0.5, float(x), str(x)):
+        with pytest.raises(GraphError, match="out of range"):
+            interpolate(trunc, kernel, f, point)
+    assert interpolate(trunc, kernel, f, np.int64(x)) == interpolate(trunc, kernel, f, x)
+
+
 def test_kernel_routes_reject_a_kernel_of_another_graph():
     trunc = generate("halfline", radius=6)
     other = greens_gram(generate("halfline", radius=6, growth=2.0).graph, tol=1e-13)

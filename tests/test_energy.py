@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resnet import energy
 from resnet.energy import (
     SolverError,
     _column_dots,
@@ -19,12 +20,14 @@ from resnet.energy import (
     solve_dipole,
     solve_dipoles,
 )
-from resnet.graphs import GraphError, as_truncated, generate
+from resnet.graphs import ConductanceGraph, GraphError, as_truncated, generate
 from resnet.laplacian import assemble_laplacian
 
 from conftest import (
     dense_laplacian,
+    count_calls,
     parent_pcg,
+    parent_solve_dipole,
     per_pair_dipoles,
     pinv_resistance,
     random_connected_graph,
@@ -118,6 +121,12 @@ def test_dipole_energy_is_effective_resistance(rng):
     assert dip.energy == pytest.approx(pinv_resistance(g, 2, 11), rel=1e-8)
 
 
+def test_dipole_solve_on_an_isolated_vertex_is_a_graph_error():
+    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
+    with pytest.raises(GraphError, match="zero-degree vertex present"):
+        solve_dipole(g, 0, 1)
+
+
 def test_dipole_endpoint_guards(rng):
     g = random_connected_graph(rng, 6)
     with pytest.raises(GraphError, match="must differ"):
@@ -171,6 +180,62 @@ def test_block_dipoles_equal_single_solves_bitwise(family, radius, params):
         assert got.iterations == want.iterations, (x, y)
         assert got.solve_residual == want.solve_residual, (x, y)
         assert not got.values.flags.writeable
+
+
+def _dipole_outcome(solve, *args):
+    """Every bit of a single dipole solve, or its error's message, residual and step."""
+    try:
+        v = solve(*args)
+    except SolverError as exc:
+        return str(exc), exc.residual, exc.iterations
+    return v.values.tobytes(), v.source, v.sink, v.solve_residual, v.iterations
+
+
+@pytest.mark.parametrize("family,radius,params", CHECK_FAMILIES + [
+    ("lattice", 12, {}),
+    ("lattice", 24, {}),
+    ("comb", 16, {}),
+    ("nary-tree", 6, {"branching": 3}),
+])
+def test_single_dipole_is_the_parent_solve_bitwise(family, radius, params):
+    g = generate(family, radius=radius, **params).graph
+    rng = np.random.default_rng(23)
+    pairs = [tuple(int(v) for v in rng.choice(g.n, size=2, replace=False)) for _ in range(6)]
+    pairs.append((g.base_point, g.n - 1))
+    for x, y in pairs:
+        for tol in (1e-10, 1e-300):
+            got = _dipole_outcome(solve_dipole, g, x, y, tol)
+            assert got == _dipole_outcome(parent_solve_dipole, g, x, y, tol), (x, y, tol)
+
+
+def test_a_single_pair_reaches_the_loop_as_a_vector(monkeypatch):
+    g = generate("lattice", radius=6).graph
+    shapes = []
+    count_calls(monkeypatch, energy, ["_pcg"], where=lambda lap, rhs, tol: shapes.append(rhs.shape))
+    solve_dipole(g, 1, 9)
+    solve_dipoles(g, [(1, 9)])
+    solve_dipoles(g, [(1, 9), (2, 5)])
+    assert shapes == [(g.n,), (g.n,), (g.n, 2)]
+
+
+def test_dipole_solves_reject_a_non_integer_vertex(rng):
+    g = random_connected_graph(rng, 6, 2)
+    for x, y in [(1.5, 3), (1, 3.0), ("1", 3), (None, 3)]:
+        with pytest.raises(GraphError, match="out of range"):
+            solve_dipole(g, x, y)
+        with pytest.raises(GraphError, match="out of range"):
+            solve_dipoles(g, [(0, 2), (x, y)])  # checked before any conversion
+    got = solve_dipoles(g, [(np.int64(1), np.int32(3))])[0]
+    assert (type(got.source), type(got.sink)) == (int, int)
+    assert got.values.tobytes() == solve_dipole(g, 1, 3).values.tobytes()
+
+
+def test_delta_rejects_a_non_integer_vertex(rng):
+    g = random_connected_graph(rng, 6)
+    for x in (1.5, 1.0, "1"):
+        with pytest.raises(GraphError, match="out of range"):
+            delta(g, x)
+    assert np.array_equal(delta(g, np.int64(2)).values, delta(g, 2).values)
 
 
 def _pcg_outcome(result):

@@ -318,6 +318,21 @@ def test_generate_unknown_family_lists_known():
         generate("halfline", radius=3, frobnicate=1)
 
 
+def test_generator_output_that_fails_validation_is_a_graph_error():
+    with pytest.raises(GraphError, match="generator produced an invalid graph") as info:
+        generate("explicit", edges=[(0, 1, 1.0)], base_point=0, vertices=[0, 1, 2])
+    assert info.value.report.codes() == ["disconnected", "zero-degree"]
+
+
+def test_vertex_queries_reject_a_non_integer_index():
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 0)
+    for x in (1.5, 1.0, "1", None, -1, 3):
+        for query in (g.neighbors, g.weighted_degree, lambda v: g.conductance(v, 2)):
+            with pytest.raises(GraphError, match=f"vertex index {x} out of range"):
+                query(x)
+    assert g.weighted_degree(np.int64(1)) == g.weighted_degree(1) == 3.0
+
+
 def test_generated_families_validate(rng):
     cases = [
         ("halfline", dict(radius=6)),

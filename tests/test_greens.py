@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from resnet import greens as greens_mod
+from resnet import laplacian as laplacian_mod
 from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
+from resnet.laplacian import grounded_solve
 from resnet.greens import (
     binomial_closed_form,
     bratteli_transition_product,
@@ -25,6 +27,7 @@ from resnet.greens import (
 from conftest import (
     count_calls,
     dense_laplacian,
+    parent_resistance,
     parent_symmetrized_kernel,
     random_connected_graph,
     two_product_inversion_check,
@@ -268,6 +271,12 @@ def test_offdiagonal_series_certified_against_brute_force():
     assert abs(coarse["value"] - exact) <= coarse["tail_bound"] + 1e-12 * exact
 
 
+def test_offdiagonal_series_past_its_term_cap_is_a_solver_error():
+    with pytest.raises(SolverError, match="did not certify within 2 terms") as info:
+        binomial_closed_form(0.6).offdiagonal(3, max_terms=2)
+    assert info.value.iterations == 2
+
+
 def test_offdiagonal_backward_uses_minus_drift():
     model = binomial_closed_form(2.0 / 3.0)
     forward = model.offdiagonal(3, tol=1e-13)["value"]
@@ -330,6 +339,25 @@ def test_nary_comparison_reports_honest_gaps():
     )
     with pytest.raises(GraphError, match="interior"):
         nary_tree_comparison(2, 2.0, radius=2, level=2)
+
+
+@pytest.mark.parametrize("radius, level", [(5, 1), (7, 1), (7, 3)])
+def test_nary_comparison_reads_both_values_off_one_grounded_drop(monkeypatch, radius, level):
+    trunc = generate("nary-tree", radius=radius, branching=2, b=2.0)
+    graph = trunc.graph
+    root, target = graph.base_point, graph.index_of((0,) * level)
+    monkeypatch.setattr(greens_mod, "generate", lambda *args, **kwargs: trunc)
+    grounds = []
+    count_calls(monkeypatch, laplacian_mod, ["grounded_solve"],
+                where=lambda g, ground, rhs: grounds.append(np.atleast_1d(ground).tolist()))
+    report = nary_tree_comparison(2, 2.0, radius=radius, level=level)
+    assert grounds == [[root], trunc.frontier.tolist()]
+    # the values the free route M4 and the inline frontier-grounded solve gave
+    assert report["measured_free"] == parent_resistance(graph, root, target, "M4")
+    dipole = np.zeros(graph.n)
+    dipole[root], dipole[target] = 1.0, -1.0
+    v = grounded_solve(graph, trunc.frontier, dipole)
+    assert report["measured_wired"] == float(v[root] - v[target])
 
 
 def test_nary_wired_resistance_increases_toward_limit():

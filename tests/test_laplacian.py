@@ -211,8 +211,14 @@ def test_interior_block_is_the_frontier_grounded_case():
 
 def test_interior_block_requires_truncation(rng):
     g = random_connected_graph(rng, 6)
-    with pytest.raises(GraphError, match="TruncatedGraph"):
+    with pytest.raises(GraphError, match="an interior solve needs a truncation carrying a frontier"):
         interior_laplacian(g)
+
+
+def test_interior_block_requires_a_nonempty_frontier():
+    # a finite graph's whole Laplacian is singular: it must not reach splu
+    with pytest.raises(GraphError, match="an interior solve needs a nonempty frontier"):
+        interior_laplacian(generate("wye"))
 
 
 def test_harmonic_extension_solves_dirichlet_problem(rng):

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from resnet.graphs import ConductanceGraph, GraphError, as_truncated, generate, truncate
+from resnet.graphs import (
+    ConductanceGraph,
+    GraphError,
+    as_truncated,
+    generate,
+    truncate,
+    with_frontier,
+)
 from resnet.laplacian import (
     assemble_laplacian,
     harmonic_extension,
@@ -148,6 +155,20 @@ def test_cylinder_probability_by_hand():
     assert cylinder_probability(g, [a, m]) == pytest.approx(1.0)
     assert cylinder_probability(g, [a, m, b]) == pytest.approx(2.0 / 3.0)
     assert cylinder_probability(g, [m, a]) == pytest.approx(1.0 / 3.0)
+
+
+def test_walk_entry_points_reject_a_non_integer_vertex():
+    trunc = generate("halfline", radius=3)
+    g = trunc.graph
+    for word in ([0, 1.7], [1.0, 2], ["1"]):  # int() would read 1.7 as 1
+        with pytest.raises(GraphError, match="out of range"):
+            cylinder_probability(g, word)
+    assert cylinder_probability(g, [np.int64(0), np.int32(1)]) == cylinder_probability(g, [0, 1])
+    for x in (1.5, 1.0, None):
+        with pytest.raises(GraphError, match="out of range"):
+            sample_paths(trunc, x, 1, 10, seed=0)
+        with pytest.raises(GraphError, match="not interior"):
+            harmonic_measure_exact(trunc, x)
 
 
 def test_cylinder_guards():
@@ -488,6 +509,14 @@ def test_poisson_reproduce_rejects_a_function_of_another_graph():
         poisson_reproduce(trunc, h, trunc.graph.base_point, 10, seed=0)
 
 
+def test_poisson_reproduce_rejects_a_wrongly_shaped_function():
+    trunc = generate("comb", radius=3)
+    n = trunc.graph.n
+    for shape in [(n - 1,), (n, 1), ()]:
+        with pytest.raises(GraphError, match=rf"expected {n} vertex values, got shape"):
+            poisson_reproduce(trunc, np.zeros(shape), trunc.graph.base_point, 10, seed=0)
+
+
 def test_poisson_reproduce_needs_a_nonempty_frontier():
     with pytest.raises(GraphError, match="boundary representation needs a truncation"):
         poisson_reproduce(generate("wye").graph, np.zeros(3), 0, 10, seed=0)
@@ -519,6 +548,15 @@ def test_martin_kernel_matches_dense_ratio():
         interior.index(base), interior.index(y)
     ]
     assert martin_kernel(trunc, wg, x, y) == pytest.approx(expect, rel=1e-8)
+
+
+def test_martin_kernel_with_no_walk_from_the_base_to_y_is_undefined():
+    # the frontier {2} cuts the path 0-4, so no absorbed walk from 0 reaches 3
+    g = ConductanceGraph.from_edges([(k, k + 1, 1.0) for k in range(4)], 0)
+    trunc = with_frontier(g, [2])
+    wg = walk_greens(trunc, absorb="frontier")
+    with pytest.raises(GraphError, match=r"G\(base, 3\) = 0; the ratio is undefined"):
+        martin_kernel(trunc, wg, 1, 3)
 
 
 def test_martin_kernel_requires_frontier_series():

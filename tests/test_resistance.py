@@ -28,7 +28,14 @@ from resnet.resistance import (
     resistance_matrix,
 )
 
-from conftest import dense_laplacian, per_z_triangle_slack, pinv_resistance, random_connected_graph
+from conftest import (
+    count_calls,
+    dense_laplacian,
+    parent_resistance,
+    per_z_triangle_slack,
+    pinv_resistance,
+    random_connected_graph,
+)
 
 
 def test_all_routes_match_pinv_oracle(rng):
@@ -253,6 +260,108 @@ def test_guards(rng):
         resistance(g, 0, 5)
     with pytest.raises(GraphError, match="unknown method"):
         resistance(g, 0, 1, "M9")
+
+
+# the six graphs of the benchmark's `queries` workload, then the two steepest
+PAIR_GRAPHS = [
+    ("lattice", 12, {}),
+    ("lattice", 24, {}),
+    ("binary-tree", 9, {}),
+    ("comb", 16, {}),
+    ("chain", None, {"width": 60}),
+    ("nary-tree", 6, {"branching": 3}),
+    ("halfline", 32, {}),
+    ("lattice", 40, {}),
+]
+ROUTES = METHODS + ("M5", "M6", "all")
+
+
+def _route_bits(fn, *args):
+    """The result of fn(*args) as bytes per value (a dict stays a dict), or
+    the type and message of the error it raised."""
+    try:
+        value = fn(*args)
+    except (GraphError, SolverError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, dict):
+        return {k: (type(v), np.float64(v).tobytes()) for k, v in value.items()}
+    return type(value), np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("family, radius, params", PAIR_GRAPHS)
+def test_every_route_is_the_parent_dispatch_bit_for_bit(family, radius, params):
+    g = generate(family, radius=radius, **params).graph
+    for x, y in _seeded_pairs(g, 20, 19):
+        for method in ROUTES:
+            got = _route_bits(resistance, g, x, y, method)
+            assert got == _route_bits(parent_resistance, g, x, y, method), (x, y, method)
+
+
+def _solve_counts(monkeypatch):
+    """Count every PCG loop, every grounded solve and every cycle-system lookup.
+
+    Returns a function that reads the three counts as one dict, and the list
+    of grounds the grounded solves were given, each as a list of vertices.
+    """
+    grounds = []
+
+    def record(graph, ground, rhs):
+        grounds.append(np.atleast_1d(ground).tolist())
+        return True
+
+    counts = [
+        count_calls(monkeypatch, importlib.import_module(f"resnet.{module}"), [name], where)
+        for module, name, where in [("energy", "_pcg", None),
+                                    ("laplacian", "grounded_solve", record),
+                                    ("resistance", "_cycle_system", None)]
+    ]
+    return (lambda: {k: v for c in counts for k, v in c.items()}), grounds
+
+
+@pytest.mark.parametrize("method, pcg, grounded, cycles", [
+    ("M1", 1, 0, 0), ("M2", 1, 0, 0), ("M7", 1, 0, 0), ("M5", 1, 0, 0), ("M6", 1, 0, 0),
+    ("M3", 0, 0, 1), ("M4", 0, 1, 0), ("all", 1, 1, 1),
+])
+def test_each_route_makes_its_one_solve(monkeypatch, method, pcg, grounded, cycles):
+    g = generate("lattice", radius=6).graph
+    calls, grounds = _solve_counts(monkeypatch)
+    for k, (x, y) in enumerate(_seeded_pairs(g, 3, 5), start=1):
+        resistance(g, x, y, method)
+        assert calls() == {"_pcg": k * pcg, "grounded_solve": k * grounded,
+                           "_cycle_system": k * cycles}
+    assert grounds == [[g.base_point]] * (3 * grounded)
+
+
+@pytest.mark.parametrize("family, radius", [("wye", None), ("lattice", 4), ("binary-tree", 3)])
+def test_the_same_vertex_is_0_on_every_route_without_a_solve(monkeypatch, family, radius):
+    g = generate(family, radius=radius).graph
+    calls, _ = _solve_counts(monkeypatch)
+    for x in range(g.n):
+        for method in METHODS + ("M5", "M6"):
+            value = resistance(g, x, x, method)
+            assert type(value) is float and value == 0.0
+        report = resistance(g, x, x, "all")
+        assert report == dict.fromkeys(METHODS, 0.0) | {"max_rel_disagreement": 0.0}
+    assert calls() == {"_pcg": 0, "grounded_solve": 0, "_cycle_system": 0}
+
+
+def test_an_unknown_method_is_rejected_before_anything_else(rng):
+    g = random_connected_graph(rng, 5)
+    for x, y in [(1, 1), (0, 5), (0, 1.5)]:
+        with pytest.raises(GraphError, match="unknown method 'M9'"):
+            resistance(g, x, y, "M9")
+    with pytest.raises(GraphError, match="unknown method 'M9'"):
+        resistance(g, 0, 1, "M9", tol=float("nan"))
+
+
+@pytest.mark.parametrize("method", ROUTES)
+def test_every_route_rejects_a_non_integer_vertex(rng, method):
+    g = random_connected_graph(rng, 6, 2)
+    for x, y in [(1.5, 3), (1, 3.0), ("1", 3), (None, 3)]:
+        with pytest.raises(GraphError, match="out of range"):
+            resistance(g, x, y, method)
+    value = resistance(g, np.int64(1), np.int32(3), method)
+    assert value == resistance(g, 1, 3, method)
 
 
 def test_triangle_closed_form():

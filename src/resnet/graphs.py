@@ -309,6 +309,7 @@ class ConductanceGraph:
     def conductance(self, x, y):
         """Weight of edge (x, y), or 0.0 when not adjacent."""
         nbrs, w = self.neighbors(x)
+        y = _require_vertex(self, y)
         pos = np.searchsorted(nbrs, y)
         if pos < len(nbrs) and nbrs[pos] == y:
             return float(w[pos])

@@ -19,6 +19,7 @@ graphs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,11 +61,15 @@ class GreensMatrix:
     def _pos(self):
         return {v: k for k, v in enumerate(self.vertices)}
 
-    def value(self, x, y):
+    def _slot(self, v):
+        """Row of vertex index `v`; a non-integer (1.0 included) is absent."""
         try:
-            return float(self.matrix[self._pos[x], self._pos[y]])
-        except KeyError as exc:
-            raise GraphError(f"vertex index {exc.args[0]} is {self._excluded} or absent") from None
+            return self._pos[operator.index(v)]
+        except (KeyError, TypeError):
+            raise GraphError(f"vertex index {v} is {self._excluded} or absent") from None
+
+    def value(self, x, y):
+        return float(self.matrix[self._slot(x), self._slot(y)])
 
     def to_csv(self, path):
         labels = [str(self.graph.labels[v]) for v in self.vertices]
@@ -156,6 +161,7 @@ class WalkGreens:
 
     _excluded = "absorbed"
     _pos = GreensMatrix._pos
+    _slot = GreensMatrix._slot
     value = GreensMatrix.value
 
     def to_kernel(self):

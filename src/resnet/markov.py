@@ -10,7 +10,8 @@ block solve, the single measure being its k = 1 case; seeded walks audit them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,20 +173,58 @@ class PathSample:
 
 @dataclass(frozen=True)
 class PathSamples:
-    """A batch of walks from one start, laid end to end.
+    """A batch of walks from one start, recorded as the CSR entries they took.
 
-    Walk i visits `vertices[offsets[i]:offsets[i + 1]]`, its start first.
-    `log_probability`, `absorbed_at` (-1 when the walk was cut off unabsorbed)
-    and `length` (its number of steps) hold one entry per walk.  Indexing and
-    iteration build a `PathSample` for each walk asked for.
+    `absorbed_at` (-1 when the walk was cut off unabsorbed) and `length` (its
+    number of steps) hold one entry per walk.  `entries[t]` holds the CSR
+    entry taken at step t + 1 by every walk still running then, in sample
+    order; `targets` and `log_step` map an entry to the vertex it steps to and
+    to its log step probability.  `offsets`, `vertices` and `log_probability`
+    are laid out on first read: walk i visits
+    `vertices[offsets[i]:offsets[i + 1]]`, its start first, and
+    `log_probability` holds one entry per walk.  Indexing and iteration build
+    a `PathSample` for each walk asked for.
     """
 
     start: int
-    offsets: np.ndarray
-    vertices: np.ndarray
-    log_probability: np.ndarray
     absorbed_at: np.ndarray
     length: np.ndarray
+    entries: list = field(repr=False)
+    targets: np.ndarray = field(repr=False)
+    log_step: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _layout(self):
+        """Replay the record: walk i is running at step t + 1 exactly when
+        length[i] > t, and its log-probability adds its steps left to right."""
+        n = len(self.length)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.length + 1, out=offsets[1:])
+        flat = np.empty(offsets[-1], dtype=np.int64)
+        log_p = np.zeros(n)
+        ids, live = np.arange(n), self.length
+        pos = offsets[:-1]
+        flat[pos] = self.start
+        for t, entry in enumerate(self.entries):
+            if len(entry) != len(ids):
+                keep = live > t
+                ids, pos, live = ids[keep], pos[keep], live[keep]
+            pos = pos + 1
+            flat[pos] = self.targets[entry]
+            log_p[ids] += self.log_step[entry]
+        return offsets, flat, log_p
+
+    @property
+    def offsets(self):
+        return self._layout[0]
+
+    @property
+    def vertices(self):
+        return self._layout[1]
+
+    @property
+    def log_probability(self):
+        return self._layout[2]
 
     def __len__(self):
         return len(self.length)
@@ -221,75 +260,58 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
 
     All walks advance in lockstep, one array step per step count.  Sample i
     draws exactly what `Generator(Philox(key=[seed, i])).random()` returns,
-    one draw per step, and picks the first neighbor whose row CDF exceeds it
-    (the bisection is numpy's `searchsorted(..., side="right")`).
+    one draw per step, and picks the first neighbor whose row CDF exceeds it.
+    The loop records only the CSR entry each walk takes; the batch lays the
+    paths out when they are first read.
     """
     _require_frontier(trunc, "path sampling")
     graph = trunc.graph
     x = _require_vertex(graph, x)
     if trunc.frontier_mask[x]:
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
+    if graph.indptr[x] == graph.indptr[x + 1]:
+        raise GraphError(f"start vertex {graph.labels[x]!r} has no edges; the walk cannot move")
     n, max_steps = int(n_samples), int(max_steps)
     for name, value in (("n_samples", n), ("max_steps", max_steps)):
         if value < 0:
             raise GraphError(f"{name} must be >= 0, got {value}")
     cdf, log_step, targets = _step_tables(graph)
-    row_lo, row_hi = graph.indptr[:-1], graph.indptr[1:]
-    bisections = int(np.diff(graph.indptr).max()).bit_length()
+    row_lo, row_last = graph.indptr[:-1], graph.indptr[1:] - 1
+    # "cdf <= u" holds on a prefix of every row (its CDF is nondecreasing and
+    # its last entry is 1 > u), so the prefix length, numpy's
+    # searchsorted(side="right"), is found by one probe per power of two
+    # below the longest row; a probe past the row's end reads its last entry.
+    max_degree = int(np.diff(graph.indptr).max())
+    strides = [1 << j for j in reversed(range((max_degree - 1).bit_length()))]
     mask = trunc.frontier_mask
     key0 = _stream_key(seed)
 
     length = np.full(n, max_steps, dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
-    final_log_p = np.zeros(n)
     ids = np.arange(n)  # the walks still running, in sample order
     cur = np.full(n, x, dtype=np.int32)
-    log_p = np.zeros(n)
-    steps = []  # steps[s]: vertex after step s + 1 of every walk running then
+    entries = []
     for s in range(max_steps if n else 0):
         if s % 4 == 0:
             draws = _philox_uniforms(s // 4 + 1, key0, ids)
         u = draws[s % 4]
-        lo, hi = row_lo[cur], row_hi[cur]
-        # numpy's searchsorted midpoints; a walk whose search has ended stays
-        # put, since its cdf[lo] exceeds u, so every walk takes as many rounds
-        # as the longest row needs.
-        for _ in range(bisections):
-            mid = (lo + hi) >> 1
-            right = cdf[mid] > u
-            lo = np.where(right, lo, mid + 1)
-            hi = np.where(right, mid, hi)
-        log_p += log_step[lo]
+        lo, last = row_lo[cur], row_last[cur]
+        for stride in strides:
+            probe = np.minimum(lo + (stride - 1), last)
+            lo += (cdf[probe] <= u) * stride
+        entries.append(lo)
         cur = targets[lo]
-        steps.append(cur)
         done = mask[cur]
         if done.any():
             finished = ids[done]
             length[finished] = s + 1
             absorbed_at[finished] = cur[done]
-            final_log_p[finished] = log_p[done]
             running = ~done
-            ids, cur, log_p = ids[running], cur[running], log_p[running]
+            ids, cur = ids[running], cur[running]
             draws = draws[:, running]
             if len(ids) == 0:
                 break
-    final_log_p[ids] = log_p
-
-    # Lay the walks end to end, each as its start and its steps; walk i is
-    # running at step t + 1 exactly when length[i] > t.
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(length + 1, out=offsets[1:])
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    pos = offsets[:-1]
-    flat[pos] = x
-    live = length
-    for t, step in enumerate(steps):
-        if len(step) != len(pos):
-            keep = live > t
-            pos, live = pos[keep], live[keep]
-        pos = pos + 1
-        flat[pos] = step
-    return PathSamples(int(x), offsets, flat, final_log_p, absorbed_at, length)
+    return PathSamples(int(x), absorbed_at, length, entries, targets, log_step)
 
 
 @dataclass
@@ -324,9 +346,11 @@ def _harmonic_measures(trunc, points):
     e = np.zeros((graph.n, len(points)))
     for j, x in enumerate(points):
         e[_require_vertex(graph, x, interior_of=trunc), j] = 1.0
-    z = grounded_solve(graph, trunc.frontier, e)
+    # one start reaches the solve as a vector, as one dipole does
+    z = grounded_solve(graph, trunc.frontier, e[:, 0] if len(points) == 1 else e)
     mu = (graph.adjacency() @ z)[trunc.frontier].T
-    return np.maximum(mu, 0.0, order="C")  # clip the solver's negative dust
+    mu = np.maximum(mu, 0.0, order="C")  # clip the solver's negative dust
+    return mu.reshape(len(points), len(trunc.frontier))
 
 
 def harmonic_measure_exact(trunc, x):

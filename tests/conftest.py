@@ -96,6 +96,8 @@ def count_calls(monkeypatch, module, names, where=None):
     """Count the calls to each named function of `module`, wherever resnet holds it.
 
     With `where`, only the calls for which ``where(*args, **kwargs)`` is true count.
+    Every binding of a name gets the same wrapper, so a later count on that
+    name finds it everywhere and sees the calls made through any module.
     """
     calls = dict.fromkeys(names, 0)
 
@@ -108,11 +110,12 @@ def count_calls(monkeypatch, module, names, where=None):
         return call
 
     originals = {name: getattr(module, name) for name in names}
+    wrappers = {name: counted(name, fn) for name, fn in originals.items()}
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("resnet"):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counted(name, fn))
+                    monkeypatch.setattr(mod, name, wrappers[name])
     return calls
 
 

@@ -250,7 +250,11 @@ def test_walk_builds_no_path_sample(chain_file, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("walk built a PathSample")
 
+    def refuse_layout(self):
+        raise AssertionError("walk laid out the sampled paths")
+
     monkeypatch.setattr(markov.PathSample, "__init__", refuse)
+    monkeypatch.setattr(markov.PathSamples, "_layout", property(refuse_layout))
     report = run_json(capsys, "walk", chain_file, "--samples", "300", "--max-steps", "5")
     assert report["total_samples"] == 300 and report["unabsorbed"] > 0
 

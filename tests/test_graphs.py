@@ -333,6 +333,16 @@ def test_vertex_queries_reject_a_non_integer_index():
     assert g.weighted_degree(np.int64(1)) == g.weighted_degree(1) == 3.0
 
 
+def test_conductance_checks_its_second_vertex():
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 0)
+    # 7 and 1.5 used to read as "not adjacent", and 2.0 as vertex 2
+    for y in (7, 1.5, 2.0, "2", None, -1):
+        with pytest.raises(GraphError, match=f"vertex index {y} out of range"):
+            g.conductance(1, y)
+    assert g.conductance(1, np.int64(2)) == g.conductance(1, 2) == 2.0
+    assert g.conductance(1, 1) == 0.0
+
+
 def test_generated_families_validate(rng):
     cases = [
         ("halfline", dict(radius=6)),

@@ -209,6 +209,18 @@ def test_walk_absorb_guards(rng):
         walk_greens(finite, absorb="frontier")
 
 
+def test_kernel_values_take_only_integer_indices():
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 0)
+    kernel, series = greens_gram(g), walk_greens(g)
+    for k in (kernel, series):
+        # 1.0 used to hash as the key 1 and read vertex 1
+        for x, y in ((1.0, 2), (1, 2.0), (1.5, 2), ("1", 2)):
+            with pytest.raises(GraphError, match="or absent"):
+                k.value(x, y)
+        assert k.value(np.int64(1), 2) == k.value(1, 2)
+    assert kernel.value(1, 2) == 1.0
+
+
 def test_walk_value_guard():
     g = generate("halfline", radius=4).graph
     wg = walk_greens(g)

@@ -279,6 +279,57 @@ def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
         assert any(s.absorbed_at is None for s in got)
 
 
+def _hub_with_ties(rng, degree):
+    """A hub of `degree` leaves with frontier leaves every fifth, the leaves
+    joined in a path.  Weights of 1e-20 beside weights of order 1 leave runs
+    of equal row-CDF entries, some of them 1.0 before a row's last entry."""
+    weights = rng.choice([1e-20, 0.5, 1.0, 3.0], size=degree, p=[0.3, 0.3, 0.2, 0.2])
+    edges = [(0, i + 1, float(w)) for i, w in enumerate(weights)]
+    edges += [(i, i + 1, float(w)) for i, w in zip(range(1, degree), rng.choice([1e-20, 1.0], degree - 1))]
+    graph = ConductanceGraph.from_edges(edges, 0)
+    return with_frontier(graph, range(5, degree + 1, 5))
+
+
+@pytest.mark.parametrize("degree", [37, 38])
+def test_sample_paths_equal_scalar_oracle_on_a_hub_with_ties(degree, rng):
+    trunc = _hub_with_ties(rng, degree)
+    graph = trunc.graph
+    assert np.diff(graph.indptr).max() == degree
+    cdf, _, _ = _step_tables(graph)
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    early = (cdf == 1.0) & (np.arange(len(cdf)) != graph.indptr[rows + 1] - 1)
+    assert early.any()  # a row's CDF reaches 1.0 before its last entry
+    for x in (graph.base_point, graph.index_of(1)):
+        got = sample_paths(trunc, x, 300, 60, seed=degree)
+        want = scalar_sample_paths(trunc, x, 300, 60, seed=degree)
+        assert got.vertices.tolist() == [int(v) for w in want for v in w.vertices]
+        assert got.log_probability.tolist() == [w.log_probability for w in want]
+        assert got.absorbed_at.tolist() == [-1 if w.absorbed_at is None else w.absorbed_at for w in want]
+        assert got.length.tolist() == [w.length for w in want]
+
+
+def test_path_layout_is_built_once_on_first_read():
+    trunc = generate("comb", radius=4)
+    batch = sample_paths(trunc, trunc.graph.base_point, 40, 30, seed=6)
+    assert "_layout" not in vars(batch)
+    offsets = batch.offsets
+    assert "_layout" in vars(batch)
+    assert batch.offsets is offsets and batch.vertices is batch.vertices
+    assert offsets[-1] == len(batch.vertices) == int((batch.length + 1).sum())
+
+
+def test_estimate_and_poisson_lay_out_no_path(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the paths were laid out")
+
+    monkeypatch.setattr(PathSamples, "_layout", property(refuse))
+    trunc = generate("comb", radius=3)
+    samples = sample_paths(trunc, trunc.graph.base_point, 200, 50, seed=2)
+    assert estimate_from_samples(trunc, samples).total_samples == 200
+    h = harmonic_extension(trunc, rng.uniform(0.0, 2.0, size=len(trunc.frontier)))
+    assert poisson_reproduce(trunc, h, trunc.graph.base_point, 200, seed=5)["n_samples"] == 200
+
+
 def test_path_samples_index_like_a_list():
     trunc = generate("comb", radius=4)
     batch = sample_paths(trunc, trunc.graph.base_point, 30, 5, seed=2)
@@ -353,6 +404,11 @@ def test_sample_paths_guards(rng):
         sample_paths(trunc, 99, 1, 10, seed=0)
     with pytest.raises(GraphError, match="frontier"):
         sample_paths(trunc, 3, 1, 10, seed=0)
+    # a start without edges has no row to step along (it used to step along
+    # the next vertex's first edge)
+    lonely = with_frontier(ConductanceGraph.from_edges([(1, 2, 1.0), (2, 3, 1.0)], 1, vertices=[0]), [3])
+    with pytest.raises(GraphError, match="has no edges"):
+        sample_paths(lonely, lonely.graph.index_of(0), 1, 10, seed=0)
 
 
 def test_power_iterate_converges_to_harmonic_extension(rng):
@@ -438,6 +494,33 @@ def test_harmonic_measure_exact_makes_one_frontier_solve(monkeypatch):
     )
     harmonic_measure_exact(trunc, int(trunc.interior[3]))
     assert calls == {"grounded_solve": 1}
+
+
+def test_count_calls_sees_every_binding_on_a_second_count(monkeypatch):
+    trunc = generate("comb", radius=5)
+    every = count_calls(monkeypatch, laplacian, ["grounded_solve"])
+    frontier = count_calls(
+        monkeypatch, laplacian, ["grounded_solve"],
+        where=lambda g, ground, rhs: np.array_equal(ground, trunc.frontier),
+    )
+    harmonic_measure_exact(trunc, int(trunc.interior[3]))  # calls through markov's binding
+    assert every == frontier == {"grounded_solve": 1}
+
+
+@pytest.mark.parametrize("case", sorted(MEASURE_GRAPHS))
+def test_harmonic_measure_exact_solves_one_start_as_a_vector(case, monkeypatch):
+    trunc = MEASURE_GRAPHS[case]()
+    graph, x = trunc.graph, int(trunc.interior[len(trunc.interior) // 2])
+    # the (n, 1) block route the single measure took before
+    e = np.zeros((graph.n, 1))
+    e[x, 0] = 1.0
+    z = laplacian.grounded_solve(graph, trunc.frontier, e)
+    block = np.maximum((graph.adjacency() @ z)[trunc.frontier].T, 0.0, order="C")[0]
+    shapes = []
+    count_calls(monkeypatch, laplacian, ["grounded_solve"],
+                where=lambda g, ground, rhs: shapes.append(rhs.shape))
+    assert harmonic_measure_exact(trunc, x).weights.tobytes() == block.tobytes()
+    assert shapes == [(graph.n,)]
 
 
 def test_sampled_measure_agrees_with_exact():

@@ -428,7 +428,7 @@ def _require_vertex(graph, x, interior_of=None):
     try:
         k = operator.index(x)
     except TypeError:
-        k = -1
+        raise GraphError(f"vertex index {x!r} is not an integer") from None
     if not 0 <= k < graph.n or (interior_of is not None and interior_of.frontier_mask[k]):
         if interior_of is not None:
             raise GraphError(f"vertex index {x} is not interior to the truncation")

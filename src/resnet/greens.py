@@ -5,8 +5,8 @@ agreement is evidence:
 
   * the gram route reads K(x, y) = <v_x, v_y> = v_x(y) off the dipole
     potentials anchored at the base point: K is the inverse of the Laplacian
-    with the base row and column removed, obtained by one multi-column solve
-    against its cached sparse LU;
+    with the base row and column removed, the identity solved in column
+    blocks against its cached sparse LU;
   * the walk route sums the Neumann series of the absorbed transition matrix
     and rescales by conductances.
 
@@ -77,26 +77,41 @@ class GreensMatrix:
         _write_csv(path, ["label"] + labels, rows)
 
 
+_SOLVE_BLOCK_BYTES = 1 << 20  # the right-hand sides of one kernel solve
+
+
 def greens_gram(g, tol=1e-10):
     """Base-grounded kernel: column x is the dipole potential v_x, v_x(y) = K(x, y).
 
-    All columns come from one multi-column solve against the grounded
-    factorization.  A direct solve has no tolerance; `tol` is recorded on
-    the result.  The kernel is symmetrized after recording how far the raw
-    columns were from symmetric.
+    The columns come from block solves against the grounded factorization
+    (see `_grounded_kernel`).  A direct solve has no tolerance; `tol` is
+    recorded on the result.  The kernel is symmetrized after recording how
+    far the raw columns were from symmetric.
     """
     graph = underlying(g)
     return _grounded_kernel(graph, graph.base_point, tol)
 
 
 def _grounded_kernel(graph, ground, tol):
-    """The inverse of L without the `ground` rows and columns, one column per kept vertex."""
+    """The inverse of L without the `ground` rows and columns, one column per kept vertex.
+
+    The identity is solved a block of columns at a time, each block about
+    `_SOLVE_BLOCK_BYTES`, so the solve works in cache and no identity matrix
+    is formed.  SuperLU solves each right-hand side on its own, so every
+    column is bitwise the one a single solve of the whole identity gives.
+    """
     kept, _, lu = grounded_laplacian(graph, ground)
-    k = lu.solve(np.eye(len(kept)))
+    m = len(kept)
+    k = np.empty((m, m), order="F")  # lu.solve's own layout: each block a slab
+    step = max(1, _SOLVE_BLOCK_BYTES // (8 * max(m, 1)))
+    for lo in range(0, m, step):
+        e = np.zeros((m, min(step, m - lo)), order="F")
+        np.fill_diagonal(e[lo:], 1.0)
+        k[:, lo:lo + e.shape[1]] = lu.solve(e)
     # one n x n temporary: the asymmetry k - k^T, then the symmetrized
     # k + k^T, halved in place (bitwise 0.5 * (k + k^T))
     t = np.subtract(k, k.T)
-    residual = float(np.max(np.abs(t, out=t))) if len(kept) else 0.0
+    residual = float(np.max(np.abs(t, out=t))) if m else 0.0
     np.add(k, k.T, out=t)
     t *= 0.5
     return GreensMatrix(graph, kept.tolist(), t, residual, tol)

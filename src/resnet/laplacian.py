@@ -29,7 +29,6 @@ __all__ = [
     "interior_laplacian",
     "CombDefectReport",
     "defect_recursion_comb",
-    "write_coordinate_format",
 ]
 
 
@@ -54,17 +53,27 @@ class LaplacianOperator:
     def adjacency_product(self, u, out):
         """A u written into `out`, bit for bit ``self.offdiag @ u``.
 
-        On a vector this is the one CSR kernel call that ``offdiag @ u``
-        makes after scipy's operator dispatch, which costs more than the
-        product itself at the sizes a CG step runs on.
+        This is the one CSR kernel call that ``offdiag @ u`` makes after
+        scipy's operator dispatch, which costs more than the product itself
+        at the sizes a CG step runs on.  On a vector it is `csr_matvec`.  On
+        an (n, k) block it is `csr_matvecs`, which reads and writes row-major
+        blocks: a block in another layout is read through a row-major copy
+        (``u.ravel()``) and the product lands in `out` through one, as
+        scipy's own multivector product does.
         """
+        n = self.graph.n
+        adj = self.offdiag
         if u.ndim == 1:
             out.fill(0.0)
-            n = self.graph.n
-            adj = self.offdiag
             _sparsetools.csr_matvec(n, n, adj.indptr, adj.indices, adj.data, u, out)
-        else:
-            out[...] = self.offdiag @ u
+            return out
+        target = out if out.flags.c_contiguous else np.empty(out.shape)
+        target.fill(0.0)
+        _sparsetools.csr_matvecs(
+            n, n, u.shape[1], adj.indptr, adj.indices, adj.data, u.ravel(), target.ravel()
+        )
+        if target is not out:
+            out[...] = target
         return out
 
     def as_csr(self):
@@ -278,26 +287,3 @@ def defect_recursion_comb(levels):
         max_residual=residual,
     )
 
-
-# -- export --------------------------------------------------------------------
-
-_EXPORTABLE = ("laplacian", "degree", "adjacency", "transition")
-
-
-def write_coordinate_format(g, which, path):
-    """Write one operator as text lines "row col value" (sorted by row, col)."""
-    graph = underlying(g)
-    if which not in _EXPORTABLE:
-        raise GraphError(f"unknown operator {which!r}; choose from {_EXPORTABLE}")
-    if which == "degree":
-        mat = sparse.diags(np.asarray(graph.degrees, dtype=np.float64)).tocoo()
-    elif which == "adjacency":
-        mat = graph.adjacency().tocoo()
-    elif which == "transition":
-        mat = transition_operator(graph).tocoo()
-    else:
-        mat = assemble_laplacian(graph).as_csr().tocoo()
-    order = np.lexsort((mat.col, mat.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{mat.row[k]} {mat.col[k]} {float(mat.data[k])!r}\n")

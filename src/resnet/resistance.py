@@ -22,8 +22,8 @@ sums r_e f_e^2 with fsum.  On a tree it is the exact path sum.  M5 and M6
 M2; they are accepted as aliases and computed through their twins.
 
 The whole matrix has one route, `resistance_matrix(g)`: it reads d(x, y) =
-K(x, x) + K(y, y) - 2 K(x, y) off the base-grounded kernel K, one
-multi-column solve against the cached grounded factorization.  The readout
+K(x, x) + K(y, y) - 2 K(x, y) off the base-grounded kernel K, the identity
+solved in column blocks against the cached grounded factorization.  The readout
 itself is `ResistanceMatrix.from_kernel`, which `resnet check` calls on a
 kernel it already holds and `radius_sweep` calls on the frontier-grounded
 kernel of the wired metric.
@@ -338,13 +338,17 @@ class ResistanceMatrix:
 
         the minima over x in X, y in Y other than z and the maximum over
         x != y.  Rounding is monotone, so LB_z <= fl(fl(d(x,z) + d(z,y)) -
-        d(x,y)) for each such triple: a z with LB_z above the running
-        minimum cannot lower it and is skipped.  The z left are bounded once
-        more with one x kept exact against all of Y, and then one y against
-        all of X; a z that every x, or every y, rules out is skipped too.
-        Every other z, a NaN bound included, is formed.  The diagonal tiles
-        go first, so the running minimum falls at once to the metric's own
-        slack (about 0) and the remote z drop out of every later pair.
+        d(x,y)) for each such triple: a z whose LB_z is at or above a finite
+        running minimum cannot lower it and is skipped.  A tie rules z out
+        because ``min(worst, low)`` keeps the earlier of two equal values;
+        while the minimum is +-inf only a bound strictly above it does, as a
+        NaN triple's bound is -inf or NaN and a tie at -inf would skip it
+        (`_rules_out`).  The z left are bounded once more with one x kept
+        exact against all of Y, and then one y against all of X; a z that
+        every x, or every y, rules out is skipped too.  Every other z, a NaN
+        bound included, is formed.  The diagonal tiles go first, so the
+        running minimum falls at once to the metric's own slack (about 0)
+        and the remote z drop out of every later pair.
 
         Over the z it forms, a tile pair keeps P(x, y) = min_z fl(d(x,z) +
         d(z,y)) and subtracts d(x, y) once.  As min_z fl(a_z - c) =
@@ -371,16 +375,20 @@ class ResistanceMatrix:
         tiles = [slice(lo, hi) for lo, hi in zip(starts, np.append(starts[1:], n))]
         diagonal = np.diag_indices(n)
         with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
+            # reduceat along a row is several times faster than down a
+            # column, so a symmetric d is reduced along its rows only
             d[diagonal] = -np.inf  # maxima over x != y
-            colmax = np.maximum.reduceat(d, starts, axis=0)  # [X, y]: max_x d(x, y)
-            # [x, Y]: max_y d(x, y), which is colmax^T when d is symmetric
-            rowmax = colmax.T if symmetric else np.maximum.reduceat(d, starts, axis=1)
+            rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
+            # [X, y]: max_x d(x, y), which is rowmax^T when d is symmetric
+            colmax = (np.ascontiguousarray(rowmax.T) if symmetric
+                      else np.maximum.reduceat(d, starts, axis=0))
             dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
             if (dmax == np.inf).any() and _infinite_detour(d):
                 return math.nan
             d[diagonal] = np.inf  # minima over x != z
-            rowmin = np.minimum.reduceat(d, starts, axis=0)  # [X, z]: min_x d(x, z)
-            colmin = rowmin if symmetric else np.minimum.reduceat(d, starts, axis=1).T
+            # [Y, z]: min_y d(z, y), and [X, z]: min_x d(x, z), the same when d is symmetric
+            colmin = np.ascontiguousarray(np.minimum.reduceat(d, starts, axis=1).T)
+            rowmin = colmin if symmetric else np.minimum.reduceat(d, starts, axis=0)
             worst = math.inf
             count = len(tiles)
             rows = [(a, [a]) for a in range(count)]  # the diagonal tiles first
@@ -390,12 +398,13 @@ class ResistanceMatrix:
                 xs = tiles[a]
                 bounds = (rowmin[a] + colmin[bs]) - dmax[a, bs, None]
                 for b, bound in zip(bs, bounds):
+                    over = _rules_out(worst)
                     ys = tiles[b]
-                    zs = np.flatnonzero(~(bound > worst))
+                    zs = np.flatnonzero(~over(bound, worst))
                     left = d[zs, xs] if symmetric else d[xs, zs].T  # left[z, x] = d(x, z)
                     right = d[zs, ys]  # right[z, y] = d(z, y)
-                    keep = ~((left + colmin[b, zs, None]) - rowmax[xs, b] > worst).all(axis=1)
-                    keep &= ~((right + rowmin[a, zs, None]) - colmax[a, ys] > worst).all(axis=1)
+                    keep = ~over((left + colmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
+                    keep &= ~over((right + rowmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
                     if keep.any():
                         low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
                         if math.isnan(low):
@@ -442,6 +451,13 @@ def _infinite_detour(d):
     return False
 
 
+def _rules_out(worst):
+    """The test by which a lower bound rules its triples out against the
+    running minimum `worst`: a tie too when `worst` is finite, only a bound
+    above it at +-inf (see `ResistanceMatrix.triangle_slack`)."""
+    return np.greater_equal if math.isfinite(worst) else np.greater
+
+
 def _tile_slack(left, right, zs, xs, ys, direct):
     """min of fl(d(x,z) + d(z,y)) - d(x,y) over x in the slice xs, y in ys and
     the sorted zs, over pairwise distinct triples.
@@ -451,7 +467,8 @@ def _tile_slack(left, right, zs, xs, ys, direct):
     best = np.full(direct.shape, np.inf)
     for c in range(0, len(zs), _Z_CHUNK):
         z = zs[c:c + _Z_CHUNK]
-        sums = left[c:c + _Z_CHUNK, :, None] + right[c:c + _Z_CHUNK, None, :]  # [z, x, y]
+        sums = np.repeat(right[c:c + _Z_CHUNK, None, :], left.shape[1], axis=1)  # [z, x, y]
+        sums += left[c:c + _Z_CHUNK, :, None]  # bitwise left + right: IEEE sums commute
         i, j = z.searchsorted([xs.start, xs.stop])  # z[i:j] lie in the x tile
         sums[np.arange(i, j), z[i:j] - xs.start] = np.inf  # z = x
         i, j = z.searchsorted([ys.start, ys.stop])

@@ -38,6 +38,7 @@ from resnet.graphs import (
     as_truncated,
     underlying,
 )
+from resnet.greens import GreensMatrix
 from resnet.laplacian import (
     assemble_laplacian,
     grounded_laplacian,
@@ -305,11 +306,14 @@ def two_product_inversion_check(g, kernel):
     return float(np.max(deviations))
 
 
-def parent_symmetrized_kernel(graph, ground):
-    """The grounded kernel symmetrized by `0.5 * (k + k.T)`, and the max of |k - k.T|."""
+def parent_grounded_kernel(graph, ground, tol=1e-10):
+    """`greens._grounded_kernel` as it was before it solved in column blocks,
+    kept as its oracle: one solve of the whole identity, symmetrized by
+    `0.5 * (k + k.T)` after recording the max of |k - k.T|."""
     kept, _, lu = grounded_laplacian(graph, ground)
     k = lu.solve(np.eye(len(kept)))
-    return 0.5 * (k + k.T), float(np.max(np.abs(k - k.T)))
+    residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
+    return GreensMatrix(graph, kept.tolist(), 0.5 * (k + k.T), residual, tol)
 
 
 def vector_energy_inner(u, v):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every invocation goes through main(argv)."""
 
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from resnet import cli, decomposition, energy, laplacian, markov
+from resnet import greens as greens_mod
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
 from resnet.greens import greens_gram
@@ -21,12 +23,15 @@ from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 from conftest import (
     WRONG_SHAPES,
     count_calls,
+    parent_grounded_kernel,
     per_pair_dipoles,
     per_sample_algebra_bound,
     per_sample_reproducing_property,
     per_sample_royden_pythagoras,
     per_z_triangle_slack,
 )
+
+resistance_mod = importlib.import_module("resnet.resistance")  # `resnet.resistance` is the function
 
 
 def run(capsys, *argv):
@@ -602,6 +607,33 @@ def test_check_reports_equal_the_per_pair_dipole_loop(family, radius, tmp_path, 
             patch.setattr(cli, "solve_dipoles", per_pair_dipoles)
             assert run(capsys, *argv) == got
         assert got[0] == 0, got[2]
+
+
+@pytest.mark.parametrize(
+    "family,radius,params",
+    [("lattice", 12, {}), ("comb", 10, {}), ("binary-tree", 8, {}), ("nary-tree", 4, {"branching": 3})],
+)
+def test_check_report_equals_the_parent_kernel_scan_and_product(family, radius, params, tmp_path, monkeypatch):
+    # the unrounded report, against the one solve of the whole identity, the
+    # scan that rules a z out only above the running minimum, and the block
+    # product through scipy's operator
+    path = str(tmp_path / "g.json")
+    generate(family, radius=radius, **params).write_json(path)
+
+    def report(seed):
+        payload, code = cli.cmd_check(SimpleNamespace(graph=path, seed=seed, tol=1e-10))
+        return json.dumps(payload), code
+
+    got = [report(seed) for seed in (3, 40)]
+    monkeypatch.setattr(greens_mod, "_grounded_kernel", parent_grounded_kernel)
+    monkeypatch.setattr(resistance_mod, "_rules_out", lambda worst: np.greater)
+
+    def operator_product(lap, u, out):
+        out[...] = lap.offdiag @ u
+        return out
+
+    monkeypatch.setattr(laplacian.LaplacianOperator, "adjacency_product", operator_product)
+    assert [report(seed) for seed in (3, 40)] == got
 
 
 def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):

@@ -221,9 +221,9 @@ def test_a_single_pair_reaches_the_loop_as_a_vector(monkeypatch):
 def test_dipole_solves_reject_a_non_integer_vertex(rng):
     g = random_connected_graph(rng, 6, 2)
     for x, y in [(1.5, 3), (1, 3.0), ("1", 3), (None, 3)]:
-        with pytest.raises(GraphError, match="out of range"):
+        with pytest.raises(GraphError, match="is not an integer"):
             solve_dipole(g, x, y)
-        with pytest.raises(GraphError, match="out of range"):
+        with pytest.raises(GraphError, match="is not an integer"):
             solve_dipoles(g, [(0, 2), (x, y)])  # checked before any conversion
     got = solve_dipoles(g, [(np.int64(1), np.int32(3))])[0]
     assert (type(got.source), type(got.sink)) == (int, int)
@@ -233,7 +233,7 @@ def test_dipole_solves_reject_a_non_integer_vertex(rng):
 def test_delta_rejects_a_non_integer_vertex(rng):
     g = random_connected_graph(rng, 6)
     for x in (1.5, 1.0, "1"):
-        with pytest.raises(GraphError, match="out of range"):
+        with pytest.raises(GraphError, match="is not an integer"):
             delta(g, x)
     assert np.array_equal(delta(g, np.int64(2)).values, delta(g, 2).values)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from resnet.greens import (
 from conftest import (
     count_calls,
     dense_laplacian,
+    parent_grounded_kernel,
     parent_resistance,
-    parent_symmetrized_kernel,
     random_connected_graph,
     two_product_inversion_check,
 )
@@ -125,16 +126,57 @@ CHECK_FAMILIES = [
 ]
 
 
+def _assert_same_kernel(got, want):
+    assert got.vertices == want.vertices
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.symmetry_residual == want.symmetry_residual
+
+
 @pytest.mark.parametrize("family,radius,params", CHECK_FAMILIES)
 def test_inversion_check_of_a_symmetric_kernel_is_one_product(family, radius, params, monkeypatch):
+    # the kernel is also the one solve of the whole identity, bit for bit
+    # (binary-tree 9: 1,022 columns in eight blocks)
     trunc = generate(family, radius=radius, **params)
     kernel = greens_gram(trunc)
-    symmetric, residual = parent_symmetrized_kernel(trunc.graph, trunc.graph.base_point)
-    assert kernel.matrix.tobytes() == symmetric.tobytes()
-    assert kernel.symmetry_residual == residual
+    _assert_same_kernel(kernel, parent_grounded_kernel(trunc.graph, trunc.graph.base_point))
     products = count_calls(monkeypatch, greens_mod, ["_identity_deviation"])
     assert greens_inversion_check(trunc, kernel) == two_product_inversion_check(trunc, kernel)
     assert products == {"_identity_deviation": 1}
+
+
+@pytest.mark.parametrize(
+    "family,radius,params,ground",
+    [
+        ("chain", None, {"width": 60}, "base"),  # 59 columns
+        ("halfline", 32, {}, "base"),  # 32 columns
+        # the wired kernel radius_sweep reads: 511 columns in two blocks, and
+        # 820 in six over conductances from 2.7 to 2.4e17
+        ("binary-tree", 9, {}, "frontier"),
+        ("lattice", 40, {}, "frontier"),
+    ],
+)
+def test_grounded_kernel_is_the_unblocked_solve_bit_for_bit(family, radius, params, ground):
+    trunc = generate(family, radius=radius, **params)
+    ground = trunc.graph.base_point if ground == "base" else trunc.frontier
+    got = greens_mod._grounded_kernel(trunc.graph, ground, 1e-10)
+    _assert_same_kernel(got, parent_grounded_kernel(trunc.graph, ground))
+
+
+@pytest.mark.parametrize("step", [1, 7, 8, 39, 40, 41])
+def test_grounded_kernel_blocks_of_any_width_are_bitwise_the_whole_solve(step, rng, monkeypatch):
+    # m = 40 kept vertices: one column a block, a short last block (7, 39),
+    # an exact multiple (8), one block of m (40) and a block wider than m (41)
+    g = random_connected_graph(rng, 41, 60, base=5)
+    widths = []
+
+    def recording(graph, ground):
+        kept, block, lu = laplacian_mod.grounded_laplacian(graph, ground)
+        return kept, block, SimpleNamespace(solve=lambda e: widths.append(e.shape[1]) or lu.solve(e))
+
+    monkeypatch.setattr(greens_mod, "_SOLVE_BLOCK_BYTES", 8 * 40 * step)
+    monkeypatch.setattr(greens_mod, "grounded_laplacian", recording)
+    _assert_same_kernel(greens_gram(g), parent_grounded_kernel(g, g.base_point))
+    assert widths == [step] * (40 // step) + [40 % step] * (40 % step > 0)
 
 
 def test_inversion_check_needs_increasing_kernel_vertices(rng):

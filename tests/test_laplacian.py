@@ -1,7 +1,5 @@
 """Laplacian assembly, walk operator, Dirichlet solves, and the comb recursion."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from resnet.laplacian import (
     harmonic_extension,
     interior_laplacian,
     transition_operator,
-    write_coordinate_format,
 )
 
 from conftest import dense_laplacian, random_connected_graph
@@ -174,10 +171,20 @@ def test_adjacency_product_is_the_sparse_product(rng):
     for family, radius, params in BLOCK_GRAPHS[:3]:
         lap = assemble_laplacian(generate(family, radius=radius, **params))
         n = lap.graph.n
-        for u in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
-            out = np.full(u.shape, np.nan, order="F")
-            assert lap.adjacency_product(u, out) is out
-            assert out.tobytes() == np.asarray(lap.offdiag @ u, order="F").tobytes()
+        block = rng.standard_normal((n, 5))
+        blocks = [
+            np.ascontiguousarray(block),
+            np.asfortranarray(block),
+            np.asfortranarray(block)[:, [True, False, True, True, False]],  # a CG block after columns leave
+            block[:, ::2],  # a strided view
+            block[:, :1],
+        ]
+        for u in [rng.standard_normal(n)] + blocks:
+            want = (lap.offdiag @ u).tobytes()
+            for order in "CF":
+                out = np.full(u.shape, np.nan, order=order)
+                assert lap.adjacency_product(u, out) is out
+                assert out.tobytes() == want, (u.shape, u.flags.c_contiguous, order)
 
 
 def test_grounded_laplacian_singular_block_is_a_solver_error():
@@ -306,26 +313,3 @@ def test_forward_recursion_locks_onto_unit_root():
     dratios = decaying[1:] / decaying[:-1]
     assert abs(dratios[28] - 0.5) < 1e-3
 
-
-def test_write_coordinate_format_round_trip(tmp_path, rng):
-    g = random_connected_graph(rng, 9, 4)
-    path = tmp_path / "lap.txt"
-    write_coordinate_format(g, "laplacian", path)
-    dense = np.zeros((g.n, g.n))
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, dense_laplacian(g), atol=1e-13)
-    with pytest.raises(GraphError, match="unknown operator"):
-        write_coordinate_format(g, "resolvent", tmp_path / "x.txt")
-
-
-def test_write_coordinate_format_transition_rows(tmp_path):
-    g = generate("halfline", radius=4)
-    path = tmp_path / "p.txt"
-    write_coordinate_format(g, "transition", path)
-    rows = {}
-    for line in path.read_text().splitlines():
-        i, _, v = line.split()
-        rows[int(i)] = rows.get(int(i), 0.0) + float(v)
-    assert all(math.isclose(s, 1.0, abs_tol=1e-12) for s in rows.values())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,13 +162,13 @@ def test_walk_entry_points_reject_a_non_integer_vertex():
     trunc = generate("halfline", radius=3)
     g = trunc.graph
     for word in ([0, 1.7], [1.0, 2], ["1"]):  # int() would read 1.7 as 1
-        with pytest.raises(GraphError, match="out of range"):
+        with pytest.raises(GraphError, match="is not an integer"):
             cylinder_probability(g, word)
     assert cylinder_probability(g, [np.int64(0), np.int32(1)]) == cylinder_probability(g, [0, 1])
     for x in (1.5, 1.0, None):
-        with pytest.raises(GraphError, match="out of range"):
+        with pytest.raises(GraphError, match=re.escape(f"vertex index {x!r} is not an integer")):
             sample_paths(trunc, x, 1, 10, seed=0)
-        with pytest.raises(GraphError, match="not interior"):
+        with pytest.raises(GraphError, match="is not an integer"):
             harmonic_measure_exact(trunc, x)
 
 

@@ -35,7 +35,6 @@ from .energy import (
     solve_dipoles,
 )
 from .resistance import (
-    current_of_dipole,
     resistance,
     resistance_matrix,
 )
@@ -53,7 +52,6 @@ from .markov import (
 )
 from .decomposition import (
     energy_split,
-    harmonic_basis,
     interpolate,
     project_finite,
     royden_split,
@@ -84,7 +82,6 @@ __all__ = [
     "pointwise_product",
     "solve_dipole",
     "solve_dipoles",
-    "current_of_dipole",
     "resistance",
     "resistance_matrix",
     "binomial_closed_form",
@@ -96,7 +93,6 @@ __all__ = [
     "poisson_reproduce",
     "sample_paths",
     "energy_split",
-    "harmonic_basis",
     "interpolate",
     "project_finite",
     "royden_split",

@@ -11,15 +11,15 @@ interpolation formula adds a harmonic-measure term against the frontier data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .energy import (
     EnergyVector,
     _column_dots,
-    _edge_increments,
     _energy_form,
     _gauge,
-    _write_csv,
     energy_inner,
     gauged,
 )
@@ -34,8 +34,6 @@ __all__ = [
     "interpolate",
     "energy_split",
     "energy_splits",
-    "harmonic_basis",
-    "harmonic_gram",
 ]
 
 
@@ -62,23 +60,15 @@ def _trace_split(trunc, f, needs="the split", block=False):
     return f, harmonic_extension(trunc, f[trunc.frontier])
 
 
+@dataclass
 class RoydenSplit:
     """f = finite_part + harmonic_part, orthogonal in energy."""
 
-    def __init__(self, graph, values, finite_part, harmonic_part, orthogonality_residual):
-        self.graph = graph
-        self.values = values
-        self.finite_part = finite_part
-        self.harmonic_part = harmonic_part
-        self.orthogonality_residual = orthogonality_residual
-
-    def to_csv(self, path):
-        columns = (self.values, self.finite_part.values, self.harmonic_part.values)
-        rows = (
-            [i, str(label)] + [repr(float(v)) for v in vals]
-            for i, (label, *vals) in enumerate(zip(self.graph.labels, *columns))
-        )
-        _write_csv(path, ["vertex_index", "label", "value", "finite", "harmonic"], rows)
+    graph: object
+    values: np.ndarray
+    finite_part: EnergyVector
+    harmonic_part: EnergyVector
+    orthogonality_residual: float
 
 
 def royden_split(trunc, f):
@@ -186,32 +176,3 @@ def _energy_terms(trunc, f, q):
         "total": total,
         "identity_residual": np.abs(dirichlet + boundary - total),
     }
-
-
-def harmonic_basis(trunc):
-    """Gauged harmonic extensions of the frontier indicator functions.
-
-    These span the harmonic complement; their number equals the frontier
-    size.  Their energy gram matrix is positive semidefinite with a
-    one-dimensional kernel (the indicators sum to the constant boundary
-    function, whose extension is constant, hence energy-null).
-    """
-    _require_frontier(trunc, "the basis")
-    columns = harmonic_extension(trunc, np.eye(len(trunc.frontier)))
-    return [gauged(trunc.graph, h) for h in columns.T]
-
-
-def harmonic_gram(basis):
-    """Energy inner products of a family of vectors on one graph: D^T C D.
-
-    D holds the edge increments of every vector as columns and C the edge
-    conductances; scaling D by sqrt(C) keeps the product exactly symmetric.
-    """
-    if not basis:
-        return np.zeros((0, 0))
-    graph = basis[0].graph
-    if any(u.graph is not graph for u in basis):
-        raise GraphError("energy inner product needs vectors on the same graph")
-    c, d = _edge_increments(graph, np.column_stack([u.values for u in basis]))
-    scaled = np.sqrt(c)[:, None] * d
-    return scaled.T @ scaled

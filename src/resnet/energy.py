@@ -21,7 +21,6 @@ energy, `energy_inner` included, comes from one column-wise form,
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -82,19 +81,6 @@ class EnergyVector:
     def sup_norm(self):
         return float(np.max(np.abs(self.values))) if self.graph.n else 0.0
 
-    def to_csv(self, path):
-        labels = self.graph.labels
-        rows = ([i, labels[i], repr(float(v))] for i, v in enumerate(self.values))
-        _write_csv(path, ["vertex_index", "label", "value"], rows)
-
-
-def _write_csv(path, header, rows):
-    """Write a header row and then `rows` as one CSV file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
 
 def _gauge(graph, values):
     """A vertex vector, or each column of an (n, k) block, minus its base-point value."""
@@ -112,16 +98,6 @@ def delta(g, x):
     vals = np.zeros(graph.n)
     vals[_require_vertex(graph, x)] = 1.0
     return EnergyVector(graph, vals)
-
-
-def _edge_increments(graph, values):
-    """Edge conductances c and increments u(i) - u(j) over the edges i < j.
-
-    `values` is a vertex vector or an (n, k) block of them; the energy form
-    is then sum over edges of c du dv.
-    """
-    i, j, c = graph.edge_arrays()
-    return c, values[i] - values[j]
 
 
 def energy_inner(u, v):
@@ -224,11 +200,11 @@ def _check_pair(graph, x, y, distinct=True):
     return _require_vertex(graph, x), _require_vertex(graph, y)
 
 
-def _check_tol(tol):
+def _check_tol(tol, name="tol"):
     # `not tol > 0` also rejects NaN, against which every residual test passes
     # (M3's KVL certificate) or fails (PCG runs until it breaks down)
     if not tol > 0:
-        raise GraphError(f"tol must be positive, got {tol!r}")
+        raise GraphError(f"{name} must be positive, got {tol!r}")
 
 
 def _dipole_laplacian(graph, tol):

@@ -748,14 +748,14 @@ def _gen_lattice(radius=None, *, d=2):
     return _ball_result(ConductanceGraph.from_edges(edges, base, vertices=points), radius)
 
 
-def _tree_edges(radius, root, children_of, weight_of):
+def _tree_edges(radius, root, children_of, edge_weight):
     edges = []
     level = [root]
     for depth in range(radius):
         nxt = []
         for word in level:
             for child in children_of(word):
-                edges.append((word, child, weight_of(depth, child)))
+                edges.append((word, child, edge_weight(depth, child)))
                 nxt.append(child)
         level = nxt
     return edges

@@ -19,13 +19,14 @@ graphs.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .energy import SolverError, _write_csv
+from .energy import SolverError, _check_tol
 from .graphs import GraphError, _require_frontier, generate, underlying
 from .laplacian import _grounded_drop, grounded_laplacian, transition_operator
 
@@ -53,7 +54,6 @@ class GreensMatrix:
     vertices: list
     matrix: np.ndarray
     symmetry_residual: float
-    tol: float
 
     _excluded = "grounded"  # how a vertex outside `vertices` is described
 
@@ -71,11 +71,6 @@ class GreensMatrix:
     def value(self, x, y):
         return float(self.matrix[self._slot(x), self._slot(y)])
 
-    def to_csv(self, path):
-        labels = [str(self.graph.labels[v]) for v in self.vertices]
-        rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
-        _write_csv(path, ["label"] + labels, rows)
-
 
 _SOLVE_BLOCK_BYTES = 1 << 20  # the right-hand sides of one kernel solve
 
@@ -84,15 +79,16 @@ def greens_gram(g, tol=1e-10):
     """Base-grounded kernel: column x is the dipole potential v_x, v_x(y) = K(x, y).
 
     The columns come from block solves against the grounded factorization
-    (see `_grounded_kernel`).  A direct solve has no tolerance; `tol` is
-    recorded on the result.  The kernel is symmetrized after recording how
+    (see `_grounded_kernel`).  A direct solve has no tolerance, so `tol` is
+    ignored; it stays in the signature for callers that still pass it, until
+    ROADMAP item 3 lets it go.  The kernel is symmetrized after recording how
     far the raw columns were from symmetric.
     """
     graph = underlying(g)
-    return _grounded_kernel(graph, graph.base_point, tol)
+    return _grounded_kernel(graph, graph.base_point)
 
 
-def _grounded_kernel(graph, ground, tol):
+def _grounded_kernel(graph, ground):
     """The inverse of L without the `ground` rows and columns, one column per kept vertex.
 
     The identity is solved a block of columns at a time, each block about
@@ -108,13 +104,20 @@ def _grounded_kernel(graph, ground, tol):
         e = np.zeros((m, min(step, m - lo)), order="F")
         np.fill_diagonal(e[lo:], 1.0)
         k[:, lo:lo + e.shape[1]] = lu.solve(e)
-    # one n x n temporary: the asymmetry k - k^T, then the symmetrized
-    # k + k^T, halved in place (bitwise 0.5 * (k + k^T))
+    return GreensMatrix(graph, kept.tolist(), *_symmetrized(k))
+
+
+def _symmetrized(k):
+    """(1/2)(k + k^T) and the asymmetry max |k - k^T| of a square matrix.
+
+    One n x n temporary holds k - k^T, then k + k^T, halved in place
+    (bitwise 0.5 * (k + k^T)).
+    """
     t = np.subtract(k, k.T)
-    residual = float(np.max(np.abs(t, out=t))) if m else 0.0
+    residual = float(np.max(np.abs(t, out=t))) if len(k) else 0.0
     np.add(k, k.T, out=t)
     t *= 0.5
-    return GreensMatrix(graph, kept.tolist(), t, residual, tol)
+    return t, residual
 
 
 def greens_inversion_check(g, kernel):
@@ -183,9 +186,7 @@ class WalkGreens:
         """Rescale expected visit counts by conductances to get the symmetric kernel."""
         degrees = self.graph.degrees[self.vertices]
         k = self.matrix / degrees[None, :]
-        residual = float(np.max(np.abs(k - k.T))) if len(self.vertices) else 0.0
-        k = 0.5 * (k + k.T)
-        return GreensMatrix(self.graph, list(self.vertices), k, residual, self.tail_bound)
+        return GreensMatrix(self.graph, list(self.vertices), *_symmetrized(k))
 
 
 def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
@@ -198,8 +199,12 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
     `tail_tol`, with rho bounded above through the symmetric eigenvalues, and
     is checked against `order_cap`.  The series is summed by doubling, so the
     order reported is the first 2^j - 1 at or above the one needed and the
-    tail only tightens.
+    tail only tightens.  `tail_tol` must be positive and `order_cap` an
+    integer of at least 1.
     """
+    _check_tol(tail_tol, "tail_tol")
+    if not isinstance(order_cap, numbers.Integral) or order_cap < 1:
+        raise GraphError(f"order_cap must be an integer of at least 1, got {order_cap!r}")
     if absorb == "base":
         graph = underlying(g)
         kept = [i for i in range(graph.n) if i != graph.base_point]
@@ -216,11 +221,13 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
             f"absorbed walk is not uniformly contracting (spectral radius {rho:.6f})",
             residual=rho,
         )
-    if rho == 0.0:
+    need = tail_tol * (1.0 - rho)
+    if rho == 0.0 or need >= 1.0:  # one term already meets it
         order = 1
     else:
-        order = int(math.ceil(math.log(tail_tol * (1.0 - rho)) / math.log(rho)))
-        order = max(order, 1)
+        # a product that underflows to 0 is summed as logs instead
+        log_need = math.log(need) if need > 0.0 else math.log(tail_tol) + math.log1p(-rho)
+        order = int(math.ceil(log_need / math.log(rho)))
     if order > order_cap:
         raise SolverError(
             f"series needs order {order} to push the tail below {tail_tol:g} "
@@ -245,10 +252,6 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
 # -- closed forms for the drifted chain ---------------------------------------
 
 
-def _series_ratio(m, k, lam):
-    return lam * (2 * m + k + 1) * (2 * m + k + 2) / ((m + 1) * (m + k + 1))
-
-
 @dataclass
 class BinomialWalk:
     """Nearest-neighbor walk stepping forward with probability p_plus."""
@@ -257,41 +260,6 @@ class BinomialWalk:
     p_minus: float
     lam: float
     diagonal: float
-
-    def kernel_diagonal(self, conductance):
-        return self.diagonal / conductance
-
-    def offdiagonal(self, k, tol=1e-12, max_terms=1_000_000):
-        """Expected visits k steps forward of the start, with a certified tail.
-
-        The series is p^k sum_m C(2m+k, m) lam^m; successive-term ratios
-        approach 4*lam < 1, so a geometric majorant bounds what is dropped.
-        """
-        k = int(k)
-        drift = self.p_plus if k >= 0 else self.p_minus
-        k = abs(k)
-        prefactor = drift**k
-        t = 1.0
-        total = t
-        m = 0
-        while True:
-            t = t * _series_ratio(m, k, self.lam)
-            m += 1
-            ratio_cap = max(_series_ratio(m, k, self.lam), 4.0 * self.lam)
-            if ratio_cap < 1.0:
-                tail = t / (1.0 - ratio_cap)
-                if tail <= tol * max(total, 1.0):
-                    return {
-                        "value": prefactor * total,
-                        "terms": m,
-                        "tail_bound": prefactor * tail,
-                    }
-            total += t
-            if m >= max_terms:
-                raise SolverError(
-                    f"off-diagonal series did not certify within {max_terms} terms",
-                    iterations=m,
-                )
 
 
 def binomial_closed_form(p_plus):

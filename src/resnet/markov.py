@@ -326,12 +326,6 @@ class BoundaryEstimate:
     std_error: np.ndarray | None
     kind: str
 
-    def weight_of(self, vertex_index):
-        pos = np.nonzero(self.frontier == vertex_index)[0]
-        if len(pos) == 0:
-            raise GraphError(f"vertex index {vertex_index} is not on the frontier")
-        return float(self.weights[pos[0]])
-
 
 def _harmonic_measures(trunc, points):
     """Harmonic measures from k interior points by one adjoint block solve.

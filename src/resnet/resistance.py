@@ -31,6 +31,7 @@ kernel of the wired metric.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
-from .energy import SolverError, _check_pair, _check_tol, _write_csv, solve_dipole
+from .energy import SolverError, _check_pair, _check_tol, solve_dipole
 from .graphs import GraphError, _offsets, _tree_depths, generate, underlying
 from .greens import _grounded_kernel, greens_gram
 from .laplacian import _grounded_drop
@@ -47,8 +48,6 @@ from .laplacian import _grounded_drop
 __all__ = [
     "METHODS",
     "resistance",
-    "CurrentFlow",
-    "current_of_dipole",
     "ResistanceMatrix",
     "resistance_matrix",
     "radius_sweep",
@@ -244,45 +243,6 @@ def _build_cycle_system(graph):
     )
 
 
-# -- current flows ------------------------------------------------------------
-
-
-@dataclass
-class CurrentFlow:
-    """Edge currents induced by a potential; orientation low index -> high.
-
-    `edges` are the graph's edge arrays (i, j, c), aligned with `currents`.
-    """
-
-    graph: object
-    edges: tuple
-    currents: np.ndarray
-    dissipation: float
-
-    def divergence(self):
-        """Net current out of each vertex; a unit dipole flow gives +-1 at the poles."""
-        i, j, _ = self.edges
-        n = self.graph.n
-        return np.bincount(i, self.currents, n) - np.bincount(j, self.currents, n)
-
-    def current_between(self, x, y):
-        i, j, _ = self.edges
-        hit = np.flatnonzero((i == min(x, y)) & (j == max(x, y)))
-        if not len(hit):
-            return 0.0
-        cur = float(self.currents[hit[0]])
-        return cur if x < y else -cur
-
-
-def current_of_dipole(dipole):
-    """Ohm's law edge by edge: I_(xy) = c_xy (v(x) - v(y))."""
-    graph = dipole.graph
-    i, j, c = edges = graph.edge_arrays()
-    currents = c * (dipole.values[i] - dipole.values[j])
-    dissipation = math.fsum(currents * currents / c)
-    return CurrentFlow(graph, edges, currents, dissipation)
-
-
 # -- full matrices -------------------------------------------------------------
 
 # The most vertices `resistance_matrix` takes: its dense kernel and matrix
@@ -414,8 +374,11 @@ class ResistanceMatrix:
 
     def to_csv(self, path):
         labels = [str(l) for l in self.graph.labels]
-        rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(labels, self.matrix))
-        _write_csv(path, ["label"] + labels, rows)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label"] + labels)
+            rows = zip(labels, self.matrix)
+            writer.writerows([name] + [repr(float(v)) for v in row] for name, row in rows)
 
 
 def _runs(vertices):
@@ -523,7 +486,7 @@ def radius_sweep(family, radii, params=None):
             )
         graph = trunc.graph
         free = resistance_matrix(graph).matrix
-        wired = ResistanceMatrix.from_kernel(_grounded_kernel(graph, trunc.frontier, 1e-10)).matrix
+        wired = ResistanceMatrix.from_kernel(_grounded_kernel(graph, trunc.frontier)).matrix
         if epsilons is None:
             epsilons = [float(free.max()) / 2**k for k in range(1, 6)]
         row = {"radius": radius, "n": graph.n}

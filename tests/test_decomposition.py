@@ -10,8 +10,6 @@ from resnet.greens import greens_gram, walk_greens
 from resnet.decomposition import (
     energy_split,
     energy_splits,
-    harmonic_basis,
-    harmonic_gram,
     interpolate,
     project_finite,
     royden_split,
@@ -27,26 +25,6 @@ from conftest import (
     random_connected_graph,
     vector_energy_inner,
 )
-
-
-def harmonic_basis_by_columns(trunc):
-    """One extension per frontier indicator: the loop harmonic_basis replaced."""
-    basis = []
-    for k in range(len(trunc.frontier)):
-        e = np.zeros(len(trunc.frontier))
-        e[k] = 1.0
-        basis.append(gauged(trunc.graph, harmonic_extension(trunc, e)))
-    return basis
-
-
-def pairwise_gram(basis):
-    """m(m+1)/2 energy_inner calls: the loop harmonic_gram replaced."""
-    m = len(basis)
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = energy_inner(basis[i], basis[j])
-    return gram
 
 
 def lattice_case(rng):
@@ -313,56 +291,11 @@ def test_energy_split_checks_the_truncation_first(rng):
                 energy_split(not_a_truncation, f)
 
 
-def test_harmonic_basis_spans_with_one_null_direction():
-    trunc = generate("binary-tree", radius=4)
-    basis = harmonic_basis(trunc)
-    assert len(basis) == len(trunc.frontier)
-    gram = harmonic_gram(basis)
-    assert np.allclose(gram, gram.T)
-    eigs = np.sort(np.linalg.eigvalsh(gram))
-    # exactly one null direction: the indicators sum to the constant function
-    assert abs(eigs[0]) < 1e-10
-    assert eigs[1] > 1e-6
-    coeffs = np.ones(len(basis))
-    combined = sum(c * b.values for c, b in zip(coeffs, basis))
-    assert float(coeffs @ gram @ coeffs) < 1e-10
-    assert np.allclose(combined, combined[0])  # constant, gauged to zero
-
-
-@pytest.mark.parametrize("family,radius", [("binary-tree", 5), ("lattice", 6)])
-def test_harmonic_basis_and_gram_match_the_loops(family, radius):
-    trunc = generate(family, radius=radius)
-    basis = harmonic_basis(trunc)
-    oracle = harmonic_basis_by_columns(trunc)
-    assert len(basis) == len(oracle)
-    for got, expected in zip(basis, oracle):
-        assert np.array_equal(got.values, expected.values)
-    gram = harmonic_gram(basis)
-    expected = pairwise_gram(basis)
-    assert np.array_equal(gram, gram.T)
-    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_harmonic_gram_guards(rng):
-    assert harmonic_gram([]).shape == (0, 0)
-    a, b = random_connected_graph(rng, 5), random_connected_graph(rng, 5)
-    with pytest.raises(GraphError, match="same graph"):
-        harmonic_gram([gauged(a, np.zeros(5)), gauged(b, np.zeros(5))])
-
-
-def test_harmonic_basis_guards(rng):
-    g = random_connected_graph(rng, 6)
-    with pytest.raises(GraphError, match="truncation"):
-        harmonic_basis(g)
-    with pytest.raises(GraphError, match="empty frontier"):
-        harmonic_basis(truncate(g, 99))
-
-
 FRONTIER_GUARDS = {
     "path sampling": lambda t: sample_paths(t, 0, 1, 10, seed=0),
     "harmonic measure": lambda t: harmonic_measure_exact(t, 0),
     "boundary representation": lambda t: poisson_reproduce(t, np.zeros(3), 0, 10, seed=0),
-    "the basis": harmonic_basis,
+    "an interior solve": laplacian.interior_laplacian,
     'absorb="frontier"': lambda t: walk_greens(t, absorb="frontier"),
     "harmonic extension": lambda t: harmonic_extension(t, np.zeros(0)),
 }
@@ -381,18 +314,3 @@ def test_frontier_guards_share_one_message(needs):
     with pytest.raises(GraphError, match="^the split needs a truncation carrying a frontier$"):
         royden_split(wye.graph, np.zeros(3))
     assert royden_split(wye, np.ones(3)).orthogonality_residual == 0.0
-
-
-def test_split_csv(tmp_path, rng):
-    trunc = generate("comb", radius=3)
-    split = royden_split(trunc, rng.standard_normal(trunc.graph.n))
-    path = tmp_path / "split.csv"
-    split.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "vertex_index,label,value,finite,harmonic"
-    assert len(rows) == trunc.graph.n + 1
-    first = rows[1].split(",")
-    got = float(first[-2]) + float(first[-1])
-    assert got == pytest.approx(
-        float(split.finite_part.values[0] + split.harmonic_part.values[0])
-    )

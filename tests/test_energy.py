@@ -377,17 +377,6 @@ def test_delta_expansion_identity(rng):
     assert delta_expansion_check(wye, 0, tol=1e-12) < 1e-8
 
 
-def test_energy_vector_csv_round_trip(tmp_path, rng):
-    g = random_connected_graph(rng, 6, 2)
-    vec = gauged(g, rng.standard_normal(6))
-    path = tmp_path / "vec.csv"
-    vec.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "vertex_index,label,value"
-    values = np.array([float(row.split(",")[-1]) for row in lines[1:]])
-    assert np.array_equal(values, vec.values)
-
-
 # -- block forms ---------------------------------------------------------------
 
 

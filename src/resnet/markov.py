@@ -10,12 +10,13 @@ block solve, the single measure being its k = 1 case; seeded walks audit them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import GraphError, _require_frontier, _require_vertex, underlying
+from .graphs import ConductanceGraph, GraphError, _require_frontier, _require_vertex, underlying
 from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
@@ -84,73 +85,116 @@ def _step_tables(graph):
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").
-# Each constant is a column: row 0 acts on counter word 0 and key word 0, row 1
-# on counter word 2 and key word 1.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# A round multiplies counter word 0 by M0 and word 2 by M1, then xors key word
+# 0 into the new word 0 and key word 1 into the new word 2; the keys step by W.
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MOD64 = 1 << 64
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 
 
-def _mulhilo(b, hi, lo, x, y, z):
-    """Write the high and low words of the 128-bit products _PHILOX_M * b to hi and lo.
+def _multiplier(m):
+    """A multiplier's 32-bit halves and itself, as `_mulhilo` takes them."""
+    m = np.asarray(m, dtype=np.uint64)
+    return m & _LO32, m >> _SHIFT32, m
 
-    b is a (2, m) uint64 array whose row r is multiplied by _PHILOX_M[r]; x,
-    y and z are scratch arrays shaped like b.  numpy has no 128-bit product,
-    so the high word is assembled from 32-bit halves; every partial sum fits
-    in 64 bits.
+
+# _BOTH's row 0 multiplies counter word 0, its row 1 counter word 2
+_BOTH = _multiplier([[[_M0]], [[_M1]]])
+_BY_M0, _BY_M1 = _multiplier(_M0), _multiplier(_M1)
+
+
+def _mulhilo(b, mult, hi, lo, x, y, z):
+    """Write the high and low words of the 128-bit products mult * b to hi and lo.
+
+    mult is a `_multiplier`, broadcast against b; x, y and z are scratch
+    arrays shaped like b.  numpy has no 128-bit product, so the high word is
+    assembled from 32-bit halves; every partial sum fits in 64 bits.
     """
+    m_lo, m_hi, m = mult
     np.bitwise_and(b, _LO32, out=x)
-    np.multiply(x, _M_LO, out=y)
+    np.multiply(x, m_lo, out=y)
     y >>= _SHIFT32
     np.right_shift(b, _SHIFT32, out=hi)
-    np.multiply(hi, _M_LO, out=z)
+    np.multiply(hi, m_lo, out=z)
     z += y  # b_hi a_lo + carry of b_lo a_lo
-    x *= _M_HI
+    x *= m_hi
     np.bitwise_and(z, _LO32, out=y)
     x += y  # b_lo a_hi + low half of the line above
-    hi *= _M_HI
+    hi *= m_hi
     z >>= _SHIFT32
     hi += z
     x >>= _SHIFT32
     hi += x
-    np.multiply(b, _PHILOX_M, out=lo)
+    np.multiply(b, m, out=lo)
 
 
-def _philox_uniforms(counter, key0, key1):
-    """Doubles of the Philox4x64-10 block at counter (counter, 0, 0, 0).
+def _philox_uniforms(first, count, key0, key1):
+    """Doubles of the Philox4x64-10 blocks at counters first ... first + count - 1.
 
-    One column per key (key0, key1[j]); row w is word w converted as
-    `Generator.random()` converts it, (x >> 11) * 2**-53.  Draw t of the
-    stream `Generator(Philox(key=...))` is row t % 4 at counter t // 4 + 1.
-    The counter is held as its multiplied words (0, 2) and its xored words
-    (1, 3), each a (2, m) array, so both products of a round are one pass.
+    One column per key (key0, key1[j]); row 4b + w is word w of the block at
+    counter (first + b, 0, 0, 0), converted as `Generator.random()` converts
+    it, (x >> 11) * 2**-53.  Draw t of the stream `Generator(Philox(key=...))`
+    is row t % 4 at counter t // 4 + 1.
+
+    Counter words 1-3 are 0 and key word 0 is shared by every column, so the
+    first round forms only M0 times each counter, once per block, and the
+    second only M1 times word 2; key word 0 stays a Python int.  From the
+    third round on, the multiplied words (0, 2) and the xored words (1, 3)
+    are each a (2, count, m) array, so both products of a round are one pass.
     The rounds work in place on a fixed set of arrays: a fresh temporary for
     every operation raised the peak memory of a `walk` run by about 1%.
     """
     m = len(key1)
-    key = np.empty((2, m), dtype=np.uint64)
-    key[0] = key0
-    key[1] = key1
-    mult = np.zeros((2, m), dtype=np.uint64)
-    mult[0] = counter
-    xor = np.zeros((2, m), dtype=np.uint64)
-    hi, lo, *scratch = np.empty((5, 2, m), dtype=np.uint64)
-    for r in range(10):
-        if r:
-            key += _PHILOX_W
-        _mulhilo(mult, hi, lo, *scratch)
+    key0 = int(key0)
+    key1 = np.asarray(key1).astype(np.uint64)
+    # round 1 on (c, 0, 0, 0) leaves (key0, 0, hi(M0 c) ^ key1, lo(M0 c))
+    c = np.arange(first, first + count, dtype=np.uint64)
+    c_hi, c_lo, *scratch = np.empty((5, count), dtype=np.uint64)
+    _mulhilo(c, _BY_M0, c_hi, c_lo, *scratch)
+    mult, xor, hi, lo, *scratch = np.empty((7, 2, count, m), dtype=np.uint64)
+    np.bitwise_xor(c_hi[:, None], key1, out=mult[1])
+    # round 2: word 0 is key0 in every column, so M0 key0 is one Python
+    # product; it leaves (hi(M1 w2) ^ k0, lo(M1 w2), hi(M0 key0) ^ w3 ^ k1, lo(M0 key0))
+    k0_hi, k0_lo = divmod(_M0 * key0, _MOD64)
+    key0 = (key0 + _W0) % _MOD64
+    key1 += np.uint64(_W1)
+    _mulhilo(mult[1], _BY_M1, hi[0], xor[0], *(a[0] for a in scratch))
+    np.bitwise_xor(hi[0], np.uint64(key0), out=mult[0])
+    c_lo ^= np.uint64(k0_hi)
+    np.bitwise_xor(c_lo[:, None], key1, out=mult[1])
+    xor[1] = k0_lo
+    for _ in range(8):
+        key0 = (key0 + _W0) % _MOD64
+        key1 += np.uint64(_W1)
+        _mulhilo(mult, _BOTH, hi, lo, *scratch)
         # word 0 <- hi(M1 w2) ^ w1 ^ k0, word 2 <- hi(M0 w0) ^ w3 ^ k1,
         # word 1 <- lo(M1 w2), word 3 <- lo(M0 w0)
         np.bitwise_xor(hi[::-1], xor, out=mult)
-        mult ^= key
+        mult[0] ^= np.uint64(key0)
+        mult[1] ^= key1
         xor, lo = lo[::-1], xor
-    out = np.empty((4, m))
-    for words, rows in ((mult, out[0::2]), (xor, out[1::2])):
+    out = np.empty((count, 4, m))
+    for words, rows in ((mult, out[:, 0::2]), (xor, out[:, 1::2])):
         words >>= np.uint64(11)
-        np.multiply(words, 2.0**-53, out=rows)
-    return out
+        np.multiply(words, 2.0**-53, out=rows.transpose(1, 0, 2))
+    return out.reshape(4 * count, m)
+
+
+def _require_integer(name, value):
+    """`value` as an int, read as `operator.index` reads it, or GraphError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{name} {value!r} is not an integer") from None
+
+
+def _require_count(name, value):
+    count = _require_integer(name, value)
+    if count < 0:
+        raise GraphError(f"{name} must be >= 0, got {count}")
+    return count
 
 
 def _stream_key(seed):
@@ -179,9 +223,9 @@ class PathSamples:
     number of steps) hold one entry per walk.  `entries[t]` holds the CSR
     entry taken at step t + 1 by every walk still running then, in sample
     order; `targets` and `log_step` map an entry to the vertex it steps to and
-    to its log step probability.  `offsets`, `vertices` and `log_probability`
-    are laid out on first read: walk i visits
-    `vertices[offsets[i]:offsets[i + 1]]`, its start first, and
+    to its log step probability, and `graph` is the graph the walks ran on.
+    `offsets`, `vertices` and `log_probability` are laid out on first read:
+    walk i visits `vertices[offsets[i]:offsets[i + 1]]`, its start first, and
     `log_probability` holds one entry per walk.  Indexing and iteration build
     a `PathSample` for each walk asked for.
     """
@@ -192,6 +236,7 @@ class PathSamples:
     entries: list = field(repr=False)
     targets: np.ndarray = field(repr=False)
     log_step: np.ndarray = field(repr=False)
+    graph: ConductanceGraph = field(repr=False)
 
     @cached_property
     def _layout(self):
@@ -250,6 +295,11 @@ class PathSamples:
             yield PathSample(self.start, self.vertices[a:b], log_p, None if end < 0 else end, steps)
 
 
+# Walk-blocks per generator call.  A call has a fixed cost of about 180 numpy
+# calls; twice as many columns spill the cache and cost more than they save.
+_DRAW_COLUMNS = 8192
+
+
 def sample_paths(trunc, x, n_samples, max_steps, seed):
     """Run seeded chains from interior vertex x until frontier absorption.
 
@@ -271,34 +321,43 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
     if graph.indptr[x] == graph.indptr[x + 1]:
         raise GraphError(f"start vertex {graph.labels[x]!r} has no edges; the walk cannot move")
-    n, max_steps = int(n_samples), int(max_steps)
-    for name, value in (("n_samples", n), ("max_steps", max_steps)):
-        if value < 0:
-            raise GraphError(f"{name} must be >= 0, got {value}")
+    n, max_steps = _require_count("n_samples", n_samples), _require_count("max_steps", max_steps)
+    key0 = _stream_key(_require_integer("seed", seed))
     cdf, log_step, targets = _step_tables(graph)
     row_lo, row_last = graph.indptr[:-1], graph.indptr[1:] - 1
     # "cdf <= u" holds on a prefix of every row (its CDF is nondecreasing and
     # its last entry is 1 > u), so the prefix length, numpy's
     # searchsorted(side="right"), is found by one probe per power of two
     # below the longest row; a probe past the row's end reads its last entry.
-    max_degree = int(np.diff(graph.indptr).max())
-    strides = [1 << j for j in reversed(range((max_degree - 1).bit_length()))]
+    # The search never passes a row's last entry, so the stride-1 probe, the
+    # last one, needs no clamp.
+    bits = (int(np.diff(graph.indptr).max()) - 1).bit_length()
+    wide = [1 << j for j in reversed(range(1, bits))]
     mask = trunc.frontier_mask
-    key0 = _stream_key(seed)
+    blocks = -(-max_steps // 4)  # blocks of four draws that max_steps uses
 
     length = np.full(n, max_steps, dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n)  # the walks still running, in sample order
     cur = np.full(n, x, dtype=np.int32)
     entries = []
+    end = 0
     for s in range(max_steps if n else 0):
-        if s % 4 == 0:
-            draws = _philox_uniforms(s // 4 + 1, key0, ids)
-        u = draws[s % 4]
-        lo, last = row_lo[cur], row_last[cur]
-        for stride in strides:
+        if s == end:
+            # draw ahead for every running walk; slot is each one's column
+            count = min(max(1, _DRAW_COLUMNS // len(ids)), blocks - s // 4)
+            draws = _philox_uniforms(s // 4 + 1, count, key0, ids)
+            slot = np.arange(len(ids))
+            start, end = s, s + 4 * count
+        u = draws[s - start][slot]
+        lo = row_lo[cur]
+        if wide:
+            last = row_last[cur]
+        for stride in wide:
             probe = np.minimum(lo + (stride - 1), last)
             lo += (cdf[probe] <= u) * stride
+        if bits:
+            lo += cdf[lo] <= u
         entries.append(lo)
         cur = targets[lo]
         done = mask[cur]
@@ -307,11 +366,10 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
             length[finished] = s + 1
             absorbed_at[finished] = cur[done]
             running = ~done
-            ids, cur = ids[running], cur[running]
-            draws = draws[:, running]
+            ids, cur, slot = ids[running], cur[running], slot[running]
             if len(ids) == 0:
                 break
-    return PathSamples(int(x), absorbed_at, length, entries, targets, log_step)
+    return PathSamples(int(x), absorbed_at, length, entries, targets, log_step, graph)
 
 
 @dataclass
@@ -363,6 +421,8 @@ def harmonic_measure_exact(trunc, x):
 
 def estimate_from_samples(trunc, samples):
     """Empirical harmonic measure of a `PathSamples` batch, with binomial errors."""
+    if samples.graph is not trunc.graph:
+        raise GraphError("samples were drawn on a different graph")
     frontier = np.array(trunc.frontier, dtype=np.int64)
     ends = samples.absorbed_at[samples.absorbed_at >= 0]
     slot = np.full(trunc.graph.n, -1, dtype=np.int64)
@@ -417,6 +477,7 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     samples.
     """
     _require_frontier(trunc, "boundary representation")
+    n_samples = _require_integer("n_samples", n_samples)
     if n_samples < 2:
         raise GraphError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     graph = trunc.graph

@@ -239,6 +239,28 @@ WALK_DIGESTS = [
         ["--samples", "300", "--seed", str(2**63 - 1), "--start=1,2", "--format", "csv"],
         "416084084f21e6373ea53fe79d2ad1fe5ad889aeb60f032cf884f18275d1eb92",
     ),
+    # the four graphs and sample counts of the `walk` benchmark, whose draw
+    # blocks span many steps and shrink as the walks finish
+    (
+        ["--family", "lattice", "--radius", "12"],
+        ["--samples", "3000", "--seed", "1"],
+        "598f9d95638ed83d584d9c4736f91622247b5c54737612bb88c1bb5aa11b7826",
+    ),
+    (
+        ["--family", "comb", "--radius", "10"],
+        ["--samples", "10000", "--seed", "2"],
+        "8af4d23a9477ad85c5cbb3a737552d0e22df3a3d9772c01d3c68a2a71516116a",
+    ),
+    (
+        ["--family", "binary-tree", "--radius", "7"],
+        ["--samples", "10000", "--seed", "3"],
+        "ee89cb0c41a7c24f5ab3308dd26b5420b7f4335874bf6b03d1d0ac63cfa50909",
+    ),
+    (
+        ["--family", "chain", "--width", "60"],
+        ["--samples", "2500", "--seed", "4"],
+        "2ce5d19d5bae011ba6a77ad1f410ef21737b1646116b21009bbb3152f287a2af",
+    ),
 ]
 
 

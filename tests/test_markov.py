@@ -21,7 +21,7 @@ from resnet.laplacian import (
     interior_laplacian,
     transition_operator,
 )
-from resnet import laplacian
+from resnet import laplacian, markov
 from resnet.energy import gauged
 from resnet.markov import (
     BoundaryEstimate,
@@ -231,11 +231,16 @@ def test_sample_paths_report_unabsorbed_honestly():
 @pytest.mark.parametrize("seed", [0, 4, 5, 2**32 + 7, 2**62, 2**63 - 1, 2**64 - 1])
 def test_philox_uniforms_match_numpy_streams(seed):
     ids = np.array([0, 1, 2**32 + 3, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1], dtype=np.uint64)
-    blocks = np.concatenate([_philox_uniforms(c, seed, ids) for c in (1, 2, 3, 4)])
-    for column, i in enumerate(ids):
-        key = np.array([seed, i], dtype=np.uint64)
-        expect = np.random.Generator(np.random.Philox(key=key)).random(13)
-        assert np.array_equal(blocks[:13, column], expect)
+    streams = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(40)
+        for i in ids
+    ]
+    for first in (1, 6):  # counter 1 is a stream's first block
+        for count in (1, 2, 5):
+            blocks = _philox_uniforms(first, count, seed, ids)
+            assert blocks.shape == (4 * count, len(ids))
+            for column, expect in enumerate(streams):
+                assert np.array_equal(blocks[:, column], expect[4 * (first - 1) : 4 * (first - 1 + count)])
 
 
 # numpy reads key=[seed, i] through one array, so seed 2**64 - 1 passes
@@ -280,6 +285,51 @@ def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
         assert any(s.absorbed_at is None for s in got)
 
 
+def assert_same_walks(got, want):
+    assert got.vertices.tolist() == [int(v) for w in want for v in w.vertices]
+    assert got.log_probability.tolist() == [w.log_probability for w in want]
+    assert got.absorbed_at.tolist() == [-1 if w.absorbed_at is None else w.absorbed_at for w in want]
+    assert got.length.tolist() == [w.length for w in want]
+
+
+@pytest.mark.parametrize("max_steps", [1, 5, 6, 7, 300])
+@pytest.mark.parametrize("draw_columns", [1, 3, 7, 64])
+def test_sample_paths_equal_scalar_oracle_for_any_draw_block(draw_columns, max_steps, monkeypatch):
+    # the walks must not depend on how many blocks each generator call draws
+    # ahead, nor on where max_steps cuts the last of them
+    monkeypatch.setattr(markov, "_DRAW_COLUMNS", draw_columns)
+    for trunc, seed in ((generate("comb", radius=4), 5), (generate("lattice", radius=4), 2**63 + 9)):
+        x = trunc.graph.base_point
+        assert_same_walks(
+            sample_paths(trunc, x, 40, max_steps, seed),
+            scalar_sample_paths(trunc, x, 40, max_steps, seed),
+        )
+
+
+@pytest.mark.parametrize("n, max_steps, draw_columns", [(100, 500, 64), (30, 500, 64), (30, 9, 64), (5, 3000, 8192)])
+def test_draw_blocks_stay_within_columns_and_max_steps(n, max_steps, draw_columns, monkeypatch):
+    # the draw block is the sampler's largest array: it may hold at most
+    # max(n_samples, _DRAW_COLUMNS) walk-blocks, and no block past max_steps
+    calls = []
+
+    def record(first, count, key0, key1):
+        calls.append((first, count, len(key1)))
+        return _philox_uniforms(first, count, key0, key1)
+
+    monkeypatch.setattr(markov, "_DRAW_COLUMNS", draw_columns)
+    monkeypatch.setattr(markov, "_philox_uniforms", record)
+    trunc = generate("chain", width=12, growth=1.0)
+    batch = sample_paths(trunc, trunc.graph.base_point, n, max_steps, seed=1)
+    assert calls and calls[0][0] == 1
+    blocks = -(-max_steps // 4)
+    for (first, count, live), (after, _, _) in zip(calls, calls[1:] + [(None, 0, 0)]):
+        assert count * live <= max(n, draw_columns)
+        assert first - 1 + count <= blocks
+        assert after in (None, first + count)
+    # every step of every walk reads a drawn block
+    assert 4 * (calls[-1][0] - 1 + calls[-1][1]) >= int(batch.length.max())
+
+
 def _hub_with_ties(rng, degree):
     """A hub of `degree` leaves with frontier leaves every fifth, the leaves
     joined in a path.  Weights of 1e-20 beside weights of order 1 leave runs
@@ -301,12 +351,10 @@ def test_sample_paths_equal_scalar_oracle_on_a_hub_with_ties(degree, rng):
     early = (cdf == 1.0) & (np.arange(len(cdf)) != graph.indptr[rows + 1] - 1)
     assert early.any()  # a row's CDF reaches 1.0 before its last entry
     for x in (graph.base_point, graph.index_of(1)):
-        got = sample_paths(trunc, x, 300, 60, seed=degree)
-        want = scalar_sample_paths(trunc, x, 300, 60, seed=degree)
-        assert got.vertices.tolist() == [int(v) for w in want for v in w.vertices]
-        assert got.log_probability.tolist() == [w.log_probability for w in want]
-        assert got.absorbed_at.tolist() == [-1 if w.absorbed_at is None else w.absorbed_at for w in want]
-        assert got.length.tolist() == [w.length for w in want]
+        assert_same_walks(
+            sample_paths(trunc, x, 300, 60, seed=degree),
+            scalar_sample_paths(trunc, x, 300, 60, seed=degree),
+        )
 
 
 def test_path_layout_is_built_once_on_first_read():
@@ -354,6 +402,30 @@ def test_sample_paths_reject_negative_counts(name, args):
         sample_paths(trunc, 0, *args, seed=0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, float("nan"), float("inf"), np.float64(2.0)])
+@pytest.mark.parametrize("name", ["n_samples", "max_steps", "seed"])
+def test_sample_paths_read_counts_and_seed_as_integers(name, value):
+    # int() used to read 2.5 as 2 and "3" as 3, and to raise a raw error on
+    # NaN, inf and None
+    trunc = generate("lattice", radius=3)
+    args = {"n_samples": 5, "max_steps": 10, "seed": 0, name: value}
+    with pytest.raises(GraphError, match=re.escape(f"{name} {value!r} is not an integer")):
+        sample_paths(trunc, trunc.graph.base_point, **args)
+    if name == "n_samples":
+        h = harmonic_extension(trunc, np.ones(len(trunc.frontier)))
+        with pytest.raises(GraphError, match="n_samples .* is not an integer"):
+            poisson_reproduce(trunc, h, trunc.graph.base_point, value, seed=0)
+
+
+def test_sample_paths_take_numpy_integers():
+    trunc = generate("lattice", radius=3)
+    x = trunc.graph.base_point
+    want = sample_paths(trunc, x, 5, 10, seed=3)
+    got = sample_paths(trunc, x, np.int64(5), np.uint8(10), seed=np.int32(3))
+    assert got.absorbed_at.tolist() == want.absorbed_at.tolist()
+    assert got.length.tolist() == want.length.tolist()
+
+
 def _star(rng, leaves):
     weights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=leaves))
     return ConductanceGraph.from_edges([(0, i + 1, float(w)) for i, w in enumerate(weights)], 0)
@@ -391,6 +463,15 @@ def test_estimate_from_samples_counts_each_end():
     stray = dataclasses.replace(samples, absorbed_at=stray_ends)
     with pytest.raises(GraphError, match="off the frontier"):
         estimate_from_samples(trunc, stray)
+
+
+def test_estimate_from_samples_rejects_a_batch_of_another_graph():
+    # the lattice batch used to read as 50 of 50 hits on the comb
+    comb, lattice = generate("comb", radius=3), generate("lattice", radius=3)
+    samples = sample_paths(lattice, lattice.graph.base_point, 50, 500, seed=1)
+    with pytest.raises(GraphError, match="samples were drawn on a different graph"):
+        estimate_from_samples(comb, samples)
+    assert estimate_from_samples(lattice, samples).total_samples == 50
 
 
 def test_sample_paths_guards(rng):

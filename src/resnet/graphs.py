@@ -669,7 +669,11 @@ def _ball_result(graph, radius):
 
 
 def with_frontier(graph, frontier_labels):
-    """Designate an explicit absorbing frontier on a finite graph by label."""
+    """Designate an explicit absorbing frontier on a finite graph by label.
+
+    Each label may appear once: a repeated one would count its vertex twice
+    in every frontier sum.
+    """
     graph = underlying(graph)
     labels = list(frontier_labels)
     try:
@@ -680,6 +684,9 @@ def with_frontier(graph, frontier_labels):
     idx.sort()
     if (idx == graph.base_point).any():
         raise GraphError("base point cannot be on the frontier")
+    repeated = idx[1:][idx[1:] == idx[:-1]]
+    if len(repeated):
+        raise GraphError(f"frontier label {graph.labels[repeated[0]]!r} is repeated")
     mask = np.zeros(graph.n, dtype=bool)
     mask[idx] = True
     return TruncatedGraph(graph, int(graph.hop_distance.max()), np.flatnonzero(~mask), idx)

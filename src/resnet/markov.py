@@ -295,9 +295,14 @@ class PathSamples:
             yield PathSample(self.start, self.vertices[a:b], log_p, None if end < 0 else end, steps)
 
 
-# Walk-blocks per generator call.  A call has a fixed cost of about 180 numpy
-# calls; twice as many columns spill the cache and cost more than they save.
+# Walk-blocks per generator call, and blocks per walk per call.  A call has a
+# fixed cost of about 180 numpy calls; twice as many columns spill the cache
+# and cost more than they save.  A walk that finishes leaves the rest of its
+# blocks in the call unread, so no call draws more than _DRAW_AHEAD blocks (32
+# steps) ahead of a walk: with few walks running, the column bound alone let a
+# call draw hundreds of steps that no walk read.
 _DRAW_COLUMNS = 8192
+_DRAW_AHEAD = 8
 
 
 def sample_paths(trunc, x, n_samples, max_steps, seed):
@@ -311,8 +316,13 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     All walks advance in lockstep, one array step per step count.  Sample i
     draws exactly what `Generator(Philox(key=[seed, i])).random()` returns,
     one draw per step, and picks the first neighbor whose row CDF exceeds it.
-    The loop records only the CSR entry each walk takes; the batch lays the
-    paths out when they are first read.
+    Draws come in blocks of four, each generator call drawing at most
+    `_DRAW_AHEAD` blocks per walk and `_DRAW_COLUMNS` walk-blocks (or one
+    block per walk).  A running walk is known by the CSR entry it last took;
+    per-entry tables give the first entry of the row it steps to, whether
+    that step absorbed, and the CDF each probe of the neighbor search reads.
+    The loop records only those entries; the batch lays the paths out when
+    they are first read.
     """
     _require_frontier(trunc, "path sampling")
     graph = trunc.graph
@@ -324,51 +334,54 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     n, max_steps = _require_count("n_samples", n_samples), _require_count("max_steps", max_steps)
     key0 = _stream_key(_require_integer("seed", seed))
     cdf, log_step, targets = _step_tables(graph)
-    row_lo, row_last = graph.indptr[:-1], graph.indptr[1:] - 1
+    # per CSR entry e: the first entry of the row e steps to, and whether
+    # that row's vertex absorbs
+    first, absorbs = graph.indptr[targets], trunc.frontier_mask[targets]
     # "cdf <= u" holds on a prefix of every row (its CDF is nondecreasing and
     # its last entry is 1 > u), so the prefix length, numpy's
     # searchsorted(side="right"), is found by one probe per power of two
     # below the longest row; a probe past the row's end reads its last entry.
-    # The search never passes a row's last entry, so the stride-1 probe, the
-    # last one, needs no clamp.
-    bits = (int(np.diff(graph.indptr).max()) - 1).bit_length()
-    wide = [1 << j for j in reversed(range(1, bits))]
-    mask = trunc.frontier_mask
+    # The probe of stride k from entry e reads the CDF at
+    # min(e + k - 1, last entry of e's row), tabled per entry.  The search
+    # never passes a row's last entry, so the stride-1 probe, the last one,
+    # reads the CDF itself.
+    count = np.diff(graph.indptr)
+    bits = (int(count.max()) - 1).bit_length()
+    row_last = np.repeat(graph.indptr[1:] - 1, count)
+    entry = np.arange(len(row_last))
+    strides = [1 << j for j in reversed(range(1, bits))]
+    wide = [(k, cdf[np.minimum(entry + (k - 1), row_last)]) for k in strides]
     blocks = -(-max_steps // 4)  # blocks of four draws that max_steps uses
 
     length = np.full(n, max_steps, dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n)  # the walks still running, in sample order
-    cur = np.full(n, x, dtype=np.int32)
+    lo = np.full(n, graph.indptr[x])  # each running walk's search, from its row's first entry
     entries = []
     end = 0
     for s in range(max_steps if n else 0):
         if s == end:
             # draw ahead for every running walk; slot is each one's column
-            count = min(max(1, _DRAW_COLUMNS // len(ids)), blocks - s // 4)
-            draws = _philox_uniforms(s // 4 + 1, count, key0, ids)
+            ahead = min(max(1, _DRAW_COLUMNS // len(ids)), _DRAW_AHEAD, blocks - s // 4)
+            draws = _philox_uniforms(s // 4 + 1, ahead, key0, ids)
             slot = np.arange(len(ids))
-            start, end = s, s + 4 * count
+            start, end = s, s + 4 * ahead
         u = draws[s - start][slot]
-        lo = row_lo[cur]
-        if wide:
-            last = row_last[cur]
-        for stride in wide:
-            probe = np.minimum(lo + (stride - 1), last)
-            lo += (cdf[probe] <= u) * stride
+        for stride, probe_cdf in wide:
+            lo += (probe_cdf[lo] <= u) * stride
         if bits:
             lo += cdf[lo] <= u
         entries.append(lo)
-        cur = targets[lo]
-        done = mask[cur]
+        done = absorbs[lo]
         if done.any():
             finished = ids[done]
             length[finished] = s + 1
-            absorbed_at[finished] = cur[done]
+            absorbed_at[finished] = targets[lo[done]]
             running = ~done
-            ids, cur, slot = ids[running], cur[running], slot[running]
+            ids, lo, slot = ids[running], lo[running], slot[running]
             if len(ids) == 0:
                 break
+        lo = first[lo]
     return PathSamples(int(x), absorbed_at, length, entries, targets, log_step, graph)
 
 

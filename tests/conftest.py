@@ -16,6 +16,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
+from resnet import markov
 from resnet.decomposition import RoydenSplit, energy_split
 from resnet.energy import (
     EnergyVector,
@@ -118,6 +119,29 @@ def count_calls(monkeypatch, module, names, where=None):
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, wrappers[name])
     return calls
+
+
+def count_walk_blocks(monkeypatch):
+    """Record every `markov._philox_uniforms` call as (first, count, walks).
+
+    A call computes `count` blocks of four draws for each of its `walks`
+    columns, count * walks walk-blocks in all; `walk_blocks_read` gives how
+    many of them the walks read.
+    """
+    calls = []
+    draw = markov._philox_uniforms
+
+    def record(first, count, key0, key1):
+        calls.append((first, count, len(key1)))
+        return draw(first, count, key0, key1)
+
+    monkeypatch.setattr(markov, "_philox_uniforms", record)
+    return calls
+
+
+def walk_blocks_read(batch):
+    """Blocks of four draws the walks of a `PathSamples` batch read: sum of ceil(length / 4)."""
+    return int(((batch.length + 3) // 4).sum())
 
 
 def per_z_triangle_slack(d):

@@ -42,10 +42,12 @@ from resnet.greens import walk_greens
 
 from conftest import (
     count_calls,
+    count_walk_blocks,
     dense_laplacian,
     per_row_cdf,
     random_connected_graph,
     single_harmonic_measure,
+    walk_blocks_read,
 )
 
 
@@ -306,28 +308,55 @@ def test_sample_paths_equal_scalar_oracle_for_any_draw_block(draw_columns, max_s
         )
 
 
+@pytest.mark.parametrize("draw_ahead", [1, 2, 5])
+def test_sample_paths_equal_scalar_oracle_for_any_draw_ahead(draw_ahead, monkeypatch):
+    # nor on how many blocks ahead of each walk a call may draw
+    monkeypatch.setattr(markov, "_DRAW_AHEAD", draw_ahead)
+    trunc = generate("comb", radius=4)
+    x = trunc.graph.base_point
+    for max_steps in (7, 300):
+        assert_same_walks(
+            sample_paths(trunc, x, 40, max_steps, seed=draw_ahead),
+            scalar_sample_paths(trunc, x, 40, max_steps, seed=draw_ahead),
+        )
+
+
 @pytest.mark.parametrize("n, max_steps, draw_columns", [(100, 500, 64), (30, 500, 64), (30, 9, 64), (5, 3000, 8192)])
 def test_draw_blocks_stay_within_columns_and_max_steps(n, max_steps, draw_columns, monkeypatch):
     # the draw block is the sampler's largest array: it may hold at most
-    # max(n_samples, _DRAW_COLUMNS) walk-blocks, and no block past max_steps
-    calls = []
-
-    def record(first, count, key0, key1):
-        calls.append((first, count, len(key1)))
-        return _philox_uniforms(first, count, key0, key1)
-
+    # max(n_samples, _DRAW_COLUMNS) walk-blocks, at most _DRAW_AHEAD blocks
+    # per walk, and no block past max_steps
     monkeypatch.setattr(markov, "_DRAW_COLUMNS", draw_columns)
-    monkeypatch.setattr(markov, "_philox_uniforms", record)
+    calls = count_walk_blocks(monkeypatch)
     trunc = generate("chain", width=12, growth=1.0)
     batch = sample_paths(trunc, trunc.graph.base_point, n, max_steps, seed=1)
     assert calls and calls[0][0] == 1
     blocks = -(-max_steps // 4)
     for (first, count, live), (after, _, _) in zip(calls, calls[1:] + [(None, 0, 0)]):
         assert count * live <= max(n, draw_columns)
+        assert count <= markov._DRAW_AHEAD
         assert first - 1 + count <= blocks
         assert after in (None, first + count)
     # every step of every walk reads a drawn block
     assert 4 * (calls[-1][0] - 1 + calls[-1][1]) >= int(batch.length.max())
+
+
+def test_draw_ahead_leaves_few_blocks_unread(monkeypatch):
+    # walk-blocks the generator computes per walk-block the walks read, from
+    # the hop-1 starts of lattice r=12 with the `walk` benchmark's 3,000 walks
+    # each: 1.34 with _DRAW_AHEAD = 8, bounded here by 1.4; bounding a call
+    # only by _DRAW_COLUMNS computed 1.76
+    trunc = generate("lattice", radius=12)
+    graph = trunc.graph
+    starts = np.flatnonzero(graph.hop_distance == 1)
+    assert len(starts) == 2
+    calls = count_walk_blocks(monkeypatch)
+    read = sum(
+        walk_blocks_read(sample_paths(trunc, x, 3000, 100 * graph.n, seed=1000 + k))
+        for k, x in enumerate(starts)
+    )
+    computed = sum(count * walks for _, count, walks in calls)
+    assert read <= computed <= 1.4 * read
 
 
 def _hub_with_ties(rng, degree):

@@ -31,7 +31,6 @@ __all__ = [
     "ConductanceGraph",
     "TruncatedGraph",
     "validate",
-    "validate_edge_data",
     "generate",
     "truncate",
     "with_frontier",
@@ -188,6 +187,11 @@ def _label_order(labels):
 class ConductanceGraph:
     """Immutable weighted graph in compressed sparse row form.
 
+    Build graphs with :meth:`from_edges`, :func:`load_graph`, :func:`generate`,
+    :func:`truncate` or :func:`with_frontier`.  Each starts from a checked edge
+    list, and `_build` stores every edge in both orientations with one weight; the
+    constructor stores `_build`'s arrays without checking them.
+
     Attributes
     ----------
     n : int
@@ -223,29 +227,37 @@ class ConductanceGraph:
     def from_edges(cls, edges, base_point, vertices=None):
         """Build a graph from an iterable of (u, v, weight) triples.
 
-        Vertex identities are the labels `u`, `v` themselves (ints, strings,
-        or tuples).  `vertices` may declare additional isolated vertices.
-        Listing an edge twice is allowed when the weights agree; conflicting
-        duplicates, self-loops, and nonpositive or nonfinite weights are
-        rejected.  Disconnected input is accepted here and reported by
-        :func:`validate` (unreachable vertices are indexed last).
+        Vertex identities are the labels `u`, `v` themselves (any hashable).
+        `vertices` may declare additional isolated vertices.  Listing an edge
+        twice is allowed when the weights agree.  Malformed entries (`bad-edge`),
+        self-loops, nonpositive or nonfinite weights and conflicting repeats
+        raise GraphError with the report of each.  Unreachable vertices are
+        accepted, indexed last, and reported by :func:`validate`.
         """
         index = {}
         for v in () if vertices is None else vertices:
-            index.setdefault(v, len(index))
-        edges = list(edges)
-        i, j = np.array(
-            [[index.setdefault(x, len(index)) for x in (u, v)] for u, v, _ in edges],
-            dtype=np.int64,
-        ).reshape(-1, 2).T
-        w = np.array([e[2] for e in edges], dtype=np.float64)
-        labels = list(index)
-        issues = _edge_issues(i, j, w, labels)
+            try:
+                index.setdefault(v, len(index))
+            except TypeError:
+                raise GraphError(f"vertex label {v!r} is not hashable") from None
+        parsed, issues = [], []
+        for e in edges:
+            try:
+                x, y, c = e
+                x, y = index.setdefault(x, len(index)), index.setdefault(y, len(index))
+                parsed.append((x, y, float(c)))
+            except (TypeError, ValueError, OverflowError):
+                issues.append(ValidationIssue("bad-edge", f"malformed edge entry {e!r}"))
+        i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
+        labels, arrays = list(index), (i.astype(np.int64), j.astype(np.int64), w)
+        issues += _edge_issues(*arrays, labels)
         if issues:
             raise GraphError(issues[0].detail, ValidationReport(issues))
-        if base_point not in index:
-            raise GraphError(f"base point {base_point!r} not among the vertices")
-        return cls._build(labels, index[base_point], i, j, w)
+        try:
+            base = index[base_point]
+        except (KeyError, TypeError):  # TypeError: an unhashable base point
+            raise GraphError(f"base point {base_point!r} not among the vertices") from None
+        return cls._build(labels, base, *arrays)
 
     @classmethod
     def _build(cls, labels, base, i, j, w):
@@ -453,37 +465,13 @@ def as_truncated(g):
 
 
 def validate(graph):
-    """Check the built graph against the structural invariants.
+    """Report the zero-degree and unreachable vertices of a built graph.
 
-    Never raises: every violation (stored asymmetry, nonpositive weight,
-    self-loop, disconnection, zero-degree vertex) becomes an issue in the
-    returned report.  An empty report means the graph is valid.
+    Never raises; an empty report means the graph is valid.  Symmetric,
+    positive weights and no self-loops hold by construction (see
+    :class:`ConductanceGraph`).
     """
     issues = []
-    n, cols, w = graph.n, graph.indices, graph.weights
-    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    asym = _first_asymmetry(n, rows, cols, w)
-    if asym is not None:
-        issues.append(
-            ValidationIssue(
-                "asymmetric",
-                f"stored weights differ across orientations, e.g. edge {asym}",
-            )
-        )
-    on = rows == cols
-    loops = np.flatnonzero(np.bincount(rows[on], weights=w[on], minlength=n))
-    if len(loops):
-        issues.append(
-            ValidationIssue("self-loop", f"diagonal entries at vertices {loops.tolist()[:5]}")
-        )
-    bad = np.flatnonzero(~np.isfinite(graph.weights) | (graph.weights <= 0))
-    if len(bad):
-        issues.append(
-            ValidationIssue(
-                "nonpositive-weight",
-                f"{len(bad)} stored weights are nonpositive or nonfinite",
-            )
-        )
     isolated = np.flatnonzero(np.diff(graph.indptr) == 0)
     if len(isolated):
         issues.append(
@@ -502,26 +490,6 @@ def validate(graph):
             )
         )
     return ValidationReport(issues)
-
-
-def _first_asymmetry(n, rows, cols, w):
-    """The first (i, j) in row-major order where A[i, j] != A[j, i], or None.
-
-    A is the matrix of the stored entries (rows, cols, w), repeats summed,
-    and A - A^T is summed position by position.  As for a sparse matrix, a
-    NaN anywhere in A - A^T hides the asymmetry.
-    """
-    if not len(w):
-        return None
-    key = np.concatenate((rows, cols)) * n + np.concatenate((cols, rows))
-    s = np.argsort(key, kind="stable")  # each A entry ahead of its -A^T partner
-    key = key[s]
-    head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN looked for below
-        diff = np.add.reduceat(np.concatenate((w, -w))[s], head)
-    if np.isnan(diff).any() or not diff.any():
-        return None
-    return divmod(int(key[head[np.flatnonzero(diff)[0]]]), n)
 
 
 def _edge_issues(i, j, w, labels):
@@ -623,21 +591,6 @@ def _check_edge_data(num_vertices, base_point, edges):
     return issues + _edge_issues(*arrays, range(num_vertices)), arrays
 
 
-def validate_edge_data(num_vertices, base_point, edges):
-    """Validate a raw indexed edge list before any graph is built.
-
-    This is the loader-side check: it sees directed duplicates, so it can
-    report asymmetric weights that :meth:`ConductanceGraph.from_edges` would
-    refuse to store.  A list that passes these checks is built, and the
-    built graph's zero-degree and unreachable vertices are reported.  Never
-    raises.
-    """
-    issues, arrays = _check_edge_data(num_vertices, base_point, edges)
-    if not issues:
-        issues = validate(ConductanceGraph._build(range(num_vertices), base_point, *arrays)).issues
-    return ValidationReport(issues)
-
-
 # -- truncation ---------------------------------------------------------------
 
 
@@ -650,8 +603,7 @@ def truncate(g, radius):
     prefix of the radius-(R+1) ball of the same graph.
     """
     graph = underlying(g)
-    if radius < 1:
-        raise GraphError("truncation radius must be >= 1")
+    radius = _check_radius(radius)
     k = int(np.count_nonzero((graph.hop_distance >= 0) & (graph.hop_distance <= radius)))
     i, j, w = graph.edge_arrays()
     inside = j < k  # i < j, and the ball is the index prefix [0, k)
@@ -665,7 +617,7 @@ def _ball_result(graph, radius):
     hop = graph.hop_distance
     interior = np.flatnonzero((hop >= 0) & (hop < radius))
     frontier = np.flatnonzero(hop == radius)
-    return TruncatedGraph(graph, int(radius), interior, frontier)
+    return TruncatedGraph(graph, radius, interior, frontier)
 
 
 def with_frontier(graph, frontier_labels):
@@ -701,11 +653,13 @@ def _require(cond, message):
 
 
 def _check_radius(radius):
-    _require(
-        isinstance(radius, int) and radius >= 1,
-        "infinite families need an integer truncation radius >= 1",
-    )
-    return radius
+    """`radius` as an int >= 1, read as `_require_vertex` reads an index, or GraphError."""
+    try:
+        k = operator.index(radius)
+    except TypeError:
+        k = 0
+    _require(k >= 1, f"truncation radius must be an integer >= 1, got {radius!r}")
+    return k
 
 
 def _finite_weight(w, context):
@@ -820,9 +774,7 @@ def _gen_bratteli(radius=None, *, level_sizes, level_weights):
         _require(isinstance(m, int) and m >= 1, "bratteli level sizes must be ints >= 1")
     for w in level_weights:
         _require(math.isfinite(w) and w > 0, "bratteli level weights must be > 0")
-    if radius is None:
-        radius = len(level_sizes) - 1
-    _check_radius(radius)
+    radius = _check_radius(len(level_sizes) - 1 if radius is None else radius)
     _require(radius <= len(level_sizes) - 1, "radius exceeds the number of levels")
     edges = []
     for n in range(radius):
@@ -900,8 +852,9 @@ def load_graph(path):
     The format is ``{"vertices": N, "base_point": i, "edges": [[x, y, c],
     ...]}`` with each undirected edge stored once (both orientations are
     accepted when the weights agree), plus optional ``labels``, ``radius``
-    and ``frontier`` (a list of labels).  Corrupt structure raises
-    GraphError carrying the validation report; disconnection and isolated
+    and ``frontier`` (a list of labels).  Edges get the checks of
+    :meth:`ConductanceGraph.from_edges`, plus in-range integer indices; any
+    issue raises GraphError carrying the report.  Disconnection and isolated
     vertices load fine and are left to :func:`validate`.
     """
     try:

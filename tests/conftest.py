@@ -570,8 +570,8 @@ def truncation_digest(t):
 
 
 def sparse_structure_issues(graph):
-    """The asymmetry and self-loop issues of `validate`, found by sparse arithmetic
-    on the adjacency matrix as before `validate` read the CSR arrays directly."""
+    """Asymmetry and self-loop issues of a graph's stored CSR arrays, found by
+    sparse arithmetic on its adjacency matrix; `_build` makes both absent."""
     issues = []
     adj = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(graph.n,) * 2)
     asym = abs(adj - adj.T)

@@ -19,7 +19,6 @@ from resnet.graphs import (
     truncate,
     underlying,
     validate,
-    validate_edge_data,
     with_frontier,
 )
 
@@ -80,6 +79,13 @@ def test_duplicate_edge_consistent_ok_conflicting_rejected():
         # the first offending listing in input order is the one reported
         ([(0, 1, -1.0), (2, 2, 1.0)], "invalid weight"),
         ([(0, 2, 1.0), (2, 2, 1.0), (0, 1, 0.0)], "self-loop"),
+        # entries that are not two hashable labels and a number, in the loader's words
+        ([(0, 1)], r"^malformed edge entry \(0, 1\)$"),
+        ([(0, 1, "x")], r"^malformed edge entry \(0, 1, 'x'\)$"),
+        ([(0, 1, None)], r"^malformed edge entry \(0, 1, None\)$"),
+        ([(0, 1, 10**400)], r"^malformed edge entry \(0, 1, 1000"),
+        ([(0, 1, 1.0), ([0], 1, 1.0)], r"^malformed edge entry \(\[0\], 1, 1.0\)$"),
+        ([(0, 1, 1.0), 5], "^malformed edge entry 5$"),
     ],
 )
 def test_from_edges_rejections(edges, message):
@@ -90,6 +96,23 @@ def test_from_edges_rejections(edges, message):
 def test_unknown_base_point_rejected():
     with pytest.raises(GraphError, match="base point"):
         ConductanceGraph.from_edges([(0, 1, 1.0)], 7)
+
+
+def test_malformed_input_to_from_edges_is_a_graph_error():
+    # each of these used to escape as a raw ValueError or TypeError
+    with pytest.raises(GraphError, match="malformed edge entry") as exc:
+        ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2), (2, 3, "x"), (3, 3, 1.0)], 0)
+    assert [str(i) for i in exc.value.report.issues] == [
+        "bad-edge: malformed edge entry (1, 2)",
+        "bad-edge: malformed edge entry (2, 3, 'x')",
+        "self-loop: self-loop at vertex 3",
+    ]
+    with pytest.raises(GraphError, match=re.escape("base point [0] not among the vertices")):
+        ConductanceGraph.from_edges([(0, 1, 1.0)], [0])
+    with pytest.raises(GraphError, match=re.escape("vertex label [2] is not hashable")):
+        ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, [2]])
+    with pytest.raises(GraphError, match=re.escape("malformed edge entry (0, 1)")):
+        generate("explicit", edges=[(0, 1)], base_point=0)
 
 
 def test_edge_list_round_trips():
@@ -171,27 +194,41 @@ def test_truncate_matches_from_edges_on_the_ball(family, params):
         assert set(t.frontier_labels) == rim
 
 
-def test_repeated_edge_is_compared_with_its_previous_listing():
+def _file_report(path, vertices, base_point, edges):
+    """Write a graph file with these fields to `path` and load it: the report
+    the loader raises with, or `validate`'s report of the loaded graph."""
+    path.write_text(json.dumps({"vertices": vertices, "base_point": base_point, "edges": edges}))
+    try:
+        return validate(load_graph(path).graph)
+    except GraphError as exc:
+        return exc.report
+
+
+def test_repeated_edge_is_compared_with_its_previous_listing(tmp_path):
     # each listing is within the match tolerance of the one before, the
     # third is not within it of the first; the last listing is stored
     w1, w2, w3 = 1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12
     g = ConductanceGraph.from_edges([(0, 1, w1), (1, 0, w2), (0, 1, w3)], 0)
     assert g.num_edges == 1 and g.conductance(0, 1) == w3
     # a conflicting second listing is reported once; the third agrees with it
-    rep = validate_edge_data(2, 0, [[0, 1, 1.0], [1, 0, 2.0], [0, 1, 2.0]])
+    rep = _file_report(tmp_path / "g.json", 2, 0, [[0, 1, 1.0], [1, 0, 2.0], [0, 1, 2.0]])
     assert [issue.code for issue in rep.issues] == ["asymmetric"]
     assert "(1, 0): 1.0 vs 2.0" in rep.issues[0].detail
 
 
-def test_validate_edge_data_codes():
-    rep = validate_edge_data(3, 5, [[0, 0, 1.0], [0, 9, 1.0], [0, 1, -1.0], "junk"])
+def test_validate_edge_data_codes(tmp_path):
+    path = tmp_path / "g.json"
+    rep = _file_report(path, 3, 5, [[0, 0, 1.0], [0, 9, 1.0], [0, 1, -1.0], "junk"])
     assert set(rep.codes()) >= {"bad-base", "self-loop", "bad-index", "nonpositive-weight", "bad-edge"}
-    rep = validate_edge_data(2, 0, [[0, 1, 2.0], [1, 0, 3.0]])
+    rep = _file_report(path, 2, 0, [[0, 1, 2.0], [1, 0, 3.0]])
     assert rep.codes() == ["asymmetric"]
-    rep = validate_edge_data(4, 0, [[0, 1, 1.0]])
-    assert "disconnected" in rep.codes() and "zero-degree" in rep.codes()
-    assert validate_edge_data(2, 0, [[0, 1, 1.0]]).ok
-    assert not validate_edge_data(0, 0, []).ok
+    # this file loads, and `validate` reports its isolated and unreachable vertices
+    rep = _file_report(path, 4, 0, [[0, 1, 1.0]])
+    assert load_graph(path).graph.n == 4
+    assert rep.codes() == ["disconnected", "zero-degree"]
+    assert _file_report(path, 2, 0, [[0, 1, 1.0]]).ok
+    rep = _file_report(path, 0, 0, [])
+    assert rep.codes() == ["bad-count"]
 
 
 def test_truncate_closed_ball_and_frontier():
@@ -203,6 +240,27 @@ def test_truncate_closed_ball_and_frontier():
     assert t.frontier_labels == [4]
     with pytest.raises(GraphError, match="radius"):
         truncate(g, 0)
+
+
+def test_radius_is_read_as_an_index():
+    t = generate("lattice", radius=5)
+    # 2.5 used to give the radius-2 ball with an empty frontier, and
+    # np.int64(3) was rejected by the generators
+    for bad in (2.5, 2.0, "2", None, 0, -1):
+        message = re.escape(f"truncation radius must be an integer >= 1, got {bad!r}")
+        with pytest.raises(GraphError, match=message):
+            truncate(t, bad)
+        with pytest.raises(GraphError, match=message):
+            generate("lattice", radius=bad)
+    with pytest.raises(GraphError, match="truncation radius must be an integer"):
+        generate("explicit", radius=2.5, edges=[(0, 1, 1.0), (1, 2, 1.0)], base_point=0)
+    assert truncation_digest(truncate(t, np.int64(2))) == truncation_digest(truncate(t, 2))
+    assert len(truncate(t, np.int64(2)).frontier) == 3
+    bratteli = {"level_sizes": [1, 2, 2, 3], "level_weights": [1.0, 2.0, 3.0]}
+    for family, params in (("lattice", {}), ("comb", {}), ("bratteli", bratteli)):
+        assert truncation_digest(generate(family, radius=np.int64(3), **params)) == (
+            truncation_digest(generate(family, radius=3, **params))
+        )
 
 
 def test_truncation_is_index_prefix_of_larger_ball():
@@ -427,8 +485,8 @@ def test_load_rejects_wrong_shapes(tmp_path, case):
         load_graph(path)
 
 
-def test_edge_data_that_is_not_a_list_is_a_bad_edge():
-    rep = validate_edge_data(3, 0, 5)
+def test_edge_data_that_is_not_a_list_is_a_bad_edge(tmp_path):
+    rep = _file_report(tmp_path / "g.json", 3, 0, 5)
     assert [str(i) for i in rep.issues] == [
         "bad-edge: edges must be a list of [x, y, c] entries, got 5"
     ]
@@ -637,11 +695,11 @@ def test_fractional_or_infinite_index_is_a_bad_edge(tmp_path):
     for bad in ([0, 1.7, 1.0], [0, math.inf, 1.0], [-math.inf, 1, 1.0], [math.nan, 1, 1.0]):
         # both go to the per-entry reading: one for its index, one for its string
         for edges in ([[0, 1, 1.0], bad], [[0, 1, "1.0"], bad]):
-            rep = validate_edge_data(3, 0, edges)
+            rep = _file_report(tmp_path / "g.json", 3, 0, edges)
             assert [i.code for i in rep.issues] == ["bad-edge"], edges
             assert rep.issues[0].detail == f"malformed edge entry {bad!r}"
-    assert validate_edge_data(2, 0, [[0.0, 1.0, 1]]).ok
-    assert validate_edge_data(2, 0, [[0, 1, "1.5"]]).ok
+    assert _file_report(tmp_path / "g.json", 2, 0, [[0.0, 1.0, 1]]).ok
+    assert _file_report(tmp_path / "g.json", 2, 0, [[0, 1, "1.5"]]).ok
     path = tmp_path / "inf.json"
     path.write_text('{"vertices": 2, "base_point": 0, "edges": [[0, Infinity, 1.0]]}')
     with pytest.raises(GraphError, match="bad-edge: malformed edge entry") as exc:
@@ -649,7 +707,7 @@ def test_fractional_or_infinite_index_is_a_bad_edge(tmp_path):
     assert exc.value.report.codes() == ["bad-edge"]
 
 
-def test_array_and_per_entry_edge_readings_agree():
+def test_array_and_per_entry_edge_readings_agree(tmp_path):
     edges = [[0, 1, 2.5], [2, 1, 3], [3, 2, True], [1, 0, 2.5], [0, 3, 1e300]]
     fast = graphs._check_edge_data(4, 0, edges)
     slow = graphs._check_edge_data(4, 0, edges + [[9, 0, 1.0]])
@@ -657,7 +715,8 @@ def test_array_and_per_entry_edge_readings_agree():
     for a, b in zip(fast[1], slow[1]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # entries the array reading cannot take keep their word-for-word issues
-    rep = validate_edge_data(3, 0, [[0, 1, None], [0, 2**70, 1.0], [0, 1, 10**400], "ab"])
+    edges = [[0, 1, None], [0, 2**70, 1.0], [0, 1, 10**400], "ab"]
+    rep = _file_report(tmp_path / "g.json", 3, 0, edges)
     assert [str(i) for i in rep.issues] == [
         "bad-edge: malformed edge entry [0, 1, None]",
         f"bad-index: edge (0, {2**70}) out of range",
@@ -666,46 +725,24 @@ def test_array_and_per_entry_edge_readings_agree():
     ]
 
 
-def _hand_built(n, entries):
-    """A graph on n vertices whose CSR stores exactly the (row, col, weight) `entries`."""
-    rows, cols, w = np.array(entries, dtype=float).reshape(-1, 3).T
-    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-    sort = np.lexsort((cols, rows))
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
-    return ConductanceGraph(0, list(range(n)), indptr, cols[sort], w[sort], np.zeros(n, int))
-
-
-def test_validate_reports_hand_built_asymmetry_and_loops():
-    one_way = _hand_built(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 2.0), (2, 1, 4.0)])
-    rep = validate(one_way)
-    assert rep.codes() == ["asymmetric"]
-    assert rep.issues[0].detail == "stored weights differ across orientations, e.g. edge (1, 2)"
-    unequal = _hand_built(2, [(0, 1, 1.0), (1, 0, 1.5)])
-    assert str(validate(unequal)) == (
-        "asymmetric: stored weights differ across orientations, e.g. edge (0, 1)"
-    )
-    looped = _hand_built(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 2, 0.5)])
-    assert [str(i) for i in validate(looped).issues] == [
-        "self-loop: diagonal entries at vertices [2]"
-    ]
-    assert validate(_hand_built(1, [])).codes() == ["zero-degree"]
-
-
-_ENTRY_WEIGHT = st.sampled_from([1.0, 2.0, 0.0, -0.0, -1.0, math.inf, math.nan, 1e-300])
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=5),
-    entries=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4), _ENTRY_WEIGHT), max_size=14
-    ),
-    mirror=st.booleans(),
-)
-def test_validate_structure_matches_sparse_arithmetic(n, entries, mirror):
-    cells = {(r % n, c % n): w for r, c, w in entries}
-    if mirror:  # mostly symmetric: each cell's transpose takes its weight unless listed
-        cells = {**{(c, r): w for (r, c), w in cells.items()}, **cells}
-    graph = _hand_built(n, [(r, c, w) for (r, c), w in cells.items()])
-    structural = [i for i in validate(graph).issues if i.code in ("asymmetric", "self-loop")]
-    assert structural == sparse_structure_issues(graph)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_built_graphs_store_symmetric_positive_weights(n, data, tmp_path_factory):
+    # `validate` leaves symmetry, loops and weights unchecked: every way in
+    # builds through `_build`, which makes them hold
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = data.draw(st.dictionaries(pair, st.floats(1e-300, 1e300), min_size=1))
+    listings = []
+    for (x, y), w in edges.items():
+        for _ in range(data.draw(st.integers(1, 3))):
+            # repeats in either orientation, any two within the 1e-12 match tolerance
+            ends = (y, x) if data.draw(st.booleans()) else (x, y)
+            listings.append((*ends, w * (1 + data.draw(st.floats(-4e-13, 4e-13)))))
+    listings = data.draw(st.permutations(listings))
+    built = ConductanceGraph.from_edges(listings, 0, vertices=range(n))
+    path = tmp_path_factory.mktemp("listings") / "g.json"
+    path.write_text(json.dumps({"vertices": n, "base_point": 0, "edges": listings}))
+    loaded = load_graph(path).graph
+    for graph in (built, loaded, *(truncate(loaded, r).graph for r in (1, 2, 3))):
+        assert sparse_structure_issues(graph) == []
+        assert np.isfinite(graph.weights).all() and (graph.weights > 0).all()

@@ -137,27 +137,14 @@ def _energy_form(graph, a, b=None):
     return _column_dots(c[:, None] * da, db)
 
 
-@dataclass
-class DipoleVector:
+@dataclass(kw_only=True)
+class DipoleVector(EnergyVector):
     """Solution of L v = delta_source - delta_sink, gauged at the base point."""
 
-    vector: EnergyVector
     source: int
     sink: int
     solve_residual: float
     iterations: int
-
-    @property
-    def graph(self):
-        return self.vector.graph
-
-    @property
-    def values(self):
-        return self.vector.values
-
-    @property
-    def energy(self):
-        return self.vector.energy
 
 
 def solve_dipole(g, x, y, tol=1e-10):
@@ -230,7 +217,8 @@ def _dipole_vectors(graph, lap, rhs, pairs, tol):
     t -= rhs
     true_res = np.sqrt(np.vecdot(t, t, axis=0)) / np.sqrt(np.vecdot(rhs, rhs, axis=0))
     return [
-        DipoleVector(EnergyVector(graph, u[:, j]), x, y, float(true_res[j]), int(iterations[j]))
+        DipoleVector(graph, u[:, j], source=x, sink=y, solve_residual=float(true_res[j]),
+                     iterations=int(iterations[j]))
         for j, (x, y) in enumerate(pairs)
     ]
 

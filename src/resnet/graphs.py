@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -548,8 +547,8 @@ def _edge_array(num_vertices, edges):
 
 
 def _vertex_index(x):
-    k = int(x)  # alone, int() would read 1.7 as vertex 1
-    if isinstance(x, numbers.Real) and k != x:
+    k = int(x)  # alone, int() would read 1.7 and "1" as vertex 1
+    if k != x:
         raise ValueError(x)
     return k
 
@@ -559,8 +558,8 @@ def _check_edge_data(num_vertices, base_point, edges):
 
     Returns the issues, each of which makes the list unusable, and the
     arrays of the entries that parsed (None when the count is unusable).
-    An index must be an integer: a fractional or nonfinite one makes its
-    entry malformed.
+    An index must be a number of integral value: a string, or a fractional
+    or nonfinite number, makes its entry malformed.
     """
     if type(num_vertices) is not int or num_vertices < 1:
         detail = f"vertices must be a positive int, got {num_vertices!r}"

@@ -48,7 +48,8 @@ __all__ = [
 
 @dataclass
 class GreensMatrix:
-    """Symmetric kernel over a subset of vertices (the grounded ones excluded)."""
+    """Kernel over a subset of vertices (the grounded ones excluded), exactly
+    symmetric as <v_x, v_y> is: an asymmetric matrix raises GraphError."""
 
     graph: object
     vertices: list
@@ -56,6 +57,9 @@ class GreensMatrix:
     symmetry_residual: float
 
     _excluded = "grounded"  # how a vertex outside `vertices` is described
+
+    def __post_init__(self):
+        _require_symmetric(self.matrix, "kernel")
 
     @cached_property
     def _pos(self):
@@ -70,6 +74,13 @@ class GreensMatrix:
 
     def value(self, x, y):
         return float(self.matrix[self._slot(x), self._slot(y)])
+
+
+def _require_symmetric(matrix, name):
+    """GraphError unless `matrix` is its transpose, a NaN facing a NaN included;
+    equal_nan is several times slower, so it runs only where a NaN fails."""
+    if not (np.array_equal(matrix, matrix.T) or np.array_equal(matrix, matrix.T, equal_nan=True)):
+        raise GraphError(f"{name} matrix is not symmetric")
 
 
 _SOLVE_BLOCK_BYTES = 1 << 20  # the right-hand sides of one kernel solve
@@ -125,9 +136,9 @@ def greens_inversion_check(g, kernel):
 
     L_grounded is the block of the cached grounded factorization whose
     ground is every vertex the kernel leaves out (the kernel's vertices must
-    be in increasing order).  When K is exactly symmetric, K L equals
-    (L K)^T bit for bit (the same terms summed in the same order), so one
-    product measures both orders; an asymmetric K gets both products.
+    be in increasing order).  A GreensMatrix is exactly symmetric, so K L
+    equals (L K)^T bit for bit (the same terms summed in the same order) and
+    the one product L K measures both orders.
     """
     graph = underlying(g)
     if graph is not kernel.graph:
@@ -138,15 +149,11 @@ def greens_inversion_check(g, kernel):
     if not np.array_equal(kept, kernel.vertices):
         raise GraphError("kernel vertices must be distinct and in increasing order")
     sub = block.T  # the CSR form of the symmetric block: the same arrays
-    k = kernel.matrix
-    deviations = [_identity_deviation(np.asarray(sub @ k))]
-    if not np.array_equal(k, k.T):
-        deviations.append(_identity_deviation(np.asarray(k @ sub)))
-    return float(np.max(deviations))  # a NaN deviation stays NaN and fails the check
+    return _identity_deviation(np.asarray(sub @ kernel.matrix))  # a NaN fails the check
 
 
 def _identity_deviation(prod):
-    # overwrites `prod`, so each product is the only n x n array it holds
+    # overwrites `prod`, so the product is the only n x n array it holds
     prod[np.diag_indices_from(prod)] -= 1.0
     return float(np.max(np.abs(prod, out=prod)))
 

@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum
 
 from .energy import SolverError, _check_pair, _check_tol, solve_dipole
 from .graphs import GraphError, _offsets, _tree_depths, generate, underlying
-from .greens import _grounded_kernel, greens_gram
+from .greens import _grounded_kernel, _require_symmetric, greens_gram
 from .laplacian import _grounded_drop
 
 __all__ = [
@@ -257,17 +257,23 @@ _Z_CHUNK = 128
 
 @dataclass
 class ResistanceMatrix:
+    """Pairwise distances over the vertices of `graph`, exactly symmetric as
+    the metric is: an asymmetric matrix raises GraphError."""
+
     graph: object
     matrix: np.ndarray
     sym_residual: float = 0.0
+
+    def __post_init__(self):
+        _require_symmetric(self.matrix, "resistance")
 
     @classmethod
     def from_kernel(cls, kernel):
         """d(x, y) = K(x,x) + K(y,y) - 2K(x,y) from a grounded kernel.
 
         K is zero on the grounded rows and columns, so d(x, ground) = K(x, x)
-        and the grounded vertices lie at distance 0 from each other.  The
-        matrix records how far the raw kernel was from symmetric.
+        and the grounded vertices lie at distance 0 from each other.  d is
+        exactly symmetric as K is, and records how far raw K was from it.
         """
         graph = kernel.graph
         runs = _runs(kernel.vertices)
@@ -319,15 +325,14 @@ class ResistanceMatrix:
         by one before the scan.
 
         The exclusions z = x, z = y and x = y are written as +inf over the
-        sums, never added, so no -inf or NaN entry leaks through them.  When
-        d is exactly symmetric, as `resistance_matrix` returns it, pair
-        (y, x) repeats pair (x, y) bit for bit, and only the tile pairs with
-        Y at or after X are scanned.
+        sums, never added, so no -inf or NaN entry leaks through them.  As d
+        is exactly symmetric, pair (y, x) repeats pair (x, y) bit for bit, so
+        only the tile pairs with Y at or after X are scanned, and one table
+        of tile minima serves both ends of a triple.
         """
         n = self.matrix.shape[0]
         if n < 3:
             return math.inf
-        symmetric = np.array_equal(self.matrix, self.matrix.T)
         graph = self.graph
         order = _depth_first(graph) if graph is not None and graph.n == n else np.arange(n)
         d = self.matrix[np.ix_(order, order)]  # the scan's one n x n copy
@@ -336,35 +341,31 @@ class ResistanceMatrix:
         diagonal = np.diag_indices(n)
         with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
             # reduceat along a row is several times faster than down a
-            # column, so a symmetric d is reduced along its rows only
+            # column, so each column table is a row table of symmetric d, transposed
             d[diagonal] = -np.inf  # maxima over x != y
             rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
-            # [X, y]: max_x d(x, y), which is rowmax^T when d is symmetric
-            colmax = (np.ascontiguousarray(rowmax.T) if symmetric
-                      else np.maximum.reduceat(d, starts, axis=0))
+            colmax = np.ascontiguousarray(rowmax.T)  # [X, y]: max_x d(x, y)
             dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
             if (dmax == np.inf).any() and _infinite_detour(d):
                 return math.nan
             d[diagonal] = np.inf  # minima over x != z
-            # [Y, z]: min_y d(z, y), and [X, z]: min_x d(x, z), the same when d is symmetric
-            colmin = np.ascontiguousarray(np.minimum.reduceat(d, starts, axis=1).T)
-            rowmin = colmin if symmetric else np.minimum.reduceat(d, starts, axis=0)
+            # [T, z]: min over t in tile T of d(t, z) = d(z, t)
+            dmin = np.ascontiguousarray(np.minimum.reduceat(d, starts, axis=1).T)
             worst = math.inf
             count = len(tiles)
             rows = [(a, [a]) for a in range(count)]  # the diagonal tiles first
-            rows += [(a, [b for b in range(count) if b > a or (b < a and not symmetric)])
-                     for a in range(count)]
+            rows += [(a, list(range(a + 1, count))) for a in range(count)]
             for a, bs in rows:
                 xs = tiles[a]
-                bounds = (rowmin[a] + colmin[bs]) - dmax[a, bs, None]
+                bounds = (dmin[a] + dmin[bs]) - dmax[a, bs, None]
                 for b, bound in zip(bs, bounds):
                     over = _rules_out(worst)
                     ys = tiles[b]
                     zs = np.flatnonzero(~over(bound, worst))
-                    left = d[zs, xs] if symmetric else d[xs, zs].T  # left[z, x] = d(x, z)
+                    left = d[zs, xs]  # left[z, x] = d(z, x) = d(x, z)
                     right = d[zs, ys]  # right[z, y] = d(z, y)
-                    keep = ~over((left + colmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
-                    keep &= ~over((right + rowmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
+                    keep = ~over((left + dmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
+                    keep &= ~over((right + dmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
                     if keep.any():
                         low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
                         if math.isnan(low):

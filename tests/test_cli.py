@@ -273,6 +273,33 @@ def test_walk_reports_are_byte_identical(family, walk, digest, tmp_path, monkeyp
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and exit code of `check --deterministic --seed 7` stdout, pinned:
+# the kernel, the matrix and the scan may change, but the reports stay byte
+# for byte the same (halfline 32 fails its inversion and reproducing
+# checks and exits 3)
+CHECK_DIGESTS = [
+    (["--family", "lattice", "--radius", "4"], 0,
+     "4dfe7bd30122e102ef81bf1ab43334eb56cac4e0d5355e4c50d90e239d91f992"),
+    (["--family", "comb", "--radius", "4"], 0,
+     "6a6b5909599e499fa0d26ce7f68fc766876f81b17605f175011131141351e28e"),
+    (["--family", "binary-tree", "--radius", "3"], 0,
+     "a298e1ecb9d16f4b0197e2c404b75f29757c78bab9eeb840a1005b22c41c9d92"),
+    (["--family", "binary-tree", "--radius", "8"], 0,
+     "5b0c6136df52c2b396af709b10b58eddce543bb8cb5abf4380877662b1aba7b9"),
+    (["--family", "halfline", "--radius", "32"], 3,
+     "2c59ab0edb11657f2b5add5a3494232fea881df2e38e3b71ba9e6c3d1e7c2b2a"),
+]
+
+
+@pytest.mark.parametrize("family, exit_code, digest", CHECK_DIGESTS)
+def test_check_reports_are_byte_identical(family, exit_code, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report echoes the graph path
+    run_json(capsys, "generate", *family, "-o", "g.json")
+    code, out, err = run(capsys, "check", "g.json", "--seed", "7", "--deterministic")
+    assert code == exit_code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_walk_builds_no_path_sample(chain_file, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("walk built a PathSample")

@@ -392,7 +392,7 @@ def parent_pointwise_product(u, w):
 def parent_reproducing_check(v, f):
     """`reproducing_check` before its block form."""
     increment = float(f.values[v.source] - f.values[v.sink])
-    return abs(vector_energy_inner(v.vector, f) - increment)
+    return abs(vector_energy_inner(v, f) - increment)
 
 
 BLOCK_GRAPHS = [

@@ -707,6 +707,14 @@ def test_fractional_or_infinite_index_is_a_bad_edge(tmp_path):
     assert exc.value.report.codes() == ["bad-edge"]
 
 
+def test_string_index_is_a_bad_edge(tmp_path):
+    # int() would read "011" as the edge (0, 1, 1.0) and " 2 " as vertex 2
+    for edges, bad in [(["011"], "011"), ([["0", " 2 ", 1.0], [0, 1, 1.0]], ["0", " 2 ", 1.0])]:
+        rep = _file_report(tmp_path / "g.json", 3, 0, edges)
+        assert str(rep.issues[0]) == f"bad-edge: malformed edge entry {bad!r}"
+        assert "bad-edge" not in rep.codes()[1:]
+
+
 def test_array_and_per_entry_edge_readings_agree(tmp_path):
     edges = [[0, 1, 2.5], [2, 1, 3], [3, 2, True], [1, 0, 2.5], [0, 3, 1e300]]
     fast = graphs._check_edge_data(4, 0, edges)

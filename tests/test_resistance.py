@@ -5,6 +5,7 @@ oracle in conftest or to a hand-derivable series/parallel closed form,
 except the sweep's covering numbers, which are pinned as measured.
 """
 
+import dataclasses
 import importlib
 import math
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from resnet.energy import SolverError, solve_dipole, solve_dipoles
 from resnet.graphs import ConductanceGraph, GraphError, generate, underlying
-from resnet.greens import _grounded_kernel, greens_gram
+from resnet.greens import GreensMatrix, _grounded_kernel, greens_gram
 from resnet.resistance import (
     METHODS,
     _build_cycle_system,
@@ -447,7 +448,8 @@ def _same_float(a, b):
 
 def _signed_matrix(n, symmetric, plus, minus, seed):
     """Normal entries (negative ones and a nonzero diagonal included), with
-    `plus` entries of +inf and `minus` of -inf planted at random."""
+    `plus` entries of +inf and `minus` of -inf planted at random.  Unless
+    `symmetric`, d(x, y) and d(y, x) are drawn apart."""
     rng = np.random.default_rng([n, symmetric, plus, minus, seed])
     d = rng.standard_normal((n, n))
     if symmetric:
@@ -460,25 +462,26 @@ def _signed_matrix(n, symmetric, plus, minus, seed):
     return d
 
 
+def _assert_scan_is_the_oracle(graph, d):
+    """The scan of d gives the per-z oracle's float bit for bit.  An
+    asymmetric d, NaN entries aside, never reaches it: building its matrix
+    raises GraphError."""
+    if not np.array_equal(d, d.T, equal_nan=True):
+        with pytest.raises(GraphError, match="resistance matrix is not symmetric"):
+            ResistanceMatrix(graph, d)
+        return
+    with np.errstate(invalid="ignore"):
+        want = per_z_triangle_slack(d)
+    got = ResistanceMatrix(graph, d).triangle_slack()
+    assert _same_float(got, want), (got, want)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 129])
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("plus, minus", [(0, 0), (1, 1), (3, 0), (0, 3), (3, 3)])
 def test_triangle_slack_equals_per_z_oracle(n, symmetric, plus, minus):
     for seed in range(2):
-        d = _signed_matrix(n, symmetric, plus, minus, seed)
-        mat = ResistanceMatrix(None, d)
-        with np.errstate(invalid="ignore"):
-            want = per_z_triangle_slack(d)
-        assert _same_float(mat.triangle_slack(), want), (seed, want)
-
-
-def test_triangle_slack_scans_below_the_diagonal_when_asymmetric():
-    # the path metric on 129 points, with only d(120, 5) too long: the one
-    # violation lies in a row block past the column it needs
-    d = np.abs(np.subtract.outer(np.arange(129.0), np.arange(129.0)))
-    d[120, 5] = 200.0
-    got = ResistanceMatrix(None, d).triangle_slack()
-    assert got == per_z_triangle_slack(d) == 115.0 - 200.0
+        _assert_scan_is_the_oracle(None, _signed_matrix(n, symmetric, plus, minus, seed))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -486,8 +489,34 @@ def test_triangle_slack_never_reads_the_diagonal(symmetric):
     d = _signed_matrix(65, symmetric, 0, 0, 0)
     want = per_z_triangle_slack(d)
     d[np.diag_indices(65)] = np.resize([np.inf, -np.inf, np.nan], 65)
+    if not symmetric:
+        with pytest.raises(GraphError, match="resistance matrix is not symmetric"):
+            ResistanceMatrix(None, d)
+        return
     got = ResistanceMatrix(None, d).triangle_slack()
     assert math.isfinite(got) and _same_float(got, want)
+
+
+def test_matrices_are_symmetric_by_construction(rng):
+    # a NaN is unequal to itself, yet a symmetric matrix with NaN entries is
+    # accepted; a NaN facing a number is not
+    g = random_connected_graph(rng, 6, 3)
+    kernel = greens_gram(g)
+    builds = [
+        ("resistance", resistance_matrix(g).matrix, lambda m: ResistanceMatrix(None, m)),
+        ("kernel", kernel.matrix, lambda m: GreensMatrix(g, kernel.vertices, m, 0.0)),
+        ("kernel", kernel.matrix, lambda m: dataclasses.replace(kernel, matrix=m)),
+    ]
+    for name, matrix, build in builds:
+        for value in (matrix[0, -1] + 1e-3, np.nan):
+            off = matrix.copy()
+            off[0, -1] = value
+            with pytest.raises(GraphError, match=f"{name} matrix is not symmetric"):
+                build(off)
+        for entries in ([(1, 1)], [(0, -1), (-1, 0)]):  # the diagonal, an off-diagonal pair
+            nan = matrix.copy()
+            nan[tuple(zip(*entries))] = np.nan
+            assert build(nan).matrix is nan
 
 
 @pytest.mark.parametrize(
@@ -506,10 +535,13 @@ def test_triangle_slack_equals_per_z_oracle_on_families(family, radius, params):
 
 
 def test_triangle_slack_is_nan_beside_an_infinite_detour():
-    # d(0, 1) = d(0, 2) = +inf: the triple (0, 1, 2) is inf - inf, although
-    # the detour through 3 is finite and alone would read -inf
+    # d(0, 1) = d(0, 2) = +inf: the triple d(0, 2) + d(2, 1) - d(0, 1) is
+    # inf - inf, although the detour through 3 is finite and alone would
+    # read -inf
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
-    d[0, 1] = d[0, 2] = np.inf
+    d[0, 1] = d[0, 2] = d[1, 0] = d[2, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(per_z_triangle_slack(d))
     assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
 
 
@@ -567,8 +599,7 @@ def test_tile_scan_equals_per_z_oracle_at_tile_boundaries(monkeypatch, n, symmet
         monkeypatch.setattr(_resistance_module(), "_depth_first", lambda g: perm)
     for seed in range(3):
         for d in (_signed_matrix(n, symmetric, 0, 0, seed), _near_metric(n, symmetric, seed)):
-            got = ResistanceMatrix(graph, d).triangle_slack()
-            assert _same_float(got, per_z_triangle_slack(d)), (seed, got)
+            _assert_scan_is_the_oracle(graph, d)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -579,10 +610,7 @@ def test_tile_scan_keeps_inf_and_nan_semantics_in_any_order(monkeypatch, symmetr
         for seed in range(3):
             d = _signed_matrix(40, symmetric, plus, minus, seed)
             d[np.diag_indices(40)] = np.resize([np.inf, -np.inf, np.nan], 40)
-            with np.errstate(invalid="ignore"):
-                want = per_z_triangle_slack(d)
-            got = ResistanceMatrix(SimpleNamespace(n=40), d).triangle_slack()
-            assert _same_float(got, want), (plus, minus, seed, want)
+            _assert_scan_is_the_oracle(SimpleNamespace(n=40), d)
 
 
 def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):

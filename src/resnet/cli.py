@@ -27,7 +27,7 @@ import numpy as np
 
 from .decomposition import energy_splits
 from .energy import SolverError, pointwise_products, reproducing_checks, solve_dipoles
-from .graphs import FAMILIES, GraphError, generate, load_graph, validate
+from .graphs import FAMILIES, GraphError, generate, load_graph
 from .greens import (
     binomial_closed_form,
     chain_walk_diagonal,
@@ -161,16 +161,8 @@ def cmd_generate(args):
     return payload, 0
 
 
-def _load_validated(path):
-    trunc = load_graph(path)
-    report = validate(trunc.graph)
-    if not report.ok:
-        raise GraphError(f"graph failed validation:\n{report}", report)
-    return trunc
-
-
 def cmd_resist(args):
-    trunc = _load_validated(args.graph)
+    trunc = load_graph(args.graph)
     graph = trunc.graph
     if args.from_ is None or args.to is None:
         if not args.matrix:
@@ -231,7 +223,7 @@ def _royden_pythagoras(trunc, rng):
 
 
 def cmd_check(args):
-    trunc = _load_validated(args.graph)
+    trunc = load_graph(args.graph)
     graph = trunc.graph
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -265,7 +257,7 @@ def cmd_check(args):
 
 
 def cmd_walk(args):
-    trunc = _load_validated(args.graph)
+    trunc = load_graph(args.graph)
     graph = trunc.graph
     if len(trunc.frontier) == 0:
         raise GraphError("graph file carries no frontier; nothing absorbs the walk")

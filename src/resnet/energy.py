@@ -174,7 +174,8 @@ def solve_dipoles(g, pairs, tol=1e-10):
     """
     graph = underlying(g)
     pairs = [_check_pair(graph, x, y) for x, y in pairs]
-    lap = _dipole_laplacian(graph, tol)
+    _check_tol(tol)
+    lap = assemble_laplacian(graph)
     if not pairs:
         return []
     return _dipole_vectors(graph, lap, _dipole_rhs(graph.n, pairs), pairs, tol)
@@ -192,15 +193,6 @@ def _check_tol(tol, name="tol"):
     # (M3's KVL certificate) or fails (PCG runs until it breaks down)
     if not tol > 0:
         raise GraphError(f"{name} must be positive, got {tol!r}")
-
-
-def _dipole_laplacian(graph, tol):
-    """The Laplacian a dipole solve runs on, once `tol` and the degrees pass."""
-    _check_tol(tol)
-    lap = assemble_laplacian(graph)
-    if np.any(lap.diagonal <= 0):
-        raise GraphError("dipole solve undefined: zero-degree vertex present")
-    return lap
 
 
 def _dipole_vectors(graph, lap, rhs, pairs, tol):

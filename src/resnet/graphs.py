@@ -188,8 +188,10 @@ class ConductanceGraph:
 
     Build graphs with :meth:`from_edges`, :func:`load_graph`, :func:`generate`,
     :func:`truncate` or :func:`with_frontier`.  Each starts from a checked edge
-    list, and `_build` stores every edge in both orientations with one weight; the
-    constructor stores `_build`'s arrays without checking them.
+    list, and `_build` stores every edge in both orientations with one weight.
+    The constructor runs :func:`validate` once and raises GraphError unless
+    every vertex has an edge and is reachable from the base point, so every
+    graph is connected, as the resistance metric needs.
 
     Attributes
     ----------
@@ -204,7 +206,7 @@ class ConductanceGraph:
         CSR neighbor structure; each undirected edge is stored in both
         directions with the same weight.
     hop_distance : ndarray of int
-        Unweighted graph distance from the base point (-1 if unreachable).
+        Unweighted graph distance from the base point.
     """
 
     def __init__(self, base_point, labels, indptr, indices, weights, hop_distance):
@@ -219,41 +221,51 @@ class ConductanceGraph:
         for arr in (self.indptr, self.indices, self.weights, self.hop_distance):
             arr.flags.writeable = False
         self._cache = {}
+        report = validate(self)
+        if not report.ok:
+            raise GraphError(f"graph failed validation:\n{report}", report)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, edges, base_point, vertices=None):
+    def from_edges(cls, edges, base_point):
         """Build a graph from an iterable of (u, v, weight) triples.
 
-        Vertex identities are the labels `u`, `v` themselves (any hashable).
-        `vertices` may declare additional isolated vertices.  Listing an edge
-        twice is allowed when the weights agree.  Malformed entries (`bad-edge`),
+        Vertex identities are the labels `u`, `v` themselves (any hashable);
+        the vertices are the labels the edges name.  Listing an edge twice is
+        allowed when the weights agree.  Malformed entries (`bad-edge`),
         self-loops, nonpositive or nonfinite weights and conflicting repeats
-        raise GraphError with the report of each.  Unreachable vertices are
-        accepted, indexed last, and reported by :func:`validate`.
+        raise GraphError with the report of each, as does a graph that is not
+        connected (see :func:`validate`).  A bool label equal to a number label
+        (True and 1) raises GraphError rather than share its vertex, and a
+        bool base point names only a bool label, a number one only a number.
         """
-        index = {}
-        for v in () if vertices is None else vertices:
-            try:
-                index.setdefault(v, len(index))
-            except TypeError:
-                raise GraphError(f"vertex label {v!r} is not hashable") from None
-        parsed, issues = [], []
+        # bools are kept apart from the numbers they equal: the label order parts them
+        index, flags, parsed, issues = {}, {}, [], []
         for e in edges:
             try:
                 x, y, c = e
-                x, y = index.setdefault(x, len(index)), index.setdefault(y, len(index))
+                x = (flags if type(x) is bool else index).setdefault(x, len(index) + len(flags))
+                y = (flags if type(y) is bool else index).setdefault(y, len(index) + len(flags))
                 parsed.append((x, y, float(c)))
             except (TypeError, ValueError, OverflowError):
                 issues.append(ValidationIssue("bad-edge", f"malformed edge entry {e!r}"))
+        for flag in flags:
+            if flag in index:
+                number = next(label for label in index if label == flag)
+                raise GraphError(
+                    f"bool label {flag!r} and number label {number!r} would share a vertex"
+                )
         i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
-        labels, arrays = list(index), (i.astype(np.int64), j.astype(np.int64), w)
+        labels = list(index)
+        if flags:  # the bools take their places among the other labels
+            labels = [v for v, _ in sorted([*index.items(), *flags.items()], key=lambda e: e[1])]
+        arrays = (i.astype(np.int64), j.astype(np.int64), w)
         issues += _edge_issues(*arrays, labels)
         if issues:
             raise GraphError(issues[0].detail, ValidationReport(issues))
         try:
-            base = index[base_point]
+            base = (flags if type(base_point) is bool else index)[base_point]
         except (KeyError, TypeError):  # TypeError: an unhashable base point
             raise GraphError(f"base point {base_point!r} not among the vertices") from None
         return cls._build(labels, base, *arrays)
@@ -310,9 +322,7 @@ class ConductanceGraph:
     def degrees(self):
         """Vector of weighted degrees c(x), cached."""
         if "degrees" not in self._cache:
-            deg = np.add.reduceat(
-                np.append(self.weights, 0.0), self.indptr[:-1]
-            ) * (np.diff(self.indptr) > 0)
+            deg = np.add.reduceat(self.weights, self.indptr[:-1])  # every row has an edge
             deg.flags.writeable = False
             self._cache["degrees"] = deg
         return self._cache["degrees"]
@@ -464,11 +474,12 @@ def as_truncated(g):
 
 
 def validate(graph):
-    """Report the zero-degree and unreachable vertices of a built graph.
+    """Report the zero-degree and unreachable vertices of a graph's arrays.
 
-    Never raises; an empty report means the graph is valid.  Symmetric,
-    positive weights and no self-loops hold by construction (see
-    :class:`ConductanceGraph`).
+    Never raises; an empty report means the graph is valid.  The
+    constructor of :class:`ConductanceGraph` runs it once and refuses any
+    other graph, so every built graph passes.  Symmetric, positive weights
+    and no self-loops hold by construction in `_build`.
     """
     issues = []
     isolated = np.flatnonzero(np.diff(graph.indptr) == 0)
@@ -602,8 +613,8 @@ def truncate(g, radius):
     prefix of the radius-(R+1) ball of the same graph.
     """
     graph = underlying(g)
-    radius = _check_radius(radius)
-    k = int(np.count_nonzero((graph.hop_distance >= 0) & (graph.hop_distance <= radius)))
+    radius = _integer(radius, _RADIUS, 1)
+    k = int(np.count_nonzero(graph.hop_distance <= radius))
     i, j, w = graph.edge_arrays()
     inside = j < k  # i < j, and the ball is the index prefix [0, k)
     ball = ConductanceGraph._build(
@@ -614,7 +625,7 @@ def truncate(g, radius):
 
 def _ball_result(graph, radius):
     hop = graph.hop_distance
-    interior = np.flatnonzero((hop >= 0) & (hop < radius))
+    interior = np.flatnonzero(hop < radius)
     frontier = np.flatnonzero(hop == radius)
     return TruncatedGraph(graph, radius, interior, frontier)
 
@@ -651,14 +662,25 @@ def _require(cond, message):
         raise GraphError(message)
 
 
-def _check_radius(radius):
-    """`radius` as an int >= 1, read as `_require_vertex` reads an index, or GraphError."""
-    try:
-        k = operator.index(radius)
-    except TypeError:
-        k = 0
-    _require(k >= 1, f"truncation radius must be an integer >= 1, got {radius!r}")
-    return k
+def _integer(value, message, least=None):
+    """`value` as an int, read as `operator.index` reads it but never from a bool.
+
+    Raises GraphError(`message`), formatted with `value`, when `value` is no
+    such integer or lies below `least`.  So 2.0, "2" and True are refused
+    and numpy integers accepted.
+    """
+    if not isinstance(value, bool):
+        try:
+            k = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if least is None or k >= least:
+                return k
+    raise GraphError(message.format(value))
+
+
+_RADIUS = "truncation radius must be an integer >= 1, got {!r}"
 
 
 def _finite_weight(w, context):
@@ -666,8 +688,8 @@ def _finite_weight(w, context):
     return w
 
 
-def _gen_explicit(radius=None, *, edges, base_point, vertices=None):
-    graph = ConductanceGraph.from_edges(edges, base_point, vertices=vertices)
+def _gen_explicit(radius=None, *, edges, base_point):
+    graph = ConductanceGraph.from_edges(edges, base_point)
     if radius is not None:
         return truncate(graph, radius)
     return as_truncated(graph)
@@ -683,7 +705,7 @@ def _gen_wye(radius=None, *, r1=1.0, r2=1.0, r3=1.0):
 
 
 def _gen_halfline(radius=None, *, growth=math.e):
-    radius = _check_radius(radius)
+    radius = _integer(radius, _RADIUS, 1)
     _require(math.isfinite(growth) and growth > 0, "halfline requires growth > 0")
     _finite_weight(growth ** radius, f"growth**{radius}")
     edges = [(k, k + 1, growth ** k) for k in range(radius)]
@@ -691,8 +713,8 @@ def _gen_halfline(radius=None, *, growth=math.e):
 
 
 def _gen_lattice(radius=None, *, d=2):
-    radius = _check_radius(radius)
-    _require(isinstance(d, int) and d >= 1, "lattice requires integer dimension d >= 1")
+    radius = _integer(radius, _RADIUS, 1)
+    d = _integer(d, "lattice requires integer dimension d >= 1", 1)
     _finite_weight(math.exp(radius), f"exp({radius})")
     points = [
         x for x in itertools.product(range(radius + 1), repeat=d) if sum(x) <= radius
@@ -705,7 +727,7 @@ def _gen_lattice(radius=None, *, d=2):
             y = x[:i] + (x[i] + 1,) + x[i + 1 :]
             edges.append((x, y, math.exp(math.hypot(*y))))
     base = (0,) * d
-    return _ball_result(ConductanceGraph.from_edges(edges, base, vertices=points), radius)
+    return _ball_result(ConductanceGraph.from_edges(edges, base), radius)
 
 
 def _tree_edges(radius, root, children_of, edge_weight):
@@ -722,7 +744,7 @@ def _tree_edges(radius, root, children_of, edge_weight):
 
 
 def _gen_binary_tree(radius=None, *, b_plus=2.0, b_minus=2.0):
-    radius = _check_radius(radius)
+    radius = _integer(radius, _RADIUS, 1)
     for name, b in (("b_plus", b_plus), ("b_minus", b_minus)):
         _require(math.isfinite(b) and b > 0, f"binary-tree requires {name} > 0")
     _finite_weight(max(b_plus, b_minus) ** radius, "level weight")
@@ -738,8 +760,8 @@ def _gen_binary_tree(radius=None, *, b_plus=2.0, b_minus=2.0):
 
 
 def _gen_nary_tree(radius=None, *, branching=2, b=2.0):
-    radius = _check_radius(radius)
-    _require(isinstance(branching, int) and branching >= 2, "nary-tree requires branching >= 2")
+    radius = _integer(radius, _RADIUS, 1)
+    branching = _integer(branching, "nary-tree requires branching >= 2", 2)
     _require(math.isfinite(b) and b > 1, "nary-tree requires b > 1")
     _finite_weight(b ** radius, "level weight")
 
@@ -753,7 +775,7 @@ def _gen_nary_tree(radius=None, *, branching=2, b=2.0):
 def _gen_comb(radius=None):
     # Spine vertices (n, 0) with teeth climbing in k; tooth edges double with
     # every step, so the walk along a tooth moves outward with probability 2/3.
-    radius = _check_radius(radius)
+    radius = _integer(radius, _RADIUS, 1)
     edges = []
     for n in range(radius):
         edges.append(((n, 0), (n + 1, 0), 2.0 ** (n + 1)))
@@ -769,19 +791,17 @@ def _gen_bratteli(radius=None, *, level_sizes, level_weights):
         len(level_weights) == len(level_sizes) - 1,
         "bratteli requires one weight per adjacent level pair",
     )
-    for m in level_sizes:
-        _require(isinstance(m, int) and m >= 1, "bratteli level sizes must be ints >= 1")
+    level_sizes = [_integer(m, "bratteli level sizes must be ints >= 1", 1) for m in level_sizes]
     for w in level_weights:
         _require(math.isfinite(w) and w > 0, "bratteli level weights must be > 0")
-    radius = _check_radius(len(level_sizes) - 1 if radius is None else radius)
+    radius = _integer(len(level_sizes) - 1 if radius is None else radius, _RADIUS, 1)
     _require(radius <= len(level_sizes) - 1, "radius exceeds the number of levels")
     edges = []
     for n in range(radius):
         for j in range(level_sizes[n]):
             for i in range(level_sizes[n + 1]):
                 edges.append(((n, j), (n + 1, i), level_weights[n]))
-    vertices = [(n, j) for n in range(radius + 1) for j in range(level_sizes[n])]
-    return _ball_result(ConductanceGraph.from_edges(edges, (0, 0), vertices=vertices), radius)
+    return _ball_result(ConductanceGraph.from_edges(edges, (0, 0)), radius)
 
 
 def _gen_chain(radius=None, *, width, growth=2.0):
@@ -789,7 +809,7 @@ def _gen_chain(radius=None, *, width, growth=2.0):
     # base sits at the middle.  With growth g the walk steps up with constant
     # probability g/(1+g) at every interior vertex.
     _require(radius is None, "chain takes width, not a radius")
-    _require(isinstance(width, int) and width >= 3, "chain requires integer width >= 3")
+    width = _integer(width, "chain requires integer width >= 3", 3)
     _require(math.isfinite(growth) and growth > 0, "chain requires growth > 0")
     _finite_weight(growth ** (width - 2), "chain weight")
     edges = [(i, i + 1, growth ** i) for i in range(width - 1)]
@@ -824,13 +844,9 @@ def generate(family, radius=None, **params):
         known = ", ".join(sorted(FAMILIES))
         raise GraphError(f"unknown family {family!r}; known families: {known}") from None
     try:
-        result = builder(radius, **params)
+        return builder(radius, **params)
     except TypeError as exc:
         raise GraphError(f"bad parameters for family {family!r}: {exc}") from None
-    report = validate(result.graph)
-    if not report.ok:
-        raise GraphError(f"generator produced an invalid graph:\n{report}", report)
-    return result
 
 
 # -- JSON loading -------------------------------------------------------------
@@ -853,8 +869,8 @@ def load_graph(path):
     accepted when the weights agree), plus optional ``labels``, ``radius``
     and ``frontier`` (a list of labels).  Edges get the checks of
     :meth:`ConductanceGraph.from_edges`, plus in-range integer indices; any
-    issue raises GraphError carrying the report.  Disconnection and isolated
-    vertices load fine and are left to :func:`validate`.
+    issue raises GraphError carrying the report.  So does a graph with an
+    isolated or unreachable vertex, as the constructor refuses it.
     """
     try:
         with open(path) as fh:

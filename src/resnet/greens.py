@@ -19,7 +19,6 @@ graphs.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .energy import SolverError, _check_tol
-from .graphs import GraphError, _require_frontier, generate, underlying
+from .graphs import GraphError, _integer, _require_frontier, generate, underlying
 from .laplacian import _grounded_drop, grounded_laplacian, transition_operator
 
 __all__ = [
@@ -210,8 +209,7 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
     integer of at least 1.
     """
     _check_tol(tail_tol, "tail_tol")
-    if not isinstance(order_cap, numbers.Integral) or order_cap < 1:
-        raise GraphError(f"order_cap must be an integer of at least 1, got {order_cap!r}")
+    order_cap = _integer(order_cap, "order_cap must be an integer of at least 1, got {!r}", 1)
     if absorb == "base":
         graph = underlying(g)
         kept = [i for i in range(graph.n) if i != graph.base_point]

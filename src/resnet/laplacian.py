@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools  # the CSR kernels behind `A @ x`
 from scipy.sparse.linalg import splu
 
-from .graphs import GraphError, _offsets, _require_frontier, underlying
+from .graphs import GraphError, _integer, _offsets, _require_frontier, underlying
 
 __all__ = [
     "LaplacianOperator",
@@ -91,16 +91,10 @@ def assemble_laplacian(g):
 
 
 def transition_operator(g):
-    """Assemble (and cache) the CSR walk operator P with p_xy = c_xy / c(x).
-
-    A zero-degree vertex would have no row: it raises GraphError.
-    """
+    """Assemble (and cache) the CSR walk operator P with p_xy = c_xy / c(x)."""
     graph = underlying(g)
     if "transition" not in graph._cache:
-        deg = np.asarray(graph.degrees, dtype=np.float64)
-        if np.any(deg <= 0):
-            raise GraphError("transition operator undefined: zero-degree vertex present")
-        inv = sparse.diags(1.0 / deg)
+        inv = sparse.diags(1.0 / np.asarray(graph.degrees, dtype=np.float64))
         graph._cache["transition"] = (inv @ graph.adjacency()).tocsr()
     return graph._cache["transition"]
 
@@ -118,11 +112,11 @@ def grounded_laplacian(g, ground):
     equilibration loses digits there.
 
     The block is built straight from the graph's CSR arrays: each row gets
-    its diagonal entry c(x) between the columns below and above x, the
-    ground rows and columns are masked out, and the entries a zero would
-    hold are dropped.  As the graph stores A symmetric with sorted rows,
-    those row-major arrays are the CSC arrays of the block, equal to the
-    ``as_csr()[kept][:, kept].tocsc()`` slicing they replace.
+    its diagonal entry c(x) between the columns below and above x, and the
+    ground rows and columns are masked out; no entry is zero, as every
+    weight and degree is positive.  As the graph stores A symmetric with
+    sorted rows, those row-major arrays are the CSC arrays of the block,
+    equal to the ``as_csr()[kept][:, kept].tocsc()`` slicing they replace.
     """
     graph = underlying(g)
     ground = np.unique(np.asarray(ground, dtype=np.int64))
@@ -152,7 +146,7 @@ def _grounded_block(graph, ground):
     rows = np.insert(rows, at, vertices)
     cols = np.insert(graph.indices, at, vertices)
     vals = np.insert(-graph.weights, at, assemble_laplacian(graph).diagonal)
-    keep = is_kept[rows] & is_kept[cols] & (vals != 0.0)
+    keep = is_kept[rows] & is_kept[cols]
     slot = np.cumsum(is_kept) - 1  # the new index of each kept vertex
     m = len(kept)
     indptr = _offsets(np.bincount(slot[rows[keep]], minlength=m))
@@ -252,8 +246,7 @@ def defect_recursion_comb(levels):
     precision.  `stabilized` is False (never an exception) when the scaled
     tail still moves by more than 1e-6.
     """
-    if not isinstance(levels, int) or levels < 10:
-        raise GraphError("defect recursion needs integer levels >= 10")
+    levels = _integer(levels, "defect recursion needs integer levels >= 10", 10)
     if levels > 400:
         raise GraphError("levels > 400 would overflow the backward recursion")
     start = levels + 400

@@ -10,13 +10,19 @@ block solve, the single measure being its k = 1 case; seeded walks audit them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import ConductanceGraph, GraphError, _require_frontier, _require_vertex, underlying
+from .graphs import (
+    ConductanceGraph,
+    GraphError,
+    _integer,
+    _require_frontier,
+    _require_vertex,
+    underlying,
+)
 from .laplacian import assemble_laplacian, grounded_solve
 
 __all__ = [
@@ -182,21 +188,6 @@ def _philox_uniforms(first, count, key0, key1):
     return out.reshape(4 * count, m)
 
 
-def _require_integer(name, value):
-    """`value` as an int, read as `operator.index` reads it, or GraphError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise GraphError(f"{name} {value!r} is not an integer") from None
-
-
-def _require_count(name, value):
-    count = _require_integer(name, value)
-    if count < 0:
-        raise GraphError(f"{name} must be >= 0, got {count}")
-    return count
-
-
 def _stream_key(seed):
     """First key word of every sample's stream, as numpy reads key=[seed, i].
 
@@ -329,10 +320,12 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     x = _require_vertex(graph, x)
     if trunc.frontier_mask[x]:
         raise GraphError(f"start vertex {graph.labels[x]!r} lies on the frontier")
-    if graph.indptr[x] == graph.indptr[x + 1]:
-        raise GraphError(f"start vertex {graph.labels[x]!r} has no edges; the walk cannot move")
-    n, max_steps = _require_count("n_samples", n_samples), _require_count("max_steps", max_steps)
-    key0 = _stream_key(_require_integer("seed", seed))
+    n = _integer(n_samples, "n_samples {!r} is not an integer")
+    max_steps = _integer(max_steps, "max_steps {!r} is not an integer")
+    for name, count in (("n_samples", n), ("max_steps", max_steps)):
+        if count < 0:
+            raise GraphError(f"{name} must be >= 0, got {count}")
+    key0 = _stream_key(_integer(seed, "seed {!r} is not an integer"))
     cdf, log_step, targets = _step_tables(graph)
     # per CSR entry e: the first entry of the row e steps to, and whether
     # that row's vertex absorbs
@@ -490,7 +483,7 @@ def poisson_reproduce(trunc, h_values, x, n_samples, seed, max_steps=None):
     samples.
     """
     _require_frontier(trunc, "boundary representation")
-    n_samples = _require_integer("n_samples", n_samples)
+    n_samples = _integer(n_samples, "n_samples {!r} is not an integer")
     if n_samples < 2:
         raise GraphError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     graph = trunc.graph

@@ -184,8 +184,6 @@ def _build_cycle_system(graph):
     order, pred = breadth_first_order(
         tree, graph.base_point, directed=False, return_predecessors=True
     )
-    if len(order) < n:
-        raise GraphError("graph is disconnected: no unit flow joins every pair")
     child = order[1:].astype(np.int64)
     up = pred[child].astype(np.int64)
     tree_edge = np.searchsorted(i * n + j, np.minimum(child, up) * n + np.maximum(child, up))
@@ -395,12 +393,9 @@ def _runs(vertices):
 
 
 def _depth_first(graph):
-    """Vertices in depth-first order from the base, any unreached ones last."""
-    found = depth_first_order(graph.adjacency(), graph.base_point, directed=False,
-                              return_predecessors=False)
-    rank = np.full(graph.n, graph.n)
-    rank[found] = np.arange(len(found))
-    return np.argsort(rank, kind="stable")
+    """Vertices in depth-first order from the base."""
+    return depth_first_order(graph.adjacency(), graph.base_point, directed=False,
+                             return_predecessors=False)
 
 
 def _infinite_detour(d):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from resnet import cli, decomposition, energy, laplacian, markov
+from resnet import graphs as graphs_mod
 from resnet import greens as greens_mod
 from resnet.cli import _parse_vertex, main
 from resnet.graphs import FAMILIES, generate, load_graph
@@ -300,6 +301,76 @@ def test_check_reports_are_byte_identical(family, exit_code, digest, tmp_path, m
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `resist --method all --deterministic` stdout on two pairs of each
+# `queries` benchmark graph, pinned: every route's value is printed to 12
+# significant digits, so any change in a route shows here
+RESIST_DIGESTS = [
+    (["--family", "lattice", "--radius", "12"], "0,0", "12,0",
+     "8c46e87713a677977db97c1310dc7750b78e04517d1f031aff0134151f773215"),
+    (["--family", "lattice", "--radius", "12"], "3,4", "1,7",
+     "1c165af7c97887a0b3f5fbe68638da463f971738ad8a2a7e8050f401caccc4ca"),
+    (["--family", "lattice", "--radius", "24"], "0,0", "0,24",
+     "01f831090b3f4df06f9e6ca678e3e4da925a88a82328d7a6bbb72b4e82467043"),
+    (["--family", "lattice", "--radius", "24"], "5,6", "10,2",
+     "f0c6cfc05599a89058a1e66ae8466a4d61ab1c9c1bdeef0510cdfc6fb2ea1b98"),
+    (["--family", "binary-tree", "--radius", "9"], "", "+-+-+-+-+",
+     "603935dbaa07a85850fc10fdce3c7fba336934c3780c3389719854bb5f6675f6"),
+    (["--family", "binary-tree", "--radius", "9"], "+-", "-++",
+     "dec709c94e71fa5a6f781f5c06a1e28af2684a9e46ee3173af45872e83c3ded7"),
+    (["--family", "comb", "--radius", "16"], "0,0", "16,0",
+     "6680526fccae918f5ac929f57ebe2d96773ac46d52318cc07c3c694fa07a2870"),
+    (["--family", "comb", "--radius", "16"], "3,5", "7,2",
+     "df8794a8944a8f22ad920d97f51649653e46d213e39d60236805e54b3c934b60"),
+    (["--family", "chain", "--width", "60"], "30", "0",
+     "ff2a33387d733012c463df36a5ab4d4767baa3bf619e96bfc240e52a863a70fe"),
+    (["--family", "chain", "--width", "60"], "12", "45",
+     "4b788e8abb74736d7f2c7f792fd1d9516b085181148e22482d573b256c262d6c"),
+    (["--family", "nary-tree", "--radius", "6", "--branching", "3"], "()", "0,1,2,0,1,2",
+     "38fed98a1055f843c0695f708e8e95f51fa404b734475de3591459dc7c7341d4"),
+    (["--family", "nary-tree", "--radius", "6", "--branching", "3"], "1,", "2,0",
+     "22377d95dab8821492204fc8aec0716c30f205b330dbd8ad126b6492fe1f6cb9"),
+]
+
+
+@pytest.mark.parametrize("family, x, y, digest", RESIST_DIGESTS)
+def test_resist_reports_are_byte_identical(family, x, y, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report echoes the graph path
+    run_json(capsys, "generate", *family, "-o", "g.json")
+    code, out, err = run(capsys, "resist", "g.json", f"--from={x}", f"--to={y}",
+                         "--method", "all", "--deterministic")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "data, stderr",
+    [
+        ({"vertices": 4, "base_point": 0, "edges": [[0, 1, 1.0]]},
+         "validation error: graph failed validation:\n"
+         "zero-degree: vertices without edges: [2, 3]\n"
+         "disconnected: 2 vertices unreachable from the base point, e.g. [2, 3]\n"),
+        ({"vertices": 1, "base_point": 0, "edges": []},
+         "validation error: graph failed validation:\nzero-degree: vertices without edges: [0]\n"),
+    ],
+)
+def test_an_invalid_graph_file_reads_the_same_on_every_command(data, stderr, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    for command in (["resist", str(path), "--from=0", "--to=1"], ["check", str(path)],
+                    ["walk", str(path)]):
+        assert run(capsys, *command, "--deterministic") == (2, "", stderr)
+
+
+def test_each_command_validates_its_graph_once(halfline_file, monkeypatch, capsys):
+    # the constructor is the one check; no command repeats it after a load
+    for command in (["resist", halfline_file, "--from=0", "--to=3"], ["check", halfline_file],
+                    ["walk", halfline_file, "--samples", "50"],
+                    ["generate", "--family", "comb", "--radius", "4"]):
+        calls = count_calls(monkeypatch, graphs_mod, ["validate"])
+        run_json(capsys, *command)
+        assert calls == {"validate": 1}, command
+
+
 def test_walk_builds_no_path_sample(chain_file, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("walk built a PathSample")
@@ -390,7 +461,7 @@ def test_exit_code_map(tmp_path, capsys):
 
 
 def test_check_on_a_file_that_fails_validation_is_exit_2(tmp_path, capsys):
-    # vertex 2 has no edge: the file loads, and `validate` rejects it
+    # vertex 2 has no edge: the loader builds the graph, and its `validate` refuses it
     bad = tmp_path / "isolated.json"
     bad.write_text(json.dumps({"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0]]}))
     code, out, err = run(capsys, "check", str(bad))

@@ -20,10 +20,11 @@ from resnet.energy import (
     solve_dipole,
     solve_dipoles,
 )
-from resnet.graphs import ConductanceGraph, GraphError, as_truncated, generate
+from resnet.graphs import GraphError, as_truncated, generate
 from resnet.laplacian import assemble_laplacian
 
 from conftest import (
+    build_with_an_isolated_vertex,
     dense_laplacian,
     count_calls,
     parent_pcg,
@@ -122,9 +123,9 @@ def test_dipole_energy_is_effective_resistance(rng):
 
 
 def test_dipole_solve_on_an_isolated_vertex_is_a_graph_error():
-    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
-    with pytest.raises(GraphError, match="zero-degree vertex present"):
-        solve_dipole(g, 0, 1)
+    # the graph is refused when it is built, before any dipole solve can meet the vertex
+    with pytest.raises(GraphError, match=r"zero-degree: vertices without edges: \[2\]"):
+        build_with_an_isolated_vertex()
 
 
 def test_dipole_endpoint_guards(rng):

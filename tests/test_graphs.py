@@ -21,6 +21,9 @@ from resnet.graphs import (
     validate,
     with_frontier,
 )
+from resnet.greens import walk_greens
+from resnet.laplacian import defect_recursion_comb
+from resnet.markov import sample_paths
 
 from conftest import (
     WRONG_SHAPES,
@@ -52,10 +55,35 @@ def test_degrees_and_conductance_lookups():
 
 
 def test_degrees_handles_isolated_vertices():
-    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
-    assert g.degrees[g.index_of(2)] == 0.0
-    assert not validate(g).ok
-    assert "zero-degree" in validate(g).codes()
+    # a vertex without edges is refused when the graph is built, so `degrees`
+    # sums a nonempty row for every vertex
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0)], 0)
+    assert g.degrees.tolist() == [1.0, 4.0, 3.0]
+    with pytest.raises(GraphError, match="zero-degree: vertices without edges: \\[2\\]"):
+        ConductanceGraph(0, [0, 1, 2], np.array([0, 1, 2, 2]), np.array([1, 0]),
+                         np.array([1.0, 1.0]), np.array([0, 1, -1]))
+
+
+def test_constructor_refuses_isolated_and_unreachable_vertices():
+    def build(indptr, indices, hop):
+        weights = np.ones(len(indices))
+        return ConductanceGraph(0, list(range(len(hop))), np.array(indptr), np.array(indices),
+                                weights, np.array(hop))
+
+    # vertex 2 has no edge; vertices 2 and 3 sit on an edge the base cannot reach
+    for indptr, indices, hop, codes, message in [
+        ([0, 1, 2, 2], [1, 0], [0, 1, -1], ["disconnected", "zero-degree"],
+         "zero-degree: vertices without edges: [2]\n"
+         "disconnected: 1 vertices unreachable from the base point, e.g. [2]"),
+        ([0, 1, 2, 3, 4], [1, 0, 3, 2], [0, 1, -1, -1], ["disconnected"],
+         "disconnected: 2 vertices unreachable from the base point, e.g. [2, 3]"),
+        ([0, 0], [], [0], ["zero-degree"], "zero-degree: vertices without edges: [0]"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            build(indptr, indices, hop)
+        assert str(exc.value) == "graph failed validation:\n" + message
+        assert exc.value.report.codes() == codes
+    assert build([0, 1, 2], [1, 0], [0, 1]).n == 2
 
 
 def test_duplicate_edge_consistent_ok_conflicting_rejected():
@@ -93,6 +121,29 @@ def test_from_edges_rejections(edges, message):
         ConductanceGraph.from_edges(edges, 0)
 
 
+def test_a_bool_label_never_shares_a_vertex_with_a_number():
+    # True == 1, so the label index used to merge them, although the label
+    # order sorts bools apart from every number
+    for edges, flag, number in [
+        ([(0, 1, 1.0), (True, 2.0, 1.0)], True, 1),
+        ([(True, 2.0, 1.0), (0, 1.0, 1.0)], True, 1.0),
+        ([(False, 2, 1.0), (0, 2, 1.0)], False, 0),
+    ]:
+        message = f"bool label {flag!r} and number label {number!r} would share a vertex"
+        with pytest.raises(GraphError, match="^" + re.escape(message) + "$"):
+            ConductanceGraph.from_edges(edges, 2)
+    # 1 and 1.0 share a sort key, so they stay one vertex; a bool that equals
+    # no number label is a vertex of its own
+    assert ConductanceGraph.from_edges([(0, 1, 1.0), (1.0, 2, 1.0)], 0).labels == [0, 1, 2]
+    g = ConductanceGraph.from_edges([("a", True, 1.0), (True, 2, 1.0), (2, "b", 1.0)], "a")
+    assert g.labels == ["a", True, 2, "b"] and type(g.labels[1]) is bool
+    assert ConductanceGraph.from_edges([(True, 2, 1.0)], True).labels == [True, 2]
+    # nor does a base point name the vertex of a label it only equals
+    for edges, base in [([(True, 2, 1.0)], 1), ([(1, 2, 1.0)], True)]:
+        with pytest.raises(GraphError, match=f"^base point {base!r} not among the vertices$"):
+            ConductanceGraph.from_edges(edges, base)
+
+
 def test_unknown_base_point_rejected():
     with pytest.raises(GraphError, match="base point"):
         ConductanceGraph.from_edges([(0, 1, 1.0)], 7)
@@ -109,8 +160,6 @@ def test_malformed_input_to_from_edges_is_a_graph_error():
     ]
     with pytest.raises(GraphError, match=re.escape("base point [0] not among the vertices")):
         ConductanceGraph.from_edges([(0, 1, 1.0)], [0])
-    with pytest.raises(GraphError, match=re.escape("vertex label [2] is not hashable")):
-        ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, [2]])
     with pytest.raises(GraphError, match=re.escape("malformed edge entry (0, 1)")):
         generate("explicit", edges=[(0, 1)], base_point=0)
 
@@ -187,16 +236,14 @@ def test_truncate_matches_from_edges_on_the_ball(family, params):
             if g.labels[i] in ball and g.labels[j] in ball
         ]
         t = truncate(g, radius)
-        _same_graph(
-            t.graph, ConductanceGraph.from_edges(edges, g.labels[g.base_point], vertices=ball)
-        )
+        _same_graph(t.graph, ConductanceGraph.from_edges(edges, g.labels[g.base_point]))
         rim = {g.labels[v] for v in range(g.n) if g.hop_distance[v] == radius}
         assert set(t.frontier_labels) == rim
 
 
 def _file_report(path, vertices, base_point, edges):
     """Write a graph file with these fields to `path` and load it: the report
-    the loader raises with, or `validate`'s report of the loaded graph."""
+    the loader raises with, or the empty report of the graph it loads."""
     path.write_text(json.dumps({"vertices": vertices, "base_point": base_point, "edges": edges}))
     try:
         return validate(load_graph(path).graph)
@@ -222,10 +269,11 @@ def test_validate_edge_data_codes(tmp_path):
     assert set(rep.codes()) >= {"bad-base", "self-loop", "bad-index", "nonpositive-weight", "bad-edge"}
     rep = _file_report(path, 2, 0, [[0, 1, 2.0], [1, 0, 3.0]])
     assert rep.codes() == ["asymmetric"]
-    # this file loads, and `validate` reports its isolated and unreachable vertices
+    # the loader refuses this file: vertices 2 and 3 are isolated and unreachable
     rep = _file_report(path, 4, 0, [[0, 1, 1.0]])
-    assert load_graph(path).graph.n == 4
     assert rep.codes() == ["disconnected", "zero-degree"]
+    with pytest.raises(GraphError, match="^graph failed validation"):
+        load_graph(path)
     assert _file_report(path, 2, 0, [[0, 1, 1.0]]).ok
     rep = _file_report(path, 0, 0, [])
     assert rep.codes() == ["bad-count"]
@@ -261,6 +309,39 @@ def test_radius_is_read_as_an_index():
         assert truncation_digest(generate(family, radius=np.int64(3), **params)) == (
             truncation_digest(generate(family, radius=3, **params))
         )
+
+
+def test_integer_parameters_take_numpy_integers_and_refuse_bools():
+    # each site used to read integers its own way: the families and the comb
+    # recursion refused numpy integers, and several took True as 1
+    weights = {"level_weights": [1.0, 2.0]}
+    for family, params, numpy_params in [
+        ("chain", {"width": 10}, {"width": np.int64(10)}),
+        ("lattice", {"radius": 3, "d": 2}, {"radius": 3, "d": np.int64(2)}),
+        ("nary-tree", {"radius": 2, "branching": 3}, {"radius": 2, "branching": np.int64(3)}),
+        ("bratteli", {"level_sizes": [1, 2, 3], **weights},
+         {"level_sizes": [1, np.int64(2), 3], **weights}),
+    ]:
+        want = truncation_digest(generate(family, **params))
+        assert truncation_digest(generate(family, **numpy_params)) == want, family
+    comb = defect_recursion_comb(np.int64(20))
+    assert type(comb.levels) is int
+    assert np.array_equal(comb.values, defect_recursion_comb(20).values)
+    halfline = generate("halfline", radius=3)
+    for call, message in [
+        (lambda: generate("lattice", radius=2, d=True), "lattice requires integer dimension d >= 1"),
+        (lambda: generate("lattice", radius=True), "truncation radius must be an integer >= 1, got True"),
+        (lambda: truncate(halfline, True), "truncation radius must be an integer >= 1, got True"),
+        (lambda: generate("bratteli", level_sizes=[1, True], level_weights=[1.0]),
+         "bratteli level sizes must be ints >= 1"),
+        (lambda: generate("chain", width=np.float64(10)), "chain requires integer width >= 3"),
+        (lambda: walk_greens(halfline, order_cap=True),
+         "order_cap must be an integer of at least 1, got True"),
+        (lambda: sample_paths(halfline, 0, True, 10, seed=0), "n_samples True is not an integer"),
+        (lambda: sample_paths(halfline, 0, 1, 10, seed=False), "seed False is not an integer"),
+    ]:
+        with pytest.raises(GraphError, match="^" + re.escape(message) + "$"):
+            call()
 
 
 def test_truncation_is_index_prefix_of_larger_ball():
@@ -392,9 +473,9 @@ def test_generate_unknown_family_lists_known():
 
 
 def test_generator_output_that_fails_validation_is_a_graph_error():
-    with pytest.raises(GraphError, match="generator produced an invalid graph") as info:
-        generate("explicit", edges=[(0, 1, 1.0)], base_point=0, vertices=[0, 1, 2])
-    assert info.value.report.codes() == ["disconnected", "zero-degree"]
+    with pytest.raises(GraphError, match="^graph failed validation") as info:
+        generate("explicit", edges=[(0, 1, 1.0), (2, 3, 1.0)], base_point=0)
+    assert info.value.report.codes() == ["disconnected"]
 
 
 def test_vertex_queries_reject_a_non_integer_index():
@@ -501,11 +582,14 @@ def test_load_missing_and_unparsable(tmp_path):
         load_graph(path)
 
 
-def test_disconnected_loads_but_reports():
-    g = ConductanceGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 0)
-    rep = validate(g)
-    assert "disconnected" in rep.codes()
-    assert g.hop_distance[g.index_of(2)] == -1
+def test_disconnected_edges_are_refused():
+    with pytest.raises(GraphError) as exc:
+        ConductanceGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 0)
+    assert str(exc.value) == (
+        "graph failed validation:\n"
+        "disconnected: 2 vertices unreachable from the base point, e.g. [2, 3]"
+    )
+    assert exc.value.report.codes() == ["disconnected"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -556,6 +640,14 @@ _LABEL_SETS = st.one_of(
 )
 
 
+def _built_or_refused(build):
+    """What `build()` returns, or the GraphError it raises."""
+    try:
+        return build()
+    except GraphError as exc:
+        return exc
+
+
 def _same_truncation(a, b):
     _same_graph(a.graph, b.graph)
     assert a.radius == b.radius
@@ -568,8 +660,9 @@ def _same_truncation(a, b):
 @given(labels=_LABEL_SETS, data=st.data())
 def test_loading_matches_the_oracle_on_mixed_labels(labels, tmp_path_factory, data):
     n = len(labels)
-    # a random forest on the labels in drawn order; vertices past `reach` stay unreached
-    reach = data.draw(st.integers(min_value=1, max_value=n))
+    # a random forest on the labels in drawn order; vertices past `reach` may
+    # stay unreached, and half the draws reach every vertex
+    reach = data.draw(st.just(n) | st.integers(min_value=1, max_value=n))
     weight = st.floats(min_value=0.1, max_value=10.0)
     edges = [
         (data.draw(st.integers(min_value=0, max_value=k - 1)), k, data.draw(weight))
@@ -580,12 +673,28 @@ def test_loading_matches_the_oracle_on_mixed_labels(labels, tmp_path_factory, da
     frontier = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4))
     frontier = [k for k in frontier if k != base]
     labelled = [(labels[x], labels[y], w) for x, y, w in edges]
+    # each edge joins k to an earlier vertex, so one pass finds what the base reaches
+    reached = set(range(reach))
+    for x, y, _ in edges:
+        if x in reached:
+            reached.add(y)
+    named = {v for x, y, _ in edges for v in (x, y)}
 
-    new = ConductanceGraph.from_edges(labelled, labels[base], vertices=labels)
+    def from_edges():
+        return ConductanceGraph.from_edges(labelled, labels[base])
+
+    new = _built_or_refused(from_edges)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
-        old = ConductanceGraph.from_edges(labelled, labels[base], vertices=labels)
-    _same_graph(new, old)
+        old = _built_or_refused(from_edges)
+    if base not in named:
+        assert isinstance(new, GraphError) and "not among the vertices" in str(new)
+    elif named <= reached:
+        _same_graph(new, old)
+    else:
+        assert isinstance(new, GraphError) and new.report.codes() == ["disconnected"]
+    if isinstance(new, GraphError):
+        assert str(new) == str(old)
 
     path = tmp_path_factory.mktemp("mixed") / "g.json"
     to_json = [_label_to_json(l) for l in labels]
@@ -594,7 +703,12 @@ def test_loading_matches_the_oracle_on_mixed_labels(labels, tmp_path_factory, da
     if frontier:
         file.update(frontier=[to_json[k] for k in frontier], radius=3)
     path.write_text(json.dumps(file))
-    if len(set(frontier)) < len(frontier):  # the oracle loader took a repeat as given
+    if len(reached) < n or len(named) < n:
+        refused = _built_or_refused(lambda: load_graph(path))
+        codes = ["disconnected"] * (len(reached) < n) + ["zero-degree"] * (len(named) < n)
+        assert isinstance(refused, GraphError) and refused.report.codes() == codes
+        assert str(refused) == str(_built_or_refused(lambda: oracle_load_graph(path)))
+    elif len(set(frontier)) < len(frontier):  # the oracle loader took a repeat as given
         with pytest.raises(GraphError, match="is repeated"):
             load_graph(path)
     else:
@@ -747,10 +861,23 @@ def test_built_graphs_store_symmetric_positive_weights(n, data, tmp_path_factory
             ends = (y, x) if data.draw(st.booleans()) else (x, y)
             listings.append((*ends, w * (1 + data.draw(st.floats(-4e-13, 4e-13)))))
     listings = data.draw(st.permutations(listings))
-    built = ConductanceGraph.from_edges(listings, 0, vertices=range(n))
+    built = _built_or_refused(lambda: ConductanceGraph.from_edges(listings, 0))
     path = tmp_path_factory.mktemp("listings") / "g.json"
     path.write_text(json.dumps({"vertices": n, "base_point": 0, "edges": listings}))
-    loaded = load_graph(path).graph
-    for graph in (built, loaded, *(truncate(loaded, r).graph for r in (1, 2, 3))):
+    loaded = _built_or_refused(lambda: load_graph(path).graph)
+    named = {v for pair in edges for v in pair}
+    reached = {0}
+    for _ in range(n):
+        reached |= {v for pair in edges if reached & set(pair) for v in pair}
+    # from_edges builds on the vertices the edges name; the file declares all n
+    if 0 not in named:
+        assert isinstance(built, GraphError) and "base point 0 not among" in str(built)
+    elif reached != named:
+        assert isinstance(built, GraphError) and built.report.codes() == ["disconnected"]
+    if len(reached) < n:
+        codes = ["disconnected"] + ["zero-degree"] * (len(named) < n)
+        assert isinstance(loaded, GraphError) and loaded.report.codes() == codes
+    valid = [g for g in (built, loaded) if not isinstance(g, GraphError)]
+    for graph in (*valid, *(truncate(g, r).graph for g in valid for r in (1, 2, 3))):
         assert sparse_structure_issues(graph) == []
         assert np.isfinite(graph.weights).all() and (graph.weights > 0).all()

@@ -16,7 +16,7 @@ from resnet.laplacian import (
     transition_operator,
 )
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import build_with_an_isolated_vertex, dense_laplacian, random_connected_graph
 
 
 def l2_symmetry_check(op, trials=100, seed=0):
@@ -96,10 +96,12 @@ def test_transition_rows_and_reversibility(rng):
     assert np.allclose(balanced, g.adjacency().toarray())
 
 
-def test_transition_rejects_zero_degree():
-    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
+def test_transition_rejects_zero_degree(rng):
+    # a vertex without edges would have no row; the graph is refused when it is built
     with pytest.raises(GraphError, match="zero-degree"):
-        transition_operator(g)
+        build_with_an_isolated_vertex()
+    p = transition_operator(random_connected_graph(rng, 12, 5))
+    assert np.allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-14)
 
 
 def test_l2_symmetry_of_laplacian(rng):
@@ -161,10 +163,13 @@ def test_grounded_block_of_two_ground_points_and_an_isolated_vertex(rng):
     g = random_connected_graph(rng, 15, 9)
     kept, block, _ = grounded_laplacian(g, [4, 0])
     _same_arrays(block, _sliced_block(g, kept))
-    # a zero-degree vertex has no diagonal entry in either block
-    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 3, 2.0)], 0, vertices=[0, 1, 2, 3])
+    # grounding the middle of a path leaves two unjoined ends; an isolated
+    # vertex never reaches a block, as its graph is refused when it is built
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 3, 2.0)], 0)
     kept, block = laplacian._grounded_block(g, np.array([1]))
     _same_arrays(block, _sliced_block(g, kept))
+    with pytest.raises(GraphError, match="zero-degree"):
+        build_with_an_isolated_vertex()
 
 
 def test_adjacency_product_is_the_sparse_product(rng):
@@ -187,11 +192,15 @@ def test_adjacency_product_is_the_sparse_product(rng):
                 assert out.tobytes() == want, (u.shape, u.flags.c_contiguous, order)
 
 
-def test_grounded_laplacian_singular_block_is_a_solver_error():
-    # vertex 2 has no edges, so grounding vertex 0 leaves a zero row
-    g = ConductanceGraph.from_edges([(0, 1, 1.0)], 0, vertices=[0, 1, 2])
-    with pytest.raises(SolverError, match="grounded factorization failed"):
-        grounded_laplacian(g, 0)
+def test_grounded_laplacian_singular_block_is_a_solver_error(monkeypatch):
+    # every built graph is connected, so no grounded block is singular in exact
+    # arithmetic; a factorization that fails all the same is a SolverError
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(laplacian, "splu", singular)
+    with pytest.raises(SolverError, match="^grounded factorization failed: Factor is exactly singular$"):
+        grounded_laplacian(generate("halfline", radius=3), 0)
 
 
 def test_grounded_solve_vanishes_on_the_ground_and_solves_off_it(rng):

@@ -515,11 +515,6 @@ def test_sample_paths_guards(rng):
         sample_paths(trunc, 99, 1, 10, seed=0)
     with pytest.raises(GraphError, match="frontier"):
         sample_paths(trunc, 3, 1, 10, seed=0)
-    # a start without edges has no row to step along (it used to step along
-    # the next vertex's first edge)
-    lonely = with_frontier(ConductanceGraph.from_edges([(1, 2, 1.0), (2, 3, 1.0)], 1, vertices=[0]), [3])
-    with pytest.raises(GraphError, match="has no edges"):
-        sample_paths(lonely, lonely.graph.index_of(0), 1, 10, seed=0)
 
 
 def test_power_iterate_converges_to_harmonic_extension(rng):

@@ -626,9 +626,10 @@ def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):
 
 
 def test_tile_scan_order_covers_every_vertex():
-    # vertex 3 is isolated, so the depth-first order from the base misses it
-    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 0, vertices=[0, 1, 2, 3])
-    assert _resistance_module()._depth_first(g).tolist() == [0, 1, 2, 3]
+    # every built graph is connected, so the depth-first order from the base
+    # covers it; label 2 (index 3) is reached before label 3 (index 2)
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 3, 1.0)], 0)
+    assert _resistance_module()._depth_first(g).tolist() == [0, 1, 3, 2]
     d = _near_metric(4, True, 0)
     d[0, 3] = d[3, 0] = 50.0
     got = ResistanceMatrix(g, d).triangle_slack()

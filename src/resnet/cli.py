@@ -320,12 +320,11 @@ def cmd_oracle(args):
                 args.branching, args.b, radius=args.radius or 6, level=args.level
             )
         return payload, 0
-    if args.model == "continuum":
-        if args.x is None or args.y is None:
-            raise UsageError("oracle --model continuum needs --x and --y")
-        kernel, distance = continuum_reference(args.x, args.y)
-        return {"model": "continuum", "kernel": kernel, "distance": distance}, 0
-    raise UsageError(f"unknown oracle model {args.model!r}")
+    # continuum: the parser's choices admit no other model
+    if args.x is None or args.y is None:
+        raise UsageError("oracle --model continuum needs --x and --y")
+    kernel, distance = continuum_reference(args.x, args.y)
+    return {"model": "continuum", "kernel": kernel, "distance": distance}, 0
 
 
 # -- parser --------------------------------------------------------------------

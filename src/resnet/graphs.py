@@ -442,14 +442,11 @@ def _require_frontier(trunc, needs, empty_ok=False):
 def _require_vertex(graph, x, interior_of=None):
     """`x` as an int vertex index of `graph`, or GraphError.
 
-    `x` must be an integer as `operator.index` reads it (so 1.5 and 1.0 are
+    `x` must be an integer as `_integer` reads it (so 1.5, 1.0 and True are
     rejected, numpy integers accepted) and lie in [0, n).  With a truncation
     `interior_of`, it must also lie off that truncation's frontier.
     """
-    try:
-        k = operator.index(x)
-    except TypeError:
-        raise GraphError(f"vertex index {x!r} is not an integer") from None
+    k = _integer(x, "vertex index {!r} is not an integer")
     if not 0 <= k < graph.n or (interior_of is not None and interior_of.frontier_mask[k]):
         if interior_of is not None:
             raise GraphError(f"vertex index {x} is not interior to the truncation")

@@ -19,7 +19,6 @@ graphs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +47,8 @@ __all__ = [
 @dataclass
 class GreensMatrix:
     """Kernel over a subset of vertices (the grounded ones excluded), exactly
-    symmetric as <v_x, v_y> is: an asymmetric matrix raises GraphError."""
+    symmetric and finite as <v_x, v_y> is on a connected graph: an asymmetric
+    matrix raises GraphError, a NaN or infinite entry SolverError."""
 
     graph: object
     vertices: list
@@ -65,21 +65,30 @@ class GreensMatrix:
         return {v: k for k, v in enumerate(self.vertices)}
 
     def _slot(self, v):
-        """Row of vertex index `v`; a non-integer (1.0 included) is absent."""
+        """Row of vertex index `v`; a non-integer (1.0 and True included) is absent."""
+        absent = "vertex index {} is " + self._excluded + " or absent"
         try:
-            return self._pos[operator.index(v)]
-        except (KeyError, TypeError):
-            raise GraphError(f"vertex index {v} is {self._excluded} or absent") from None
+            return self._pos[_integer(v, absent)]
+        except KeyError:
+            raise GraphError(absent.format(v)) from None
 
     def value(self, x, y):
         return float(self.matrix[self._slot(x), self._slot(y)])
 
 
 def _require_symmetric(matrix, name):
-    """GraphError unless `matrix` is its transpose, a NaN facing a NaN included;
-    equal_nan is several times slower, so it runs only where a NaN fails."""
-    if not (np.array_equal(matrix, matrix.T) or np.array_equal(matrix, matrix.T, equal_nan=True)):
+    """GraphError unless `matrix` is its transpose (a NaN facing a NaN counts as
+    equal, tested only where the faster plain test fails); then SolverError if
+    it holds a NaN or an infinity, which on a connected graph only an overflow
+    makes.  A matrix equal to its transpose holds no NaN, so its max and min
+    find any infinity without an n x n temporary."""
+    if np.array_equal(matrix, matrix.T):
+        if math.isfinite(matrix.max(initial=0.0)) and math.isfinite(matrix.min(initial=0.0)):
+            return
+    elif not np.array_equal(matrix, matrix.T, equal_nan=True):
         raise GraphError(f"{name} matrix is not symmetric")
+    bad = np.count_nonzero(~np.isfinite(matrix))
+    raise SolverError(f"{name} matrix has {bad} non-finite entries")
 
 
 _SOLVE_BLOCK_BYTES = 1 << 20  # the right-hand sides of one kernel solve
@@ -121,11 +130,13 @@ def _symmetrized(k):
     """(1/2)(k + k^T) and the asymmetry max |k - k^T| of a square matrix.
 
     One n x n temporary holds k - k^T, then k + k^T, halved in place
-    (bitwise 0.5 * (k + k^T)).
+    (bitwise 0.5 * (k + k^T)).  An overflowed k gives infinities and NaNs
+    here without a warning; the kernel built from them refuses them.
     """
-    t = np.subtract(k, k.T)
-    residual = float(np.max(np.abs(t, out=t))) if len(k) else 0.0
-    np.add(k, k.T, out=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.subtract(k, k.T)
+        residual = float(np.max(np.abs(t, out=t))) if len(k) else 0.0
+        np.add(k, k.T, out=t)
     t *= 0.5
     return t, residual
 
@@ -137,7 +148,8 @@ def greens_inversion_check(g, kernel):
     ground is every vertex the kernel leaves out (the kernel's vertices must
     be in increasing order).  A GreensMatrix is exactly symmetric, so K L
     equals (L K)^T bit for bit (the same terms summed in the same order) and
-    the one product L K measures both orders.
+    the one product L K measures both orders.  It is finite too, so only a
+    product that overflows reads inf or NaN, and the check then fails.
     """
     graph = underlying(g)
     if graph is not kernel.graph:
@@ -148,7 +160,7 @@ def greens_inversion_check(g, kernel):
     if not np.array_equal(kept, kernel.vertices):
         raise GraphError("kernel vertices must be distinct and in increasing order")
     sub = block.T  # the CSR form of the symmetric block: the same arrays
-    return _identity_deviation(np.asarray(sub @ kernel.matrix))  # a NaN fails the check
+    return _identity_deviation(np.asarray(sub @ kernel.matrix))
 
 
 def _identity_deviation(prod):

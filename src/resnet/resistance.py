@@ -65,7 +65,8 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     or "all" for a dict of every route plus their max pairwise relative
     disagreement.  `tol` must be a positive number for every method, M4's
     direct solve included, so a bad tolerance fails the same way on every
-    route.  For x = y every route gives 0.0 without a solve.
+    route.  For x = y every route gives 0.0 without a solve.  A route whose
+    value overflows or is not finite raises SolverError naming it.
     """
     routes = METHODS if method == "all" else (_ALIASES.get(method, method),)
     if routes[0] not in METHODS:
@@ -75,19 +76,26 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     _check_tol(tol)
     values = dict.fromkeys(routes, 0.0)
     if x != y:
-        readouts = values.keys() & {"M1", "M2", "M7"}  # three readouts of one solve
-        if readouts:
+        if values.keys() & {"M1", "M2", "M7"}:  # three readouts of one solve
             v = solve_dipole(graph, x, y, tol)
             increment = float(v.values[x] - v.values[y])
-            dipole = {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
-            values.update((m, dipole[m]) for m in readouts)
-        if "M3" in values:
-            system = _cycle_system(graph)
-            values["M3"] = system.certified_energy(system.unit_flow(x, y), tol)
-        if "M4" in values:
+
+        readouts = {  # each read only when asked for
+            "M1": lambda: increment,
+            "M2": lambda: v.energy,
+            "M3": lambda: (cs := _cycle_system(graph)).certified_energy(cs.unit_flow(x, y), tol),
             # the base-grounded LU is the one greens_gram uses, so M4 adds no
             # factorization per pair
-            values["M4"] = _grounded_drop(graph, graph.base_point, x, y)
+            "M4": lambda: _grounded_drop(graph, graph.base_point, x, y),
+            "M7": lambda: increment**2 / v.energy,
+        }
+        for m in routes:
+            try:
+                values[m] = readouts[m]()
+            except OverflowError:  # Python's ** and fsum raise where numpy gives inf
+                values[m] = math.inf
+            if not math.isfinite(values[m]):
+                raise SolverError(f"route {m} gives a non-finite resistance ({values[m]})")
     if method != "all":
         return values[routes[0]]
     lo, hi = min(values.values()), max(values.values())
@@ -234,7 +242,7 @@ def _build_cycle_system(graph):
         gram = (cycles.T @ scaled).toarray()
         try:
             factor = cho_factor(gram)
-        except LinAlgError as exc:
+        except (LinAlgError, ValueError) as exc:  # ValueError: an infinite or NaN entry
             raise SolverError(f"cycle-space Cholesky failed ({k} cycles): {exc}") from None
     return _CycleSystem(
         pred.tolist(), parent_edge.tolist(), sign.tolist(), depth.tolist(), r, cycles, factor
@@ -255,8 +263,9 @@ _Z_CHUNK = 128
 
 @dataclass
 class ResistanceMatrix:
-    """Pairwise distances over the vertices of `graph`, exactly symmetric as
-    the metric is: an asymmetric matrix raises GraphError."""
+    """Pairwise distances over the vertices of `graph`, exactly symmetric and
+    finite as the metric of a connected graph is: an asymmetric matrix raises
+    GraphError, a NaN or infinite entry SolverError."""
 
     graph: object
     matrix: np.ndarray
@@ -289,9 +298,7 @@ class ResistanceMatrix:
 
         The check is exhaustive: every triple with x, y, z pairwise distinct
         is either formed or certified unable to lower the minimum.  Below
-        three vertices there is no triple and the result is +inf.  A NaN
-        triple (a NaN entry, or inf - inf) gives NaN, so a check on it fails
-        and reports the number.
+        three vertices there is no triple and the result is +inf.
 
         The vertices are cut into tiles of `_TILE`, in depth-first order
         from the base when the matrix has its graph (index order otherwise),
@@ -302,31 +309,28 @@ class ResistanceMatrix:
 
         the minima over x in X, y in Y other than z and the maximum over
         x != y.  Rounding is monotone, so LB_z <= fl(fl(d(x,z) + d(z,y)) -
-        d(x,y)) for each such triple: a z whose LB_z is at or above a finite
-        running minimum cannot lower it and is skipped.  A tie rules z out
-        because ``min(worst, low)`` keeps the earlier of two equal values;
-        while the minimum is +-inf only a bound strictly above it does, as a
-        NaN triple's bound is -inf or NaN and a tie at -inf would skip it
-        (`_rules_out`).  The z left are bounded once more with one x kept
+        d(x,y)) for each such triple: a z whose LB_z is at or above the
+        running minimum cannot lower it and is skipped (`_RULES_OUT`; a tie
+        rules z out because ``min(worst, low)`` keeps the earlier of two
+        equal values).  The z left are bounded once more with one x kept
         exact against all of Y, and then one y against all of X; a z that
-        every x, or every y, rules out is skipped too.  Every other z, a NaN
-        bound included, is formed.  The diagonal tiles go first, so the
-        running minimum falls at once to the metric's own slack (about 0)
-        and the remote z drop out of every later pair.
+        every x, or every y, rules out is skipped too.  Every other z is
+        formed.  The diagonal tiles go first, so the running minimum falls
+        at once to the metric's own slack (about 0) and the remote z drop
+        out of every later pair.
 
         Over the z it forms, a tile pair keeps P(x, y) = min_z fl(d(x,z) +
         d(z,y)) and subtracts d(x, y) once.  As min_z fl(a_z - c) =
         fl(min_z a_z - c), the result is the float the per-triple minimum
         gives, bit for bit (a -0.0 entry may flip the sign of a zero
-        result).  The one exception, c = +inf beside a detour a_z = +inf,
-        is a NaN triple that P - c reads as -inf; such pairs are checked one
-        by one before the scan.
+        result).
 
         The exclusions z = x, z = y and x = y are written as +inf over the
-        sums, never added, so no -inf or NaN entry leaks through them.  As d
-        is exactly symmetric, pair (y, x) repeats pair (x, y) bit for bit, so
-        only the tile pairs with Y at or after X are scanned, and one table
-        of tile minima serves both ends of a triple.
+        sums, never added, and the entries are finite, so no infinity
+        reaches the result.  As d is exactly symmetric, pair (y, x) repeats
+        pair (x, y) bit for bit, so only the tile pairs with Y at or after X
+        are scanned, and one table of tile minima serves both ends of a
+        triple.
         """
         n = self.matrix.shape[0]
         if n < 3:
@@ -337,38 +341,32 @@ class ResistanceMatrix:
         starts = np.arange(0, n, _TILE)
         tiles = [slice(lo, hi) for lo, hi in zip(starts, np.append(starts[1:], n))]
         diagonal = np.diag_indices(n)
-        with np.errstate(invalid="ignore"):  # inf - inf makes a NaN triple
-            # reduceat along a row is several times faster than down a
-            # column, so each column table is a row table of symmetric d, transposed
-            d[diagonal] = -np.inf  # maxima over x != y
-            rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
-            colmax = np.ascontiguousarray(rowmax.T)  # [X, y]: max_x d(x, y)
-            dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
-            if (dmax == np.inf).any() and _infinite_detour(d):
-                return math.nan
-            d[diagonal] = np.inf  # minima over x != z
-            # [T, z]: min over t in tile T of d(t, z) = d(z, t)
-            dmin = np.ascontiguousarray(np.minimum.reduceat(d, starts, axis=1).T)
-            worst = math.inf
-            count = len(tiles)
-            rows = [(a, [a]) for a in range(count)]  # the diagonal tiles first
-            rows += [(a, list(range(a + 1, count))) for a in range(count)]
-            for a, bs in rows:
-                xs = tiles[a]
-                bounds = (dmin[a] + dmin[bs]) - dmax[a, bs, None]
-                for b, bound in zip(bs, bounds):
-                    over = _rules_out(worst)
-                    ys = tiles[b]
-                    zs = np.flatnonzero(~over(bound, worst))
-                    left = d[zs, xs]  # left[z, x] = d(z, x) = d(x, z)
-                    right = d[zs, ys]  # right[z, y] = d(z, y)
-                    keep = ~over((left + dmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
-                    keep &= ~over((right + dmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
-                    if keep.any():
-                        low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
-                        if math.isnan(low):
-                            return math.nan
-                        worst = min(worst, low)
+        # reduceat along a row is several times faster than down a column, so
+        # each column table is a row table of symmetric d, transposed
+        d[diagonal] = -np.inf  # maxima over x != y
+        rowmax = np.maximum.reduceat(d, starts, axis=1)  # [x, Y]: max_y d(x, y)
+        colmax = np.ascontiguousarray(rowmax.T)  # [X, y]: max_x d(x, y)
+        dmax = np.maximum.reduceat(colmax, starts, axis=1)  # [X, Y]
+        d[diagonal] = np.inf  # minima over x != z
+        # [T, z]: min over t in tile T of d(t, z) = d(z, t)
+        dmin = np.ascontiguousarray(np.minimum.reduceat(d, starts, axis=1).T)
+        worst = math.inf
+        count = len(tiles)
+        rows = [(a, [a]) for a in range(count)]  # the diagonal tiles first
+        rows += [(a, list(range(a + 1, count))) for a in range(count)]
+        for a, bs in rows:
+            xs = tiles[a]
+            bounds = (dmin[a] + dmin[bs]) - dmax[a, bs, None]
+            for b, bound in zip(bs, bounds):
+                ys = tiles[b]
+                zs = np.flatnonzero(~_RULES_OUT(bound, worst))
+                left = d[zs, xs]  # left[z, x] = d(z, x) = d(x, z)
+                right = d[zs, ys]  # right[z, y] = d(z, y)
+                keep = ~_RULES_OUT((left + dmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
+                keep &= ~_RULES_OUT((right + dmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
+                if keep.any():
+                    low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
+                    worst = min(worst, low)
         return worst
 
     def to_csv(self, path):
@@ -398,30 +396,17 @@ def _depth_first(graph):
                              return_predecessors=False)
 
 
-def _infinite_detour(d):
-    """Whether some pair x != y has d(x, y) = +inf beside a detour of +inf.
-
-    The diagonal of d must hold no +inf."""
-    for x, y in zip(*np.nonzero(np.isposinf(d))):
-        detour = d[x] + d[:, y]
-        detour[[x, y]] = 0.0
-        if np.isposinf(detour).any():
-            return True
-    return False
-
-
-def _rules_out(worst):
-    """The test by which a lower bound rules its triples out against the
-    running minimum `worst`: a tie too when `worst` is finite, only a bound
-    above it at +-inf (see `ResistanceMatrix.triangle_slack`)."""
-    return np.greater_equal if math.isfinite(worst) else np.greater
+# How a lower bound rules its triples out against the running minimum: a tie
+# too (see `ResistanceMatrix.triangle_slack`).
+_RULES_OUT = np.greater_equal
 
 
 def _tile_slack(left, right, zs, xs, ys, direct):
     """min of fl(d(x,z) + d(z,y)) - d(x,y) over x in the slice xs, y in ys and
     the sorted zs, over pairwise distinct triples.
 
-    left[z, x] = d(x, z) and right[z, y] = d(z, y) over zs; direct is d[xs, ys].
+    left[z, x] = d(x, z) and right[z, y] = d(z, y) over zs; direct is d[xs, ys],
+    whose diagonal the scan has set to +inf when xs == ys.
     """
     best = np.full(direct.shape, np.inf)
     for c in range(0, len(zs), _Z_CHUNK):
@@ -433,7 +418,8 @@ def _tile_slack(left, right, zs, xs, ys, direct):
         i, j = z.searchsorted([ys.start, ys.stop])
         sums[np.arange(i, j), :, z[i:j] - ys.start] = np.inf  # z = y
         np.minimum(best, sums.min(axis=0), out=best)
-    best -= direct
+    with np.errstate(invalid="ignore"):  # inf - inf where x = y meets the +inf exclusions
+        best -= direct
     if xs == ys:
         np.fill_diagonal(best, np.inf)  # x = y
     return float(best.min())

@@ -21,9 +21,11 @@ from resnet.graphs import (
     validate,
     with_frontier,
 )
-from resnet.greens import walk_greens
+from resnet.energy import delta
+from resnet.greens import greens_gram, walk_greens
 from resnet.laplacian import defect_recursion_comb
 from resnet.markov import sample_paths
+from resnet.resistance import resistance
 
 from conftest import (
     WRONG_SHAPES,
@@ -377,6 +379,31 @@ def test_underlying_and_as_truncated():
     t = as_truncated(g)
     assert underlying(t) is g and underlying(g) is g
     assert len(t.frontier) == 0 and len(t.interior) == g.n
+    assert as_truncated(t) is t
+
+
+def test_graph_repr_and_a_valid_report():
+    g = ConductanceGraph.from_edges([("a", "b", 1.0), ("b", "c", 2.0)], "b")
+    assert repr(g) == "ConductanceGraph(n=3, edges=2, base='b')"
+    assert str(validate(g)) == "valid"
+
+
+def test_labels_that_are_no_number_string_or_tuple_sort_last_by_repr():
+    labels = [None, (0, "a"), 2.5, "b", True, -1]
+    assert _label_sort_key(None) == (3, "None", "")
+    assert sorted(labels, key=_label_sort_key) == [-1, 2.5, "b", (0, "a"), None, True]
+
+
+def test_numpy_labels_are_written_as_json_numbers():
+    label = (np.int64(2), (np.float64(0.5), "a"))
+    assert _label_to_json(label) == [2, [0.5, "a"]]
+    assert [type(v) for v in (_label_to_json(np.int32(2)), _label_to_json(np.float32(0.5)))] == [int, float]
+
+
+def test_explicit_family_without_a_radius_is_all_interior():
+    trunc = generate("explicit", edges=[(0, 1, 1.0), (1, 2, 2.0)], base_point=1)
+    assert trunc.radius == 1
+    assert trunc.interior.tolist() == [0, 1, 2] and len(trunc.frontier) == 0
 
 
 # -- generators ----------------------------------------------------------------
@@ -487,6 +514,21 @@ def test_vertex_queries_reject_a_non_integer_index():
             with pytest.raises(GraphError, match=re.escape(f"vertex index {x!r} {problem}")):
                 query(x)
     assert g.weighted_degree(np.int64(1)) == g.weighted_degree(1) == 3.0
+
+
+def test_a_bool_is_no_vertex_index():
+    # True used to read vertex 1 in each of these, and False vertex 0
+    g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0)], 0)
+    kernel = greens_gram(g)
+    queries = (g.neighbors, lambda v: g.conductance(v, 2), lambda v: resistance(g, v, 3),
+               lambda v: delta(g, v))
+    for x in (True, False):
+        for query in queries:
+            with pytest.raises(GraphError, match=f"vertex index {x} is not an integer"):
+                query(x)
+        with pytest.raises(GraphError, match=f"vertex index {x} is grounded or absent"):
+            kernel.value(x, 2)
+    assert kernel.value(np.int64(1), 2) == kernel.value(1, 2)
 
 
 def test_conductance_checks_its_second_vertex():

@@ -102,11 +102,16 @@ def test_inversion_check_measures_the_worst_product_and_keeps_nan(rng):
     off[0, -1] += 1e-3  # an asymmetric error, which K L and L K would measure apart
     with pytest.raises(GraphError, match="kernel matrix is not symmetric"):
         dataclasses.replace(kernel, matrix=off)
+    off[-1, 0] += 1e-3  # the same error, symmetric
+    off = dataclasses.replace(kernel, matrix=off)
+    worst = greens_inversion_check(g, off)
+    assert worst == two_product_inversion_check(g, off)
+    assert worst > greens_inversion_check(g, kernel) + 1e-4
+    # a NaN never reaches the check: the kernel refuses it
     broken = kernel.matrix.copy()
     broken[-1, -1] = np.nan
-    broken = dataclasses.replace(kernel, matrix=broken)
-    assert math.isnan(greens_inversion_check(g, broken))
-    assert math.isnan(two_product_inversion_check(g, broken))
+    with pytest.raises(SolverError, match="kernel matrix has 1 non-finite entries"):
+        dataclasses.replace(kernel, matrix=broken)
 
 CHECK_FAMILIES = [
     ("lattice", 15, {}),

@@ -462,16 +462,25 @@ def _signed_matrix(n, symmetric, plus, minus, seed):
     return d
 
 
+def _finite_extremes(d):
+    """d with each +inf made 1e300, each -inf -1e300 and each NaN 0.5."""
+    return np.nan_to_num(d, nan=0.5, posinf=1e300, neginf=-1e300)
+
+
 def _assert_scan_is_the_oracle(graph, d):
     """The scan of d gives the per-z oracle's float bit for bit.  An
     asymmetric d, NaN entries aside, never reaches it: building its matrix
-    raises GraphError."""
+    raises GraphError.  Nor does a symmetric d with a NaN or an infinity,
+    which raises SolverError; its `_finite_extremes` go to the oracle."""
     if not np.array_equal(d, d.T, equal_nan=True):
         with pytest.raises(GraphError, match="resistance matrix is not symmetric"):
             ResistanceMatrix(graph, d)
         return
-    with np.errstate(invalid="ignore"):
-        want = per_z_triangle_slack(d)
+    if not np.isfinite(d).all():
+        with pytest.raises(SolverError, match=r"resistance matrix has \d+ non-finite entries"):
+            ResistanceMatrix(graph, d)
+        d = _finite_extremes(d)
+    want = per_z_triangle_slack(d)
     got = ResistanceMatrix(graph, d).triangle_slack()
     assert _same_float(got, want), (got, want)
 
@@ -493,30 +502,49 @@ def test_triangle_slack_never_reads_the_diagonal(symmetric):
         with pytest.raises(GraphError, match="resistance matrix is not symmetric"):
             ResistanceMatrix(None, d)
         return
+    with pytest.raises(SolverError, match="resistance matrix has 65 non-finite entries"):
+        ResistanceMatrix(None, d)
+    d[np.diag_indices(65)] = np.resize([1e300, -1e300], 65)
     got = ResistanceMatrix(None, d).triangle_slack()
     assert math.isfinite(got) and _same_float(got, want)
 
 
-def test_matrices_are_symmetric_by_construction(rng):
-    # a NaN is unequal to itself, yet a symmetric matrix with NaN entries is
-    # accepted; a NaN facing a number is not
-    g = random_connected_graph(rng, 6, 3)
+def _matrix_builds(g):
+    """(name, matrix, build) of each way to build a matrix type on `g`:
+    a ResistanceMatrix, a GreensMatrix and a `dataclasses.replace` of one."""
     kernel = greens_gram(g)
-    builds = [
+    return [
         ("resistance", resistance_matrix(g).matrix, lambda m: ResistanceMatrix(None, m)),
         ("kernel", kernel.matrix, lambda m: GreensMatrix(g, kernel.vertices, m, 0.0)),
         ("kernel", kernel.matrix, lambda m: dataclasses.replace(kernel, matrix=m)),
     ]
-    for name, matrix, build in builds:
+
+
+def test_matrices_are_symmetric_by_construction(rng):
+    # a NaN facing a number is asymmetric; a NaN facing a NaN is not, and is
+    # refused as a non-finite entry
+    for name, matrix, build in _matrix_builds(random_connected_graph(rng, 6, 3)):
         for value in (matrix[0, -1] + 1e-3, np.nan):
             off = matrix.copy()
             off[0, -1] = value
             with pytest.raises(GraphError, match=f"{name} matrix is not symmetric"):
                 build(off)
-        for entries in ([(1, 1)], [(0, -1), (-1, 0)]):  # the diagonal, an off-diagonal pair
-            nan = matrix.copy()
-            nan[tuple(zip(*entries))] = np.nan
-            assert build(nan).matrix is nan
+        assert build(matrix.copy()).matrix.tobytes() == matrix.tobytes()
+
+
+def test_matrices_are_finite_by_construction(rng):
+    for name, matrix, build in _matrix_builds(random_connected_graph(rng, 6, 3)):
+        for value in (np.nan, np.inf, -np.inf):
+            # the diagonal, an off-diagonal pair, and both
+            for entries in ([(1, 1)], [(0, -1), (-1, 0)], [(1, 1), (0, -1), (-1, 0)]):
+                bad = matrix.copy()
+                bad[tuple(zip(*entries))] = value
+                count = len(entries)
+                with pytest.raises(SolverError, match=f"{name} matrix has {count} non-finite entries"):
+                    build(bad)
+        extreme = matrix.copy()
+        extreme[[0, -1], [-1, 0]] = -np.finfo(float).max
+        assert build(extreme).matrix is extreme
 
 
 @pytest.mark.parametrize(
@@ -535,22 +563,25 @@ def test_triangle_slack_equals_per_z_oracle_on_families(family, radius, params):
 
 
 def test_triangle_slack_is_nan_beside_an_infinite_detour():
-    # d(0, 1) = d(0, 2) = +inf: the triple d(0, 2) + d(2, 1) - d(0, 1) is
-    # inf - inf, although the detour through 3 is finite and alone would
-    # read -inf
+    # d(0, 1) = d(0, 2) = +inf, whose triple d(0, 2) + d(2, 1) - d(0, 1) is
+    # inf - inf, is refused before any scan; at 1e300 in their place the
+    # detour through 3 is the worst triple
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     d[0, 1] = d[0, 2] = d[1, 0] = d[2, 0] = np.inf
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(per_z_triangle_slack(d))
-    assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
+    with pytest.raises(SolverError, match="resistance matrix has 4 non-finite entries"):
+        ResistanceMatrix(None, d)
+    d = _finite_extremes(d)
+    got = ResistanceMatrix(None, d).triangle_slack()
+    assert got == per_z_triangle_slack(d) == 3.0 + 2.0 - 1e300
 
 
 def test_triangle_slack_is_nan_on_a_nan_distance():
-    # the path 0-1-2-3 with d(0, 3) unknown; the old loop skipped every
-    # NaN slice and returned +inf, so the metric check passed
+    # the path 0-1-2-3 with d(0, 3) unknown never reaches the scan, whose
+    # metric check must not pass on it: the matrix refuses the NaN
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     d[0, 3] = d[3, 0] = np.nan
-    assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
+    with pytest.raises(SolverError, match="resistance matrix has 2 non-finite entries"):
+        ResistanceMatrix(None, d)
 
 
 def _resistance_module():
@@ -625,6 +656,17 @@ def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):
     assert formed[0] < 600**3 / 4
 
 
+def test_tile_slack_drops_the_x_equals_y_entries_without_a_warning():
+    # a diagonal tile pair whose one kept z lies in the tile: best(0, 0) is
+    # +inf over the z = x exclusion, less the scan's +inf diagonal, a NaN
+    # that the x = y exclusion overwrites; the one triple left is
+    # d(1, 0) + d(0, 2) - d(1, 2) = 2
+    d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    d[np.diag_indices(3)] = np.inf  # as the scan sets it for its minima
+    zs, tile = np.array([0]), slice(0, 3)
+    assert _resistance_module()._tile_slack(d[zs, tile], d[zs, tile], zs, tile, tile, d) == 2.0
+
+
 def test_tile_scan_order_covers_every_vertex():
     # every built graph is connected, so the depth-first order from the base
     # covers it; label 2 (index 3) is reached before label 3 (index 2)
@@ -652,9 +694,11 @@ def test_tile_scan_forms_under_a_fifth_of_the_triples_on_a_binary_tree(monkeypat
 
 
 def test_tile_scan_finds_a_nan_triple_after_the_minimum_reaches_minus_inf(monkeypatch):
-    # tile 0 holds d(0, 1) = -inf, so its diagonal pair drives the running
-    # minimum to -inf; tile 1 then holds the NaN triple d(40, 45) + d(45, 50)
-    # = inf + -inf, whose bound is -inf too and must not be ruled out as a tie
+    # d(0, 1) = -inf and the NaN triple d(40, 45) + d(45, 50) = inf + -inf
+    # are refused before any scan.  At -1e300 and 1e300 in their place, tile
+    # 0's diagonal pair drives the running minimum to -1e300 at once, and
+    # tile 1 still yields the triple d(45, 50) + d(50, 40) - d(45, 40) =
+    # -1e300 + 10 - 1e300 below it
     module = _resistance_module()
     lows = []
     tile_slack = module._tile_slack
@@ -663,10 +707,12 @@ def test_tile_scan_finds_a_nan_triple_after_the_minimum_reaches_minus_inf(monkey
     d[0, 1] = d[1, 0] = -np.inf
     d[40, 45] = d[45, 40] = np.inf
     d[45, 50] = d[50, 45] = -np.inf
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(per_z_triangle_slack(d))
-    assert math.isnan(ResistanceMatrix(None, d).triangle_slack())
-    assert lows[0] == -np.inf and math.isnan(lows[-1])
+    with pytest.raises(SolverError, match="resistance matrix has 6 non-finite entries"):
+        ResistanceMatrix(None, d)
+    d = _finite_extremes(d)
+    got = ResistanceMatrix(None, d).triangle_slack()
+    assert lows[0] == -1e300
+    assert got == per_z_triangle_slack(d) == min(lows) == -2e300
 
 
 KERNEL_GRAPHS = pytest.mark.parametrize(
@@ -704,6 +750,11 @@ def test_kernel_matrix_readout_of_a_suffix_and_a_scattered_ground(g):
     graph = underlying(g)
     for ground in (getattr(g, "frontier", [graph.n - 1]), [2, 5, 6]):
         _assert_three_array_readout(_grounded_kernel(graph, ground))
+
+
+def test_runs_of_no_vertices_are_empty():
+    assert _resistance_module()._runs([]) == []
+    assert _resistance_module()._runs([2, 3, 5]) == [(slice(2, 4), slice(0, 2)), (slice(5, 6), slice(2, 3))]
 
 
 def test_matrix_csv(tmp_path, rng):

@@ -43,7 +43,8 @@ from .markov import (
     measure_z_scores,
     sample_paths,
 )
-from .resistance import ResistanceMatrix, continuum_reference, resistance, resistance_matrix
+from .resistance import (_ALIASES, METHODS, ResistanceMatrix, continuum_reference, resistance,
+                         resistance_matrix)
 
 __all__ = ["main"]
 
@@ -407,11 +408,7 @@ def _build_parser():
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--from", dest="from_", action=_Label, help="source vertex label")
     p.add_argument("--to", action=_Label, help="target vertex label")
-    p.add_argument(
-        "--method",
-        default="all",
-        choices=("all", "M1", "M2", "M3", "M4", "M5", "M6", "M7"),
-    )
+    p.add_argument("--method", default="all", choices=("all", *sorted(METHODS + tuple(_ALIASES))))
     p.add_argument("--matrix", default=None, help="write the full matrix CSV here")
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.set_defaults(handler=cmd_resist, command="resist")

@@ -215,6 +215,9 @@ def _dipole_vectors(graph, lap, rhs, pairs, tol):
     ]
 
 
+# Extreme conductances overflow in the loop: the infinities and NaNs end a
+# column as a breakdown, or leave a non-finite potential, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _pcg(lap, rhs, tol):
     """Jacobi-preconditioned CG on L u = rhs for a mean-free vector or block.
 

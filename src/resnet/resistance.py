@@ -1,25 +1,19 @@
-"""Effective resistance between vertices, by several independent routes.
+"""Effective resistance between vertices, by independent routes.
 
 The resistance metric d(x, y) is the voltage drop when one amp enters at x
-and leaves at y.  Implemented routes:
+and leaves at y.  By Dirichlet's principle it is also the largest
+(u(x) - u(y))^2 / ||u||^2 over vertex functions u.  Routes:
 
-  M1  dipole increment v(x) - v(y)
-  M2  dipole energy ||v||^2
-  M3  minimum dissipation over unit flows (Thomson's principle), solved in
-      the cycle space of a maximum-conductance spanning tree
+  M7  that quotient at the conjugate-gradient dipole potential v; as v
+      maximizes it, its error is second order in v's
+  M3  minimum dissipation over unit flows (Thomson's principle) in the
+      cycle space of a spanning tree, certified against Kirchhoff's voltage
+      law; on a tree it is the exact path sum
   M4  increment v(x) - v(y) of the dipole solved directly against the
       sparse LU of the Laplacian grounded at the base point
-  M7  normalized increment (v(x) - v(y))^2 / ||v||^2, the variational
-      maximizer evaluated explicitly
 
-M1, M2 and M7 are three readouts of one conjugate-gradient dipole solve; M3
-and M4 (direct factorization) are the independent routes.  M3 never touches
-the nodal Laplacian: it sends the unit flow along the tree path from x to y,
-corrects it by the fundamental cycles through one cached dense Cholesky of
-C^T R C per graph, certifies Kirchhoff's voltage law on every cycle, and
-sums r_e f_e^2 with fsum.  On a tree it is the exact path sum.  M5 and M6
-(the two constrained variational forms) are analytically the duals of M7 and
-M2; they are accepted as aliases and computed through their twins.
+M1 (the drop v(x) - v(y)) and M2 (the energy ||v||^2) read M7's solve with
+first-order error; the names remain as aliases of M7.
 
 The whole matrix has one route, `resistance_matrix(g)`: it reads d(x, y) =
 K(x, x) + K(y, y) - 2 K(x, y) off the base-grounded kernel K, the identity
@@ -54,19 +48,20 @@ __all__ = [
     "continuum_reference",
 ]
 
-METHODS = ("M1", "M2", "M3", "M4", "M7")
-_ALIASES = {"M5": "M7", "M6": "M2"}
+METHODS = ("M3", "M4", "M7")
+_ALIASES = {"M1": "M7", "M2": "M7"}
 
 
-def resistance(g, x, y, method="M2", tol=1e-10):
+def resistance(g, x, y, method="M7", tol=1e-10):
     """Effective resistance between vertex indices x and y by one route.
 
-    `method` is one of M1, M2, M3, M4, M7 (M5/M6 are dual aliases of M7/M2),
-    or "all" for a dict of every route plus their max pairwise relative
-    disagreement.  `tol` must be a positive number for every method, M4's
-    direct solve included, so a bad tolerance fails the same way on every
-    route.  For x = y every route gives 0.0 without a solve.  A route whose
-    value overflows or is not finite raises SolverError naming it.
+    `method` is one of M3, M4, M7 (M1 and M2 are aliases of M7), or "all"
+    for a dict of every route plus their max pairwise relative
+    disagreement.  `tol` must be a positive number on every route, so a bad
+    tolerance fails the same way everywhere.  It bounds M7's relative PCG
+    residual and M3's KVL residual; M4's direct solve only validates it.
+    For x = y every route gives 0.0 without a solve.  A route whose value
+    overflows or is not finite raises SolverError naming it.
     """
     routes = METHODS if method == "all" else (_ALIASES.get(method, method),)
     if routes[0] not in METHODS:
@@ -76,24 +71,19 @@ def resistance(g, x, y, method="M2", tol=1e-10):
     _check_tol(tol)
     values = dict.fromkeys(routes, 0.0)
     if x != y:
-        if values.keys() & {"M1", "M2", "M7"}:  # three readouts of one solve
-            v = solve_dipole(graph, x, y, tol)
-            increment = float(v.values[x] - v.values[y])
-
-        readouts = {  # each read only when asked for
-            "M1": lambda: increment,
-            "M2": lambda: v.energy,
-            "M3": lambda: (cs := _cycle_system(graph)).certified_energy(cs.unit_flow(x, y), tol),
-            # the base-grounded LU is the one greens_gram uses, so M4 adds no
-            # factorization per pair
-            "M4": lambda: _grounded_drop(graph, graph.base_point, x, y),
-            "M7": lambda: increment**2 / v.energy,
-        }
         for m in routes:
             try:
-                values[m] = readouts[m]()
-            except OverflowError:  # Python's ** and fsum raise where numpy gives inf
-                values[m] = math.inf
+                if m == "M3":
+                    system = _cycle_system(graph)
+                    values[m] = system.certified_energy(system.unit_flow(x, y), tol)
+                elif m == "M4":  # the base-grounded LU greens_gram uses: no factorization per pair
+                    values[m] = _grounded_drop(graph, graph.base_point, x, y)
+                else:
+                    v = solve_dipole(graph, x, y, tol)
+                    drop = float(v.values[x] - v.values[y])
+                    values[m] = drop**2 / v.energy
+            except OverflowError:  # in fsum, or in M7's square, which then divides first
+                values[m] = drop * (drop / v.energy) if m == "M7" else math.inf
             if not math.isfinite(values[m]):
                 raise SolverError(f"route {m} gives a non-finite resistance ({values[m]})")
     if method != "all":
@@ -172,7 +162,8 @@ class _CycleSystem:
                 f"(residual {residual:.3e} > tol {tol:.1e})",
                 residual=residual,
             )
-        return math.fsum(self.resistances * flow * flow)
+        with np.errstate(invalid="ignore"):  # inf r_e times f_e = 0 is NaN: not finite
+            return math.fsum(self.resistances * flow * flow)
 
 
 def _cycle_system(graph):
@@ -184,7 +175,8 @@ def _cycle_system(graph):
 def _build_cycle_system(graph):
     n = graph.n
     i, j, c = graph.edge_arrays()
-    r = 1.0 / c
+    with np.errstate(over="ignore"):  # a subnormal c gives r = inf, which M3 refuses
+        r = 1.0 / c
     # edge_arrays is ordered by (i, j): with the row offsets of i it is the
     # CSR form of the upper triangle, and its keys i*n + j are sorted
     upper = sparse.csr_matrix((r, j, _offsets(np.bincount(i, minlength=n))), shape=(n, n))

@@ -18,6 +18,7 @@ from resnet.energy import SolverError, solve_dipole, solve_dipoles
 from resnet.graphs import ConductanceGraph, GraphError, generate, underlying
 from resnet.greens import GreensMatrix, _grounded_kernel, greens_gram
 from resnet.resistance import (
+    _ALIASES,
     METHODS,
     _build_cycle_system,
     _cycle_system,
@@ -51,7 +52,7 @@ def test_all_routes_match_pinv_oracle(rng):
 
 def test_every_method_rejects_a_tolerance_that_is_not_positive(rng):
     g = random_connected_graph(rng, 6, 2)
-    for method in METHODS + ("M5", "M6", "all"):
+    for method in METHODS + tuple(_ALIASES) + ("all",):
         for tol in (float("nan"), 0.0, -1.0):
             with pytest.raises(GraphError, match="tol must be positive"):
                 resistance(g, 1, 4, method, tol=tol)
@@ -75,10 +76,8 @@ def test_all_mode_solves_one_dipole(rng, monkeypatch):
     # the package re-exports the function `resistance` over the module name
     module = importlib.import_module("resnet.resistance")
     monkeypatch.setattr(module, "solve_dipole", counting)
-    report = resistance(g, 2, 7, "all", tol=1e-12)
+    resistance(g, 2, 7, "all", tol=1e-12)
     assert calls == [(2, 7)]
-    for method in ("M1", "M7"):
-        assert report[method] == pytest.approx(report["M2"], rel=1e-10)
     for method, expect in [("M1", 1), ("M2", 1), ("M7", 1), ("M3", 0), ("M4", 0)]:
         calls.clear()
         resistance(g, 2, 7, method, tol=1e-12)
@@ -160,10 +159,10 @@ def test_m3_on_trees_is_the_path_sum(family, radius):
 def test_m3_matches_pcg_on_lattices(radius):
     g = generate("lattice", radius=radius).graph
     pairs = _seeded_pairs(g, 200, radius)
-    # one block solve: each energy is bitwise that of resistance(g, x, y, "M2", tol=1e-12)
+    # one block solve: each energy is bitwise that of solve_dipole(g, x, y, tol=1e-12).energy
     for (x, y), dipole in zip(pairs, solve_dipoles(g, pairs, tol=1e-12)):
-        m2 = dipole.energy
-        assert abs(resistance(g, x, y, "M3") - m2) <= 1e-9 * m2, (x, y)
+        energy = dipole.energy
+        assert abs(resistance(g, x, y, "M3") - energy) <= 1e-9 * energy, (x, y)
 
 
 @pytest.mark.parametrize("radius", [24, 30, 40])
@@ -186,8 +185,8 @@ def test_m3_answers_every_pair_where_cycles_carry_no_current():
     assert g.n == 25
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            m2 = resistance(g, x, y, "M2", tol=1e-12)
-            assert abs(resistance(g, x, y, "M3") - m2) <= 1e-12 * m2, (x, y)
+            energy = solve_dipole(g, x, y, tol=1e-12).energy
+            assert abs(resistance(g, x, y, "M3") - energy) <= 1e-12 * energy, (x, y)
 
 
 def test_m3_builds_one_cycle_system_per_graph(monkeypatch):
@@ -247,10 +246,17 @@ def test_m3_failed_cholesky_is_a_solver_error(rng, monkeypatch):
         resistance(g, 0, 7, "M3")
 
 
-def test_dual_aliases(rng):
-    g = random_connected_graph(rng, 9, 4)
-    assert resistance(g, 0, 5, "M5", tol=1e-12) == resistance(g, 0, 5, "M7", tol=1e-12)
-    assert resistance(g, 0, 5, "M6", tol=1e-12) == resistance(g, 0, 5, "M2", tol=1e-12)
+def test_pcg_route_and_its_aliases_on_a_steep_tree_are_the_path_sum():
+    # the path from 1 to 2 meets conductances 5.3e-8 and 5.2e6; the drop and
+    # the energy of the PCG dipole, once M1 and M2, were 3.5e-4 and 6.9e-4 low
+    g = ConductanceGraph.from_edges([(0, 1, 5.253e-08), (0, 2, 5.156e06), (0, 3, 2.907e05),
+                                     (0, 5, 6.722e01), (0, 7, 4.172e03), (1, 4, 1.933e06),
+                                     (1, 6, 1.053e02)], 0)
+    x, y = g.index_of(1), g.index_of(2)
+    exact = math.fsum([1 / 5.253e-08, 1 / 5.156e06])
+    for method in ("M1", "M2", "M7"):
+        assert abs(resistance(g, x, y, method) - exact) <= 1e-12 * exact, method
+    assert resistance(g, x, y) == resistance(g, x, y, "M7")
 
 
 def test_guards(rng):
@@ -273,7 +279,7 @@ PAIR_GRAPHS = [
     ("halfline", 32, {}),
     ("lattice", 40, {}),
 ]
-ROUTES = METHODS + ("M5", "M6", "all")
+ROUTES = METHODS + tuple(_ALIASES) + ("all",)
 
 
 def _route_bits(fn, *args):
@@ -288,13 +294,23 @@ def _route_bits(fn, *args):
     return type(value), np.float64(value).tobytes()
 
 
+def _parent_dispatch(g, x, y, method):
+    """`parent_resistance` as the routes read now: an alias is its route, and
+    "all" reports METHODS alone with their disagreement."""
+    if method != "all":
+        return parent_resistance(g, x, y, _ALIASES.get(method, method))
+    values = {m: parent_resistance(g, x, y, m) for m in METHODS}
+    lo, hi = min(values.values()), max(values.values())
+    return values | {"max_rel_disagreement": (hi - lo) / hi if hi > 0 else 0.0}
+
+
 @pytest.mark.parametrize("family, radius, params", PAIR_GRAPHS)
 def test_every_route_is_the_parent_dispatch_bit_for_bit(family, radius, params):
     g = generate(family, radius=radius, **params).graph
     for x, y in _seeded_pairs(g, 20, 19):
         for method in ROUTES:
             got = _route_bits(resistance, g, x, y, method)
-            assert got == _route_bits(parent_resistance, g, x, y, method), (x, y, method)
+            assert got == _route_bits(_parent_dispatch, g, x, y, method), (x, y, method)
 
 
 def _solve_counts(monkeypatch):
@@ -319,7 +335,7 @@ def _solve_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("method, pcg, grounded, cycles", [
-    ("M1", 1, 0, 0), ("M2", 1, 0, 0), ("M7", 1, 0, 0), ("M5", 1, 0, 0), ("M6", 1, 0, 0),
+    ("M1", 1, 0, 0), ("M2", 1, 0, 0), ("M7", 1, 0, 0),
     ("M3", 0, 0, 1), ("M4", 0, 1, 0), ("all", 1, 1, 1),
 ])
 def test_each_route_makes_its_one_solve(monkeypatch, method, pcg, grounded, cycles):
@@ -337,7 +353,7 @@ def test_the_same_vertex_is_0_on_every_route_without_a_solve(monkeypatch, family
     g = generate(family, radius=radius).graph
     calls, _ = _solve_counts(monkeypatch)
     for x in range(g.n):
-        for method in METHODS + ("M5", "M6"):
+        for method in METHODS + tuple(_ALIASES):
             value = resistance(g, x, x, method)
             assert type(value) is float and value == 0.0
         report = resistance(g, x, x, "all")
@@ -417,7 +433,7 @@ def test_matrix_matches_pairwise_oracle(rng):
 def test_matrix_agrees_with_pairwise_routes(rng):
     g = random_connected_graph(rng, 8, 3)
     d = resistance_matrix(g).matrix
-    for method in ("M1", "M3", "M4"):
+    for method in METHODS:
         for x in range(g.n):
             for y in range(x + 1, g.n):
                 assert d[x, y] == pytest.approx(resistance(g, x, y, method, tol=1e-12), rel=1e-8)

@@ -395,9 +395,8 @@ def _build_parser():
     parser = _Parser(prog="resnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    families = sorted(set(FAMILIES) - {"explicit"})
     p = sub.add_parser("generate", parents=[common], help="build a named graph family")
-    p.add_argument("--family", required=True, choices=families)
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--radius", type=int, default=None)
     for flags, dest, kind, text in _FAMILY_FLAGS:
         p.add_argument(*flags, dest=dest, type=kind, default=None, help=text)

@@ -18,6 +18,7 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -94,6 +95,11 @@ def _label_sort_key(label):
     if isinstance(label, tuple):
         return (2, tuple(_label_sort_key(part) for part in label), "")
     return (3, repr(label), "")
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def _offsets(counts):
@@ -219,7 +225,7 @@ class ConductanceGraph:
         self.n = len(self.labels)
         self.label_index = dict(zip(self.labels, range(self.n)))
         for arr in (self.indptr, self.indices, self.weights, self.hop_distance):
-            arr.flags.writeable = False
+            _read_only(arr)
         self._cache = {}
         report = validate(self)
         if not report.ok:
@@ -303,6 +309,13 @@ class ConductanceGraph:
 
     # -- queries -----------------------------------------------------------
 
+    def _cached(self, key, build):
+        """The state derived from this immutable graph under `key`, made by `build()`
+        on first use.  Every per-graph cache is filled here and nowhere else."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def num_edges(self):
         return len(self.indices) // 2
@@ -321,11 +334,9 @@ class ConductanceGraph:
     @property
     def degrees(self):
         """Vector of weighted degrees c(x), cached."""
-        if "degrees" not in self._cache:
-            deg = np.add.reduceat(self.weights, self.indptr[:-1])  # every row has an edge
-            deg.flags.writeable = False
-            self._cache["degrees"] = deg
-        return self._cache["degrees"]
+        return self._cached(  # every row has an edge: reduceat sums each row alone
+            "degrees", lambda: _read_only(np.add.reduceat(self.weights, self.indptr[:-1]))
+        )
 
     def conductance(self, x, y):
         """Weight of edge (x, y), or 0.0 when not adjacent."""
@@ -338,12 +349,8 @@ class ConductanceGraph:
 
     def adjacency(self):
         """Weights as a scipy CSR matrix (cached, do not mutate)."""
-        if "adjacency" not in self._cache:
-            mat = sparse.csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
-            )
-            self._cache["adjacency"] = mat
-        return self._cache["adjacency"]
+        csr = (self.weights, self.indices, self.indptr)
+        return self._cached("adjacency", lambda: sparse.csr_matrix(csr, shape=(self.n, self.n)))
 
     def index_of(self, label):
         try:
@@ -356,14 +363,13 @@ class ConductanceGraph:
 
         The upper triangle of :meth:`adjacency`, cached.
         """
-        if "edge_arrays" not in self._cache:
+
+        def build():
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
             upper = self.indices > rows
-            arrays = (rows[upper], self.indices[upper], self.weights[upper])
-            for arr in arrays:
-                arr.flags.writeable = False
-            self._cache["edge_arrays"] = arrays
-        return self._cache["edge_arrays"]
+            return tuple(_read_only(arr[upper]) for arr in (rows, self.indices, self.weights))
+
+        return self._cached("edge_arrays", build)
 
     def edge_list(self):
         """Undirected edges as (i, j, w) tuples with i < j, ordered by (i, j)."""
@@ -391,31 +397,33 @@ class ConductanceGraph:
             fh.write("\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedGraph:
     """A finite graph with an interior/frontier split.
 
     The frontier is the absorbing boundary: a stand-in, at one finite radius,
     for the ideal boundary of the infinite graph the ball was cut from.
-    Finite families have an empty frontier.
+    Finite families have an empty frontier.  The interior is every vertex
+    off the frontier, derived from it once, so the two cannot disagree.
     """
 
     graph: ConductanceGraph
     radius: int
-    interior: np.ndarray
     frontier: np.ndarray
 
     def __post_init__(self):
-        self.interior = np.asarray(self.interior, dtype=np.int64)
-        self.frontier = np.asarray(self.frontier, dtype=np.int64)
-        for arr in (self.interior, self.frontier):
-            arr.flags.writeable = False
+        object.__setattr__(self, "frontier", _read_only(np.asarray(self.frontier, dtype=np.int64)))
 
-    @property
+    @cached_property
     def frontier_mask(self):
         mask = np.zeros(self.graph.n, dtype=bool)
         mask[self.frontier] = True
-        return mask
+        return _read_only(mask)
+
+    @cached_property
+    def interior(self):
+        """The vertices off the frontier, in increasing order."""
+        return _read_only(np.flatnonzero(~self.frontier_mask))
 
     @property
     def frontier_labels(self):
@@ -463,8 +471,7 @@ def as_truncated(g):
     """Wrap a plain graph as a truncation with empty frontier (all interior)."""
     if isinstance(g, TruncatedGraph):
         return g
-    radius = int(g.hop_distance.max())
-    return TruncatedGraph(g, radius, np.arange(g.n), np.empty(0, dtype=np.int64))
+    return TruncatedGraph(g, int(g.hop_distance.max()), np.empty(0, dtype=np.int64))
 
 
 # -- validation --------------------------------------------------------------
@@ -621,10 +628,7 @@ def truncate(g, radius):
 
 
 def _ball_result(graph, radius):
-    hop = graph.hop_distance
-    interior = np.flatnonzero(hop < radius)
-    frontier = np.flatnonzero(hop == radius)
-    return TruncatedGraph(graph, radius, interior, frontier)
+    return TruncatedGraph(graph, radius, np.flatnonzero(graph.hop_distance == radius))
 
 
 def with_frontier(graph, frontier_labels):
@@ -646,9 +650,7 @@ def with_frontier(graph, frontier_labels):
     repeated = idx[1:][idx[1:] == idx[:-1]]
     if len(repeated):
         raise GraphError(f"frontier label {graph.labels[repeated[0]]!r} is repeated")
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[idx] = True
-    return TruncatedGraph(graph, int(graph.hop_distance.max()), np.flatnonzero(~mask), idx)
+    return TruncatedGraph(graph, int(graph.hop_distance.max()), idx)
 
 
 # -- generator families -------------------------------------------------------
@@ -683,13 +685,6 @@ _RADIUS = "truncation radius must be an integer >= 1, got {!r}"
 def _finite_weight(w, context):
     _require(math.isfinite(w), f"{context} overflows double precision; reduce the radius")
     return w
-
-
-def _gen_explicit(radius=None, *, edges, base_point):
-    graph = ConductanceGraph.from_edges(edges, base_point)
-    if radius is not None:
-        return truncate(graph, radius)
-    return as_truncated(graph)
 
 
 def _gen_wye(radius=None, *, r1=1.0, r2=1.0, r3=1.0):
@@ -815,7 +810,6 @@ def _gen_chain(radius=None, *, width, growth=2.0):
 
 
 FAMILIES = {
-    "explicit": _gen_explicit,
     "wye": _gen_wye,
     "halfline": _gen_halfline,
     "lattice": _gen_lattice,
@@ -830,8 +824,8 @@ FAMILIES = {
 def generate(family, radius=None, **params):
     """Build a named example family, truncated to `radius` where infinite.
 
-    Families: explicit, wye, halfline, lattice, binary-tree, nary-tree, comb,
-    bratteli, chain.  Returns a TruncatedGraph; finite families come back
+    Families: wye, halfline, lattice, binary-tree, nary-tree, comb, bratteli,
+    chain.  Returns a TruncatedGraph; finite families come back
     with an empty frontier.  Deterministic: the same arguments yield the
     same graph, indices included.
     """
@@ -903,6 +897,6 @@ def load_graph(path):
             radius = data["radius"]
             if type(radius) is not int or radius < 0:
                 raise GraphError(f"radius must be a nonnegative integer, got {radius!r}")
-            trunc.radius = radius
+            trunc = TruncatedGraph(graph, radius, trunc.frontier)
         return trunc
     return as_truncated(graph)

@@ -83,20 +83,18 @@ class LaplacianOperator:
 def assemble_laplacian(g):
     """Assemble (and cache) the Laplacian of a graph or truncation."""
     graph = underlying(g)
-    if "laplacian" not in graph._cache:
-        graph._cache["laplacian"] = LaplacianOperator(
-            graph, np.asarray(graph.degrees, dtype=np.float64), graph.adjacency()
-        )
-    return graph._cache["laplacian"]
+    return graph._cached(
+        "laplacian", lambda: LaplacianOperator(graph, graph.degrees, graph.adjacency())
+    )
 
 
 def transition_operator(g):
     """Assemble (and cache) the CSR walk operator P with p_xy = c_xy / c(x)."""
     graph = underlying(g)
-    if "transition" not in graph._cache:
-        inv = sparse.diags(1.0 / np.asarray(graph.degrees, dtype=np.float64))
-        graph._cache["transition"] = (inv @ graph.adjacency()).tocsr()
-    return graph._cache["transition"]
+    return graph._cached(
+        "transition",
+        lambda: (sparse.diags(1.0 / graph.degrees) @ graph.adjacency()).tocsr(),
+    )
 
 
 # -- grounded solves -----------------------------------------------------------
@@ -120,8 +118,8 @@ def grounded_laplacian(g, ground):
     """
     graph = underlying(g)
     ground = np.unique(np.asarray(ground, dtype=np.int64))
-    key = ("grounded_lu", ground.tobytes())
-    if key not in graph._cache:
+
+    def build():
         kept, block = _grounded_block(graph, ground)
         try:
             lu = splu(block, permc_spec="MMD_AT_PLUS_A")
@@ -129,8 +127,9 @@ def grounded_laplacian(g, ground):
             from .energy import SolverError  # energy imports this module
 
             raise SolverError(f"grounded factorization failed: {exc}") from None
-        graph._cache[key] = (kept, block, lu)
-    return graph._cache[key]
+        return kept, block, lu
+
+    return graph._cached(("grounded_lu", ground.tobytes()), build)
 
 
 def _grounded_block(graph, ground):

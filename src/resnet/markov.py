@@ -70,7 +70,8 @@ def _step_tables(graph):
     one entry at a time, so the sampled log-probabilities are bitwise those of
     adding `math.log(c_xy / c(x))` step by step.
     """
-    if "step_tables" not in graph._cache:
+
+    def build():
         degrees = graph.degrees
         count = np.diff(graph.indptr)
         order = np.argsort(-count, kind="stable")
@@ -86,8 +87,9 @@ def _step_tables(graph):
         cdf[graph.indptr[1:][count > 0] - 1] = 1.0  # guard against rounding shortfall
         ratio = graph.weights / np.repeat(degrees, count)
         log_step = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
-        graph._cache["step_tables"] = (cdf, log_step, graph.indices.astype(np.int32))
-    return graph._cache["step_tables"]
+        return cdf, log_step, graph.indices.astype(np.int32)
+
+    return graph._cached("step_tables", build)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").

@@ -102,7 +102,9 @@ class _CycleSystem:
     -1) that edge carries for a flow from v toward the root, which is the
     base point.  Column c of `cycles` (the signed m x k matrix C) is the
     fundamental cycle of the c-th non-tree edge; `factor` is the Cholesky
-    factor of the dense k x k matrix C^T R C, with R = diag(1/c_e).
+    factor of the dense k x k matrix C^T R C, with R = diag(1/c_e).  An edge
+    whose 1/c_e overflows (a subnormal c_e) carries no flow: it is neither a
+    tree edge nor a chord, and its resistance is stored as 0.
     """
 
     parent: list
@@ -162,28 +164,29 @@ class _CycleSystem:
                 f"(residual {residual:.3e} > tol {tol:.1e})",
                 residual=residual,
             )
-        with np.errstate(invalid="ignore"):  # inf r_e times f_e = 0 is NaN: not finite
-            return math.fsum(self.resistances * flow * flow)
+        return math.fsum(self.resistances * flow * flow)
 
 
 def _cycle_system(graph):
-    if "cycle_system" not in graph._cache:
-        graph._cache["cycle_system"] = _build_cycle_system(graph)
-    return graph._cache["cycle_system"]
+    return graph._cached("cycle_system", lambda: _build_cycle_system(graph))
 
 
 def _build_cycle_system(graph):
     n = graph.n
     i, j, c = graph.edge_arrays()
-    with np.errstate(over="ignore"):  # a subnormal c gives r = inf, which M3 refuses
+    with np.errstate(over="ignore"):  # a subnormal c gives r = inf: the edge carries no flow
         r = 1.0 / c
+    live = np.isfinite(r)
+    r[~live] = 0.0
     # edge_arrays is ordered by (i, j): with the row offsets of i it is the
     # CSR form of the upper triangle, and its keys i*n + j are sorted
-    upper = sparse.csr_matrix((r, j, _offsets(np.bincount(i, minlength=n))), shape=(n, n))
-    tree = minimum_spanning_tree(upper)
+    offsets = _offsets(np.bincount(i[live], minlength=n))
+    tree = minimum_spanning_tree(sparse.csr_matrix((r[live], j[live], offsets), shape=(n, n)))
     order, pred = breadth_first_order(
         tree, graph.base_point, directed=False, return_predecessors=True
     )
+    if len(order) < n:
+        raise SolverError(f"the edges of finite resistance do not connect the graph's {n} vertices")
     child = order[1:].astype(np.int64)
     up = pred[child].astype(np.int64)
     tree_edge = np.searchsorted(i * n + j, np.minimum(child, up) * n + np.maximum(child, up))
@@ -197,9 +200,9 @@ def _build_cycle_system(graph):
     # path from j up to the common ancestor (toward the root) and down to i.
     # Each step records the ends still open and which of them climb; their
     # entries are read off in one pass after the loop.
-    in_tree = np.zeros(len(c), dtype=bool)
-    in_tree[tree_edge] = True
-    chords = np.flatnonzero(~in_tree)
+    is_chord = live.copy()
+    is_chord[tree_edge] = False
+    chords = np.flatnonzero(is_chord)
     k = len(chords)
     a, b, col = j[chords], i[chords], np.arange(k)
     depth_a, depth_b = depth[a], depth[b]

@@ -7,9 +7,11 @@ tautology.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from resnet.graphs import (
     TruncatedGraph,
     ValidationIssue,
     as_truncated,
+    generate,
+    truncate,
     underlying,
 )
 from resnet.greens import GreensMatrix
@@ -46,6 +50,15 @@ from resnet.laplacian import (
     harmonic_extension,
 )
 from resnet.resistance import _cycle_system
+
+
+def build_truncation(family, radius, params):
+    """`generate(family, radius, **params)`, where the family "explicit" names a
+    graph given by its `edges` and `base_point`, cut by `truncate` at `radius`."""
+    if family != "explicit":
+        return generate(family, radius=radius, **params)
+    graph = ConductanceGraph.from_edges(params["edges"], params["base_point"])
+    return as_truncated(graph) if radius is None else truncate(graph, radius)
 
 
 def build_with_an_isolated_vertex():
@@ -88,6 +101,75 @@ def dense_laplacian(graph):
         lap[i, j] -= c
         lap[j, i] -= c
     return lap
+
+
+def _star_mesh(net, keep):
+    """Eliminate every node of `net` off `keep`, in place, in minimum-degree order.
+
+    `net` maps each node to {neighbor: conductance}.  Removing node v joins
+    each pair u, w of its neighbors by c_uv c_vw / c(v) in parallel with what
+    joins them already: the star-mesh transform, which is Kron reduction.
+    """
+    rest = set(net) - set(keep)
+    while rest:
+        v = min(rest, key=lambda u: len(net[u]))
+        rest.remove(v)
+        star = net.pop(v)
+        total = sum(star.values())
+        for u in star:
+            del net[u][v]
+        for (u, cu), (w, cw) in itertools.combinations(star.items(), 2):
+            net[u][w] = net[w][u] = net[u].get(w, 0) + cu * cw / total
+    return net
+
+
+def exact_kron(graph, terminals, ground=()):
+    """The network `graph` reduces to on `terminals`, in exact rational arithmetic.
+
+    Every float conductance is a dyadic rational, so the network the code
+    holds has an exact Kron reduction; `fractions.Fraction` computes it.  The
+    vertices of `ground` are first shorted into one node, "ground", which is
+    kept beside the terminals.  Returns {node: {neighbor: conductance}}.
+    """
+    ground = {int(v) for v in ground}
+    net = {}
+    for i, j, c in graph.edge_list():
+        u, w = ("ground" if i in ground else i), ("ground" if j in ground else j)
+        if u != w:
+            net.setdefault(u, {})
+            net.setdefault(w, {})
+            net[u][w] = net[w][u] = net[u].get(w, 0) + Fraction(c)
+    keep = {"ground" if int(t) in ground else int(t) for t in terminals}
+    return _star_mesh(net, keep | ({"ground"} if ground else set()))
+
+
+def exact_resistances(graph, pairs, ground=()):
+    """{(x, y): exact R(x, y)} of `graph` with `ground` shorted into one node.
+
+    One reduction onto the vertices of `pairs`; each pair then reduces the
+    small terminal network onto its two ends.
+    """
+    net = exact_kron(graph, {v for pair in pairs for v in pair}, ground)
+    out = {}
+    for x, y in pairs:
+        if x == y:
+            out[x, y] = Fraction(0)
+            continue
+        pair = _star_mesh({u: dict(nbrs) for u, nbrs in net.items()}, {x, y})
+        out[x, y] = 1 / pair[x][y]
+    return out
+
+
+def exact_tree_distance(graph, x, y):
+    """The exact sum of the edge resistances 1/c along the path from x to y of a tree."""
+    hop, total = graph.hop_distance, Fraction(0)
+    while x != y:
+        if hop[x] < hop[y]:
+            x, y = y, x
+        nbrs, w = graph.neighbors(x)
+        (up,) = np.flatnonzero(hop[nbrs] < hop[x])  # a tree vertex has one parent
+        x, total = int(nbrs[up]), total + 1 / Fraction(float(w[up]))
+    return total
 
 
 def pinv_resistance(graph, x, y):
@@ -558,9 +640,8 @@ def oracle_load_graph(path):
     if "frontier" not in data:
         return as_truncated(graph)
     idx = sorted(graph.index_of(oracle_label_from_json(l)) for l in data["frontier"])
-    rest = np.setdiff1d(np.arange(graph.n), idx)
     radius = data.get("radius", int(graph.hop_distance.max()))
-    return TruncatedGraph(graph, int(radius), rest, np.asarray(idx, dtype=np.int64))
+    return TruncatedGraph(graph, int(radius), np.asarray(idx, dtype=np.int64))
 
 
 def truncation_digest(t):

@@ -29,6 +29,7 @@ from resnet.resistance import resistance
 
 from conftest import (
     WRONG_SHAPES,
+    build_truncation,
     oracle_build,
     oracle_load_graph,
     random_connected_graph,
@@ -163,7 +164,7 @@ def test_malformed_input_to_from_edges_is_a_graph_error():
     with pytest.raises(GraphError, match=re.escape("base point [0] not among the vertices")):
         ConductanceGraph.from_edges([(0, 1, 1.0)], [0])
     with pytest.raises(GraphError, match=re.escape("malformed edge entry (0, 1)")):
-        generate("explicit", edges=[(0, 1)], base_point=0)
+        ConductanceGraph.from_edges([(0, 1)], 0)
 
 
 def test_edge_list_round_trips():
@@ -303,7 +304,7 @@ def test_radius_is_read_as_an_index():
         with pytest.raises(GraphError, match=message):
             generate("lattice", radius=bad)
     with pytest.raises(GraphError, match="truncation radius must be an integer"):
-        generate("explicit", radius=2.5, edges=[(0, 1, 1.0), (1, 2, 1.0)], base_point=0)
+        truncate(ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)], 0), 2.5)
     assert truncation_digest(truncate(t, np.int64(2))) == truncation_digest(truncate(t, 2))
     assert len(truncate(t, np.int64(2)).frontier) == 3
     bratteli = {"level_sizes": [1, 2, 2, 3], "level_weights": [1.0, 2.0, 3.0]}
@@ -401,7 +402,8 @@ def test_numpy_labels_are_written_as_json_numbers():
 
 
 def test_explicit_family_without_a_radius_is_all_interior():
-    trunc = generate("explicit", edges=[(0, 1, 1.0), (1, 2, 2.0)], base_point=1)
+    # a graph given by its edges and no radius: the whole graph, no frontier
+    trunc = as_truncated(ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 1))
     assert trunc.radius == 1
     assert trunc.interior.tolist() == [0, 1, 2] and len(trunc.frontier) == 0
 
@@ -501,8 +503,14 @@ def test_generate_unknown_family_lists_known():
 
 def test_generator_output_that_fails_validation_is_a_graph_error():
     with pytest.raises(GraphError, match="^graph failed validation") as info:
-        generate("explicit", edges=[(0, 1, 1.0), (2, 3, 1.0)], base_point=0)
+        as_truncated(ConductanceGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 0))
     assert info.value.report.codes() == ["disconnected"]
+
+
+def test_explicit_is_not_a_family():
+    # an edge list is built by from_edges, then cut by truncate or wrapped by as_truncated
+    with pytest.raises(GraphError, match="unknown family 'explicit'"):
+        generate("explicit", edges=[(0, 1, 1.0)], base_point=0)
 
 
 def test_vertex_queries_reject_a_non_integer_index():
@@ -808,7 +816,7 @@ def shipped_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("shipped")
     files = []
     for k, (family, radius, params) in enumerate(_SHIPPED):
-        t = generate(family, radius=radius, **params)
+        t = build_truncation(family, radius, params)
         path = out / f"{k}-{family}.json"
         t.write_json(path)
         files.append((f"{family}-{radius}", t, path))
@@ -827,10 +835,44 @@ def test_shipped_families_build_and_load_as_the_oracle_does(shipped_files):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
         for (family, radius, params), (key, t, _) in zip(_SHIPPED, shipped_files):
-            old[key, "generate"] = truncation_digest(generate(family, radius=radius, **params))
+            old[key, "generate"] = truncation_digest(build_truncation(family, radius, params))
             for r in range(1, int(t.graph.hop_distance.max()) + 1, 3):
                 old[key, r] = truncation_digest(truncate(t, r))
     assert new == old
+
+
+def test_interior_is_the_array_the_truncation_used_to_store(shipped_files):
+    # the arrays each constructor built and stored before the interior was
+    # derived from the frontier: the ball's hop < radius, and the complement
+    # of the frontier mask (all vertices when the frontier is empty)
+    def same(t, stored):
+        assert t.interior.dtype == stored.dtype == np.int64 and not t.interior.flags.writeable
+        assert np.array_equal(t.interior, stored)
+        assert np.array_equal(np.flatnonzero(~t.frontier_mask), stored)
+
+    def off_mask(graph, frontier):
+        mask = np.zeros(graph.n, dtype=bool)
+        mask[frontier] = True
+        return np.flatnonzero(~mask)
+
+    balls = {"lattice", "comb", "binary-tree", "nary-tree", "halfline", "bratteli"}
+    for (family, _, _), (key, t, path) in zip(_SHIPPED, shipped_files):
+        g = t.graph
+        same(t, off_mask(g, t.frontier))
+        if family in balls:
+            same(t, np.flatnonzero(g.hop_distance < t.radius))
+        loaded = load_graph(path)
+        same(loaded, off_mask(loaded.graph, loaded.frontier))
+        same(as_truncated(g), np.arange(g.n))
+        for r in range(1, int(g.hop_distance.max()) + 1, 3):
+            ball = truncate(loaded, r)
+            same(ball, np.flatnonzero(ball.graph.hop_distance < r))
+        labels = [l for l in g.labels[-3:] if l != g.labels[g.base_point]]
+        framed = with_frontier(g, labels)
+        same(framed, off_mask(g, [g.index_of(l) for l in labels]))
+        for name in ("frontier", "interior"):  # so the two cannot come apart
+            with pytest.raises(AttributeError):
+                setattr(framed, name, framed.frontier[:0])
 
 
 def test_loading_the_bench_files_builds_no_label_key(shipped_files, monkeypatch):

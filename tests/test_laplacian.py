@@ -16,7 +16,12 @@ from resnet.laplacian import (
     transition_operator,
 )
 
-from conftest import build_with_an_isolated_vertex, dense_laplacian, random_connected_graph
+from conftest import (
+    build_truncation,
+    build_with_an_isolated_vertex,
+    dense_laplacian,
+    random_connected_graph,
+)
 
 
 def l2_symmetry_check(op, trials=100, seed=0):
@@ -150,7 +155,7 @@ def _same_arrays(block, sliced):
 
 @pytest.mark.parametrize("family,radius,params", BLOCK_GRAPHS)
 def test_grounded_block_equals_the_sliced_laplacian(family, radius, params):
-    trunc = generate(family, radius=radius, **params)
+    trunc = build_truncation(family, radius, params)
     g = trunc.graph
     for ground in ([g.base_point], trunc.frontier):
         if len(ground):

@@ -309,7 +309,7 @@ class ConductanceGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def _cached(self, key, build):
+    def _derived(self, key, build):
         """The state derived from this immutable graph under `key`, made by `build()`
         on first use.  Every per-graph cache is filled here and nowhere else."""
         if key not in self._cache:
@@ -334,7 +334,7 @@ class ConductanceGraph:
     @property
     def degrees(self):
         """Vector of weighted degrees c(x), cached."""
-        return self._cached(  # every row has an edge: reduceat sums each row alone
+        return self._derived(  # every row has an edge: reduceat sums each row alone
             "degrees", lambda: _read_only(np.add.reduceat(self.weights, self.indptr[:-1]))
         )
 
@@ -350,7 +350,7 @@ class ConductanceGraph:
     def adjacency(self):
         """Weights as a scipy CSR matrix (cached, do not mutate)."""
         csr = (self.weights, self.indices, self.indptr)
-        return self._cached("adjacency", lambda: sparse.csr_matrix(csr, shape=(self.n, self.n)))
+        return self._derived("adjacency", lambda: sparse.csr_matrix(csr, shape=(self.n, self.n)))
 
     def index_of(self, label):
         try:
@@ -369,7 +369,7 @@ class ConductanceGraph:
             upper = self.indices > rows
             return tuple(_read_only(arr[upper]) for arr in (rows, self.indices, self.weights))
 
-        return self._cached("edge_arrays", build)
+        return self._derived("edge_arrays", build)
 
     def edge_list(self):
         """Undirected edges as (i, j, w) tuples with i < j, ordered by (i, j)."""

@@ -83,7 +83,7 @@ class LaplacianOperator:
 def assemble_laplacian(g):
     """Assemble (and cache) the Laplacian of a graph or truncation."""
     graph = underlying(g)
-    return graph._cached(
+    return graph._derived(
         "laplacian", lambda: LaplacianOperator(graph, graph.degrees, graph.adjacency())
     )
 
@@ -91,7 +91,7 @@ def assemble_laplacian(g):
 def transition_operator(g):
     """Assemble (and cache) the CSR walk operator P with p_xy = c_xy / c(x)."""
     graph = underlying(g)
-    return graph._cached(
+    return graph._derived(
         "transition",
         lambda: (sparse.diags(1.0 / graph.degrees) @ graph.adjacency()).tocsr(),
     )
@@ -129,7 +129,7 @@ def grounded_laplacian(g, ground):
             raise SolverError(f"grounded factorization failed: {exc}") from None
         return kept, block, lu
 
-    return graph._cached(("grounded_lu", ground.tobytes()), build)
+    return graph._derived(("grounded_lu", ground.tobytes()), build)
 
 
 def _grounded_block(graph, ground):

@@ -89,7 +89,7 @@ def _step_tables(graph):
         log_step = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
         return cdf, log_step, graph.indices.astype(np.int32)
 
-    return graph._cached("step_tables", build)
+    return graph._derived("step_tables", build)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").

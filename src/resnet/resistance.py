@@ -59,7 +59,7 @@ def resistance(g, x, y, method="M7", tol=1e-10):
     for a dict of every route plus their max pairwise relative
     disagreement.  `tol` must be a positive number on every route, so a bad
     tolerance fails the same way everywhere.  It bounds M7's relative PCG
-    residual and M3's KVL residual; M4's direct solve only validates it.
+    residual and M3's KVL residual and leak; M4's direct solve only validates it.
     For x = y every route gives 0.0 without a solve.  A route whose value
     overflows or is not finite raises SolverError naming it.
     """
@@ -103,8 +103,9 @@ class _CycleSystem:
     base point.  Column c of `cycles` (the signed m x k matrix C) is the
     fundamental cycle of the c-th non-tree edge; `factor` is the Cholesky
     factor of the dense k x k matrix C^T R C, with R = diag(1/c_e).  An edge
-    whose 1/c_e overflows (a subnormal c_e) carries no flow: it is neither a
-    tree edge nor a chord, and its resistance is stored as 0.
+    whose 1/c_e overflows (a subnormal c_e) is left out: it is neither a
+    tree edge nor a chord, and its resistance is stored as 0.  `leaks` is
+    c_e times its fundamental cycle, which reads the current it would carry.
     """
 
     parent: list
@@ -114,6 +115,7 @@ class _CycleSystem:
     resistances: np.ndarray
     cycles: sparse.csr_matrix
     factor: tuple | None  # None on a tree, where k = 0
+    leaks: sparse.csr_matrix | None  # None when no edge is left out
 
     def unit_flow(self, x, y):
         """The least-energy unit flow from x to y.
@@ -156,7 +158,9 @@ class _CycleSystem:
         return float(ratio.max())
 
     def certified_energy(self, flow, tol):
-        """sum_e r_e f_e^2 of a flow whose KVL residual is at most `tol`."""
+        """sum_e r_e f_e^2 of a flow whose KVL residual, and the current the
+        left-out edges would carry (sum_e c_e |dphi_e|), are at most `tol`.
+        As |dphi_e| <= R, the true R is then within a factor 1 + tol of it."""
         residual = self.kvl_residual(flow)
         if residual > tol:
             raise SolverError(
@@ -164,17 +168,20 @@ class _CycleSystem:
                 f"(residual {residual:.3e} > tol {tol:.1e})",
                 residual=residual,
             )
+        leak = 0.0 if self.leaks is None else math.fsum(abs(self.leaks.T @ (self.resistances * flow)))
+        if not leak <= tol:  # NaN too
+            raise SolverError(f"left-out edges would carry {leak:.3e} A (> tol {tol:.1e})", leak)
         return math.fsum(self.resistances * flow * flow)
 
 
 def _cycle_system(graph):
-    return graph._cached("cycle_system", lambda: _build_cycle_system(graph))
+    return graph._derived("cycle_system", lambda: _build_cycle_system(graph))
 
 
 def _build_cycle_system(graph):
     n = graph.n
     i, j, c = graph.edge_arrays()
-    with np.errstate(over="ignore"):  # a subnormal c gives r = inf: the edge carries no flow
+    with np.errstate(over="ignore"):  # a subnormal c gives r = inf: the edge is left out
         r = 1.0 / c
     live = np.isfinite(r)
     r[~live] = 0.0
@@ -199,12 +206,14 @@ def _build_cycle_system(graph):
     # Fundamental cycles, all at once: the non-tree edge i -> j, then the tree
     # path from j up to the common ancestor (toward the root) and down to i.
     # Each step records the ends still open and which of them climb; their
-    # entries are read off in one pass after the loop.
+    # entries are read off in one pass after the loop.  The chords come
+    # first, then the edges left out.
     is_chord = live.copy()
     is_chord[tree_edge] = False
     chords = np.flatnonzero(is_chord)
     k = len(chords)
-    a, b, col = j[chords], i[chords], np.arange(k)
+    edges = np.concatenate((chords, np.flatnonzero(~live)))
+    a, b, col = j[edges], i[edges], np.arange(len(edges))
     depth_a, depth_b = depth[a], depth[b]
     steps = []
     while len(col):
@@ -215,7 +224,7 @@ def _build_cycle_system(graph):
         depth_a, depth_b = depth_a - climb_a, depth_b - climb_b
         open_ = a != b
         a, b, col, depth_a, depth_b = (v[open_] for v in (a, b, col, depth_a, depth_b))
-    rows, cols, vals = [chords], [np.arange(k)], [np.ones(k)]
+    rows, cols, vals = [edges], [np.arange(len(edges))], [np.ones(len(edges))]
     if steps:
         a, b, col, climb_a, climb_b = (np.concatenate(v) for v in zip(*steps))
         for ends, climb, direction in ((a, climb_a, 1.0), (b, climb_b, -1.0)):
@@ -224,8 +233,11 @@ def _build_cycle_system(graph):
             vals.append(direction * sign[ends[climb]])
     cycles = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(c), k),
+        shape=(len(c), len(edges)),
     )
+    leaks = None  # the left-out edges' cycles, each times its c_e
+    if len(edges) > k:
+        cycles, leaks = cycles[:, :k], cycles[:, k:] @ sparse.diags(c[~live])
     factor = None
     if k:
         # C^T (R C): every term is +-r_e, summed over e in increasing order as
@@ -240,7 +252,8 @@ def _build_cycle_system(graph):
         except (LinAlgError, ValueError) as exc:  # ValueError: an infinite or NaN entry
             raise SolverError(f"cycle-space Cholesky failed ({k} cycles): {exc}") from None
     return _CycleSystem(
-        pred.tolist(), parent_edge.tolist(), sign.tolist(), depth.tolist(), r, cycles, factor
+        pred.tolist(), parent_edge.tolist(), sign.tolist(), depth.tolist(), r, cycles, factor,
+        leaks,
     )
 
 

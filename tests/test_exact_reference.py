@@ -75,3 +75,22 @@ def test_m3_leaves_out_an_edge_whose_resistance_overflows():
     bridge = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 1e-310)], 0)
     with pytest.raises(SolverError, match="do not connect the graph"):
         resistance(bridge, 0, 1, method="M3")
+
+
+def test_m3_refuses_to_leave_out_an_edge_that_would_carry_current():
+    # 1/5.5e-309 overflows, but the other path from 0 to 2 has a finite
+    # resistance of about 1.8e308: left out, edge 0-2 would carry 98% of the
+    # current, and R(0, 2) would read twice its value of 9.0e307
+    g = ConductanceGraph.from_edges([(0, 1, 5.6e-309), (1, 2, 1.0), (0, 2, 5.5e-309)], 0)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    answered = set()
+    for (x, y), exact in exact_resistances(g, pairs).items():
+        try:
+            m3 = resistance(g, x, y, method="M3", tol=1e-10)
+        except SolverError as exc:
+            assert str(exc).startswith("left-out edges would carry 9.8"), (x, y, exc)
+            continue
+        assert _rel(m3, exact) <= 1e-10, (x, y)
+        answered.add((x, y))
+    # across 1-2 the left-out edge sees a drop of 1 V: it would carry 5.5e-309 A
+    assert answered == {(1, 2)}

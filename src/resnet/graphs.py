@@ -189,15 +189,49 @@ def _label_order(labels):
     return np.array(sorted(range(len(labels)), key=key), dtype=np.int64)
 
 
+def _csr(labels, base, i, j, w):
+    """(base, labels, indptr, indices, weights, hop) of the graph on `labels` with
+    checked index edges (i, j, w), based at index `base`.
+
+    A repeated edge keeps its last weight.  One breadth-first search gives
+    the hop distances; vertices are ordered by (hop, label), unreached last.
+    """
+    n = len(labels)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # np.unique keeps the first of equal keys: read the listing backwards
+    keep = len(lo) - 1 - np.unique((lo * n + hi)[::-1], return_index=True)[1]
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    degree = np.bincount(rows, minlength=n)
+    by_row = cols[np.argsort(rows, kind="stable")]
+    pattern = sparse.csr_matrix((np.ones(len(rows)), by_row, _offsets(degree)), shape=(n, n))
+    hop = _tree_depths(*breadth_first_order(pattern, base, return_predecessors=True))
+    by_label = _label_order(labels)
+    order = by_label[np.argsort(np.where(hop < 0, n, hop)[by_label], kind="stable")]
+    new = np.argsort(order)
+    rows, cols = new[rows], new[cols]
+    sort = np.argsort(rows * n + cols)  # the keys are distinct: any sort is the one order
+    return (
+        new[base],
+        map(labels.__getitem__, order.tolist()),
+        _offsets(degree[order]),
+        cols[sort],
+        np.concatenate((w, w))[sort],
+        hop[order],
+    )
+
+
 class ConductanceGraph:
     """Immutable weighted graph in compressed sparse row form.
 
-    Build graphs with :meth:`from_edges`, :func:`load_graph`, :func:`generate`,
-    :func:`truncate` or :func:`with_frontier`.  Each starts from a checked edge
-    list, and `_build` stores every edge in both orientations with one weight.
-    The constructor runs :func:`validate` once and raises GraphError unless
-    every vertex has an edge and is reachable from the base point, so every
-    graph is connected, as the resistance metric needs.
+    ``ConductanceGraph(labels, base_point, i, j, w)`` builds the graph on
+    `labels` from int64 index edges (i, j) with float64 weights `w` that
+    passed the edge check of :meth:`from_edges` and :func:`load_graph`,
+    based at the index `base_point`.  It stores every edge in both
+    orientations with one weight, then runs :func:`validate` once and raises
+    GraphError unless every vertex has an edge and is reachable from the
+    base point, so every graph is connected, as the resistance metric needs.
+    Unchecked edges come in through :meth:`from_edges` and :func:`load_graph`.
 
     Attributes
     ----------
@@ -215,17 +249,13 @@ class ConductanceGraph:
         Unweighted graph distance from the base point.
     """
 
-    def __init__(self, base_point, labels, indptr, indices, weights, hop_distance):
-        self.base_point = int(base_point)
+    def __init__(self, labels, base_point, i, j, w):
+        base, labels, *arrays = _csr(labels, base_point, i, j, w)
+        self.base_point = int(base)
         self.labels = list(labels)
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.hop_distance = hop_distance
+        self.indptr, self.indices, self.weights, self.hop_distance = map(_read_only, arrays)
         self.n = len(self.labels)
         self.label_index = dict(zip(self.labels, range(self.n)))
-        for arr in (self.indptr, self.indices, self.weights, self.hop_distance):
-            _read_only(arr)
         self._cache = {}
         report = validate(self)
         if not report.ok:
@@ -274,38 +304,7 @@ class ConductanceGraph:
             base = (flags if type(base_point) is bool else index)[base_point]
         except (KeyError, TypeError):  # TypeError: an unhashable base point
             raise GraphError(f"base point {base_point!r} not among the vertices") from None
-        return cls._build(labels, base, *arrays)
-
-    @classmethod
-    def _build(cls, labels, base, i, j, w):
-        """The graph on `labels` with checked index edges (i, j, w), based at index `base`.
-
-        A repeated edge keeps its last weight.  One breadth-first search gives
-        the hop distances; vertices are ordered by (hop, label), unreached last.
-        """
-        n = len(labels)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        # np.unique keeps the first of equal keys: read the listing backwards
-        keep = len(lo) - 1 - np.unique((lo * n + hi)[::-1], return_index=True)[1]
-        lo, hi, w = lo[keep], hi[keep], w[keep]
-        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        degree = np.bincount(rows, minlength=n)
-        by_row = cols[np.argsort(rows, kind="stable")]
-        pattern = sparse.csr_matrix((np.ones(len(rows)), by_row, _offsets(degree)), shape=(n, n))
-        hop = _tree_depths(*breadth_first_order(pattern, base, return_predecessors=True))
-        by_label = _label_order(labels)
-        order = by_label[np.argsort(np.where(hop < 0, n, hop)[by_label], kind="stable")]
-        new = np.argsort(order)
-        rows, cols = new[rows], new[cols]
-        sort = np.argsort(rows * n + cols)  # the keys are distinct: any sort is the one order
-        return cls(
-            new[base],
-            map(labels.__getitem__, order.tolist()),
-            _offsets(degree[order]),
-            cols[sort],
-            np.concatenate((w, w))[sort],
-            hop[order],
-        )
+        return cls(labels, base, *arrays)
 
     # -- queries -----------------------------------------------------------
 
@@ -483,7 +482,8 @@ def validate(graph):
     Never raises; an empty report means the graph is valid.  The
     constructor of :class:`ConductanceGraph` runs it once and refuses any
     other graph, so every built graph passes.  Symmetric, positive weights
-    and no self-loops hold by construction in `_build`.
+    and no self-loops hold by construction: the constructor takes checked
+    edges and stores each in both orientations with one weight.
     """
     issues = []
     isolated = np.flatnonzero(np.diff(graph.indptr) == 0)
@@ -542,19 +542,19 @@ def _edge_issues(i, j, w, labels):
 
 
 def _edge_array(num_vertices, edges):
-    """Arrays (i, j, w) of a numeric edge list whose indices are all in range, else None.
+    """Arrays (i, j, w) of an edge list of int and float triples in range, else None.
 
-    One array conversion reads a well-formed list; anything it cannot read
-    whole, or any index that is not an integer in [0, num_vertices), is left
-    to the per-entry reading of :func:`_check_edge_data`.
+    One array conversion reads such a list; any other value (a bool, a
+    string), or an index not an integer in [0, num_vertices), is left to the
+    per-entry reading of :func:`_check_edge_data`.
     """
     try:
-        arr = np.asarray(edges)
-    except (TypeError, ValueError, OverflowError):
+        values = list(itertools.chain.from_iterable(edges))
+        if set(map(len, edges)) != {3} or not set(map(type, values)) <= {int, float}:
+            return None
+        arr = np.array(values, dtype=np.float64).reshape(-1, 3)
+    except (TypeError, OverflowError):  # OverflowError: an int beyond float range
         return None
-    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 3:
-        return None
-    arr = arr.astype(np.float64)
     ends = arr[:, :2]
     if not ((ends >= 0) & (ends < num_vertices) & (ends == np.floor(ends))).all():
         return None
@@ -562,8 +562,8 @@ def _edge_array(num_vertices, edges):
 
 
 def _vertex_index(x):
-    k = int(x)  # alone, int() would read 1.7 and "1" as vertex 1
-    if k != x:
+    k = int(x)  # alone, int() would read 1.7 and "1" as vertex 1, and True as 1
+    if k != x or type(x) is bool:
         raise ValueError(x)
     return k
 
@@ -573,8 +573,8 @@ def _check_edge_data(num_vertices, base_point, edges):
 
     Returns the issues, each of which makes the list unusable, and the
     arrays of the entries that parsed (None when the count is unusable).
-    An index must be a number of integral value: a string, or a fractional
-    or nonfinite number, makes its entry malformed.
+    An index must be a number of integral value: a bool, a string, or a
+    fractional or nonfinite number, makes its entry malformed.
     """
     if type(num_vertices) is not int or num_vertices < 1:
         detail = f"vertices must be a positive int, got {num_vertices!r}"
@@ -621,9 +621,7 @@ def truncate(g, radius):
     k = int(np.count_nonzero(graph.hop_distance <= radius))
     i, j, w = graph.edge_arrays()
     inside = j < k  # i < j, and the ball is the index prefix [0, k)
-    ball = ConductanceGraph._build(
-        graph.labels[:k], graph.base_point, i[inside], j[inside], w[inside]
-    )
+    ball = ConductanceGraph(graph.labels[:k], graph.base_point, i[inside], j[inside], w[inside])
     return _ball_result(ball, radius)
 
 
@@ -890,7 +888,7 @@ def load_graph(path):
         raise GraphError("a label cannot hold a JSON object") from None
     if len(labels) != n or distinct != n:
         raise GraphError("labels must give each vertex its own label")
-    graph = ConductanceGraph._build(labels, data["base_point"], *arrays)
+    graph = ConductanceGraph(labels, data["base_point"], *arrays)
     if "frontier" in data:
         trunc = with_frontier(graph, _json_labels(data, "frontier"))
         if "radius" in data:

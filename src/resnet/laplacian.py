@@ -144,7 +144,7 @@ def _grounded_block(graph, ground):
     vertices = np.arange(n)
     rows = np.insert(rows, at, vertices)
     cols = np.insert(graph.indices, at, vertices)
-    vals = np.insert(-graph.weights, at, assemble_laplacian(graph).diagonal)
+    vals = np.insert(-graph.weights, at, graph.degrees)
     keep = is_kept[rows] & is_kept[cols]
     slot = np.cumsum(is_kept) - 1  # the new index of each kept vertex
     m = len(kept)

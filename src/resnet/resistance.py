@@ -62,6 +62,17 @@ def resistance(g, x, y, method="M7", tol=1e-10):
     residual and M3's KVL residual and leak; M4's direct solve only validates it.
     For x = y every route gives 0.0 without a solve.  A route whose value
     overflows or is not finite raises SolverError naming it.
+
+    What each route promises of a value it returns, relative to the exact R;
+    where it cannot keep the promise it raises SolverError instead:
+
+      M3  positive and within `tol`, at any conductance spread: its flow's
+          KVL residual and the current the edges it leaves out would carry
+          are at most `tol`, so R lies within a factor 1 + tol of the value
+      M7  positive, and within 1e-8 at the default `tol` where the
+          conductances span at most four decades; on wider spreads the PCG
+          residual does not bound its error, and it can be off by more
+      M4  nothing: on wide spreads it can be far off, or <= 0, with no error
     """
     routes = METHODS if method == "all" else (_ALIASES.get(method, method),)
     if routes[0] not in METHODS:

@@ -18,7 +18,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
-from resnet import markov
+from resnet import graphs, markov
 from resnet.decomposition import RoydenSplit, energy_split
 from resnet.energy import (
     EnergyVector,
@@ -62,11 +62,9 @@ def build_truncation(family, radius, params):
 
 
 def build_with_an_isolated_vertex():
-    """Hand-built CSR arrays of the edge (0, 1) beside a vertex 2 without edges,
-    handed to the constructor, which refuses them."""
-    return ConductanceGraph(
-        0, [0, 1, 2], np.array([0, 1, 2, 2]), np.array([1, 0]), np.ones(2), np.array([0, 1, -1])
-    )
+    """The labels 0, 1, 2 with the one edge (0, 1), handed to the constructor,
+    which refuses vertex 2 for having no edge."""
+    return ConductanceGraph([0, 1, 2], 0, np.array([0]), np.array([1]), np.ones(1))
 
 
 def random_connected_graph(rng, n, extra_edges=0, base=0):
@@ -589,11 +587,11 @@ def oracle_label_from_json(obj):
     return obj
 
 
-def oracle_build(cls, labels, base, i, j, w):
-    """`ConductanceGraph._build` with a per-vertex hop loop and the keyed (hop, label) sort.
+def oracle_build(labels, base, i, j, w):
+    """`graphs._csr` with a per-vertex hop loop and the keyed (hop, label) sort.
 
-    Install it with ``monkeypatch.setattr(ConductanceGraph, "_build",
-    classmethod(oracle_build))`` to make every constructor build as before.
+    Install it with ``monkeypatch.setattr(graphs, "_csr", oracle_build)`` to
+    make every constructor build as before.
     """
     n = len(labels)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -616,7 +614,7 @@ def oracle_build(cls, labels, base, i, j, w):
     new = np.argsort(order)
     rows, cols = new[rows], new[cols]
     sort = np.lexsort((cols, rows))
-    return cls(
+    return (
         new[base],
         [labels[v] for v in order],
         np.r_[0, np.cumsum(degree[order])],
@@ -634,9 +632,11 @@ def oracle_load_graph(path):
     parsed = [(int(x), int(y), float(c)) for x, y, c in data["edges"]]
     i, j, w = np.array(parsed, dtype=np.float64).reshape(-1, 3).T
     labels = [oracle_label_from_json(l) for l in data.get("labels", range(n))]
-    graph = oracle_build(
-        ConductanceGraph, labels, data["base_point"], i.astype(np.int64), j.astype(np.int64), w
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_csr", oracle_build)
+        graph = ConductanceGraph(
+            labels, data["base_point"], i.astype(np.int64), j.astype(np.int64), w
+        )
     if "frontier" not in data:
         return as_truncated(graph)
     idx = sorted(graph.index_of(oracle_label_from_json(l)) for l in data["frontier"])
@@ -660,7 +660,7 @@ def truncation_digest(t):
 
 def sparse_structure_issues(graph):
     """Asymmetry and self-loop issues of a graph's stored CSR arrays, found by
-    sparse arithmetic on its adjacency matrix; `_build` makes both absent."""
+    sparse arithmetic on its adjacency matrix; the constructor makes both absent."""
     issues = []
     adj = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(graph.n,) * 2)
     asym = abs(adj - adj.T)
@@ -674,6 +674,17 @@ def sparse_structure_issues(graph):
         detail = f"diagonal entries at vertices {loops.tolist()[:5]}"
         issues.append(ValidationIssue("self-loop", detail))
     return issues
+
+
+# Conductances whose resistances overflow: 1/6e-309 is about 1.7e308, so in
+# series two of them read inf, and 1/1e-310 is inf outright.  In C the tiny
+# edge is one of several paths, so every resistance is finite.
+EXTREME_FILES = {
+    "A": {"vertices": 4, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 6e-309], [2, 3, 6e-309]]},
+    "B": {"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 1e-310]]},
+    "C": {"vertices": 4, "base_point": 0,
+          "edges": [[0, 1, 1.0], [1, 2, 1e-310], [2, 3, 1.0], [0, 3, 1.0], [1, 3, 2.0]]},
+}
 
 
 _THREE = {"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}

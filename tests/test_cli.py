@@ -23,6 +23,7 @@ from resnet.markov import sample_paths
 from resnet.resistance import ResistanceMatrix, resistance, resistance_matrix
 
 from conftest import (
+    EXTREME_FILES,
     WRONG_SHAPES,
     count_calls,
     parent_grounded_kernel,
@@ -365,17 +366,6 @@ def test_resist_reports_are_byte_identical(family, x, y, digest, tmp_path, monke
                          "--method", "all", "--deterministic")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# Conductances whose resistances overflow: 1/6e-309 is about 1.7e308, so in
-# series two of them read inf, and 1/1e-310 is inf outright.  In C the tiny
-# edge is one of several paths, so every resistance is finite.
-EXTREME_FILES = {
-    "A": {"vertices": 4, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 6e-309], [2, 3, 6e-309]]},
-    "B": {"vertices": 3, "base_point": 0, "edges": [[0, 1, 1.0], [1, 2, 1e-310]]},
-    "C": {"vertices": 4, "base_point": 0,
-          "edges": [[0, 1, 1.0], [1, 2, 1e-310], [2, 3, 1.0], [0, 3, 1.0], [1, 3, 2.0]]},
-}
 
 
 @pytest.mark.parametrize("name", ["A", "B"])

@@ -1,9 +1,11 @@
 """The exact rational reference: Kron reduction in `fractions.Fraction`.
 
 The reduction reproduces the closed forms already pinned elsewhere, and M3
-is checked against it to 1e-15 relative."""
+is checked against it to 1e-15 relative on the halfline, the comb, the
+binary tree, the lattice, the chain and a Bratteli diagram."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +60,21 @@ _M3_CASES = [
 def test_m3_is_within_1e_15_of_the_exact_resistance(family, radius, pairs):
     g = generate(family, radius=radius).graph
     pairs = [(g.index_of(a), g.index_of(b)) for a, b in pairs]
+    for (x, y), exact in exact_resistances(g, pairs).items():
+        assert _rel(resistance(g, x, y, method="M3"), exact) <= 1e-15, (x, y)
+
+
+_SEEDED_CASES = [
+    ("chain", {"width": 60}),
+    ("bratteli", {"level_sizes": [1, 3, 5, 7, 9], "level_weights": [1.0, 2.0, 4.0, 8.0]}),
+]
+
+
+@pytest.mark.parametrize("family,params", _SEEDED_CASES, ids=[c[0] for c in _SEEDED_CASES])
+def test_m3_is_within_1e_15_of_the_exact_resistance_on_seeded_pairs(family, params):
+    g = generate(family, **params).graph
+    rng = random.Random(60)
+    pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(8)]
     for (x, y), exact in exact_resistances(g, pairs).items():
         assert _rel(resistance(g, x, y, method="M3"), exact) <= 1e-15, (x, y)
 

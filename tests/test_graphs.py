@@ -63,30 +63,40 @@ def test_degrees_handles_isolated_vertices():
     g = ConductanceGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0)], 0)
     assert g.degrees.tolist() == [1.0, 4.0, 3.0]
     with pytest.raises(GraphError, match="zero-degree: vertices without edges: \\[2\\]"):
-        ConductanceGraph(0, [0, 1, 2], np.array([0, 1, 2, 2]), np.array([1, 0]),
-                         np.array([1.0, 1.0]), np.array([0, 1, -1]))
+        ConductanceGraph([0, 1, 2], 0, np.array([0]), np.array([1]), np.array([1.0]))
+
+
+def test_the_constructor_builds_from_index_edges_only():
+    # the constructor takes index edges, not CSR arrays, and stores each edge
+    # in both orientations with its last weight: listed as c(0, 1) = 1 and
+    # then c(1, 0) = 5, the edge is 5 both ways
+    with pytest.raises(TypeError):
+        ConductanceGraph(0, [0, 1, 2], np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]),
+                         np.array([1.0, 5.0, 2.0, 2.0]), np.array([0, 1, 2]))
+    g = ConductanceGraph([0, 1, 2], 0, np.array([0, 1, 1]), np.array([1, 0, 2]),
+                         np.array([1.0, 5.0, 2.0]))
+    assert g.weights.tolist() == [5.0, 5.0, 2.0, 2.0] and sparse_structure_issues(g) == []
 
 
 def test_constructor_refuses_isolated_and_unreachable_vertices():
-    def build(indptr, indices, hop):
-        weights = np.ones(len(indices))
-        return ConductanceGraph(0, list(range(len(hop))), np.array(indptr), np.array(indices),
-                                weights, np.array(hop))
+    def build(n, i, j):
+        ends = (np.array(i, dtype=np.int64), np.array(j, dtype=np.int64))
+        return ConductanceGraph(list(range(n)), 0, *ends, np.ones(len(i)))
 
     # vertex 2 has no edge; vertices 2 and 3 sit on an edge the base cannot reach
-    for indptr, indices, hop, codes, message in [
-        ([0, 1, 2, 2], [1, 0], [0, 1, -1], ["disconnected", "zero-degree"],
+    for n, i, j, codes, message in [
+        (3, [0], [1], ["disconnected", "zero-degree"],
          "zero-degree: vertices without edges: [2]\n"
          "disconnected: 1 vertices unreachable from the base point, e.g. [2]"),
-        ([0, 1, 2, 3, 4], [1, 0, 3, 2], [0, 1, -1, -1], ["disconnected"],
+        (4, [0, 2], [1, 3], ["disconnected"],
          "disconnected: 2 vertices unreachable from the base point, e.g. [2, 3]"),
-        ([0, 0], [], [0], ["zero-degree"], "zero-degree: vertices without edges: [0]"),
+        (1, [], [], ["zero-degree"], "zero-degree: vertices without edges: [0]"),
     ]:
         with pytest.raises(GraphError) as exc:
-            build(indptr, indices, hop)
+            build(n, i, j)
         assert str(exc.value) == "graph failed validation:\n" + message
         assert exc.value.report.codes() == codes
-    assert build([0, 1, 2], [1, 0], [0, 1]).n == 2
+    assert build(2, [0], [1]).n == 2
 
 
 def test_duplicate_edge_consistent_ok_conflicting_rejected():
@@ -735,7 +745,7 @@ def test_loading_matches_the_oracle_on_mixed_labels(labels, tmp_path_factory, da
 
     new = _built_or_refused(from_edges)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        mp.setattr(graphs, "_csr", oracle_build)
         old = _built_or_refused(from_edges)
     if base not in named:
         assert isinstance(new, GraphError) and "not among the vertices" in str(new)
@@ -782,7 +792,7 @@ def test_label_order_of_one_shell_follows_the_key(labels):
     edges = [(labels[0], leaf, 1.0) for leaf in labels[1:]]
     new = ConductanceGraph.from_edges(edges, labels[0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        mp.setattr(graphs, "_csr", oracle_build)
         old = ConductanceGraph.from_edges(edges, labels[0])
     _same_graph(new, old)
 
@@ -833,7 +843,7 @@ def test_shipped_families_build_and_load_as_the_oracle_does(shipped_files):
         for r in range(1, int(t.graph.hop_distance.max()) + 1, 3):
             new[key, r] = truncation_digest(truncate(loaded, r))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConductanceGraph, "_build", classmethod(oracle_build))
+        mp.setattr(graphs, "_csr", oracle_build)
         for (family, radius, params), (key, t, _) in zip(_SHIPPED, shipped_files):
             old[key, "generate"] = truncation_digest(build_truncation(family, radius, params))
             for r in range(1, int(t.graph.hop_distance.max()) + 1, 3):
@@ -913,13 +923,34 @@ def test_string_index_is_a_bad_edge(tmp_path):
         assert "bad-edge" not in rep.codes()[1:]
 
 
+def test_bool_index_is_a_bad_edge(tmp_path):
+    # the array reading took true as 1, and int(True) == True: this file
+    # loaded as the edges (1, 2) and (0, 1)
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": 3, "base_point": 0, "edges": [[true, 2, 1.0], [0, 1, 1.0]]}')
+    with pytest.raises(GraphError) as exc:
+        load_graph(path)
+    assert [str(i) for i in exc.value.report.issues] == [
+        "bad-edge: malformed edge entry [True, 2, 1.0]"
+    ]
+    rep = _file_report(path, 2, 0, [[0, 1, 1.0], [0, False, 1.0]])
+    assert [str(i) for i in rep.issues] == ["bad-edge: malformed edge entry [0, False, 1.0]"]
+    # a bool weight is still read as a number
+    assert _file_report(path, 2, 0, [[0, 1, True]]).ok
+
+
 def test_array_and_per_entry_edge_readings_agree(tmp_path):
-    edges = [[0, 1, 2.5], [2, 1, 3], [3, 2, True], [1, 0, 2.5], [0, 3, 1e300]]
-    fast = graphs._check_edge_data(4, 0, edges)
-    slow = graphs._check_edge_data(4, 0, edges + [[9, 0, 1.0]])
-    assert fast[0] == [] and [i.code for i in slow[0]] == ["bad-index"]
-    for a, b in zip(fast[1], slow[1]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    mixed = [[0, 1, 2.5], [2, 1, 3], [3, 2, True], [1, 0, 2.5], [0, 3, 1e300]]
+    plain = [e for e in mixed if e[2] is not True]
+    # only a list of ints and floats is read as one array: the bool weight
+    # sends the other list to the per-entry reading too
+    assert graphs._edge_array(4, plain) is not None and graphs._edge_array(4, mixed) is None
+    for edges in (mixed, plain):
+        fast = graphs._check_edge_data(4, 0, edges)
+        slow = graphs._check_edge_data(4, 0, edges + [[9, 0, 1.0]])
+        assert fast[0] == [] and [i.code for i in slow[0]] == ["bad-index"]
+        for a, b in zip(fast[1], slow[1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
     # entries the array reading cannot take keep their word-for-word issues
     edges = [[0, 1, None], [0, 2**70, 1.0], [0, 1, 10**400], "ab"]
     rep = _file_report(tmp_path / "g.json", 3, 0, edges)
@@ -935,7 +966,7 @@ def test_array_and_per_entry_edge_readings_agree(tmp_path):
 @given(n=st.integers(min_value=2, max_value=6), data=st.data())
 def test_built_graphs_store_symmetric_positive_weights(n, data, tmp_path_factory):
     # `validate` leaves symmetry, loops and weights unchecked: every way in
-    # builds through `_build`, which makes them hold
+    # builds through the constructor, which makes them hold
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
     edges = data.draw(st.dictionaries(pair, st.floats(1e-300, 1e300), min_size=1))
     listings = []

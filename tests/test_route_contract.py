@@ -1,0 +1,122 @@
+"""The route contract on small adversarial networks.
+
+A route either answers within its promised relative error of the exact
+resistance (see `resistance`'s docstring) or raises SolverError, and a value
+it returns is never <= 0.  The networks are drawn from `random.Random(s)`:
+3-12 vertices, a random tree plus up to n - 1 extra edges, conductances
+10^U(-s, s).  One draw in six sets one edge beside a two-edge path between
+its ends, the one at 10^s and the other at 10^-s; one in six makes one edge
+subnormal.  The reference is the exact Kron reduction of
+`conftest.exact_resistances`.
+
+In the harness: M3 at every spread, and M7 at s = 2.  Outside it, with the
+failures counted in CHANGES.md: M4, and M7 at s = 8 and 16, where the PCG
+residual does not bound the error.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+
+from resnet.energy import SolverError
+from resnet.graphs import ConductanceGraph
+from resnet.resistance import resistance
+
+from conftest import EXTREME_FILES, exact_resistances
+
+_DRAWS = 300
+_M7_TOL = 1e-8  # the promise at the default tol
+
+
+def _network(rng, s):
+    """(kind, edges, x, y): one random connected network and a pair of its vertices."""
+    n = rng.randint(3, 12)
+    kind = rng.choice(["plain"] * 4 + ["parallel", "subnormal"])
+    m = n - (kind == "parallel")  # the vertices of the tree and the extra edges
+    edges = {}
+    for v in range(1, m):
+        edges[rng.randrange(v), v] = 10.0 ** rng.uniform(-s, s)
+    for _ in range(rng.randint(0, m - 1)):
+        edges[tuple(sorted(rng.sample(range(m), 2)))] = 10.0 ** rng.uniform(-s, s)
+    a, b = rng.choice(sorted(edges))
+    if kind == "parallel":  # the edge (a, b) beside the path a - m - b
+        high = rng.random() < 0.5
+        edges[a, b] = 10.0 ** (s if high else -s)
+        edges[a, m] = edges[b, m] = 10.0 ** (-s if high else s)
+    elif kind == "subnormal":
+        edges[a, b] = 10.0 ** rng.uniform(-323, -308)
+    x, y = rng.sample(range(n), 2)
+    return kind, [(u, v, c) for (u, v), c in edges.items()], x, y
+
+
+@functools.cache
+def _draws(s):
+    """(kind, graph, x, y, exact R) of each of the `_DRAWS` networks at spread `s`."""
+    rng, out = random.Random(s), []
+    for _ in range(_DRAWS):
+        kind, edges, x, y = _network(rng, s)
+        g = ConductanceGraph.from_edges(edges, 0)
+        x, y = g.index_of(x), g.index_of(y)
+        out.append((kind, g, x, y, exact_resistances(g, [(x, y)])[x, y]))
+    return out
+
+
+def _answer(g, x, y, method):
+    try:
+        return resistance(g, x, y, method=method)
+    except SolverError:
+        return None
+
+
+def _check(value, exact, within, what):
+    """Assert the contract on one answered value."""
+    assert value > 0, what
+    assert abs(Fraction(value) - exact) <= within * exact, (what, value, float(exact))
+
+
+@pytest.mark.parametrize("s", [2, 8, 16])
+def test_m3_is_within_tol_or_raises(s):
+    for k, (kind, g, x, y, exact) in enumerate(_draws(s)):
+        m3 = _answer(g, x, y, "M3")
+        # M3 leaves a subnormal edge out, and raises where it was a bridge
+        assert m3 is not None or kind == "subnormal", (s, k)
+        if m3 is not None:
+            _check(m3, exact, 1e-10, (s, k, kind))
+
+
+def test_m7_is_within_1e_8_or_raises_at_s_2():
+    for k, (kind, g, x, y, exact) in enumerate(_draws(2)):
+        m7 = _answer(g, x, y, "M7")
+        assert m7 is not None or kind == "subnormal", k
+        if m7 is not None:
+            _check(m7, exact, _M7_TOL, (k, kind))
+
+
+@pytest.mark.parametrize("s", [8, 16])
+def test_m7_is_positive_or_raises_at_wide_spreads(s):
+    for k, (kind, g, x, y, _) in enumerate(_draws(s)):
+        m7 = _answer(g, x, y, "M7")
+        assert m7 is None or m7 > 0, (s, k, kind)
+
+
+# the routes that answer some pair of each file; on B, M3 and M4 raise for
+# every pair, as the edge 1 - 2 that they cannot use is a bridge
+_ANSWERING = {"A": {"M3", "M4", "M7"}, "B": {"M7"}, "C": {"M3", "M4", "M7"}}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_FILES))
+def test_every_route_keeps_the_contract_on_the_extreme_files(name):
+    # every route answers these within the M7 promise or raises, M4 included
+    data = EXTREME_FILES[name]
+    g = ConductanceGraph.from_edges(data["edges"], data["base_point"])
+    pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
+    answered = set()
+    for (x, y), exact in exact_resistances(g, pairs).items():
+        for method, within in (("M3", 1e-10), ("M4", _M7_TOL), ("M7", _M7_TOL)):
+            value = _answer(g, x, y, method)
+            if value is not None:
+                _check(value, exact, within, (x, y, method))
+                answered.add(method)
+    assert answered == _ANSWERING[name]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, _require_vertex, underlying
+from .graphs import GraphError, SolverError, _check_tol, _require_vertex, underlying
 from .laplacian import _dipole_rhs, assemble_laplacian
 
 __all__ = [
@@ -45,15 +45,6 @@ __all__ = [
     "pointwise_product",
     "pointwise_products",
 ]
-
-
-class SolverError(Exception):
-    """An iterative solve failed to converge; carries the last residual."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass
@@ -186,13 +177,6 @@ def _check_pair(graph, x, y, distinct=True):
     if distinct and x == y:
         raise GraphError("dipole endpoints must differ")
     return _require_vertex(graph, x), _require_vertex(graph, y)
-
-
-def _check_tol(tol, name="tol"):
-    # `not tol > 0` also rejects NaN, against which every residual test passes
-    # (M3's KVL certificate) or fails (PCG runs until it breaks down)
-    if not tol > 0:
-        raise GraphError(f"{name} must be positive, got {tol!r}")
 
 
 def _dipole_vectors(graph, lap, rhs, pairs, tol):

@@ -55,6 +55,23 @@ class GraphError(Exception):
         self.report = report
 
 
+class SolverError(Exception):
+    """A numerical route failed to converge or to give a usable value; carries
+    the last residual and iteration count where it has them."""
+
+    def __init__(self, message, residual=None, iterations=None):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
+def _check_tol(tol, name="tol"):
+    # `not tol > 0` also rejects NaN, against which every residual test passes
+    # (M3's KVL certificate) or fails (PCG runs until it breaks down)
+    if not tol > 0:
+        raise GraphError(f"{name} must be positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     code: str

@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import SolverError, _check_tol
-from .graphs import GraphError, _integer, _require_frontier, generate, underlying
+from .graphs import GraphError, SolverError, _check_tol, _integer, _require_frontier, generate, underlying
 from .laplacian import _grounded_drop, grounded_laplacian, transition_operator
 
 __all__ = [
@@ -172,17 +171,6 @@ def _identity_deviation(prod):
 # -- absorbed-walk route -------------------------------------------------------
 
 
-def _absorbed_radius(graph, kept):
-    # P restricted off the absorbing set is similar to the symmetric
-    # D^-1/2 A D^-1/2, whose eigenvalues eigvalsh finds backward stably; with
-    # a norm of at most 1 that backward error is at most len(kept) ulps, so
-    # max |lambda| plus that many ulps never undershoots the spectral radius.
-    root_deg = np.sqrt(graph.degrees[kept])
-    sym = graph.adjacency()[kept][:, kept].toarray() / root_deg[:, None] / root_deg[None, :]
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    return lam + len(kept) * float(np.finfo(float).eps)
-
-
 @dataclass
 class WalkGreens:
     """Partial Neumann sum sum_m P^m over the non-absorbed vertices."""
@@ -212,13 +200,20 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
 
     absorb="base" grounds only the base point (and matches the gram kernel
     there); absorb="frontier" grounds the frontier of a truncation, which is
-    the version boundary-limit quantities are built from.  The expansion
-    order is chosen so the geometric tail rho^order / (1 - rho) drops below
-    `tail_tol`, with rho bounded above through the symmetric eigenvalues, and
-    is checked against `order_cap`.  The series is summed by doubling, so the
-    order reported is the first 2^j - 1 at or above the one needed and the
-    tail only tightens.  `tail_tol` must be positive and `order_cap` an
-    integer of at least 1.
+    the version boundary-limit quantities are built from.
+
+    The series is summed by doubling, S_2h = S_h + P^h S_h with
+    P^2h = P^h P^h, so every order is 2^j - 1.  It stops at the first order
+    whose omitted sum it certifies: with a = ||P^h||_inf, the largest row
+    sum of the power in hand raised by its rounding, every m >= 2h is
+    t h + r with t >= 2 and 0 <= r < h, and every power of the substochastic
+    P has row sums at most 1, so the rows of sum_{m >= 2h} P^m sum to at
+    most h a^2 / (1 - a).  That is the `tail_bound`, at most `tail_tol`;
+    `rho` is a^(1/h), an upper bound on the spectral radius by Gelfand's
+    formula.  A series that has not met `tail_tol` when the next doubling
+    would pass `order_cap` raises SolverError with its last bound and that
+    next order, as does a walk whose float powers never lose mass.
+    `tail_tol` must be positive and `order_cap` an integer of at least 1.
     """
     _check_tol(tail_tol, "tail_tol")
     order_cap = _integer(order_cap, "order_cap must be an integer of at least 1, got {!r}", 1)
@@ -231,39 +226,26 @@ def walk_greens(g, order_cap=100_000, tail_tol=1e-10, absorb="base"):
         kept = list(g.interior)
     else:
         raise GraphError(f'unknown absorb mode {absorb!r}; use "base" or "frontier"')
-    p_sub = transition_operator(graph)[kept][:, kept].toarray()
-    rho = _absorbed_radius(graph, kept) if kept else 0.0
-    if rho >= 1.0:
-        raise SolverError(
-            f"absorbed walk is not uniformly contracting (spectral radius {rho:.6f})",
-            residual=rho,
-        )
-    need = tail_tol * (1.0 - rho)
-    if rho == 0.0 or need >= 1.0:  # one term already meets it
-        order = 1
-    else:
-        # a product that underflows to 0 is summed as logs instead
-        log_need = math.log(need) if need > 0.0 else math.log(tail_tol) + math.log1p(-rho)
-        order = int(math.ceil(log_need / math.log(rho)))
-    if order > order_cap:
-        raise SolverError(
-            f"series needs order {order} to push the tail below {tail_tol:g} "
-            f"(spectral radius {rho:.12f}) but the cap is {order_cap}",
-            residual=rho,
-            iterations=order,
-        )
-    # Doubling: S_2k = S_k + P^k S_k with S_k = I + P + ... + P^(k-1), so the
-    # sum runs to the first order 2^j - 1 at or above the one needed.
-    total, power, terms = np.eye(len(kept)), p_sub, 1
+    power = transition_operator(graph)[kept][:, kept].toarray()
+    # a product of nonnegative k x k matrices rounds each entry by less than
+    # k ulps, so the exact P^h is at most rounding^h times the computed one
+    rounding = 1.0 + len(kept) * float(np.finfo(float).eps)
+    total, h = np.eye(len(kept)), 1
     while True:
-        total = total + power @ total
-        terms *= 2
-        if terms > order:
-            break
+        total = total + power @ total  # S_2h, to order 2h - 1
+        a = float(power.sum(axis=1).max(initial=0.0)) * rounding**h
+        tail = h * a * a / (1.0 - a) if a < 1.0 else math.inf
+        if tail <= tail_tol:
+            return WalkGreens(graph, kept, total, 2 * h - 1, a ** (1.0 / h), tail, absorb)
+        if 4 * h - 1 > order_cap:
+            raise SolverError(
+                f"series reaches a tail bound of {tail:.3g} at order {2 * h - 1}, above "
+                f"{tail_tol:g}; the next doubling needs order {4 * h - 1} but the cap is {order_cap}",
+                residual=tail,
+                iterations=4 * h - 1,
+            )
         power = power @ power
-    order = terms - 1
-    tail = rho**order / (1.0 - rho) if rho > 0.0 else 0.0
-    return WalkGreens(graph, kept, total, order, rho, tail, absorb)
+        h *= 2
 
 
 # -- closed forms for the drifted chain ---------------------------------------

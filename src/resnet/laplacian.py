@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools  # the CSR kernels behind `A @ x`
 from scipy.sparse.linalg import splu
 
-from .graphs import GraphError, _integer, _offsets, _require_frontier, underlying
+from .graphs import GraphError, SolverError, _integer, _offsets, _require_frontier, underlying
 
 __all__ = [
     "LaplacianOperator",
@@ -124,8 +124,6 @@ def grounded_laplacian(g, ground):
         try:
             lu = splu(block, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # a singular block
-            from .energy import SolverError  # energy imports this module
-
             raise SolverError(f"grounded factorization failed: {exc}") from None
         return kept, block, lu
 

@@ -34,8 +34,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order, minimum_spanning_tree
 
-from .energy import SolverError, _check_pair, _check_tol, solve_dipole
-from .graphs import GraphError, _offsets, _tree_depths, generate, underlying
+from .energy import _check_pair, solve_dipole
+from .graphs import GraphError, SolverError, _check_tol, _offsets, _tree_depths, generate, underlying
 from .greens import _grounded_kernel, _require_symmetric, greens_gram
 from .laplacian import _grounded_drop
 
@@ -61,7 +61,8 @@ def resistance(g, x, y, method="M7", tol=1e-10):
     tolerance fails the same way everywhere.  It bounds M7's relative PCG
     residual and M3's KVL residual and leak; M4's direct solve only validates it.
     For x = y every route gives 0.0 without a solve.  A route whose value
-    overflows or is not finite raises SolverError naming it.
+    is not finite and positive (an overflow, a NaN, or <= 0) raises
+    SolverError naming it.
 
     What each route promises of a value it returns, relative to the exact R;
     where it cannot keep the promise it raises SolverError instead:
@@ -72,7 +73,8 @@ def resistance(g, x, y, method="M7", tol=1e-10):
       M7  positive, and within 1e-8 at the default `tol` where the
           conductances span at most four decades; on wider spreads the PCG
           residual does not bound its error, and it can be off by more
-      M4  nothing: on wide spreads it can be far off, or <= 0, with no error
+      M4  positive: on wide spreads it can be far off with no error, and
+          where its drop is <= 0 it raises
     """
     routes = METHODS if method == "all" else (_ALIASES.get(method, method),)
     if routes[0] not in METHODS:
@@ -95,8 +97,8 @@ def resistance(g, x, y, method="M7", tol=1e-10):
                     values[m] = drop**2 / v.energy
             except OverflowError:  # in fsum, or in M7's square, which then divides first
                 values[m] = drop * (drop / v.energy) if m == "M7" else math.inf
-            if not math.isfinite(values[m]):
-                raise SolverError(f"route {m} gives a non-finite resistance ({values[m]})")
+            if not 0.0 < values[m] < math.inf:  # NaN too
+                raise SolverError(f"route {m} gives a non-positive or non-finite resistance ({values[m]})")
     if method != "all":
         return values[routes[0]]
     lo, hi = min(values.values()), max(values.values())

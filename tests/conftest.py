@@ -24,7 +24,6 @@ from resnet.energy import (
     EnergyVector,
     SolverError,
     _check_pair,
-    _check_tol,
     _dipole_vectors,
     energy_inner,
     gauged,
@@ -37,6 +36,7 @@ from resnet.graphs import (
     GraphError,
     TruncatedGraph,
     ValidationIssue,
+    _check_tol,
     as_truncated,
     generate,
     truncate,

@@ -1,9 +1,13 @@
 """Claims of the paper's abstract, checked on the shipped families.
 
-The abstract (arXiv:1502.02549), on the models whose resistance metric d is
-bounded: "We further show that , in this case, the metric completion M of
-(V,d) is automatically compact, and that the vertex-set V is open in M."
-On the comb the free resistance metric is bounded (every distance is below
+The abstract (arXiv:1502.02549) says the finite-energy functions are
+"1/2-Lipschitz-continuous ... relative to the metric d": by the reproducing
+property f(x) - f(y) = <v_xy, f> and Cauchy-Schwarz, |f(x) - f(y)|^2 <=
+E(f) d(x, y).  That is checked on random functions on every family.
+
+On the models whose resistance metric d is bounded, it adds: "We further
+show that , in this case, the metric completion M of (V,d) is automatically
+compact, and that the vertex-set V is open in M."  On the comb the free resistance metric is bounded (every distance is below
 3), yet the truncation of radius r holds floor(r/2) + 1 tooth points
 pairwise at least 2 - 2^(1-K) apart, K = ceil(r/2).  On the infinite comb
 these points go on without end, pairwise more than 1.9 apart, so (V, d) is
@@ -19,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from resnet.energy import gauged
 from resnet.graphs import generate
 from resnet.laplacian import grounded_solve
 from resnet.resistance import resistance_matrix
@@ -26,6 +31,33 @@ from resnet.resistance import resistance_matrix
 from conftest import exact_tree_distance
 
 RADII = [8, 16, 24, 30]
+
+# worst |f(x) - f(y)|^2 / (E(f) d(x, y)) allowed: 1, plus rounding room
+LIPSCHITZ_MAX = 1.0 + 1e-8
+LIPSCHITZ_GRAPHS = [
+    ("lattice", {"radius": 12}),
+    ("lattice", {"radius": 20}),
+    ("binary-tree", {"radius": 8}),
+    ("nary-tree", {"radius": 5, "branching": 3}),
+    ("comb", {"radius": 16}),
+    ("halfline", {"radius": 16}),
+    ("chain", {"width": 60}),
+    ("bratteli", {"level_sizes": [1, 3, 5, 7, 9], "level_weights": [1, 2, 4, 8]}),
+]
+
+
+@pytest.mark.parametrize("family, params", LIPSCHITZ_GRAPHS)
+def test_finite_energy_functions_are_half_lipschitz(family, params):
+    trunc = generate(family, **params)
+    d = resistance_matrix(trunc).matrix
+    off = ~np.eye(len(d), dtype=bool)
+    rng = np.random.default_rng(1502)
+    worst = 0.0
+    for _ in range(20):
+        f = gauged(trunc, rng.standard_normal(len(d)))
+        gap = f.values[:, None] - f.values[None, :]
+        worst = max(worst, float(np.max(gap[off] ** 2 / d[off])) / f.energy)
+    assert worst <= LIPSCHITZ_MAX, worst
 
 
 def tooth_points(radius):

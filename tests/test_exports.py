@@ -1,5 +1,6 @@
 """The names the package exports, and the ones the benchmark's tracer wraps, resolve."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -11,6 +12,9 @@ import resnet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(resnet.__path__))
+SOURCES = sorted(
+    os.path.join(resnet.__path__[0], name) for name in os.listdir(resnet.__path__[0]) if name.endswith(".py")
+)
 
 
 def _traced():
@@ -47,3 +51,20 @@ def test_every_traced_name_resolves(short):
             assert meth in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr)), attr
+
+
+def test_no_module_imports_inside_a_function():
+    # an import in a function body hides a dependency cycle that the module
+    # layout should resolve instead
+    found = set()  # a set, as a nested function is walked once per enclosing one
+    for path in SOURCES:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{os.path.basename(path)}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(found) == []

@@ -12,7 +12,7 @@ from resnet import greens as greens_mod
 from resnet import laplacian as laplacian_mod
 from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
-from resnet.laplacian import grounded_solve
+from resnet.laplacian import grounded_solve, transition_operator
 from resnet.greens import (
     binomial_closed_form,
     bratteli_transition_product,
@@ -213,8 +213,37 @@ def test_walk_order_is_first_doubling_past_need():
     g = generate("halfline", radius=6).graph
     wg = walk_greens(g, tail_tol=1e-12)
     assert (wg.order + 1) & wg.order == 0  # order = 2^j - 1
-    assert wg.rho ** ((wg.order + 1) // 2 - 1) / (1.0 - wg.rho) > 1e-12
-    assert wg.tail_bound == wg.rho**wg.order / (1.0 - wg.rho) <= 1e-12
+    assert wg.tail_bound <= 1e-12
+    # capped at the previous doubling, the series stops there, its bound above the tolerance
+    previous = wg.order // 2
+    with pytest.raises(SolverError, match=f"order {previous}, above 1e-12;.* but the cap is {previous}$") as exc:
+        walk_greens(g, tail_tol=1e-12, order_cap=previous)
+    assert exc.value.residual > 1e-12
+    assert exc.value.iterations == wg.order
+
+
+# the reported tail bound must cover the series' distance to the dense solve
+# of (I - P) G = I, up to this rounding margin relative to max |G|, fixed
+# before any of these graphs was run
+_TAIL_MARGIN = 1e-12
+
+
+@pytest.mark.parametrize("tail_tol", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize(
+    "family, params",
+    [("chain", {"width": 40, "growth": 2}), ("comb", {"radius": 10}), ("lattice", {"radius": 6})],
+)
+def test_walk_tail_bound_covers_the_omitted_sum(family, params, tail_tol):
+    # the chain's drift makes P far from normal: the row sums of its powers
+    # stay far above rho^m, so a bound through the spectral radius fails there
+    trunc = generate(family, **params)
+    wg = walk_greens(trunc, tail_tol=tail_tol, absorb="frontier")
+    kept = wg.vertices
+    p = transition_operator(trunc.graph)[kept][:, kept].toarray()
+    eye = np.eye(len(kept))
+    exact = np.linalg.solve(eye - p, eye)
+    assert wg.tail_bound <= tail_tol
+    assert np.max(np.abs(wg.matrix - exact)) <= wg.tail_bound + _TAIL_MARGIN * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("absorb", ["base", "frontier"])
@@ -276,15 +305,17 @@ def test_walk_order_cap_failure_reports_need():
 
 
 def test_walk_tail_tol_must_be_positive():
-    # a zero or negative tolerance used to reach math.log as a raw domain
-    # error, and NaN failed converting the order to an integer
+    # a zero, negative or NaN tolerance can never be met: the series would
+    # only run to its cap
     g = generate("lattice", radius=3)
     for bad in (0.0, -1e-10, math.nan, -math.inf):
         with pytest.raises(GraphError, match="^tail_tol must be positive"):
             walk_greens(g, tail_tol=bad)
-    # any tolerance one term meets, infinity included, gives the first order
-    assert walk_greens(g, tail_tol=math.inf).order == walk_greens(g, tail_tol=1e9).order == 1
-    # the smallest subnormal: tail_tol * (1 - rho) underflows to 0 before its log
+    # only an infinite tolerance takes the first order, where P's rows still sum to 1
+    assert walk_greens(g, tail_tol=math.inf).order == 1
+    # a finite one needs a power of P whose row sums are below 1
+    assert walk_greens(g, tail_tol=1e9).order == 7
+    # the smallest subnormal still needs more terms than 1e-300
     tiny = walk_greens(g, tail_tol=5e-324)
     assert tiny.order > walk_greens(g, tail_tol=1e-300).order
     assert tiny.tail_bound <= 5e-324
@@ -318,12 +349,15 @@ def test_walk_kernel_is_the_halved_sum_of_the_rescaled_series(family, radius, ab
     assert kernel.symmetry_residual > 0.0  # the series is not symmetric as summed
 
 
-def test_walk_detects_non_absorbing_component(monkeypatch):
-    # a piece that cannot reach the absorbing base makes the series diverge; every
-    # built graph is connected, so a spectral radius of 1 stands in for that piece
-    monkeypatch.setattr(greens_mod, "_absorbed_radius", lambda graph, kept: 1.0)
-    with pytest.raises(SolverError, match=r"not uniformly contracting \(spectral radius 1\.000000\)"):
-        walk_greens(generate("halfline", radius=3))
+def test_walk_detects_non_absorbing_component():
+    # 1 / (1 + 1e-300) rounds to 1, so the float walk off the base never leaks:
+    # every power of P keeps row sums of 1, no bound is finite, and the series
+    # runs its doublings up to the cap
+    g = ConductanceGraph.from_edges([(0, 1, 1e-300), (1, 2, 1.0)], 0)
+    with pytest.raises(SolverError, match="tail bound of inf .* but the cap is 100000$") as exc:
+        walk_greens(g)
+    assert exc.value.residual == math.inf
+    assert exc.value.iterations == 131_071
 
 
 # -- drifted-chain closed forms ---------------------------------------------------

@@ -9,9 +9,10 @@ its ends, the one at 10^s and the other at 10^-s; one in six makes one edge
 subnormal.  The reference is the exact Kron reduction of
 `conftest.exact_resistances`.
 
-In the harness: M3 at every spread, and M7 at s = 2.  Outside it, with the
-failures counted in CHANGES.md: M4, and M7 at s = 8 and 16, where the PCG
-residual does not bound the error.
+In the harness: M3 at every spread, M7 at s = 2, and the sign of M4 and
+M7 at every spread, as no route answers <= 0.  Outside it, with the
+failures counted in CHANGES.md: the accuracy of M4, and of M7 at s = 8 and
+16, where the PCG residual does not bound the error.
 """
 
 import functools
@@ -99,6 +100,15 @@ def test_m7_is_positive_or_raises_at_wide_spreads(s):
     for k, (kind, g, x, y, _) in enumerate(_draws(s)):
         m7 = _answer(g, x, y, "M7")
         assert m7 is None or m7 > 0, (s, k, kind)
+
+
+@pytest.mark.parametrize("s", [2, 8, 16])
+def test_m4_is_positive_or_raises(s):
+    # its drop comes out <= 0 on 2 draws at s = 2 (down to -2.88e17, where the
+    # exact R is above 1e300) and on 18 at s = 16; `resistance` must refuse them
+    for k, (kind, g, x, y, _) in enumerate(_draws(s)):
+        m4 = _answer(g, x, y, "M4")
+        assert m4 is None or m4 > 0, (s, k, kind)
 
 
 # the routes that answer some pair of each file; on B, M3 and M4 raise for

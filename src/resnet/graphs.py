@@ -244,11 +244,12 @@ class ConductanceGraph:
     ``ConductanceGraph(labels, base_point, i, j, w)`` builds the graph on
     `labels` from int64 index edges (i, j) with float64 weights `w` that
     passed the edge check of :meth:`from_edges` and :func:`load_graph`,
-    based at the index `base_point`.  It stores every edge in both
-    orientations with one weight, then runs :func:`validate` once and raises
-    GraphError unless every vertex has an edge and is reachable from the
-    base point, so every graph is connected, as the resistance metric needs.
-    Unchecked edges come in through :meth:`from_edges` and :func:`load_graph`.
+    based at the index `base_point`.  It raises GraphError on a weight that
+    is not positive and finite.  It stores every edge in both orientations
+    with one weight, then runs :func:`validate` once and raises GraphError
+    unless every vertex has an edge and is reachable from the base point, so
+    every graph is connected, as the resistance metric needs.  Unchecked
+    edges come in through :meth:`from_edges` and :func:`load_graph`.
 
     Attributes
     ----------
@@ -267,6 +268,12 @@ class ConductanceGraph:
     """
 
     def __init__(self, labels, base_point, i, j, w):
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))  # NaN fails both
+        if len(bad):
+            k = bad[0]
+            raise GraphError(
+                f"edge ({labels[i[k]]!r}, {labels[j[k]]!r}) has invalid weight {float(w[k])!r}"
+            )
         base, labels, *arrays = _csr(labels, base_point, i, j, w)
         self.base_point = int(base)
         self.labels = list(labels)
@@ -500,7 +507,8 @@ def validate(graph):
     constructor of :class:`ConductanceGraph` runs it once and refuses any
     other graph, so every built graph passes.  Symmetric, positive weights
     and no self-loops hold by construction: the constructor takes checked
-    edges and stores each in both orientations with one weight.
+    edges, refuses a weight that is not positive and finite, and stores each
+    edge in both orientations with one weight.
     """
     issues = []
     isolated = np.flatnonzero(np.diff(graph.indptr) == 0)

@@ -92,111 +92,33 @@ def _step_tables(graph):
     return graph._derived("step_tables", build)
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3").
-# A round multiplies counter word 0 by M0 and word 2 by M1, then xors key word
-# 0 into the new word 0 and key word 1 into the new word 2; the keys step by W.
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_MOD64 = 1 << 64
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-
-def _multiplier(m):
-    """A multiplier's 32-bit halves and itself, as `_mulhilo` takes them."""
-    m = np.asarray(m, dtype=np.uint64)
-    return m & _LO32, m >> _SHIFT32, m
-
-
-# _BOTH's row 0 multiplies counter word 0, its row 1 counter word 2
-_BOTH = _multiplier([[[_M0]], [[_M1]]])
-_BY_M0, _BY_M1 = _multiplier(_M0), _multiplier(_M1)
-
-
-def _mulhilo(b, mult, hi, lo, x, y, z):
-    """Write the high and low words of the 128-bit products mult * b to hi and lo.
-
-    mult is a `_multiplier`, broadcast against b; x, y and z are scratch
-    arrays shaped like b.  numpy has no 128-bit product, so the high word is
-    assembled from 32-bit halves; every partial sum fits in 64 bits.
-    """
-    m_lo, m_hi, m = mult
-    np.bitwise_and(b, _LO32, out=x)
-    np.multiply(x, m_lo, out=y)
-    y >>= _SHIFT32
-    np.right_shift(b, _SHIFT32, out=hi)
-    np.multiply(hi, m_lo, out=z)
-    z += y  # b_hi a_lo + carry of b_lo a_lo
-    x *= m_hi
-    np.bitwise_and(z, _LO32, out=y)
-    x += y  # b_lo a_hi + low half of the line above
-    hi *= m_hi
-    z >>= _SHIFT32
-    hi += z
-    x >>= _SHIFT32
-    hi += x
-    np.multiply(b, m, out=lo)
-
-
-def _philox_uniforms(first, count, key0, key1):
-    """Doubles of the Philox4x64-10 blocks at counters first ... first + count - 1.
-
-    One column per key (key0, key1[j]); row 4b + w is word w of the block at
-    counter (first + b, 0, 0, 0), converted as `Generator.random()` converts
-    it, (x >> 11) * 2**-53.  Draw t of the stream `Generator(Philox(key=...))`
-    is row t % 4 at counter t // 4 + 1.
-
-    Counter words 1-3 are 0 and key word 0 is shared by every column, so the
-    first round forms only M0 times each counter, once per block, and the
-    second only M1 times word 2; key word 0 stays a Python int.  From the
-    third round on, the multiplied words (0, 2) and the xored words (1, 3)
-    are each a (2, count, m) array, so both products of a round are one pass.
-    The rounds work in place on a fixed set of arrays: a fresh temporary for
-    every operation raised the peak memory of a `walk` run by about 1%.
-    """
-    m = len(key1)
-    key0 = int(key0)
-    key1 = np.asarray(key1).astype(np.uint64)
-    # round 1 on (c, 0, 0, 0) leaves (key0, 0, hi(M0 c) ^ key1, lo(M0 c))
-    c = np.arange(first, first + count, dtype=np.uint64)
-    c_hi, c_lo, *scratch = np.empty((5, count), dtype=np.uint64)
-    _mulhilo(c, _BY_M0, c_hi, c_lo, *scratch)
-    mult, xor, hi, lo, *scratch = np.empty((7, 2, count, m), dtype=np.uint64)
-    np.bitwise_xor(c_hi[:, None], key1, out=mult[1])
-    # round 2: word 0 is key0 in every column, so M0 key0 is one Python
-    # product; it leaves (hi(M1 w2) ^ k0, lo(M1 w2), hi(M0 key0) ^ w3 ^ k1, lo(M0 key0))
-    k0_hi, k0_lo = divmod(_M0 * key0, _MOD64)
-    key0 = (key0 + _W0) % _MOD64
-    key1 += np.uint64(_W1)
-    _mulhilo(mult[1], _BY_M1, hi[0], xor[0], *(a[0] for a in scratch))
-    np.bitwise_xor(hi[0], np.uint64(key0), out=mult[0])
-    c_lo ^= np.uint64(k0_hi)
-    np.bitwise_xor(c_lo[:, None], key1, out=mult[1])
-    xor[1] = k0_lo
-    for _ in range(8):
-        key0 = (key0 + _W0) % _MOD64
-        key1 += np.uint64(_W1)
-        _mulhilo(mult, _BOTH, hi, lo, *scratch)
-        # word 0 <- hi(M1 w2) ^ w1 ^ k0, word 2 <- hi(M0 w0) ^ w3 ^ k1,
-        # word 1 <- lo(M1 w2), word 3 <- lo(M0 w0)
-        np.bitwise_xor(hi[::-1], xor, out=mult)
-        mult[0] ^= np.uint64(key0)
-        mult[1] ^= key1
-        xor, lo = lo[::-1], xor
-    out = np.empty((count, 4, m))
-    for words, rows in ((mult, out[:, 0::2]), (xor, out[:, 1::2])):
-        words >>= np.uint64(11)
-        np.multiply(words, 2.0**-53, out=rows.transpose(1, 0, 2))
-    return out.reshape(4 * count, m)
-
-
-def _stream_key(seed):
-    """First key word of every sample's stream, as numpy reads key=[seed, i].
+def _stream(seed):
+    """numpy's Philox under the walk streams' key, as numpy reads key=[seed, 0].
 
     numpy converts the list through one array, so a seed at or above 2**63
-    goes through float64 and a negative one wraps; asking numpy keeps that.
+    goes through float64 and a negative one wraps; building it with numpy
+    keeps that.  A seed outside [-2**63, 2**64) is no 64-bit key.
     """
-    return np.random.Philox(key=[int(seed), 0]).state["state"]["key"][0]
+    if not -(2**63) <= seed < 2**64:
+        raise GraphError(f"seed {seed} is outside [-2^63, 2^64)")
+    return np.random.Philox(key=[seed, 0])
+
+
+def _block_draws(bitgen, state, t, ids):
+    """Draws 4t ... 4t + 3 of the samples `ids`, an increasing index array, one row each.
+
+    Sample i's block t is the Philox4x64-10 block at counter (i + 1, t, 0, 0)
+    under the stream key, so the blocks of samples id0 ... id1 - 1 are one
+    run of `bitgen`, numpy's Philox under that key, from counter
+    (id0, t, 0, 0); `state` is its state dict, whose counter is set here.
+    The words are converted as `Generator.random()` converts them,
+    (w >> 11) * 2**-53.
+    """
+    id0 = ids[0]
+    state["state"]["counter"][:2] = id0, t
+    bitgen.state = state
+    raw = bitgen.random_raw(4 * (ids[-1] + 1 - id0)).reshape(-1, 4)
+    return (raw[ids - id0] >> 11) * 2.0**-53
 
 
 @dataclass(slots=True)  # slots: iterating a batch builds one per walk
@@ -288,30 +210,22 @@ class PathSamples:
             yield PathSample(self.start, self.vertices[a:b], log_p, None if end < 0 else end, steps)
 
 
-# Walk-blocks per generator call, and blocks per walk per call.  A call has a
-# fixed cost of about 180 numpy calls; twice as many columns spill the cache
-# and cost more than they save.  A walk that finishes leaves the rest of its
-# blocks in the call unread, so no call draws more than _DRAW_AHEAD blocks (32
-# steps) ahead of a walk: with few walks running, the column bound alone let a
-# call draw hundreds of steps that no walk read.
-_DRAW_COLUMNS = 8192
-_DRAW_AHEAD = 8
-
-
 def sample_paths(trunc, x, n_samples, max_steps, seed):
     """Run seeded chains from interior vertex x until frontier absorption.
 
-    Each sample gets its own counter-based bit stream keyed by (seed, index),
-    so results do not depend on sampling order.  Walks still unabsorbed after
-    max_steps are returned with absorbed_at -1; they are never silently
-    dropped or redistributed.  Returns one `PathSamples` batch.
+    Each sample gets its own counter-based bit stream, a function of (seed,
+    index) alone, so results do not depend on sampling order.  Walks still
+    unabsorbed after max_steps are returned with absorbed_at -1; they are
+    never silently dropped or redistributed.  Returns one `PathSamples` batch.
 
-    All walks advance in lockstep, one array step per step count.  Sample i
-    draws exactly what `Generator(Philox(key=[seed, i])).random()` returns,
-    one draw per step, and picks the first neighbor whose row CDF exceeds it.
-    Draws come in blocks of four, each generator call drawing at most
-    `_DRAW_AHEAD` blocks per walk and `_DRAW_COLUMNS` walk-blocks (or one
-    block per walk).  A running walk is known by the CSR entry it last took;
+    All walks advance in lockstep, one array step per step count.  Step s of
+    sample i draws word s % 4 of the Philox4x64-10 block at counter
+    (i + 1, s // 4, 0, 0) under the key numpy reads from key=[seed, 0],
+    converted as `Generator.random()` converts it, and picks the first
+    neighbor whose row CDF exceeds it.  Every fourth step one run of numpy's
+    Philox draws the next block for the index range of the running walks
+    (`_block_draws`), and no block past max_steps is drawn.  A running walk
+    is known by the CSR entry it last took;
     per-entry tables give the first entry of the row it steps to, whether
     that step absorbed, and the CDF each probe of the neighbor search reads.
     The loop records only those entries; the batch lays the paths out when
@@ -327,7 +241,8 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     for name, count in (("n_samples", n), ("max_steps", max_steps)):
         if count < 0:
             raise GraphError(f"{name} must be >= 0, got {count}")
-    key0 = _stream_key(_integer(seed, "seed {!r} is not an integer"))
+    bitgen = _stream(_integer(seed, "seed {!r} is not an integer"))
+    state = bitgen.state  # its counter is set per block; the constructor reads OS entropy
     cdf, log_step, targets = _step_tables(graph)
     # per CSR entry e: the first entry of the row e steps to, and whether
     # that row's vertex absorbs
@@ -346,22 +261,19 @@ def sample_paths(trunc, x, n_samples, max_steps, seed):
     entry = np.arange(len(row_last))
     strides = [1 << j for j in reversed(range(1, bits))]
     wide = [(k, cdf[np.minimum(entry + (k - 1), row_last)]) for k in strides]
-    blocks = -(-max_steps // 4)  # blocks of four draws that max_steps uses
 
     length = np.full(n, max_steps, dtype=np.int64)
     absorbed_at = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n)  # the walks still running, in sample order
     lo = np.full(n, graph.indptr[x])  # each running walk's search, from its row's first entry
     entries = []
-    end = 0
     for s in range(max_steps if n else 0):
-        if s == end:
-            # draw ahead for every running walk; slot is each one's column
-            ahead = min(max(1, _DRAW_COLUMNS // len(ids)), _DRAW_AHEAD, blocks - s // 4)
-            draws = _philox_uniforms(s // 4 + 1, ahead, key0, ids)
+        t, word = divmod(s, 4)
+        if word == 0:
+            # one block for every running walk; slot is each one's row
+            draws = _block_draws(bitgen, state, t, ids)
             slot = np.arange(len(ids))
-            start, end = s, s + 4 * ahead
-        u = draws[s - start][slot]
+        u = draws[slot, word]
         for stride, probe_cdf in wide:
             lo += (probe_cdf[lo] <= u) * stride
         if bits:

@@ -78,6 +78,16 @@ def test_the_constructor_builds_from_index_edges_only():
     assert g.weights.tolist() == [5.0, 5.0, 2.0, 2.0] and sparse_structure_issues(g) == []
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+def test_constructor_refuses_a_weight_that_is_not_positive_and_finite(bad):
+    # from_edges and load_graph check their edges first; a direct call used
+    # to build a graph on any of these weights
+    i, j = np.array([0, 1, 2]), np.array([1, 2, 0])
+    with pytest.raises(GraphError, match=re.escape(f"edge ('b', 'c') has invalid weight {bad!r}")):
+        ConductanceGraph(["a", "b", "c"], 0, i, j, np.array([1.0, bad, 2.0]))
+    assert ConductanceGraph(["a", "b", "c"], 0, i, j, np.array([1.0, 5e-324, 1e308])).n == 3
+
+
 def test_constructor_refuses_isolated_and_unreachable_vertices():
     def build(n, i, j):
         ends = (np.array(i, dtype=np.int64), np.array(j, dtype=np.int64))

@@ -21,15 +21,16 @@ from resnet.laplacian import (
     interior_laplacian,
     transition_operator,
 )
-from resnet import laplacian, markov
+from resnet import laplacian
 from resnet.energy import gauged
 from resnet.markov import (
     BoundaryEstimate,
     PathSample,
     PathSamples,
+    _block_draws,
     _harmonic_measures,
-    _philox_uniforms,
     _step_tables,
+    _stream,
     cylinder_probability,
     estimate_from_samples,
     harmonic_measure_exact,
@@ -42,20 +43,21 @@ from resnet.greens import walk_greens
 
 from conftest import (
     count_calls,
-    count_walk_blocks,
     dense_laplacian,
     per_row_cdf,
     random_connected_graph,
     single_harmonic_measure,
-    walk_blocks_read,
 )
 
 
 def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
-    """One walk at a time, one `Generator(Philox(key=[seed, i]))` per walk.
+    """One walk at a time, one numpy generator per block of four steps.
 
-    The reference `sample_paths` must reproduce field by field: each step
-    draws `rng.random()` and takes the first neighbor whose row CDF exceeds it.
+    The reference `sample_paths` must reproduce field by field: step s of
+    sample i draws word s % 4 of
+    `Generator(Philox(key=[seed, 0], counter=[i, s // 4, 0, 0])).random(4)`
+    (numpy steps the counter to (i + 1, s // 4, 0, 0) before its first
+    block) and takes the first neighbor whose row CDF exceeds it.
     """
     graph = trunc.graph
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
@@ -64,14 +66,16 @@ def scalar_sample_paths(trunc, x, n_samples, max_steps, seed):
     mask = trunc.frontier_mask
     out = []
     for i in range(int(n_samples)):
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), i]))
         cur = x
         verts = [x]
         log_p = 0.0
         absorbed = None
-        for _ in range(int(max_steps)):
+        for s in range(int(max_steps)):
+            if s % 4 == 0:
+                counter = [i, s // 4, 0, 0]
+                block = np.random.Generator(np.random.Philox(key=[int(seed), 0], counter=counter)).random(4)
             lo, hi = indptr[cur], indptr[cur + 1]
-            u = rng.random()
+            u = block[s % 4]
             k = lo + int(np.searchsorted(cdf[lo:hi], u, side="right"))
             log_p += math.log(weights[k] / degrees[cur])
             cur = int(indices[k])
@@ -230,22 +234,37 @@ def test_sample_paths_report_unabsorbed_honestly():
     assert all(s.length == 1 for s in hungry)
 
 
-@pytest.mark.parametrize("seed", [0, 4, 5, 2**32 + 7, 2**62, 2**63 - 1, 2**64 - 1])
+# numpy reads key=[seed, 0] through one array, so seed 2**64 - 1 passes
+# through float64 and warns about the cast; both sides read it the same way.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 4, 5, 2**32 + 7, 2**62, 2**63 - 1, 2**64 - 1, -7])
 def test_philox_uniforms_match_numpy_streams(seed):
-    ids = np.array([0, 1, 2**32 + 3, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1], dtype=np.uint64)
-    streams = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(40)
-        for i in ids
-    ]
-    for first in (1, 6):  # counter 1 is a stream's first block
-        for count in (1, 2, 5):
-            blocks = _philox_uniforms(first, count, seed, ids)
-            assert blocks.shape == (4 * count, len(ids))
-            for column, expect in enumerate(streams):
-                assert np.array_equal(blocks[:, column], expect[4 * (first - 1) : 4 * (first - 1 + count)])
+    # row i of block t is what numpy's Philox under key=[seed, 0] draws
+    # first from counter (i, t, 0, 0), as `Generator.random()` converts it
+    for ids in ([0, 1, 2, 5, 9], [2**32 + 3, 2**32 + 7], [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1]):
+        ids = np.array(ids, dtype=np.uint64)
+        bitgen = _stream(seed)
+        state = bitgen.state
+        for t in (0, 1, 6, 2**40):
+            blocks = _block_draws(bitgen, state, t, ids)
+            assert blocks.shape == (len(ids), 4)
+            for i, row in zip(ids.tolist(), blocks):
+                # a list would pass a counter word at or above 2**63 through float64
+                counter = np.array([i, t, 0, 0], dtype=np.uint64)
+                expect = np.random.Generator(np.random.Philox(key=[seed, 0], counter=counter)).random(4)
+                assert np.array_equal(row, expect)
 
 
-# numpy reads key=[seed, i] through one array, so seed 2**64 - 1 passes
+@pytest.mark.parametrize("seed", [2**64 + 5, -(2**63) - 1, 2**200])
+def test_sample_paths_refuse_a_seed_outside_the_key_range(seed):
+    # numpy reads a key word from [-2^63, 2^64); past either end it raised a
+    # bare OverflowError
+    trunc = generate("lattice", radius=3)
+    with pytest.raises(GraphError, match=re.escape(f"seed {seed} is outside [-2^63, 2^64)")):
+        sample_paths(trunc, trunc.graph.base_point, 5, 10, seed)
+
+
+# numpy reads key=[seed, 0] through one array, so seed 2**64 - 1 passes
 # through float64 and warns about the cast; both sides read it the same way.
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize(
@@ -259,6 +278,7 @@ def test_philox_uniforms_match_numpy_streams(seed):
         (generate("binary-tree", radius=4), None, 100, 1, 0),
         (generate("binary-tree", radius=3), None, 40, 0, 1),  # no step taken
         (generate("chain", width=9, growth=1.0), None, 0, 100, 4),  # an empty batch
+        (generate("lattice", radius=6), 5, 200, 9, -(2**63)),  # the key range's lower end
     ],
 )
 def test_sample_paths_equal_scalar_oracle(trunc, start, n, max_steps, seed):
@@ -296,67 +316,41 @@ def assert_same_walks(got, want):
 
 @pytest.mark.parametrize("max_steps", [1, 5, 6, 7, 300])
 @pytest.mark.parametrize("draw_columns", [1, 3, 7, 64])
-def test_sample_paths_equal_scalar_oracle_for_any_draw_block(draw_columns, max_steps, monkeypatch):
-    # the walks must not depend on how many blocks each generator call draws
-    # ahead, nor on where max_steps cuts the last of them
-    monkeypatch.setattr(markov, "_DRAW_COLUMNS", draw_columns)
+def test_sample_paths_equal_scalar_oracle_for_any_draw_block(draw_columns, max_steps):
+    # a draw block spans the index range of the walks running at its step,
+    # all `draw_columns` walks at step 0; the walks must depend neither on
+    # that width nor on where max_steps cuts the last block
     for trunc, seed in ((generate("comb", radius=4), 5), (generate("lattice", radius=4), 2**63 + 9)):
         x = trunc.graph.base_point
         assert_same_walks(
-            sample_paths(trunc, x, 40, max_steps, seed),
-            scalar_sample_paths(trunc, x, 40, max_steps, seed),
+            sample_paths(trunc, x, draw_columns, max_steps, seed),
+            scalar_sample_paths(trunc, x, draw_columns, max_steps, seed),
         )
 
 
-@pytest.mark.parametrize("draw_ahead", [1, 2, 5])
-def test_sample_paths_equal_scalar_oracle_for_any_draw_ahead(draw_ahead, monkeypatch):
-    # nor on how many blocks ahead of each walk a call may draw
-    monkeypatch.setattr(markov, "_DRAW_AHEAD", draw_ahead)
-    trunc = generate("comb", radius=4)
-    x = trunc.graph.base_point
-    for max_steps in (7, 300):
-        assert_same_walks(
-            sample_paths(trunc, x, 40, max_steps, seed=draw_ahead),
-            scalar_sample_paths(trunc, x, 40, max_steps, seed=draw_ahead),
-        )
+@pytest.mark.parametrize("n, max_steps", [(100, 500), (30, 500), (30, 9), (5, 3000)])
+def test_draw_blocks_cover_the_running_walks_up_to_max_steps(n, max_steps, monkeypatch):
+    # block t, steps 4t ... 4t + 3, is one run of the generator over the index
+    # range of the walks running at step 4t, drawn once and only while
+    # 4t < max_steps; walk i is running at step s when length[i] > s
+    calls = []
 
+    class Recording(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            calls.append((self.state["state"]["counter"].tolist(), size))
+            return super().random_raw(size, output)
 
-@pytest.mark.parametrize("n, max_steps, draw_columns", [(100, 500, 64), (30, 500, 64), (30, 9, 64), (5, 3000, 8192)])
-def test_draw_blocks_stay_within_columns_and_max_steps(n, max_steps, draw_columns, monkeypatch):
-    # the draw block is the sampler's largest array: it may hold at most
-    # max(n_samples, _DRAW_COLUMNS) walk-blocks, at most _DRAW_AHEAD blocks
-    # per walk, and no block past max_steps
-    monkeypatch.setattr(markov, "_DRAW_COLUMNS", draw_columns)
-    calls = count_walk_blocks(monkeypatch)
+    monkeypatch.setattr(np.random, "Philox", Recording)
     trunc = generate("chain", width=12, growth=1.0)
     batch = sample_paths(trunc, trunc.graph.base_point, n, max_steps, seed=1)
-    assert calls and calls[0][0] == 1
-    blocks = -(-max_steps // 4)
-    for (first, count, live), (after, _, _) in zip(calls, calls[1:] + [(None, 0, 0)]):
-        assert count * live <= max(n, draw_columns)
-        assert count <= markov._DRAW_AHEAD
-        assert first - 1 + count <= blocks
-        assert after in (None, first + count)
-    # every step of every walk reads a drawn block
-    assert 4 * (calls[-1][0] - 1 + calls[-1][1]) >= int(batch.length.max())
-
-
-def test_draw_ahead_leaves_few_blocks_unread(monkeypatch):
-    # walk-blocks the generator computes per walk-block the walks read, from
-    # the hop-1 starts of lattice r=12 with the `walk` benchmark's 3,000 walks
-    # each: 1.34 with _DRAW_AHEAD = 8, bounded here by 1.4; bounding a call
-    # only by _DRAW_COLUMNS computed 1.76
-    trunc = generate("lattice", radius=12)
-    graph = trunc.graph
-    starts = np.flatnonzero(graph.hop_distance == 1)
-    assert len(starts) == 2
-    calls = count_walk_blocks(monkeypatch)
-    read = sum(
-        walk_blocks_read(sample_paths(trunc, x, 3000, 100 * graph.n, seed=1000 + k))
-        for k, x in enumerate(starts)
-    )
-    computed = sum(count * walks for _, count, walks in calls)
-    assert read <= computed <= 1.4 * read
+    expect = []
+    for t in range(-(-max_steps // 4)):
+        running = np.flatnonzero(batch.length > 4 * t)
+        if len(running):
+            expect.append(([running[0], t, 0, 0], 4 * (running[-1] + 1 - running[0])))
+    assert calls == expect
+    if max_steps >= 500:
+        assert calls[-1][1] < 4 * n  # the range narrows as walks finish
 
 
 def _hub_with_ties(rng, degree):
@@ -476,7 +470,7 @@ def test_step_table_cdf_equals_per_row_cumsum(rng):
 def test_readme_walk_example_counts():
     trunc = generate("chain", width=9, growth=1.0)
     samples = sample_paths(trunc, trunc.graph.base_point, 400, 100 * trunc.graph.n, seed=4)
-    assert estimate_from_samples(trunc, samples).counts.tolist() == [207, 193]
+    assert estimate_from_samples(trunc, samples).counts.tolist() == [195, 205]
 
 
 def test_estimate_from_samples_counts_each_end():

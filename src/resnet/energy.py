@@ -9,8 +9,9 @@ to 0 at the base point.  Dipoles — solutions of L v = delta_x - delta_y —
 are the reproducing kernels of this space: <v, f> = f(x) - f(y) for every
 finite-energy f.
 
-Every dipole comes from one Jacobi-preconditioned conjugate-gradient loop,
-`_pcg`, which runs over a vector or a block of right-hand sides:
+Every dipole comes from one preconditioned conjugate-gradient loop, `_pcg`,
+which applies the Laplacian in edge form and runs over a vector or a block
+of right-hand sides:
 `solve_dipoles` solves a list of pairs in one pass, and `solve_dipole` is
 its k = 1 case.  The reproducing check and the product bound follow the
 same pattern: `reproducing_checks` and `pointwise_products` take an (n, k)
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import GraphError, SolverError, _check_tol, _require_vertex, underlying
-from .laplacian import _dipole_rhs, assemble_laplacian
+from .laplacian import _dipole_rhs, _tree_solve, assemble_laplacian
 
 __all__ = [
     "SolverError",
@@ -143,9 +144,11 @@ def solve_dipole(g, x, y, tol=1e-10):
 
     The Laplacian is positive semidefinite with the constants as kernel; the
     right-hand side is mean-free, and the residual is re-projected off the
-    constants every iteration to stop roundoff drift.  Jacobi (degree)
-    preconditioning; iteration cap 20 * n; relative residual target `tol`,
-    which must be a positive number.  A solve that breaks down or stalls
+    constants every iteration to stop roundoff drift.  On a tree the
+    preconditioner is the exact tree solve, and the loop ends after one or
+    two steps; on any other graph it is the degree scaling r / c(x).
+    Iteration cap 20 * n; relative residual target `tol`, which must be a
+    positive number.  A solve that breaks down or stalls
     raises SolverError with its last residual and iteration count.  This is
     the k = 1 case of :func:`solve_dipoles`.
     """
@@ -188,8 +191,7 @@ def _dipole_vectors(graph, lap, rhs, pairs, tol):
             raise error
     u = u - u[graph.base_point]
     rhs = rhs.reshape(u.shape, order="F")
-    t = lap.diagonal[:, None] * u
-    t -= lap.offdiag @ u
+    t = lap.apply(u, out=np.empty(u.shape, order="F"))
     t -= rhs
     true_res = np.sqrt(np.vecdot(t, t, axis=0)) / np.sqrt(np.vecdot(rhs, rhs, axis=0))
     return [
@@ -203,7 +205,12 @@ def _dipole_vectors(graph, lap, rhs, pairs, tol):
 # column as a breakdown, or leave a non-finite potential, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def _pcg(lap, rhs, tol):
-    """Jacobi-preconditioned CG on L u = rhs for a mean-free vector or block.
+    """Preconditioned CG on L u = rhs for a mean-free vector or block.
+
+    The preconditioner is chosen from the graph.  On a tree (n - 1 edges)
+    it is the exact tree solve of `laplacian._tree_solve`: the current has
+    one path, so z = L^+ r and a column converges in a step or two.  Any
+    other graph gets the degree scaling z = r / c(x).
 
     `rhs` has shape (n,) or (n, k); a block must be Fortran-ordered, so that
     each column is contiguous and its dot products and sums are the very
@@ -214,8 +221,8 @@ def _pcg(lap, rhs, tol):
     for a vector), iterations[j] is the step at which column j converged and
     errors[j] is the SolverError of a column that did not (None otherwise).
 
-    Every step writes into buffers allocated once (again only when columns
-    leave a block).  A vector keeps its alpha, beta and residual as Python
+    The CG vectors live in buffers allocated once (again only when columns
+    leave a block); the apply and the tree solve take their own scratch.  A vector keeps its alpha, beta and residual as Python
     floats and takes its dot products with `np.dot`, the `ddot` call that
     `np.vecdot` makes on a contiguous column; float arithmetic rounds as
     numpy's scalar arithmetic does, so both forms give the same bits.
@@ -224,13 +231,19 @@ def _pcg(lap, rhs, tol):
     block = rhs.ndim == 2
     k = rhs.shape[1] if block else 1
     if block:
-        diag = lap.diagonal[:, None]
         dots, sqrt = functools.partial(np.vecdot, axis=0), np.sqrt
         any_, all_ = np.ndarray.any, np.ndarray.all
     else:
-        diag = lap.diagonal
         dots, sqrt = _float_dot, math.sqrt
         any_ = all_ = bool
+    graph = lap.graph
+    if graph.num_edges == graph.n - 1:
+        precondition = _tree_solve(graph).solve
+    else:
+        diag = lap.diagonal[:, None] if block else lap.diagonal
+
+        def precondition(r, out):
+            return np.divide(r, diag, out=out)
     out = np.zeros((n, k), order="F")
     iterations = np.zeros(k, dtype=np.int64)
     errors = [None] * k
@@ -244,14 +257,13 @@ def _pcg(lap, rhs, tol):
     b_norm = sqrt(dots(rhs, rhs))
     u = np.zeros_like(rhs, order="F")
     r = rhs.copy(order="F")
-    p = r / diag
     ap, z, t = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    p = precondition(r, out=np.empty_like(r))
     rz = dots(r, p)
     res = np.ones(k) if block else 1.0
     cap = max(20 * n, 50)
     for it in range(1, cap + 1):
-        np.multiply(diag, p, out=ap)
-        ap -= lap.adjacency_product(p, t)  # in place: `ap` stays Fortran-ordered
+        lap.apply(p, out=ap)  # in place: `ap` stays Fortran-ordered
         denom = dots(p, ap)
         ok = (denom > 0.0) & (rz > 0.0)
         if not all_(ok):
@@ -283,7 +295,7 @@ def _pcg(lap, rhs, tol):
             keep = ~done
             live, rz, res, b_norm = (a[keep] for a in (live, rz, res, b_norm))
             u, r, p, ap, z, t = (a[:, keep] for a in (u, r, p, ap, z, t))
-        np.divide(r, diag, out=z)
+        precondition(r, out=z)
         rz_next = dots(r, z)
         p *= rz_next / rz  # p = z + beta p, as beta p + z
         p += z

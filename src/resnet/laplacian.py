@@ -2,7 +2,9 @@
 recursion.
 
 The Laplacian acts by (Lu)(x) = sum_{y~x} c_xy (u(x) - u(y)); in matrix form
-L = C - A with C = diag(weighted degrees) and A the weighted adjacency.  The
+L = B^T diag(c) B with B the signed edge-vertex incidence, which is how it is
+applied, and L = C - A with C = diag(weighted degrees) and A the weighted
+adjacency, which is how the grounded blocks are factored.  The
 transition operator P = C^{-1} A is row-stochastic and reversible with
 respect to the degree weights: c(x) p_xy = c(y) p_yx = c_xy.
 """
@@ -34,58 +36,144 @@ __all__ = [
 
 @dataclass
 class LaplacianOperator:
-    """L = C - A for one graph: `diagonal` holds c(x), `offdiag` holds A."""
+    """L = B^T diag(c) B for one graph, B its signed edge-vertex incidence.
+
+    `incidence` holds the CSR arrays (indptr, indices, data) of B, m x n:
+    the row of edge e = (i, j) of `edge_arrays()` has +1 at i and -1 at j.
+    `incidence_t` holds those of B^T, whose row v lists v's edges in edge
+    order, which is the order of v's row of the graph's CSR.  `conductances`
+    holds c in edge order and `diagonal` the weighted degrees c(x).
+    """
 
     graph: object
     diagonal: np.ndarray
-    offdiag: sparse.csr_matrix
+    conductances: np.ndarray
+    incidence: tuple
+    incidence_t: tuple
 
-    def apply(self, u):
-        """L u for a vertex vector, or for each column of an (n, k) block."""
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim not in (1, 2) or u.shape[0] != self.graph.n:
-            raise GraphError(
-                f"expected a vector of length {self.graph.n} or an (n, k) block, got {u.shape}"
-            )
-        diag = self.diagonal if u.ndim == 1 else self.diagonal[:, None]
-        return diag * u - self.offdiag @ u
+    def apply(self, u, out=None):
+        """L u = B^T (c * B u) for a vertex vector, or for each column of an (n, k) block.
 
-    def adjacency_product(self, u, out):
-        """A u written into `out`, bit for bit ``self.offdiag @ u``.
-
-        This is the one CSR kernel call that ``offdiag @ u`` makes after
-        scipy's operator dispatch, which costs more than the product itself
-        at the sizes a CG step runs on.  On a vector it is `csr_matvec`.  On
-        an (n, k) block it is `csr_matvecs`, which reads and writes row-major
-        blocks: a block in another layout is read through a row-major copy
-        (``u.ravel()``) and the product lands in `out` through one, as
-        scipy's own multivector product does.
+        The result lands in `out` when it is given.  No degree c(x) is
+        formed, so L kills the constants exactly: their increments B u are
+        0.  Each factor is the one CSR kernel call that scipy's operators
+        make, so the result equals ``B.T @ (c * (B @ u))`` bit for bit.  A
+        vector goes through `csr_matvec`; a block through `csr_matvecs`,
+        which reads and writes row-major blocks, so each of its columns
+        equals its vector apply bit for bit.
         """
-        n = self.graph.n
-        adj = self.offdiag
+        u = np.asarray(u, dtype=np.float64)
+        n, m = self.graph.n, len(self.conductances)
+        if u.ndim not in (1, 2) or u.shape[0] != n:
+            raise GraphError(f"expected a vector of length {n} or an (n, k) block, got {u.shape}")
+        out = np.empty(u.shape) if out is None else out
         if u.ndim == 1:
+            flow = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, *self.incidence, np.ascontiguousarray(u), flow)
+            flow *= self.conductances
             out.fill(0.0)
-            _sparsetools.csr_matvec(n, n, adj.indptr, adj.indices, adj.data, u, out)
+            _sparsetools.csr_matvec(n, m, *self.incidence_t, flow, out)
             return out
+        k = u.shape[1]
+        flow = np.zeros((m, k))
+        _sparsetools.csr_matvecs(m, n, k, *self.incidence, u.ravel(), flow.ravel())
+        flow *= self.conductances[:, None]
         target = out if out.flags.c_contiguous else np.empty(out.shape)
         target.fill(0.0)
-        _sparsetools.csr_matvecs(
-            n, n, u.shape[1], adj.indptr, adj.indices, adj.data, u.ravel(), target.ravel()
-        )
+        _sparsetools.csr_matvecs(n, m, k, *self.incidence_t, flow.ravel(), target.ravel())
         if target is not out:
             out[...] = target
         return out
 
     def as_csr(self):
-        return sparse.diags(self.diagonal) - self.offdiag
+        return sparse.diags(self.diagonal) - self.graph.adjacency()
 
 
 def assemble_laplacian(g):
     """Assemble (and cache) the Laplacian of a graph or truncation."""
     graph = underlying(g)
-    return graph._derived(
-        "laplacian", lambda: LaplacianOperator(graph, graph.degrees, graph.adjacency())
-    )
+
+    def build():
+        i, j, c = graph.edge_arrays()
+        m, nbrs = len(c), graph.indices
+        upper = nbrs > np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        # the edge of each CSR entry: the entries (i, j), i < j, are the edges
+        # in order, and the entries (j, i) are too once sorted by i (stably)
+        edge = np.empty(len(nbrs), dtype=np.int64)
+        edge[upper] = np.arange(m)
+        lower = np.flatnonzero(~upper)
+        edge[lower[np.argsort(nbrs[lower], kind="stable")]] = np.arange(m)
+        return LaplacianOperator(
+            graph,
+            graph.degrees,
+            c,
+            (2 * np.arange(m + 1), np.stack((i, j), axis=1).ravel(), np.tile([1.0, -1.0], m)),
+            (graph.indptr, edge, np.where(upper, 1.0, -1.0)),
+        )
+
+    return graph._derived("laplacian", build)
+
+
+@dataclass(frozen=True)
+class TreeSolve:
+    """The exact solve of L z = r on a tree, z = 0 at the base point.
+
+    The current through the edge from v to its parent is the sum s(v) of r
+    over the subtree of v, so z(v) = z(parent) + s(v) / c(v, parent).
+    Vertices are stored in (hop, label) order, so hop level h is the index
+    range ``levels[h]:levels[h + 1]``, and the base, index 0, is level 0.
+    The children of p are ``children[child_ptr[p]:child_ptr[p + 1]]``,
+    `parent[v]` is the parent of v and `parent_conductance[v]` is
+    c(v, parent), inf at the base.
+    """
+
+    levels: tuple
+    child_ptr: np.ndarray
+    children: np.ndarray
+    parent: np.ndarray
+    parent_conductance: np.ndarray
+
+    def solve(self, r, out):
+        """z with L z = r for a mean-free vector or (n, k) block `r`, written into `out`.
+
+        Both sweeps run level by level on one row-major block, the sums
+        through `csr_matvecs`, so each column of a block equals its vector
+        solve bit for bit.
+        """
+        n = r.shape[0]
+        z = np.array(r, order="C").reshape(n, -1)
+        k, flat, ones = z.shape[1], z.ravel(), np.ones(len(self.children))
+        levels = list(zip(self.levels[:-1], self.levels[1:]))
+        for a, b in reversed(levels[:-1]):  # each level adds up the sums of the level below
+            _sparsetools.csr_matvecs(
+                b - a, n, k, self.child_ptr[a:b + 1], self.children, ones, flat, z[a:b].ravel()
+            )
+        z /= self.parent_conductance[:, None]
+        for a, b in levels[1:]:  # each level adds its parents' potentials
+            z[a:b] += z[self.parent[a:b]]
+        out[...] = z.reshape(r.shape)
+        return out
+
+
+def _tree_solve(g):
+    """The cached :class:`TreeSolve` of a tree (a graph with n - 1 edges)."""
+    graph = underlying(g)
+
+    def build():
+        n, hop = graph.n, graph.hop_distance
+        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+        up = hop[graph.indices] == hop[rows] - 1  # the one edge of each v to its parent
+        parent, conductance = np.zeros(n, dtype=np.int64), np.full(n, np.inf)
+        parent[rows[up]], conductance[rows[up]] = graph.indices[up], graph.weights[up]
+        return TreeSolve(
+            tuple(np.searchsorted(hop, np.arange(int(hop[-1]) + 2)).tolist()),
+            _offsets(np.bincount(parent[1:], minlength=n)),
+            np.argsort(parent[1:], kind="stable") + 1,
+            parent,
+            conductance,
+        )
+
+    return graph._derived("tree_solve", build)
 
 
 def transition_operator(g):

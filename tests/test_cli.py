@@ -307,15 +307,15 @@ def test_walk_reports_are_byte_identical(family, walk, digest, tmp_path, monkeyp
 # checks and exits 3)
 CHECK_DIGESTS = [
     (["--family", "lattice", "--radius", "4"], 0,
-     "4dfe7bd30122e102ef81bf1ab43334eb56cac4e0d5355e4c50d90e239d91f992"),
+     "88b28ec25cea76c654d3bda4700eb0b25e2dcb542200f1b455aa0634a7536296"),
     (["--family", "comb", "--radius", "4"], 0,
-     "6a6b5909599e499fa0d26ce7f68fc766876f81b17605f175011131141351e28e"),
+     "577b681bdeef79ef302dc4b5b56ae02dcc367073933561d7092678fb96384c41"),
     (["--family", "binary-tree", "--radius", "3"], 0,
-     "a298e1ecb9d16f4b0197e2c404b75f29757c78bab9eeb840a1005b22c41c9d92"),
+     "cb8219f61b77103551f633270c111c33a4b2d41bcf5cb2b48ee56d679b4dc55c"),
     (["--family", "binary-tree", "--radius", "8"], 0,
-     "5b0c6136df52c2b396af709b10b58eddce543bb8cb5abf4380877662b1aba7b9"),
+     "37c8166d2a83ed28598ef552358c1264effad4fa3dbec3f583e5f999738e8293"),
     (["--family", "halfline", "--radius", "32"], 3,
-     "2c59ab0edb11657f2b5add5a3494232fea881df2e38e3b71ba9e6c3d1e7c2b2a"),
+     "f68034f2f2d08eb99ecb87c1294691110f17698414ff2769012ab2a0ab18ceb0"),
 ]
 
 
@@ -335,23 +335,23 @@ RESIST_DIGESTS = [
     (["--family", "lattice", "--radius", "12"], "0,0", "12,0",
      "56f2503583974bd39b783860bab2682e63b4e6e09e5c43517c8997fabcb53b99"),
     (["--family", "lattice", "--radius", "12"], "3,4", "1,7",
-     "769c4851efcad17f83a76897a5231ef8999badeb25ac177b7235de77956f4d5e"),
+     "4d5c1cf9d2ce38c395ddb7a61b8424d9b42aa45e0d73cda3b8283b3495401bc3"),
     (["--family", "lattice", "--radius", "24"], "0,0", "0,24",
-     "07931896b1d40bb8d09c916a71ec43ed7a284c077cc815a6936bf0007b1bfc6e"),
+     "84e9bb4cfc98ce543938296052274534697cd0c3958dcecf39a030fef2777d80"),
     (["--family", "lattice", "--radius", "24"], "5,6", "10,2",
      "ad90f96f79295c2c8c6fd932eab2efe160048b890d984aca2fa14ce106c4379f"),
     (["--family", "binary-tree", "--radius", "9"], "", "+-+-+-+-+",
      "34e0006883a78c5d730fce204f7dc9b2e52a8e8c67ecfcf0cc90e608c3580f17"),
     (["--family", "binary-tree", "--radius", "9"], "+-", "-++",
-     "f88c3594b5613e32816721ef857ee0240d8d442acaf7b37306051761693dbd54"),
+     "aa5f01c6ecca438097c4ecb41be0b945610a79150b57fc35d44490325ab9bd9c"),
     (["--family", "comb", "--radius", "16"], "0,0", "16,0",
      "8571e29ddfcc5555710143391c162b3c15aba66c73ddad1fb5a675af62e72f48"),
     (["--family", "comb", "--radius", "16"], "3,5", "7,2",
-     "edd3167a8e1bdee4abc9f838089de4ac9d0e065f07fd8d0b74c4def0b92f4b9a"),
+     "a686e6ade19056372afe5f51f02c0e3ec63e66fc6ba3a0cb365b3b061aeaaa40"),
     (["--family", "chain", "--width", "60"], "30", "0",
      "a31d32c6acefd9df05f681d9948bdc40951be86eea431755c27be510cfba25b4"),
     (["--family", "chain", "--width", "60"], "12", "45",
-     "bb4c43564e56609d53d972767369d7f74535523f88725163cd89ce65b78c0b2b"),
+     "ed02798c07cfd1c9857b349a88ed42cb5f15544b946d0c65c2c9f671dc516bdc"),
     (["--family", "nary-tree", "--radius", "6", "--branching", "3"], "()", "0,1,2,0,1,2",
      "e878a966437a50a3986a910bc49c4636d6ba0e90a0fce8a25c28d55beaf9b64c"),
     (["--family", "nary-tree", "--radius", "6", "--branching", "3"], "1,", "2,0",
@@ -802,9 +802,8 @@ def test_check_reports_equal_the_per_pair_dipole_loop(family, radius, tmp_path, 
     [("lattice", 12, {}), ("comb", 10, {}), ("binary-tree", 8, {}), ("nary-tree", 4, {"branching": 3})],
 )
 def test_check_report_equals_the_parent_kernel_scan_and_product(family, radius, params, tmp_path, monkeypatch):
-    # the unrounded report, against the one solve of the whole identity, the
-    # scan that rules a z out only above the running minimum, and the block
-    # product through scipy's operator
+    # the unrounded report, against the one solve of the whole identity and
+    # the scan that rules a z out only above the running minimum
     path = str(tmp_path / "g.json")
     generate(family, radius=radius, **params).write_json(path)
 
@@ -815,12 +814,6 @@ def test_check_report_equals_the_parent_kernel_scan_and_product(family, radius, 
     got = [report(seed) for seed in (3, 40)]
     monkeypatch.setattr(greens_mod, "_grounded_kernel", parent_grounded_kernel)
     monkeypatch.setattr(resistance_mod, "_RULES_OUT", np.greater)
-
-    def operator_product(lap, u, out):
-        out[...] = lap.offdiag @ u
-        return out
-
-    monkeypatch.setattr(laplacian.LaplacianOperator, "adjacency_product", operator_product)
     assert [report(seed) for seed in (3, 40)] == got
 
 

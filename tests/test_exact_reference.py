@@ -64,6 +64,14 @@ def test_m3_is_within_1e_15_of_the_exact_resistance(family, radius, pairs):
         assert _rel(resistance(g, x, y, method="M3"), exact) <= 1e-15, (x, y)
 
 
+def test_m7_on_halfline_32_is_the_exact_series_rounded():
+    # the tree solve preconditions it: two steps, 1.5819767068693065
+    g = generate("halfline", radius=32).graph
+    x, y = g.index_of(0), g.index_of(32)
+    exact = exact_resistances(g, [(x, y)])[x, y]
+    assert resistance(g, x, y, method="M7") == float(exact) == 1.5819767068693065
+
+
 _SEEDED_CASES = [
     ("chain", {"width": 60}),
     ("bratteli", {"level_sizes": [1, 3, 5, 7, 9], "level_weights": [1.0, 2.0, 4.0, 8.0]}),

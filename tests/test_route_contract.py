@@ -9,10 +9,11 @@ its ends, the one at 10^s and the other at 10^-s; one in six makes one edge
 subnormal.  The reference is the exact Kron reduction of
 `conftest.exact_resistances`.
 
-In the harness: M3 at every spread, M7 at s = 2, and the sign of M4 and
-M7 at every spread, as no route answers <= 0.  Outside it, with the
-failures counted in CHANGES.md: the accuracy of M4, and of M7 at s = 8 and
-16, where the PCG residual does not bound the error.
+In the harness: M3 at every spread, M7 at s = 2 and 8 (and on two draws
+of the 3,000-draw s = 8 stream that the product-form CG step missed), and
+the sign of M4 and M7 at every spread, as no route answers <= 0.  Outside
+it, with the failures counted in CHANGES.md: the accuracy of M4, and of M7
+at s = 16, where the PCG residual does not bound the error.
 """
 
 import functools
@@ -52,16 +53,19 @@ def _network(rng, s):
     return kind, [(u, v, c) for (u, v), c in edges.items()], x, y
 
 
+def _draw(rng, s):
+    """(kind, graph, x, y, exact R) of the next network of the stream `rng`."""
+    kind, edges, x, y = _network(rng, s)
+    g = ConductanceGraph.from_edges(edges, 0)
+    x, y = g.index_of(x), g.index_of(y)
+    return kind, g, x, y, exact_resistances(g, [(x, y)])[x, y]
+
+
 @functools.cache
 def _draws(s):
     """(kind, graph, x, y, exact R) of each of the `_DRAWS` networks at spread `s`."""
-    rng, out = random.Random(s), []
-    for _ in range(_DRAWS):
-        kind, edges, x, y = _network(rng, s)
-        g = ConductanceGraph.from_edges(edges, 0)
-        x, y = g.index_of(x), g.index_of(y)
-        out.append((kind, g, x, y, exact_resistances(g, [(x, y)])[x, y]))
-    return out
+    rng = random.Random(s)
+    return [_draw(rng, s) for _ in range(_DRAWS)]
 
 
 def _answer(g, x, y, method):
@@ -87,12 +91,32 @@ def test_m3_is_within_tol_or_raises(s):
             _check(m3, exact, 1e-10, (s, k, kind))
 
 
-def test_m7_is_within_1e_8_or_raises_at_s_2():
-    for k, (kind, g, x, y, exact) in enumerate(_draws(2)):
+def _m7_keeps_its_promise(s):
+    for k, (kind, g, x, y, exact) in enumerate(_draws(s)):
         m7 = _answer(g, x, y, "M7")
-        assert m7 is not None or kind == "subnormal", k
+        assert m7 is not None or kind == "subnormal", (s, k)
         if m7 is not None:
-            _check(m7, exact, _M7_TOL, (k, kind))
+            _check(m7, exact, _M7_TOL, (s, k, kind))
+
+
+def test_m7_is_within_1e_8_or_raises_at_s_2():
+    _m7_keeps_its_promise(2)
+
+
+def test_m7_is_within_1e_8_or_raises_at_s_8():
+    # the product-form CG step was silently off on 17 of 3,000 draws at s = 8
+    _m7_keeps_its_promise(8)
+
+
+@pytest.mark.parametrize("k", [912, 1996])
+def test_m7_is_within_1e_8_on_the_draws_the_product_form_missed(k):
+    # draw k of the 3,000-draw s = 8 stream: the product-form CG step read
+    # 7.0e-6 (k = 912) and 7.5e-5 (k = 1996) off the exact R, with no error
+    rng = random.Random(8)
+    for _ in range(k):
+        _network(rng, 8)
+    _, g, x, y, exact = _draw(rng, 8)
+    _check(resistance(g, x, y, method="M7"), exact, _M7_TOL, k)
 
 
 @pytest.mark.parametrize("s", [8, 16])

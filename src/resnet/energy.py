@@ -208,8 +208,9 @@ def _pcg(lap, rhs, tol):
     """Preconditioned CG on L u = rhs for a mean-free vector or block.
 
     The preconditioner is chosen from the graph.  On a tree (n - 1 edges)
-    it is the exact tree solve of `laplacian._tree_solve`: the current has
-    one path, so z = L^+ r and a column converges in a step or two.  Any
+    it is the base-grounded tree sweep of `laplacian._tree_solve`, the one
+    the direct solves use there: the current has one path, so z is L^+ r up
+    to a constant (0 at the base) and a column converges in a step or two.  Any
     other graph gets the degree scaling z = r / c(x).
 
     `rhs` has shape (n,) or (n, k); a block must be Fortran-ordered, so that
@@ -238,7 +239,12 @@ def _pcg(lap, rhs, tol):
         any_ = all_ = bool
     graph = lap.graph
     if graph.num_edges == graph.n - 1:
-        precondition = _tree_solve(graph).solve
+        tree = _tree_solve(graph)
+
+        def precondition(r, out):  # the base-grounded solve: 0 at the base
+            out[0] = 0.0
+            out[1:] = tree.solve(r[1:])
+            return out
     else:
         diag = lap.diagonal[:, None] if block else lap.diagonal
 

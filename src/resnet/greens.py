@@ -6,7 +6,8 @@ agreement is evidence:
   * the gram route reads K(x, y) = <v_x, v_y> = v_x(y) off the dipole
     potentials anchored at the base point: K is the inverse of the Laplacian
     with the base row and column removed, the identity solved in column
-    blocks against its cached sparse LU;
+    blocks by the cached grounded solver (the exact sweep on a tree, a
+    sparse LU elsewhere);
   * the walk route sums the Neumann series of the absorbed transition matrix
     and rescales by conductances.
 
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import GraphError, SolverError, _check_tol, _integer, _require_frontier, generate, underlying
-from .laplacian import _grounded_drop, grounded_laplacian, transition_operator
+from .laplacian import TreeSolve, _grounded_drop, grounded_laplacian, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -96,11 +97,15 @@ _SOLVE_BLOCK_BYTES = 1 << 20  # the right-hand sides of one kernel solve
 def greens_gram(g, tol=1e-10):
     """Base-grounded kernel: column x is the dipole potential v_x, v_x(y) = K(x, y).
 
-    The columns come from block solves against the grounded factorization
-    (see `_grounded_kernel`).  A direct solve has no tolerance, so `tol` is
+    The columns come from block solves by the grounded solver that
+    `grounded_laplacian` picks (see `_grounded_kernel`).  On a tree that is
+    the exact sweep: K(x, y) = R(o, x ^ y), the one sum of 1/c down the path
+    from the base o that x and y share, so the kernel is exactly symmetric
+    and its `symmetry_residual` is 0.0.  Any other graph gets the sparse LU,
+    whose kernel is symmetrized after recording how far the raw columns
+    were from symmetric.  A direct solve has no tolerance, so `tol` is
     ignored; it stays in the signature for callers that still pass it, until
-    ROADMAP item 3 lets it go.  The kernel is symmetrized after recording how
-    far the raw columns were from symmetric.
+    ROADMAP item 3 lets it go.
     """
     graph = underlying(g)
     return _grounded_kernel(graph, graph.base_point)
@@ -111,17 +116,26 @@ def _grounded_kernel(graph, ground):
 
     The identity is solved a block of columns at a time, each block about
     `_SOLVE_BLOCK_BYTES`, so the solve works in cache and no identity matrix
-    is formed.  SuperLU solves each right-hand side on its own, so every
-    column is bitwise the one a single solve of the whole identity gives.
+    is formed.  SuperLU and the tree sweep solve each right-hand side on
+    its own, so every column is bitwise the one a single solve of the whole
+    identity gives.  The sweep's kernel is exactly symmetric and is kept as
+    it comes; an LU kernel is symmetrized.
     """
-    kept, _, lu = grounded_laplacian(graph, ground)
+    kept, _, solver = grounded_laplacian(graph, ground)
     m = len(kept)
-    k = np.empty((m, m), order="F")  # lu.solve's own layout: each block a slab
+    tree = isinstance(solver, TreeSolve)
+    # the layout of the solver's blocks, so each copies along memory:
+    # lu.solve's are column-major, the sweep's row-major, as the symmetrized
+    # kernel is (the inversion check's sparse product is 3x slower on a
+    # column-major kernel)
+    k = np.empty((m, m), order="C" if tree else "F")
     step = max(1, _SOLVE_BLOCK_BYTES // (8 * max(m, 1)))
     for lo in range(0, m, step):
         e = np.zeros((m, min(step, m - lo)), order="F")
         np.fill_diagonal(e[lo:], 1.0)
-        k[:, lo:lo + e.shape[1]] = lu.solve(e)
+        k[:, lo:lo + e.shape[1]] = solver.solve(e)
+    if tree:  # exactly symmetric: nothing to average
+        return GreensMatrix(graph, kept.tolist(), k, 0.0)
     return GreensMatrix(graph, kept.tolist(), *_symmetrized(k))
 
 
@@ -143,8 +157,8 @@ def _symmetrized(k):
 def greens_inversion_check(g, kernel):
     """max-norm deviation of K * L_grounded from the identity (both orders).
 
-    L_grounded is the block of the cached grounded factorization whose
-    ground is every vertex the kernel leaves out (the kernel's vertices must
+    L_grounded is the block `grounded_laplacian` caches for the ground of
+    every vertex the kernel leaves out (the kernel's vertices must
     be in increasing order).  A GreensMatrix is exactly symmetric, so K L
     equals (L K)^T bit for bit (the same terms summed in the same order) and
     the one product L K measures both orders.  It is finite too, so only a

@@ -4,7 +4,8 @@ recursion.
 The Laplacian acts by (Lu)(x) = sum_{y~x} c_xy (u(x) - u(y)); in matrix form
 L = B^T diag(c) B with B the signed edge-vertex incidence, which is how it is
 applied, and L = C - A with C = diag(weighted degrees) and A the weighted
-adjacency, which is how the grounded blocks are factored.  The
+adjacency, which is how the grounded blocks are factored.  A tree grounded
+at its base is not factored: its exact sweep (`TreeSolve`) solves it.  The
 transition operator P = C^{-1} A is row-stochastic and reversible with
 respect to the degree weights: c(x) p_xy = c(y) p_yx = c_xy.
 """
@@ -116,10 +117,16 @@ def assemble_laplacian(g):
 
 @dataclass(frozen=True)
 class TreeSolve:
-    """The exact solve of L z = r on a tree, z = 0 at the base point.
+    """The exact solve of a tree grounded at its base point.
 
-    The current through the edge from v to its parent is the sum s(v) of r
-    over the subtree of v, so z(v) = z(parent) + s(v) / c(v, parent).
+    For any b on the vertices off the base, mean-free or not, it returns the
+    z with z = 0 at the base and (L z)(v) = b(v) at every other vertex v.
+    The current through the edge from v to its parent is the sum s(v) of b
+    over the subtree of v, so z(v) = z(parent) + s(v) / c(v, parent).  For
+    a unit source at y, s is 1 on the path from the base to y and 0 off it,
+    so z(x) is the one sum of 1/c down the path the two share: the kernel
+    it gives is exactly symmetric, and nothing is subtracted.
+
     Vertices are stored in (hop, label) order, so hop level h is the index
     range ``levels[h]:levels[h + 1]``, and the base, index 0, is level 0.
     The children of p are ``children[child_ptr[p]:child_ptr[p + 1]]``,
@@ -133,26 +140,33 @@ class TreeSolve:
     parent: np.ndarray
     parent_conductance: np.ndarray
 
-    def solve(self, r, out):
-        """z with L z = r for a mean-free vector or (n, k) block `r`, written into `out`.
+    # an edge whose 1/c overflows gives infinite potentials, without a warning
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(self, b):
+        """z off the base for a vector or (n - 1, k) block `b` of the rows off the base.
 
+        These are the rows SuperLU's `solve` takes for the base-grounded
+        block, so the sweep stands in for its factor (see
+        `grounded_laplacian`).  The result has b's shape and is row-major.
         Both sweeps run level by level on one row-major block, the sums
         through `csr_matvecs`, so each column of a block equals its vector
         solve bit for bit.
         """
-        n = r.shape[0]
-        z = np.array(r, order="C").reshape(n, -1)
-        k, flat, ones = z.shape[1], z.ravel(), np.ones(len(self.children))
+        n = len(self.parent)
+        k = b.shape[1] if b.ndim == 2 else 1
+        z = np.zeros((n, k))
+        z[1:] = b.reshape(n - 1, k)
+        flat, ones = z.ravel(), np.ones(len(self.children))
         levels = list(zip(self.levels[:-1], self.levels[1:]))
-        for a, b in reversed(levels[:-1]):  # each level adds up the sums of the level below
+        # each level adds up the sums of the level below; the base's row stays 0
+        for a, c in reversed(levels[1:-1]):
             _sparsetools.csr_matvecs(
-                b - a, n, k, self.child_ptr[a:b + 1], self.children, ones, flat, z[a:b].ravel()
+                c - a, n, k, self.child_ptr[a:c + 1], self.children, ones, flat, z[a:c].ravel()
             )
         z /= self.parent_conductance[:, None]
-        for a, b in levels[1:]:  # each level adds its parents' potentials
-            z[a:b] += z[self.parent[a:b]]
-        out[...] = z.reshape(r.shape)
-        return out
+        for a, c in levels[2:]:  # each level adds its parents' potentials (the base's is 0)
+            z[a:c] += z[self.parent[a:c]]
+        return z[1:].reshape(b.shape)
 
 
 def _tree_solve(g):
@@ -189,13 +203,18 @@ def transition_operator(g):
 
 
 def grounded_laplacian(g, ground):
-    """L without the `ground` rows and columns, as (kept, block, lu), cached per ground set.
+    """L without the `ground` rows and columns, as (kept, block, solver), cached per ground set.
 
-    `kept` lists the remaining vertices in increasing order and `lu` is the
-    SuperLU factorization of the CSC `block`.  The block is factored
-    unscaled in MMD_AT_PLUS_A order: splu's default COLAMD order meets
-    exactly singular pivots on the steep chain family, and diagonal
-    equilibration loses digits there.
+    `kept` lists the remaining vertices in increasing order, `block` is
+    that CSC block, and ``solver.solve(b)`` solves it for a vector or block
+    `b` of the kept rows.  The solver is picked from the graph by one rule:
+    a tree (n - 1 edges) grounded at its base point gets the exact sweep of
+    `_tree_solve`, which subtracts nothing and forms no degree, so no
+    rounded c(x) leaks current to ground.  Every other ground, and every
+    graph with a cycle, gets the SuperLU factor of the block, unscaled in
+    MMD_AT_PLUS_A order: splu's default COLAMD order meets exactly singular
+    pivots on the steep chain family, and diagonal equilibration loses
+    digits there.
 
     The block is built straight from the graph's CSR arrays: each row gets
     its diagonal entry c(x) between the columns below and above x, and the
@@ -209,6 +228,8 @@ def grounded_laplacian(g, ground):
 
     def build():
         kept, block = _grounded_block(graph, ground)
+        if graph.num_edges == graph.n - 1 and ground.tolist() == [graph.base_point]:
+            return kept, block, _tree_solve(graph)
         try:
             lu = splu(block, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # a singular block
@@ -243,12 +264,12 @@ def grounded_solve(g, ground, rhs):
 
     `rhs` is a full-length vector or an (n, k) block of columns; its ground
     rows are ignored.  This is the one solve against the cached
-    :func:`grounded_laplacian` factorization.
+    :func:`grounded_laplacian` solver.
     """
-    kept, _, lu = grounded_laplacian(g, ground)
+    kept, _, solver = grounded_laplacian(g, ground)
     rhs = np.asarray(rhs, dtype=np.float64)
     out = np.zeros(rhs.shape)
-    out[kept] = lu.solve(rhs[kept])
+    out[kept] = solver.solve(rhs[kept])
     return out
 
 
@@ -267,11 +288,12 @@ def _grounded_drop(g, ground, x, y):
     With the base point as ground this is the free resistance (route M4);
     with the frontier of a truncation it is the wired one, the frontier
     shorted into one node at 0 (the dipole injects no net current, so that
-    node takes none).
+    node takes none).  A drop that overflows comes back infinite or NaN,
+    without a warning, for the caller to refuse.
     """
     graph = underlying(g)
     v = grounded_solve(graph, ground, _dipole_rhs(graph.n, [(x, y)]))
-    return float(v[x] - v[y])
+    return float(v[x]) - float(v[y])
 
 
 def interior_laplacian(trunc):

@@ -304,18 +304,20 @@ def test_walk_reports_are_byte_identical(family, walk, digest, tmp_path, monkeyp
 # sha256 and exit code of `check --deterministic --seed 7` stdout, pinned:
 # the kernel, the matrix and the scan may change, but the reports stay byte
 # for byte the same (halfline 32 fails its inversion and reproducing
-# checks and exits 3)
+# checks and exits 3).  Comb 4 and halfline 32 read the exact tree kernel:
+# greens-inversion went from 1.78e-15 to 0 on comb 4, and from 7.8e-3 to
+# 1.56e-2 on halfline 32, where the exact kernel meets the rounded degrees
 CHECK_DIGESTS = [
     (["--family", "lattice", "--radius", "4"], 0,
      "88b28ec25cea76c654d3bda4700eb0b25e2dcb542200f1b455aa0634a7536296"),
     (["--family", "comb", "--radius", "4"], 0,
-     "577b681bdeef79ef302dc4b5b56ae02dcc367073933561d7092678fb96384c41"),
+     "8c3bd52c5b1cd3d5ff28a389c687b23d4f6ee52fb6b98262249207570383eef2"),
     (["--family", "binary-tree", "--radius", "3"], 0,
      "cb8219f61b77103551f633270c111c33a4b2d41bcf5cb2b48ee56d679b4dc55c"),
     (["--family", "binary-tree", "--radius", "8"], 0,
      "37c8166d2a83ed28598ef552358c1264effad4fa3dbec3f583e5f999738e8293"),
     (["--family", "halfline", "--radius", "32"], 3,
-     "f68034f2f2d08eb99ecb87c1294691110f17698414ff2769012ab2a0ab18ceb0"),
+     "f9db1f21b33c393432c08d4c32636d7cf8bcc65ec70c2401864416d0dc640ccc"),
 ]
 
 
@@ -373,7 +375,10 @@ def test_resist_reports_are_byte_identical(family, x, y, digest, tmp_path, monke
 def test_an_overflowed_kernel_is_a_numerical_error(name, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(EXTREME_FILES[name]))
-    stderr = "numerical error: kernel matrix has 4 non-finite entries\n"
+    # both are trees, whose exact kernel overflows only at the far end:
+    # K(3, 3) = 1 + 2 / 6e-309 on A and K(2, 2) = 1 + 1 / 1e-310 on B (the
+    # LU kernel had 4 non-finite entries on each)
+    stderr = "numerical error: kernel matrix has 1 non-finite entries\n"
     # resist --matrix used to exit 0 with a NaN symmetry residual
     assert run(capsys, "resist", str(path), "--matrix", str(tmp_path / "m.csv")) == (3, "", stderr)
     assert run(capsys, "check", str(path)) == (3, "", stderr)
@@ -817,6 +822,15 @@ def test_check_report_equals_the_parent_kernel_scan_and_product(family, radius, 
     assert [report(seed) for seed in (3, 40)] == got
 
 
+def test_check_passes_greens_inversion_on_chain_60(tmp_path, capsys):
+    # the exact tree kernel; the LU kernel of the rounded-degree Laplacian
+    # read 5.96e-8 against the threshold of 1e-8 at --seed 1
+    path = str(tmp_path / "g.json")
+    generate("chain", width=60).write_json(path)
+    checks = {c["name"]: c for c in run_json(capsys, "check", path, "--seed", "1")["checks"]}
+    assert checks["greens-inversion"]["passed"] and checks["greens-inversion"]["metric"] == 0.0
+
+
 def test_check_solves_its_dipoles_in_one_block(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.json")
     generate("lattice", radius=6).write_json(path)
@@ -847,7 +861,8 @@ def test_check_factorizes_each_ground_set_once(family, radius, tmp_path, capsys,
     # the base point for the kernel and its inversion check, the frontier for
     # the energy splits
     assert grounds == [[trunc.graph.base_point], trunc.frontier.tolist()]
-    assert factorizations == {"splu": 2}
+    # a tree grounded at its base is solved by its exact sweep, not factored
+    assert factorizations == {"splu": 1 if family in ("comb", "binary-tree") else 2}
     assert slices == []
 
 

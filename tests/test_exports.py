@@ -68,3 +68,49 @@ def test_no_module_imports_inside_a_function():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(found) == []
+
+
+def _callers(callee):
+    """The top-level functions and methods of the package that call `callee`.
+
+    Each is named "module.function" or "module.Class.method", a call in a
+    nested function counting for the function that holds it; a call in a
+    class body outside its methods counts for "module.Class", and one at
+    module level for "module".  A call matches by the bare name or by the
+    attribute it calls.
+    """
+    found = set()
+    for path in SOURCES:
+        module = os.path.basename(path)[: -len(".py")]
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                for inner in node.body:
+                    is_method = isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    scopes.append((f"{module}.{node.name}" + (f".{inner.name}" if is_method else ""), inner))
+            else:
+                scopes.append((module, node))
+        for scope, node in scopes:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == callee:
+                        found.add(scope)
+    return found
+
+
+def test_one_function_factors_a_grounded_block():
+    # one way to solve each system: every LU factor comes from the cached
+    # grounded block, and a tree grounded at its base gets none
+    assert _callers("splu") == {"laplacian.grounded_laplacian"}
+
+
+def test_one_function_builds_the_tree_record():
+    # the preconditioner and the base-grounded direct solve share one record
+    assert _callers("TreeSolve") == {"laplacian._tree_solve"}
+    assert _callers("_tree_solve") == {"energy._pcg", "laplacian.grounded_laplacian"}

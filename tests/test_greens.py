@@ -159,6 +159,57 @@ def test_grounded_kernel_is_the_unblocked_solve_bit_for_bit(family, radius, para
     _assert_same_kernel(got, parent_grounded_kernel(trunc.graph, ground))
 
 
+def _exact_tree_kernel(graph):
+    """K(x, y) = R(o, x ^ y) over every pair of non-base vertices of a tree,
+    x ^ y their deepest common ancestor and R(o, v) the exact sum of 1/c
+    from the base o down to v, rounded once to float."""
+    hop, n = graph.hop_distance, graph.n
+    order = np.argsort(hop, kind="stable")
+    parent, depth = np.full(n, -1), int(hop.max())
+    distance = [Fraction(0)] * n
+    for v in order[1:].tolist():
+        nbrs, w = graph.neighbors(v)
+        (up,) = np.flatnonzero(hop[nbrs] == hop[v] - 1)  # a tree vertex has one parent
+        parent[v] = nbrs[up]
+        distance[v] = distance[parent[v]] + 1 / Fraction(float(w[up]))
+    # ancestor[h, v]: the ancestor of v at hop h, -1 below v
+    ancestor = np.full((depth + 1, n), -1)
+    ancestor[hop, np.arange(n)] = np.arange(n)
+    for h in range(depth, 0, -1):
+        below = ancestor[h] >= 0
+        ancestor[h - 1, below] = parent[ancestor[h, below]]
+    kept = np.flatnonzero(np.arange(n) != graph.base_point)
+    a = ancestor[:, kept]
+    shared = (a[:, :, None] == a[:, None, :]) & (a[:, :, None] >= 0)
+    meet = a[shared.sum(axis=0) - 1, np.arange(len(kept))[:, None]]  # paths part once, for good
+    return np.array([float(d) for d in distance])[meet]
+
+
+TREE_KERNELS = [
+    ("comb", 14, {}),
+    ("binary-tree", 8, {}),
+    ("binary-tree", 9, {}),
+    ("nary-tree", 5, {"branching": 3}),
+    ("chain", None, {"width": 60}),
+    ("halfline", 32, {}),
+]
+
+
+@pytest.mark.parametrize("family,radius,params", TREE_KERNELS)
+def test_tree_kernel_is_the_exact_shared_path_sum(family, radius, params, monkeypatch):
+    # the base-grounded sweep: every entry one sum of 1/c down the shared
+    # path, so the kernel is exactly symmetric and no LU is factored (the
+    # LU kernel read 4.3e-3 off on halfline 32)
+    g = generate(family, radius=radius, **params).graph
+    factorizations = count_calls(monkeypatch, laplacian_mod, ["splu"])
+    kernel = greens_gram(g)
+    assert factorizations == {"splu": 0}
+    exact = _exact_tree_kernel(g)
+    assert np.all(np.abs(kernel.matrix - exact) <= 1e-14 * exact)
+    assert np.array_equal(kernel.matrix, kernel.matrix.T)
+    assert kernel.symmetry_residual == 0.0
+
+
 @pytest.mark.parametrize("step", [1, 7, 8, 39, 40, 41])
 def test_grounded_kernel_blocks_of_any_width_are_bitwise_the_whole_solve(step, rng, monkeypatch):
     # m = 40 kept vertices: one column a block, a short last block (7, 39),

@@ -16,10 +16,12 @@ from resnet.laplacian import (
     interior_laplacian,
     transition_operator,
 )
+from resnet.resistance import resistance
 
 from conftest import (
     build_truncation,
     build_with_an_isolated_vertex,
+    count_calls,
     dense_laplacian,
     random_connected_graph,
 )
@@ -127,6 +129,26 @@ def test_grounded_laplacian_block_solve_and_cache(rng):
     assert grounded_laplacian(g, 0)[2] is not lu
 
 
+def test_a_tree_grounded_at_its_base_is_solved_by_its_sweep(monkeypatch):
+    # one rule, from the graph: the base ground of a tree gets the cached
+    # tree sweep and no factor; its frontier, and a graph with a cycle, splu
+    trunc = generate("comb", radius=6)
+    g = trunc.graph
+    factorizations = count_calls(monkeypatch, laplacian, ["splu"])
+    kept, block, solver = grounded_laplacian(g, g.base_point)
+    assert solver is laplacian._tree_solve(g)
+    rhs = np.random.default_rng(5).standard_normal((g.n, 3))
+    u = grounded_solve(g, g.base_point, rhs)
+    assert u[g.base_point].tolist() == [0.0] * 3
+    assert np.allclose(block @ u[kept], rhs[kept], rtol=0, atol=1e-12)
+    assert resistance(g, 1, g.n - 1, method="M4") > 0
+    assert factorizations == {"splu": 0}
+    grounded_solve(g, trunc.frontier, rhs)
+    lattice = generate("lattice", radius=2).graph
+    grounded_solve(lattice, 0, rhs[:lattice.n])
+    assert factorizations == {"splu": 2}
+
+
 # one graph of every family
 BLOCK_GRAPHS = [
     ("lattice", 12, {}),
@@ -230,7 +252,7 @@ def test_grounded_laplacian_singular_block_is_a_solver_error(monkeypatch):
 
     monkeypatch.setattr(laplacian, "splu", singular)
     with pytest.raises(SolverError, match="^grounded factorization failed: Factor is exactly singular$"):
-        grounded_laplacian(generate("halfline", radius=3), 0)
+        grounded_laplacian(generate("lattice", radius=2), 0)
 
 
 def test_grounded_solve_vanishes_on_the_ground_and_solves_off_it(rng):

@@ -10,14 +10,18 @@ subnormal.  The reference is the exact Kron reduction of
 `conftest.exact_resistances`.
 
 In the harness: M3 at every spread, M7 at s = 2 and 8 (and on two draws
-of the 3,000-draw s = 8 stream that the product-form CG step missed), and
-the sign of M4 and M7 at every spread, as no route answers <= 0.  Outside
-it, with the failures counted in CHANGES.md: the accuracy of M4, and of M7
-at s = 16, where the PCG residual does not bound the error.
+of the 3,000-draw s = 8 stream that the product-form CG step missed), M4
+on the draws that are trees, where the exact sweep solves it, and the sign
+of M4 and M7 at every spread, as no route answers <= 0.  Outside it, with
+the failures counted in CHANGES.md: the accuracy of M4 on graphs with
+cycles, and of M7 at s = 16, where the PCG residual does not bound the
+error.
 """
 
 import functools
 import random
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -135,9 +139,51 @@ def test_m4_is_positive_or_raises(s):
         assert m4 is None or m4 > 0, (s, k, kind)
 
 
-# the routes that answer some pair of each file; on B, M3 and M4 raise for
-# every pair, as the edge 1 - 2 that they cannot use is a bridge
-_ANSWERING = {"A": {"M3", "M4", "M7"}, "B": {"M7"}, "C": {"M3", "M4", "M7"}}
+@pytest.mark.parametrize("s", [2, 8, 16])
+def test_m4_is_within_1e_14_or_raises_on_tree_draws(s):
+    # the base-grounded tree sweep sums 1/c along each side of the path: it
+    # raises exactly where R exceeds the double range
+    trees = [(k, draw) for k, draw in enumerate(_draws(s)) if draw[1].num_edges == draw[1].n - 1]
+    assert len(trees) >= 50
+    for k, (kind, g, x, y, exact) in trees:
+        m4 = _answer(g, x, y, "M4")
+        if m4 is None:
+            assert exact > sys.float_info.max, (s, k, kind)
+        else:
+            _check(m4, exact, 1e-14, (s, k, kind))
+
+
+@pytest.mark.parametrize("s, k", [(2, 150), (2, 281), (8, 194)])
+def test_m4_raises_on_tree_draws_whose_resistance_overflows(s, k):
+    # trees with one subnormal edge on the path, whose R exceeds the double
+    # range: the LU solve answered 3.0e23 on the last with no error, and its
+    # drops of -2.88e17 and -1.13e15 on the first two were refused only for
+    # their sign
+    kind, g, x, y, exact = _draws(s)[k]
+    assert (kind, g.num_edges) == ("subnormal", g.n - 1) and exact > sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="route M4 gives a non-positive or non-finite"):
+            resistance(g, x, y, method="M4")
+
+
+def test_m4_on_file_b_answers_the_pair_the_subnormal_edge_does_not_touch():
+    # R(0, 1) = 1.0 exactly, where the LU solve went NaN as a whole; the
+    # pairs across the edge of 1e-310 overflow, and raise without a warning
+    data = EXTREME_FILES["B"]
+    g = ConductanceGraph.from_edges(data["edges"], data["base_point"])
+    assert g.labels == [0, 1, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resistance(g, 0, 1, method="M4") == 1.0
+        for x, y in [(1, 2), (0, 2)]:
+            with pytest.raises(SolverError, match=r"route M4 .* \(inf\)$"):
+                resistance(g, x, y, method="M4")
+
+
+# the routes that answer some pair of each file; on B, M3 raises for every
+# pair, as the edge 1 - 2 that it cannot use is a bridge
+_ANSWERING = {"A": {"M3", "M4", "M7"}, "B": {"M4", "M7"}, "C": {"M3", "M4", "M7"}}
 
 
 @pytest.mark.parametrize("name", sorted(EXTREME_FILES))

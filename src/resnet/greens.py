@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import GraphError, SolverError, _check_tol, _integer, _require_frontier, generate, underlying
-from .laplacian import TreeSolve, _grounded_drop, grounded_laplacian, transition_operator
+from .laplacian import TreeSolve, _grounded_drop, grounded_block, grounded_laplacian, transition_operator
 
 __all__ = [
     "GreensMatrix",
@@ -121,7 +121,7 @@ def _grounded_kernel(graph, ground):
     identity gives.  The sweep's kernel is exactly symmetric and is kept as
     it comes; an LU kernel is symmetrized.
     """
-    kept, _, solver = grounded_laplacian(graph, ground)
+    kept, solver = grounded_laplacian(graph, ground)
     m = len(kept)
     tree = isinstance(solver, TreeSolve)
     # the layout of the solver's blocks, so each copies along memory:
@@ -157,7 +157,7 @@ def _symmetrized(k):
 def greens_inversion_check(g, kernel):
     """max-norm deviation of K * L_grounded from the identity (both orders).
 
-    L_grounded is the block `grounded_laplacian` caches for the ground of
+    L_grounded is the block `grounded_block` caches for the ground of
     every vertex the kernel leaves out (the kernel's vertices must
     be in increasing order).  A GreensMatrix is exactly symmetric, so K L
     equals (L K)^T bit for bit (the same terms summed in the same order) and
@@ -169,7 +169,7 @@ def greens_inversion_check(g, kernel):
         raise GraphError("kernel was computed on a different graph")
     off = np.ones(graph.n, dtype=bool)
     off[kernel.vertices] = False
-    kept, block, _ = grounded_laplacian(graph, np.flatnonzero(off))
+    kept, block = grounded_block(graph, np.flatnonzero(off))
     if not np.array_equal(kept, kernel.vertices):
         raise GraphError("kernel vertices must be distinct and in increasing order")
     sub = block.T  # the CSR form of the symmetric block: the same arrays

@@ -28,6 +28,7 @@ __all__ = [
     "transition_operator",
     "harmonic_extension",
     "grounded_laplacian",
+    "grounded_block",
     "grounded_solve",
     "interior_laplacian",
     "CombDefectReport",
@@ -203,18 +204,37 @@ def transition_operator(g):
 
 
 def grounded_laplacian(g, ground):
-    """L without the `ground` rows and columns, as (kept, block, solver), cached per ground set.
+    """The solver of L grounded on `ground`, as (kept, solver), cached per ground set.
 
-    `kept` lists the remaining vertices in increasing order, `block` is
-    that CSC block, and ``solver.solve(b)`` solves it for a vector or block
-    `b` of the kept rows.  The solver is picked from the graph by one rule:
-    a tree (n - 1 edges) grounded at its base point gets the exact sweep of
+    `kept` lists the remaining vertices in increasing order, and
+    ``solver.solve(b)`` solves the grounded block for a vector or block `b`
+    of the kept rows.  The solver is picked from the graph by one rule: a
+    tree (n - 1 edges) grounded at its base point gets the exact sweep of
     `_tree_solve`, which subtracts nothing and forms no degree, so no
-    rounded c(x) leaks current to ground.  Every other ground, and every
-    graph with a cycle, gets the SuperLU factor of the block, unscaled in
-    MMD_AT_PLUS_A order: splu's default COLAMD order meets exactly singular
-    pivots on the steep chain family, and diagonal equilibration loses
-    digits there.
+    rounded c(x) leaks current to ground, and which reads no block.  Every
+    other ground, and every graph with a cycle, gets the SuperLU factor of
+    `grounded_block`, unscaled in MMD_AT_PLUS_A order: splu's default
+    COLAMD order meets exactly singular pivots on the steep chain family,
+    and diagonal equilibration loses digits there.
+    """
+    graph = underlying(g)
+    ground = np.unique(np.asarray(ground, dtype=np.int64))
+
+    def build():
+        if graph.num_edges == graph.n - 1 and ground.tolist() == [graph.base_point]:
+            return np.delete(np.arange(graph.n), ground), _tree_solve(graph)
+        kept, block = grounded_block(graph, ground)
+        try:
+            lu = splu(block, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # a singular block
+            raise SolverError(f"grounded factorization failed: {exc}") from None
+        return kept, lu
+
+    return graph._derived(("grounded_lu", ground.tobytes()), build)
+
+
+def grounded_block(g, ground):
+    """L without the `ground` rows and columns, as (kept, CSC block), cached per ground set.
 
     The block is built straight from the graph's CSR arrays: each row gets
     its diagonal entry c(x) between the columns below and above x, and the
@@ -225,18 +245,7 @@ def grounded_laplacian(g, ground):
     """
     graph = underlying(g)
     ground = np.unique(np.asarray(ground, dtype=np.int64))
-
-    def build():
-        kept, block = _grounded_block(graph, ground)
-        if graph.num_edges == graph.n - 1 and ground.tolist() == [graph.base_point]:
-            return kept, block, _tree_solve(graph)
-        try:
-            lu = splu(block, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # a singular block
-            raise SolverError(f"grounded factorization failed: {exc}") from None
-        return kept, block, lu
-
-    return graph._derived(("grounded_lu", ground.tobytes()), build)
+    return graph._derived(("grounded_block", ground.tobytes()), lambda: _grounded_block(graph, ground))
 
 
 def _grounded_block(graph, ground):
@@ -266,7 +275,7 @@ def grounded_solve(g, ground, rhs):
     rows are ignored.  This is the one solve against the cached
     :func:`grounded_laplacian` solver.
     """
-    kept, _, solver = grounded_laplacian(g, ground)
+    kept, solver = grounded_laplacian(g, ground)
     rhs = np.asarray(rhs, dtype=np.float64)
     out = np.zeros(rhs.shape)
     out[kept] = solver.solve(rhs[kept])
@@ -304,7 +313,8 @@ def interior_laplacian(trunc):
     guarantees.
     """
     _require_frontier(trunc, "an interior solve")
-    return grounded_laplacian(trunc.graph, trunc.frontier)[1:]
+    graph, frontier = trunc.graph, trunc.frontier
+    return grounded_block(graph, frontier)[1], grounded_laplacian(graph, frontier)[1]
 
 
 def harmonic_extension(trunc, boundary_values):

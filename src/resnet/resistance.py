@@ -329,10 +329,14 @@ class ResistanceMatrix:
         is either formed or certified unable to lower the minimum.  Below
         three vertices there is no triple and the result is +inf.
 
-        The vertices are cut into tiles of `_TILE`, in depth-first order
-        from the base when the matrix has its graph (index order otherwise),
-        so a tile is a patch of nearby vertices.  For tiles X, Y and each z
-        the scan bounds every triple of the tile pair below by
+        The vertices are cut into tiles of at most `_TILE` (`_tiles`).  When
+        the matrix has its graph, a tile is made of whole subtrees of the
+        depth-first tree from the base (one, or siblings'), so on a tree,
+        where d is the path sum, it is a compact patch of the metric; any
+        other matrix is cut into runs in index order.  Pruning is sound under
+        any tiling: the tiles set only how much is formed, never the result.
+        For tiles X, Y and each z the scan bounds every triple of the tile
+        pair below by
 
             LB_z = fl(fl(min_x d(x,z) + min_y d(z,y)) - max d(x,y)),
 
@@ -364,11 +368,9 @@ class ResistanceMatrix:
         n = self.matrix.shape[0]
         if n < 3:
             return math.inf
-        graph = self.graph
-        order = _depth_first(graph) if graph is not None and graph.n == n else np.arange(n)
+        order, starts = _tiles(self.graph, n)
         d = self.matrix[np.ix_(order, order)]  # the scan's one n x n copy
-        starts = np.arange(0, n, _TILE)
-        tiles = [slice(lo, hi) for lo, hi in zip(starts, np.append(starts[1:], n))]
+        tiles = [slice(lo, hi) for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [n])]
         diagonal = np.diag_indices(n)
         # reduceat along a row is several times faster than down a column, so
         # each column table is a row table of symmetric d, transposed
@@ -419,10 +421,51 @@ def _runs(vertices):
     return [(slice(v[a], v[a] + b - a), slice(a, b)) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
-def _depth_first(graph):
-    """Vertices in depth-first order from the base."""
-    return depth_first_order(graph.adjacency(), graph.base_point, directed=False,
-                             return_predecessors=False)
+def _tiles(graph, n):
+    """(order, starts): the triangle scan's vertex order and the first position of each tile.
+
+    A matrix over its graph's vertices is tiled along the depth-first tree
+    from the base, from the leaves up.  Each vertex v gathers the open
+    groups of its children.  If they fit with v into `_TILE` vertices, they
+    and v are v's open group.  Otherwise they are packed first-fit by
+    decreasing size into groups of at most `_TILE`, v joins the smallest
+    with room (or starts its own), and the others close as tiles.  The
+    base's open group is the last tile.  So a tile is one subtree or the
+    subtrees of siblings, less the tiles closed inside them.  Tiles are
+    laid out by their first vertex in depth-first order, each in that
+    order.  Any other matrix is cut into runs of `_TILE` in index order.
+    """
+    if graph is None or graph.n != n:
+        return np.arange(n), np.arange(0, n, _TILE)
+    order, pred = depth_first_order(graph.adjacency(), graph.base_point, directed=False,
+                                    return_predecessors=True)
+    parent = pred.tolist()
+    below = [[] for _ in range(n)]  # the open groups of each vertex's children
+    tiles = []
+    for v in reversed(order.tolist()):  # the base last
+        groups = below[v]
+        if 1 + sum(map(len, groups)) > _TILE:
+            bins = []
+            for group in sorted(groups, key=len, reverse=True):
+                fit = next((b for b in bins if len(b) + len(group) <= _TILE), None)
+                if fit is None:
+                    bins.append(group)
+                else:
+                    fit += group
+            room = [b for b in bins if len(b) < _TILE]
+            keep = min(room, key=len) if room else []
+            tiles += [b for b in bins if b is not keep]
+            groups = [keep]
+        group = [v]
+        for g in groups:
+            group += g
+        if v != graph.base_point:
+            below[parent[v]].append(group)
+    tiles.append(group)  # the base's
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    tiles = sorted(sorted(rank[t].tolist()) for t in tiles)
+    return order[np.concatenate(tiles)], _offsets([len(t) for t in tiles])[:-1]
 
 
 # How a lower bound rules its triples out against the running minimum: a tie

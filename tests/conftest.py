@@ -312,7 +312,7 @@ def parent_grounded_kernel(graph, ground):
     """`greens._grounded_kernel` as it was before it solved in column blocks,
     kept as its oracle: one solve of the whole identity, symmetrized by
     `0.5 * (k + k.T)` after recording the max of |k - k.T|."""
-    kept, _, lu = grounded_laplacian(graph, ground)
+    kept, lu = grounded_laplacian(graph, ground)
     k = lu.solve(np.eye(len(kept)))
     residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
     return GreensMatrix(graph, kept.tolist(), 0.5 * (k + k.T), residual)

@@ -218,8 +218,8 @@ def test_grounded_kernel_blocks_of_any_width_are_bitwise_the_whole_solve(step, r
     widths = []
 
     def recording(graph, ground):
-        kept, block, lu = laplacian_mod.grounded_laplacian(graph, ground)
-        return kept, block, SimpleNamespace(solve=lambda e: widths.append(e.shape[1]) or lu.solve(e))
+        kept, lu = laplacian_mod.grounded_laplacian(graph, ground)
+        return kept, SimpleNamespace(solve=lambda e: widths.append(e.shape[1]) or lu.solve(e))
 
     monkeypatch.setattr(greens_mod, "_SOLVE_BLOCK_BYTES", 8 * 40 * step)
     monkeypatch.setattr(greens_mod, "grounded_laplacian", recording)

@@ -10,12 +10,14 @@ from resnet.graphs import ConductanceGraph, GraphError, generate, truncate
 from resnet.laplacian import (
     assemble_laplacian,
     defect_recursion_comb,
+    grounded_block,
     grounded_laplacian,
     grounded_solve,
     harmonic_extension,
     interior_laplacian,
     transition_operator,
 )
+from resnet.greens import greens_gram, greens_inversion_check
 from resnet.resistance import resistance
 
 from conftest import (
@@ -119,14 +121,17 @@ def test_l2_symmetry_of_laplacian(rng):
 
 def test_grounded_laplacian_block_solve_and_cache(rng):
     g = random_connected_graph(rng, 15, 9)
-    kept, block, lu = grounded_laplacian(g, [4, 0])
+    kept, lu = grounded_laplacian(g, [4, 0])
     assert kept.tolist() == [i for i in range(g.n) if i not in (0, 4)]
+    same, block = grounded_block(g, [4, 0])
+    assert np.array_equal(same, kept)
     dense = dense_laplacian(g)[np.ix_(kept, kept)]
     assert np.allclose(block.toarray(), dense, atol=1e-13)
     b = rng.standard_normal(len(kept))
     assert np.allclose(dense @ lu.solve(b), b, atol=1e-10)
-    assert grounded_laplacian(g, [0, 4])[2] is lu
-    assert grounded_laplacian(g, 0)[2] is not lu
+    assert grounded_laplacian(g, [0, 4])[1] is lu
+    assert grounded_laplacian(g, 0)[1] is not lu
+    assert grounded_block(g, [0, 4])[1] is block
 
 
 def test_a_tree_grounded_at_its_base_is_solved_by_its_sweep(monkeypatch):
@@ -135,18 +140,39 @@ def test_a_tree_grounded_at_its_base_is_solved_by_its_sweep(monkeypatch):
     trunc = generate("comb", radius=6)
     g = trunc.graph
     factorizations = count_calls(monkeypatch, laplacian, ["splu"])
-    kept, block, solver = grounded_laplacian(g, g.base_point)
+    kept, solver = grounded_laplacian(g, g.base_point)
     assert solver is laplacian._tree_solve(g)
     rhs = np.random.default_rng(5).standard_normal((g.n, 3))
     u = grounded_solve(g, g.base_point, rhs)
     assert u[g.base_point].tolist() == [0.0] * 3
-    assert np.allclose(block @ u[kept], rhs[kept], rtol=0, atol=1e-12)
     assert resistance(g, 1, g.n - 1, method="M4") > 0
     assert factorizations == {"splu": 0}
+    same, block = grounded_block(g, g.base_point)
+    assert np.array_equal(same, kept)
+    assert np.allclose(block @ u[kept], rhs[kept], rtol=0, atol=1e-12)
     grounded_solve(g, trunc.frontier, rhs)
     lattice = generate("lattice", radius=2).graph
     grounded_solve(lattice, 0, rhs[:lattice.n])
     assert factorizations == {"splu": 2}
+
+
+def test_a_block_is_built_only_where_it_is_read(monkeypatch):
+    # the sweep of a tree grounded at its base reads no block: M4 and the
+    # kernel build none, and the inversion check builds it once; splu's
+    # ground builds its block once for the factor and the check together
+    builds = count_calls(monkeypatch, laplacian, ["_grounded_block"])
+    tree = generate("binary-tree", radius=5).graph
+    resistance(tree, 1, tree.n - 1, method="M4")
+    kernel = greens_gram(tree)
+    assert builds == {"_grounded_block": 0}
+    for _ in range(2):
+        greens_inversion_check(tree, kernel)
+    assert builds == {"_grounded_block": 1}
+    lattice = generate("lattice", radius=4).graph
+    kernel = greens_gram(lattice)
+    for _ in range(2):
+        greens_inversion_check(lattice, kernel)
+    assert builds == {"_grounded_block": 2}
 
 
 # one graph of every family
@@ -182,14 +208,14 @@ def test_grounded_block_equals_the_sliced_laplacian(family, radius, params):
     g = trunc.graph
     for ground in ([g.base_point], trunc.frontier):
         if len(ground):
-            kept, block, _ = grounded_laplacian(g, ground)
+            kept, block = grounded_block(g, ground)
             assert np.array_equal(kept, np.setdiff1d(np.arange(g.n), ground))
             _same_arrays(block, _sliced_block(g, kept))
 
 
 def test_grounded_block_of_two_ground_points_and_an_isolated_vertex(rng):
     g = random_connected_graph(rng, 15, 9)
-    kept, block, _ = grounded_laplacian(g, [4, 0])
+    kept, block = grounded_block(g, [4, 0])
     _same_arrays(block, _sliced_block(g, kept))
     # grounding the middle of a path leaves two unjoined ends; an isolated
     # vertex never reaches a block, as its graph is refused when it is built
@@ -272,7 +298,8 @@ def test_grounded_solve_vanishes_on_the_ground_and_solves_off_it(rng):
 def test_interior_block_is_the_frontier_grounded_case():
     trunc = generate("lattice", radius=4)
     block, lu = interior_laplacian(trunc)
-    kept, same_block, same_lu = grounded_laplacian(trunc, trunc.frontier)
+    kept, same_lu = grounded_laplacian(trunc, trunc.frontier)
+    same_block = grounded_block(trunc, trunc.frontier)[1]
     assert np.array_equal(kept, trunc.interior)
     assert block is same_block and lu is same_lu
 

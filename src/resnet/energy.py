@@ -147,10 +147,10 @@ def solve_dipole(g, x, y, tol=1e-10):
     constants every iteration to stop roundoff drift.  On a tree the
     preconditioner is the exact tree solve, and the loop ends after one or
     two steps; on any other graph it is the degree scaling r / c(x).
-    Iteration cap 20 * n; relative residual target `tol`, which must be a
-    positive number.  A solve that breaks down or stalls
-    raises SolverError with its last residual and iteration count.  This is
-    the k = 1 case of :func:`solve_dipoles`.
+    Iteration cap max(20 n, 50); relative residual target `tol`, which must
+    be a positive number.  A solve that breaks down or stalls raises
+    SolverError with its last residual and iteration count.  This is the
+    k = 1 case of :func:`solve_dipoles`.
     """
     return solve_dipoles(g, [(x, y)], tol)[0]
 
@@ -223,10 +223,11 @@ def _pcg(lap, rhs, tol):
     errors[j] is the SolverError of a column that did not (None otherwise).
 
     The CG vectors live in buffers allocated once (again only when columns
-    leave a block); the apply and the tree solve take their own scratch.  A vector keeps its alpha, beta and residual as Python
-    floats and takes its dot products with `np.dot`, the `ddot` call that
-    `np.vecdot` makes on a contiguous column; float arithmetic rounds as
-    numpy's scalar arithmetic does, so both forms give the same bits.
+    leave a block); the apply and the tree solve take their own scratch.  A
+    vector keeps its alpha, beta and residual as Python floats and takes its
+    dot products with `np.dot`, the `ddot` call that `np.vecdot` makes on a
+    contiguous column; float arithmetic rounds as numpy's scalar arithmetic
+    does, so both forms give the same bits.
     """
     n = rhs.shape[0]
     block = rhs.ndim == 2

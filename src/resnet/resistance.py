@@ -315,10 +315,15 @@ class ResistanceMatrix:
         runs = _runs(kernel.vertices)
         diag = np.zeros(graph.n)
         diag[kernel.vertices] = np.diagonal(kernel.matrix)
-        d = np.add.outer(diag, diag)  # the one n x n buffer
-        for rows, krows in runs:  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
-            for cols, kcols in runs:
-                d[rows, cols] -= 2.0 * kernel.matrix[krows, kcols]
+        # A K(x, x) above half the double range overflows in K(x,x) + K(x,x)
+        # and 2 K(x, x), and inf - inf is NaN, all on the diagonal, which is
+        # then set to 0: no warning for that.  An off-diagonal entry that
+        # overflows is refused as non-finite when the matrix is built.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.add.outer(diag, diag)  # the one n x n buffer
+            for rows, krows in runs:  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+                for cols, kcols in runs:
+                    d[rows, cols] -= 2.0 * kernel.matrix[krows, kcols]
         np.fill_diagonal(d, 0.0)
         return cls(graph, d, kernel.symmetry_residual)
 
@@ -502,7 +507,11 @@ def resistance_matrix(g):
 
     The one matrix route: every distance is read off the base-grounded
     kernel.  A graph of more than `_MATRIX_CAP` vertices raises GraphError
-    before any solve.
+    before any solve.  Distinct vertices of a connected graph are at a
+    positive distance, so a matrix with an off-diagonal entry <= 0 (the
+    readout's cancellation, or the LU kernel off on a wide conductance
+    spread) raises SolverError with the number of such pairs and the least
+    value, as `resistance` refuses such a value on a single route.
     """
     graph = underlying(g)
     if graph.n > _MATRIX_CAP:
@@ -510,7 +519,15 @@ def resistance_matrix(g):
             f"matrix capped at {_MATRIX_CAP} vertices (graph has {graph.n}); "
             "query pairwise resistances instead"
         )
-    return ResistanceMatrix.from_kernel(greens_gram(graph))
+    out = ResistanceMatrix.from_kernel(greens_gram(graph))
+    low = out.matrix <= 0.0
+    np.fill_diagonal(low, False)
+    if low.any():  # d is symmetric: each pair is counted twice
+        raise SolverError(
+            f"resistance matrix has {np.count_nonzero(low) // 2} non-positive distances "
+            f"(least {out.matrix[low].min():.3e})"
+        )
+    return out
 
 
 # -- radius sweep ---------------------------------------------------------------

@@ -19,36 +19,23 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 from resnet import graphs
-from resnet.decomposition import RoydenSplit, energy_split
+from resnet.decomposition import energy_split
 from resnet.energy import (
-    EnergyVector,
-    _check_pair,
-    _dipole_vectors,
-    energy_inner,
     gauged,
     pointwise_product,
     reproducing_check,
+    solve_dipole,
     solve_dipoles,
 )
 from resnet.graphs import (
     ConductanceGraph,
-    GraphError,
     TruncatedGraph,
     ValidationIssue,
-    _check_tol,
     as_truncated,
     generate,
     truncate,
-    underlying,
 )
-from resnet.greens import GreensMatrix
-from resnet.laplacian import (
-    assemble_laplacian,
-    grounded_laplacian,
-    grounded_solve,
-    harmonic_extension,
-)
-from resnet.resistance import _cycle_system
+from resnet.laplacian import grounded_solve
 
 
 def build_truncation(family, radius, params):
@@ -228,94 +215,10 @@ def per_z_triangle_slack(d):
     return worst
 
 
-def parent_solve_dipole(g, x, y, tol=1e-10):
-    """`solve_dipole` as it was before it became the k = 1 case of
-    `solve_dipoles`, kept as its oracle: its own vector right-hand side,
-    handed to the PCG loop."""
-    graph = underlying(g)
-    _check_pair(graph, x, y)
-    _check_tol(tol)
-    lap = assemble_laplacian(graph)
-    rhs = np.zeros(graph.n)
-    rhs[x], rhs[y] = 1.0, -1.0
-    return _dipole_vectors(graph, lap, rhs, [(x, y)], tol)[0]
-
-
 def per_pair_dipoles(g, pairs, tol=1e-10):
     """The per-pair loop `energy.solve_dipoles` replaced, kept as its oracle:
-    one single solve per pair, so the first failing pair raises its error."""
-    return [parent_solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
-
-
-_PARENT_METHODS = ("M1", "M2", "M3", "M4", "M7")
-
-
-def parent_resistance(g, x, y, method="M2", tol=1e-10):
-    """`resistance()` as it was before every method resolved to one route
-    table, kept as its oracle: a branch for "all" and one per single route.
-    For x = y it returns 0.0 under every method, "all" included."""
-    graph = underlying(g)
-    _check_pair(graph, x, y, distinct=False)
-    _check_tol(tol)
-    if x == y:
-        return 0.0
-    if method == "all":
-        values = _parent_dipole_routes(parent_solve_dipole(graph, x, y, tol))
-        values["M3"] = _parent_min_dissipation(graph, x, y, tol)
-        values["M4"] = _parent_grounded_increment(graph, x, y)
-        values = {m: values[m] for m in _PARENT_METHODS}
-        lo, hi = min(values.values()), max(values.values())
-        values["max_rel_disagreement"] = (hi - lo) / hi if hi > 0 else 0.0
-        return values
-    method = {"M5": "M7", "M6": "M2"}.get(method, method)
-    if method in ("M1", "M2", "M7"):
-        return _parent_dipole_routes(parent_solve_dipole(graph, x, y, tol))[method]
-    if method == "M3":
-        return _parent_min_dissipation(graph, x, y, tol)
-    if method == "M4":
-        return _parent_grounded_increment(graph, x, y)
-    raise GraphError(f"unknown method {method!r}")
-
-
-def _parent_dipole_routes(v):
-    increment = float(v.values[v.source] - v.values[v.sink])
-    return {"M1": increment, "M2": v.energy, "M7": increment**2 / v.energy}
-
-
-def _parent_min_dissipation(graph, x, y, tol):
-    system = _cycle_system(graph)
-    return system.certified_energy(system.unit_flow(x, y), tol)
-
-
-def _parent_grounded_increment(graph, x, y):
-    rhs = np.zeros(graph.n)
-    rhs[x], rhs[y] = 1.0, -1.0
-    v = grounded_solve(graph, graph.base_point, rhs)
-    return float(v[x] - v[y])
-
-
-def two_product_inversion_check(g, kernel):
-    """`greens.greens_inversion_check` as it was before it formed one product
-    for a symmetric kernel: K L and L K, with L sliced out of the assembled
-    sparse Laplacian."""
-    graph = getattr(g, "graph", g)
-    sub = assemble_laplacian(graph).as_csr()[kernel.vertices][:, kernel.vertices]
-    deviations = []
-    for prod in (kernel.matrix @ sub, sub @ kernel.matrix):
-        prod = np.asarray(prod)
-        prod[np.diag_indices_from(prod)] -= 1.0
-        deviations.append(float(np.max(np.abs(prod))))
-    return float(np.max(deviations))
-
-
-def parent_grounded_kernel(graph, ground):
-    """`greens._grounded_kernel` as it was before it solved in column blocks,
-    kept as its oracle: one solve of the whole identity, symmetrized by
-    `0.5 * (k + k.T)` after recording the max of |k - k.T|."""
-    kept, lu = grounded_laplacian(graph, ground)
-    k = lu.solve(np.eye(len(kept)))
-    residual = float(np.max(np.abs(k - k.T))) if len(kept) else 0.0
-    return GreensMatrix(graph, kept.tolist(), 0.5 * (k + k.T), residual)
+    one `solve_dipole` per pair, so the first failing pair raises its error."""
+    return [solve_dipole(g, int(x), int(y), tol) for x, y in pairs]
 
 
 def vector_energy_inner(u, v):
@@ -385,73 +288,17 @@ def per_row_cdf(graph):
     return cdf
 
 
-# -- the split and the harmonic measure before the one split helper -----------
-#
-# Each extends the frontier trace on its own and solves one harmonic measure
-# per point, as `royden_split`, `project_finite`, `interpolate` and
-# `harmonic_measure_exact` did before they shared the split helper and the
-# block measure solve.
+# -- the harmonic measure before the block measure solve ----------------------
 
 
 def single_harmonic_measure(trunc, x):
-    """The harmonic measure from x by its own adjoint solve against e_x."""
+    """The harmonic measure from x by its own adjoint solve against e_x, as
+    `harmonic_measure_exact` solved each point before the block measure solve."""
     graph = trunc.graph
     e_x = np.zeros(graph.n)
     e_x[x] = 1.0
     z = grounded_solve(graph, trunc.frontier, e_x)
     return np.maximum((graph.adjacency() @ z)[trunc.frontier], 0.0)
-
-
-def _parent_gauged_and_extension(trunc, f):
-    graph = trunc.graph
-    fv = f if isinstance(f, EnergyVector) else gauged(graph, np.asarray(f, dtype=float))
-    if len(trunc.frontier) == 0:
-        return fv, np.zeros(graph.n)
-    return fv, harmonic_extension(trunc, fv.values[trunc.frontier])
-
-
-def parent_royden_split(trunc, f):
-    """`royden_split` with its own gauge and extension."""
-    graph = trunc.graph
-    fv, qraw = _parent_gauged_and_extension(trunc, f)
-    harmonic = gauged(graph, qraw)
-    finite = gauged(graph, fv.values - harmonic.values)
-    residual = abs(energy_inner(finite, harmonic))
-    return RoydenSplit(graph, fv.values, finite, harmonic, residual)
-
-
-def _parent_kernel_remainder(trunc, kernel, f):
-    fv, qraw = _parent_gauged_and_extension(trunc, f)
-    return fv, assemble_laplacian(trunc.graph).apply(fv.values - qraw)[kernel.vertices]
-
-
-def parent_project_finite(trunc, kernel, f):
-    """`project_finite`: K applied to the Laplacian of f minus its extension."""
-    _, rhs = _parent_kernel_remainder(trunc, kernel, f)
-    out = np.zeros(trunc.graph.n)
-    out[kernel.vertices] = kernel.matrix @ rhs
-    return EnergyVector(trunc.graph, out)
-
-
-def parent_interpolate(trunc, kernel, f, x):
-    """`interpolate` with one single-point measure solve for x and one for the base."""
-    fv, rhs = _parent_kernel_remainder(trunc, kernel, f)
-    base = trunc.graph.base_point
-    green_term = 0.0 if x == base else float(kernel.matrix[kernel._pos[x]] @ rhs)
-    trace = fv.values[trunc.frontier]
-    if len(trunc.frontier) == 0:
-        boundary_term = 0.0
-    else:
-        mu_x = single_harmonic_measure(trunc, x)
-        mu_base = single_harmonic_measure(trunc, base)
-        boundary_term = float(mu_x @ trace - mu_base @ trace)
-    value = green_term + boundary_term
-    return {
-        "value": value,
-        "green_term": green_term,
-        "boundary_term": boundary_term,
-        "residual": abs(value - float(fv.values[x])),
-    }
 
 
 # -- the graph loader before array-native loading, kept as its oracle ----------

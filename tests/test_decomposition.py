@@ -19,9 +19,7 @@ from resnet.markov import harmonic_measure_exact, poisson_reproduce, sample_path
 
 from conftest import (
     count_calls,
-    parent_interpolate,
-    parent_project_finite,
-    parent_royden_split,
+    dense_laplacian,
     random_connected_graph,
     vector_energy_inner,
 )
@@ -157,31 +155,39 @@ PARITY_CASES = {
 }
 
 
-def _same_bits(u, v):
-    return u.graph is v.graph and u.values.tobytes() == v.values.tobytes()
-
-
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-def test_split_routes_equal_the_parent_bodies(case):
+def test_split_routes_keep_their_defining_identities(case):
+    # to n u of their scale: the finite part is constant on the frontier (0
+    # there, up to the gauge), the harmonic part is harmonic inside and the
+    # energies add; to kappa u max|f|, kappa = ||K|| ||L|| over the grounded
+    # block, the kernel routes rebuild the finite part and f itself
+    # (measured: 3.5 u against n u, and 0.04 kappa u)
     trunc = PARITY_CASES[case]()
-    graph = trunc.graph
+    graph, frontier, u = trunc.graph, trunc.frontier, np.finfo(float).eps
+    n = graph.n
     kernel = greens_gram(graph, tol=1e-13)
+    lap = dense_laplacian(graph)
+    grounded = lap[np.ix_(kernel.vertices, kernel.vertices)]
+    kappa = np.abs(kernel.matrix).sum(axis=1).max() * np.abs(grounded).sum(axis=1).max()
     rng = np.random.default_rng(23)
-    for raw in rng.standard_normal((3, graph.n)):
-        for f in (raw, gauged(graph, raw)):
-            got, want = royden_split(trunc, f), parent_royden_split(trunc, f)
-            assert got.values.tobytes() == want.values.tobytes()
-            assert _same_bits(got.finite_part, want.finite_part)
-            assert _same_bits(got.harmonic_part, want.harmonic_part)
-            assert got.orthogonality_residual == want.orthogonality_residual
-            assert _same_bits(project_finite(trunc, kernel, f), parent_project_finite(trunc, kernel, f))
+    for raw in rng.standard_normal((3, n)):
+        f = gauged(graph, raw)
+        scale = np.max(np.abs(f.values))
+        for arg in (raw, f):
+            split = royden_split(trunc, arg)
+            finite, harmonic = split.finite_part.values, split.harmonic_part.values
+            assert np.all(np.abs(finite[frontier] - finite[frontier[:1]]) <= n * u * scale)
+            inside = np.abs(lap @ harmonic)[trunc.interior]
+            assert np.all(inside <= n * u * np.diagonal(lap)[trunc.interior] * scale)
+            energies = split.finite_part.energy + split.harmonic_part.energy
+            assert abs(f.energy - energies) <= n * u * f.energy
+            projected = project_finite(trunc, kernel, arg).values
+            assert np.max(np.abs(projected - finite)) <= kappa * u * scale
         points = [int(x) for x in trunc.interior[:: max(1, len(trunc.interior) // 6)]]
         for x in points + [graph.base_point]:
             got = interpolate(trunc, kernel, raw, x)
-            want = parent_interpolate(trunc, kernel, raw, x)
-            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
-                k: np.float64(v).tobytes() for k, v in want.items()
-            }
+            assert got["value"] == got["green_term"] + got["boundary_term"]
+            assert got["residual"] == abs(got["value"] - f.values[x]) <= kappa * u * scale, x
 
 
 @pytest.mark.parametrize(

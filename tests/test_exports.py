@@ -114,3 +114,33 @@ def test_one_function_builds_the_tree_record():
     # the preconditioner and the base-grounded direct solve share one record
     assert _callers("TreeSolve") == {"laplacian._tree_solve"}
     assert _callers("_tree_solve") == {"energy._pcg", "laplacian.grounded_laplacian"}
+
+
+def _unread_conftest_helpers(tests_dir):
+    """The top-level names of `conftest.py` in `tests_dir` that neither a
+    test module (by import, or as a fixture argument) nor another top-level
+    definition of conftest reads."""
+    with open(os.path.join(tests_dir, "conftest.py")) as f:
+        defined = {}
+        for node in ast.parse(f.read()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defined.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    read = set()
+    for name, node in defined.items():  # a recursive helper does not read itself
+        read |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} - {name}
+    for module in os.listdir(tests_dir):
+        if module.startswith("test_") and module.endswith(".py"):
+            with open(os.path.join(tests_dir, module)) as f:
+                for node in ast.walk(ast.parse(f.read())):
+                    if isinstance(node, ast.ImportFrom) and node.module == "conftest":
+                        read |= {alias.name for alias in node.names}
+                    elif isinstance(node, ast.arg):
+                        read.add(node.arg)
+    return sorted(set(defined) - read)
+
+
+def test_every_conftest_helper_is_read():
+    # an oracle whose last test is gone goes with it
+    assert _unread_conftest_helpers(os.path.join(ROOT, "tests")) == []

@@ -14,6 +14,7 @@ from resnet.energy import SolverError, solve_dipole
 from resnet.graphs import ConductanceGraph, GraphError, generate
 from resnet.laplacian import grounded_solve, transition_operator
 from resnet.greens import (
+    GreensMatrix,
     binomial_closed_form,
     bratteli_transition_product,
     chain_walk_diagonal,
@@ -28,10 +29,8 @@ from resnet.greens import (
 from conftest import (
     count_calls,
     dense_laplacian,
-    parent_grounded_kernel,
-    parent_resistance,
+    exact_tree_distance,
     random_connected_graph,
-    two_product_inversion_check,
 )
 
 
@@ -105,7 +104,8 @@ def test_inversion_check_measures_the_worst_product_and_keeps_nan(rng):
     off[-1, 0] += 1e-3  # the same error, symmetric
     off = dataclasses.replace(kernel, matrix=off)
     worst = greens_inversion_check(g, off)
-    assert worst == two_product_inversion_check(g, off)
+    prod, _ = _grounded_product(g, off)  # L K = (K L)^T: one order measures both
+    assert worst == pytest.approx(np.max(np.abs(prod - np.eye(len(prod)))), rel=1e-9)
     assert worst > greens_inversion_check(g, kernel) + 1e-4
     # a NaN never reaches the check: the kernel refuses it
     broken = kernel.matrix.copy()
@@ -129,15 +129,38 @@ def _assert_same_kernel(got, want):
     assert got.symmetry_residual == want.symmetry_residual
 
 
+def _single_solve_kernel(graph, ground):
+    """The grounded kernel from one `grounded_solve` per kept vertex: the
+    columns C, then 0.5 (C + C^T) after recording max |C - C^T| (on an
+    exactly symmetric C, as the tree sweep's, that leaves C as it is)."""
+    kept = np.setdiff1d(np.arange(graph.n), ground)
+    c = np.array([grounded_solve(graph, ground, np.eye(1, graph.n, v)[0])[kept] for v in kept]).T
+    return GreensMatrix(graph, kept.tolist(), 0.5 * (c + c.T), float(np.max(np.abs(c - c.T))))
+
+
+def _grounded_product(graph, kernel):
+    """(L K, |L| |K|), L the block of `dense_laplacian` on the kernel's
+    vertices: the product K inverts, and the scale of its rounding."""
+    lap = dense_laplacian(graph)[np.ix_(kernel.vertices, kernel.vertices)]
+    return lap @ kernel.matrix, np.abs(lap) @ np.abs(kernel.matrix)
+
+
 @pytest.mark.parametrize("family,radius,params", CHECK_FAMILIES)
 def test_inversion_check_of_a_symmetric_kernel_is_one_product(family, radius, params, monkeypatch):
-    # the kernel is also the one solve of the whole identity, bit for bit
-    # (binary-tree 9: 1,022 columns in eight blocks)
+    # the kernel is its single solves, bit for bit (binary-tree 9: 1,022
+    # columns in eight blocks), and L K = I within the rounding of the
+    # product: |L K - I| <= d u |L| |K| entrywise, d the most terms an entry
+    # sums (measured: at most 2.1 u |L| |K|, on lattice 20)
     trunc = generate(family, radius=radius, **params)
+    graph = trunc.graph
     kernel = greens_gram(trunc)
-    _assert_same_kernel(kernel, parent_grounded_kernel(trunc.graph, trunc.graph.base_point))
+    _assert_same_kernel(kernel, _single_solve_kernel(graph, graph.base_point))
+    prod, scale = _grounded_product(graph, kernel)
+    rounding = (1 + np.max(graph.indptr[1:] - graph.indptr[:-1])) * np.finfo(float).eps * scale
+    deviation = np.abs(prod - np.eye(len(prod)))
+    assert np.all(deviation <= rounding)
     products = count_calls(monkeypatch, greens_mod, ["_identity_deviation"])
-    assert greens_inversion_check(trunc, kernel) == two_product_inversion_check(trunc, kernel)
+    assert abs(greens_inversion_check(trunc, kernel) - deviation.max()) <= rounding.max()
     assert products == {"_identity_deviation": 1}
 
 
@@ -156,7 +179,7 @@ def test_grounded_kernel_is_the_unblocked_solve_bit_for_bit(family, radius, para
     trunc = generate(family, radius=radius, **params)
     ground = trunc.graph.base_point if ground == "base" else trunc.frontier
     got = greens_mod._grounded_kernel(trunc.graph, ground)
-    _assert_same_kernel(got, parent_grounded_kernel(trunc.graph, ground))
+    _assert_same_kernel(got, _single_solve_kernel(trunc.graph, ground))
 
 
 def _exact_tree_kernel(graph):
@@ -221,9 +244,13 @@ def test_grounded_kernel_blocks_of_any_width_are_bitwise_the_whole_solve(step, r
         kept, lu = laplacian_mod.grounded_laplacian(graph, ground)
         return kept, SimpleNamespace(solve=lambda e: widths.append(e.shape[1]) or lu.solve(e))
 
-    monkeypatch.setattr(greens_mod, "_SOLVE_BLOCK_BYTES", 8 * 40 * step)
     monkeypatch.setattr(greens_mod, "grounded_laplacian", recording)
-    _assert_same_kernel(greens_gram(g), parent_grounded_kernel(g, g.base_point))
+    monkeypatch.setattr(greens_mod, "_SOLVE_BLOCK_BYTES", 8 * 40 * 40)
+    whole = greens_gram(g)
+    assert widths == [40]
+    widths.clear()
+    monkeypatch.setattr(greens_mod, "_SOLVE_BLOCK_BYTES", 8 * 40 * step)
+    _assert_same_kernel(greens_gram(g), whole)
     assert widths == [step] * (40 // step) + [40 % step] * (40 % step > 0)
 
 
@@ -495,8 +522,9 @@ def test_nary_comparison_reads_both_values_off_one_grounded_drop(monkeypatch, ra
                 where=lambda g, ground, rhs: grounds.append(np.atleast_1d(ground).tolist()))
     report = nary_tree_comparison(2, 2.0, radius=radius, level=level)
     assert grounds == [[root], trunc.frontier.tolist()]
-    # the values the free route M4 and the inline frontier-grounded solve gave
-    assert report["measured_free"] == parent_resistance(graph, root, target, "M4")
+    # the free value is the path sum 1 + 1/2 + ..., exact in floats; the
+    # wired one is the inline frontier-grounded solve
+    assert report["measured_free"] == exact_tree_distance(graph, root, target)
     dipole = np.zeros(graph.n)
     dipole[root], dipole[target] = 1.0, -1.0
     v = grounded_solve(graph, trunc.frontier, dipole)

@@ -15,11 +15,14 @@ on the draws that are trees, where the exact sweep solves it, and the sign
 of M4 and M7 at every spread, as no route answers <= 0.  Outside it, with
 the failures counted in CHANGES.md: the accuracy of M4 on graphs with
 cycles, and of M7 at s = 16, where the PCG residual does not bound the
-error.
+error.  `resistance_matrix` is held to the sign on four recorded draws: it
+refuses a matrix with a distance <= 0, which the readout K(x,x) + K(y,y) -
+2 K(x,y) gives on 1 draw at s = 2 and on 55 at s = 16.
 """
 
 import functools
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -28,7 +31,7 @@ import pytest
 
 from resnet.energy import SolverError
 from resnet.graphs import ConductanceGraph
-from resnet.resistance import resistance
+from resnet.resistance import resistance, resistance_matrix
 
 from conftest import EXTREME_FILES, exact_resistances
 
@@ -200,3 +203,51 @@ def test_every_route_keeps_the_contract_on_the_extreme_files(name):
                 _check(value, exact, within, (x, y, method))
                 answered.add(method)
     assert answered == _ANSWERING[name]
+
+
+# R(0, 3) and R(0, 2) are about 1.26e308 and 1.65e308, so 2 K(x, x) overflows
+# on the matrix's diagonal: draw 54 of the s = 2 stream and draw 195 of the
+# s = 16 stream
+_HUGE_DIAGONALS = {
+    "s2-draw54": [(0, 1, 3.6577679574394537), (0, 2, 0.98170721568709),
+                  (2, 3, 7.93844223464003e-309), (1, 4, 0.10390415164544635)],
+    "s16-draw195": [(0, 1, 1783151363.3185759), (0, 2, 6.069741975007634e-309)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_DIAGONALS))
+def test_matrix_reads_a_kernel_diagonal_above_half_the_double_range_without_a_warning(name):
+    # the readout warned of overflow in add and multiply and of an invalid
+    # subtract, all on the diagonal it then sets to 0
+    g = ConductanceGraph.from_edges(_HUGE_DIAGONALS[name], 0)
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = resistance_matrix(g).matrix
+    for (x, y), exact in exact_resistances(g, pairs).items():
+        _check(d[x, y], exact, 1e-15, (x, y))
+
+
+# draws 3 and 14 of the s = 16 stream: (edges, pairs at a distance <= 0, the
+# least distance); the matrix read d(0, 4) = -3.28e25 where R is 1.28e14 and
+# d(0, 1) = 0.0 where R is 503.3, and, on the tree, d(3, 4) = 0.0 where R is
+# 3.61e-9 and the kernel is exact
+_NON_POSITIVE = {
+    "s16-draw3": ([(0, 1, 2.0198140861378093e-13), (1, 2, 0.07288212742922347),
+                   (0, 3, 0.05547703843669109), (1, 4, 7.788006979830535e-15),
+                   (2, 5, 0.004815857340009801), (4, 6, 39620715794687.61),
+                   (0, 2, 0.0020426532208137134), (1, 3, 5.106522186064247e-13)],
+                  12, "-3.276e+25"),
+    "s16-draw14": ([(0, 1, 43547020.23691073), (0, 2, 979004979924594.5),
+                    (0, 3, 7.663740913884439e-16), (3, 4, 276664207.99947906)],
+                   1, "0.000e+00"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_POSITIVE))
+def test_matrix_refuses_a_distance_that_is_not_positive(name):
+    edges, count, least = _NON_POSITIVE[name]
+    g = ConductanceGraph.from_edges(edges, 0)
+    message = f"resistance matrix has {count} non-positive distances (least {least})"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        resistance_matrix(g)

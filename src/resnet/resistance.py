@@ -284,6 +284,10 @@ def _build_cycle_system(graph):
 # are 2 n^2 floats.
 _MATRIX_CAP = 2000
 
+# Kernel rows per block of the matrix readout: its 2 K temporary is never
+# n x n.
+_READOUT_ROWS = 64
+
 # Vertices per tile of the triangle scan, and the most z whose sums a tile
 # pair holds at once: a buffer of 1 MiB.
 _TILE = 32
@@ -321,7 +325,8 @@ class ResistanceMatrix:
         # overflows is refused as non-finite when the matrix is built.
         with np.errstate(over="ignore", invalid="ignore"):
             d = np.add.outer(diag, diag)  # the one n x n buffer
-            for rows, krows in runs:  # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+            # the arithmetic of diag[:, None] + diag[None, :] - 2.0 * k
+            for rows, krows in _runs(kernel.vertices, _READOUT_ROWS):
                 for cols, kcols in runs:
                     d[rows, cols] -= 2.0 * kernel.matrix[krows, kcols]
         np.fill_diagonal(d, 0.0)
@@ -351,11 +356,12 @@ class ResistanceMatrix:
         running minimum cannot lower it and is skipped (`_RULES_OUT`; a tie
         rules z out because ``min(worst, low)`` keeps the earlier of two
         equal values).  The z left are bounded once more with one x kept
-        exact against all of Y, and then one y against all of X; a z that
-        every x, or every y, rules out is skipped too.  Every other z is
-        formed.  The diagonal tiles go first, so the running minimum falls
-        at once to the metric's own slack (about 0) and the remote z drop
-        out of every later pair.
+        exact against all of Y, and a z that every x rules out is skipped;
+        only the z still left are read against Y and bounded with one y kept
+        exact against all of X, and a z that every y rules out is skipped
+        too.  Every other z is formed.  The diagonal tiles go first, so the
+        running minimum falls at once to the metric's own slack (about 0)
+        and the remote z drop out of every later pair.
 
         Over the z it forms, a tile pair keeps P(x, y) = min_z fl(d(x,z) +
         d(z,y)) and subtracts d(x, y) once.  As min_z fl(a_z - c) =
@@ -363,8 +369,9 @@ class ResistanceMatrix:
         gives, bit for bit (a -0.0 entry may flip the sign of a zero
         result).
 
-        The exclusions z = x, z = y and x = y are written as +inf over the
-        sums, never added, and the entries are finite, so no infinity
+        The scan's copy of d holds +inf on its diagonal, so a sum with z = x
+        or z = y is +inf and never lowers a minimum; x = y is written as +inf
+        over the result.  The other entries are finite, so no infinity
         reaches the result.  As d is exactly symmetric, pair (y, x) repeats
         pair (x, y) bit for bit, so only the tile pairs with Y at or after X
         are scanned, and one table of tile minima serves both ends of a
@@ -397,12 +404,12 @@ class ResistanceMatrix:
                 ys = tiles[b]
                 zs = np.flatnonzero(~_RULES_OUT(bound, worst))
                 left = d[zs, xs]  # left[z, x] = d(z, x) = d(x, z)
-                right = d[zs, ys]  # right[z, y] = d(z, y)
                 keep = ~_RULES_OUT((left + dmin[b, zs, None]) - rowmax[xs, b], worst).all(axis=1)
-                keep &= ~_RULES_OUT((right + dmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
+                zs, left = zs[keep], left[keep]
+                right = d[zs, ys]  # right[z, y] = d(z, y)
+                keep = ~_RULES_OUT((right + dmin[a, zs, None]) - colmax[a, ys], worst).all(axis=1)
                 if keep.any():
-                    low = _tile_slack(left[keep], right[keep], zs[keep], xs, ys, d[xs, ys])
-                    worst = min(worst, low)
+                    worst = min(worst, _tile_slack(left[keep], right[keep], xs, ys, d[xs, ys]))
         return worst
 
     def to_csv(self, path):
@@ -414,14 +421,18 @@ class ResistanceMatrix:
             writer.writerows([name] + [repr(float(v)) for v in row] for name, row in rows)
 
 
-def _runs(vertices):
+def _runs(vertices, most=None):
     """(vertex slice, position slice) of each run of consecutive vertices in an
     increasing list: a grounded kernel's block of a matrix over every vertex
-    is then a few slices (one when the ground is a prefix or a suffix)."""
+    is then a few slices (one when the ground is a prefix or a suffix).  With
+    `most`, a run is also cut at every multiple of `most` positions."""
     v = np.asarray(vertices, dtype=np.int64)
     if not len(v):
         return []
-    cuts = np.flatnonzero(np.diff(v) != 1) + 1
+    cut = np.diff(v) != 1
+    if most:
+        cut[most - 1::most] = True
+    cuts = np.flatnonzero(cut) + 1
     starts, stops = np.concatenate(([0], cuts)), np.concatenate((cuts, [len(v)]))
     return [(slice(v[a], v[a] + b - a), slice(a, b)) for a, b in zip(starts.tolist(), stops.tolist())]
 
@@ -478,24 +489,22 @@ def _tiles(graph, n):
 _RULES_OUT = np.greater_equal
 
 
-def _tile_slack(left, right, zs, xs, ys, direct):
+def _tile_slack(left, right, xs, ys, direct):
     """min of fl(d(x,z) + d(z,y)) - d(x,y) over x in the slice xs, y in ys and
-    the sorted zs, over pairwise distinct triples.
+    the z of left's and right's rows, over pairwise distinct triples.
 
-    left[z, x] = d(x, z) and right[z, y] = d(z, y) over zs; direct is d[xs, ys],
-    whose diagonal the scan has set to +inf when xs == ys.
+    left[z, x] = d(x, z) and right[z, y] = d(z, y) are read off the scan's
+    copy of d, whose diagonal is +inf: a sum with z = x or z = y is +inf, so
+    it never lowers the minimum.  direct is d[xs, ys], whose diagonal is
+    that +inf when xs == ys.
     """
-    best = np.full(direct.shape, np.inf)
-    for c in range(0, len(zs), _Z_CHUNK):
-        z = zs[c:c + _Z_CHUNK]
+    best = None
+    for c in range(0, len(left), _Z_CHUNK):
         sums = np.repeat(right[c:c + _Z_CHUNK, None, :], left.shape[1], axis=1)  # [z, x, y]
         sums += left[c:c + _Z_CHUNK, :, None]  # bitwise left + right: IEEE sums commute
-        i, j = z.searchsorted([xs.start, xs.stop])  # z[i:j] lie in the x tile
-        sums[np.arange(i, j), z[i:j] - xs.start] = np.inf  # z = x
-        i, j = z.searchsorted([ys.start, ys.stop])
-        sums[np.arange(i, j), :, z[i:j] - ys.start] = np.inf  # z = y
-        np.minimum(best, sums.min(axis=0), out=best)
-    with np.errstate(invalid="ignore"):  # inf - inf where x = y meets the +inf exclusions
+        low = sums.min(axis=0)
+        best = low if best is None else np.minimum(best, low, out=best)
+    with np.errstate(invalid="ignore"):  # inf - inf where x = y meets a +inf sum
         best -= direct
     if xs == ys:
         np.fill_diagonal(best, np.inf)  # x = y

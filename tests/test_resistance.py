@@ -8,6 +8,7 @@ except the sweep's covering numbers, which are pinned as measured.
 import dataclasses
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -635,9 +636,9 @@ def _counting_tiles(monkeypatch):
     formed = [0]
     tile_slack = module._tile_slack
 
-    def counted(left, right, zs, *rest):
-        formed[0] += left.shape[1] * right.shape[1] * len(zs)
-        return tile_slack(left, right, zs, *rest)
+    def counted(left, right, *rest):
+        formed[0] += left.shape[1] * right.shape[1] * len(left)
+        return tile_slack(left, right, *rest)
 
     monkeypatch.setattr(module, "_tile_slack", counted)
     return formed
@@ -728,13 +729,57 @@ def test_tile_scan_finds_a_planted_shortcut_among_pruned_tiles(monkeypatch):
 
 def test_tile_slack_drops_the_x_equals_y_entries_without_a_warning():
     # a diagonal tile pair whose one kept z lies in the tile: best(0, 0) is
-    # +inf over the z = x exclusion, less the scan's +inf diagonal, a NaN
+    # the +inf sum d(0, 0) + d(0, 0), less the scan's +inf diagonal, a NaN
     # that the x = y exclusion overwrites; the one triple left is
     # d(1, 0) + d(0, 2) - d(1, 2) = 2
     d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
     d[np.diag_indices(3)] = np.inf  # as the scan sets it for its minima
     zs, tile = np.array([0]), slice(0, 3)
-    assert _resistance_module()._tile_slack(d[zs, tile], d[zs, tile], zs, tile, tile, d) == 2.0
+    assert _resistance_module()._tile_slack(d[zs, tile], d[zs, tile], tile, tile, d) == 2.0
+
+
+def _per_triple_minimum(d, xs, ys, zs):
+    """min of fl(d(x,z) + d(z,y)) - d(x,y) over the pairwise distinct triples
+    with x in the slice xs, y in ys and z in zs, one sum per triple."""
+    x, y = np.arange(len(d))[xs, None, None], np.arange(len(d))[None, None, ys]
+    z = zs[None, :, None]
+    slack = (d[x, z] + d[z, y]) - d[x, y]
+    distinct = (x != z) & (z != y) & (x != y)
+    return float(slack[distinct].min(initial=np.inf))
+
+
+@pytest.mark.parametrize("size", [1, 7, _TILE])
+def test_tile_slack_is_the_per_triple_minimum_where_z_meets_x_and_y(size):
+    # every vertex is a z, those of X and of Y included, and more of them
+    # than one chunk holds: the scan's +inf diagonal alone keeps the sums
+    # with z = x and z = y out of the minimum
+    n = _Z_CHUNK + 2 * size
+    tile_slack, zs = _resistance_module()._tile_slack, np.arange(n)
+    for seed in range(2):
+        for d in (
+            _signed_matrix(n, True, 0, 0, seed),
+            _near_metric(n, seed),
+            _finite_extremes(_signed_matrix(n, True, 3, 3, seed)),
+        ):
+            scan = d.copy()
+            scan[np.diag_indices(n)] = np.inf  # as the scan sets it
+            for xs, ys in ((slice(0, size), slice(0, size)), (slice(0, size), slice(size, 2 * size))):
+                got = tile_slack(scan[zs, xs], scan[zs, ys], xs, ys, scan[xs, ys])
+                assert _same_float(got, _per_triple_minimum(d, xs, ys, zs)), (xs, ys)
+
+
+@pytest.mark.parametrize("size", [1, 7, _TILE])
+def test_tile_scan_never_forms_z_equal_x_on_a_strict_metric(monkeypatch, size):
+    # every triple's slack is at least 0.5, while a sum with z = x would
+    # read d(x, x) + d(x, y) - d(x, y) = 0 off the matrix's own diagonal
+    n = 3 * _TILE + 5
+    rng = np.random.default_rng(size)
+    u = np.triu(rng.uniform(0.0, 0.5, size=(n, n)), 1)
+    d = 1.0 + u + u.T
+    np.fill_diagonal(d, 0.0)
+    _tiled(monkeypatch, rng.permutation(n), _runs_of(size, n))
+    got = ResistanceMatrix(SimpleNamespace(n=n), d).triangle_slack()
+    assert got == per_z_triangle_slack(d) and got >= 0.5
 
 
 def test_tile_scan_order_covers_every_vertex():
@@ -871,9 +916,27 @@ def test_kernel_matrix_readout_of_a_suffix_and_a_scattered_ground(g):
         _assert_three_array_readout(_grounded_kernel(graph, ground))
 
 
+def test_kernel_matrix_readout_holds_no_second_n_by_n_buffer():
+    # d is the readout's one n x n buffer: 2 K is formed at most
+    # `_READOUT_ROWS` rows at a time (a whole 2 K peaks at 2.06 n^2 floats)
+    kernel = greens_gram(generate("binary-tree", radius=8))
+    n = kernel.graph.n
+    tracemalloc.start()
+    try:
+        ResistanceMatrix.from_kernel(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n**2, peak / (8 * n**2)
+
+
 def test_runs_of_no_vertices_are_empty():
     assert _resistance_module()._runs([]) == []
     assert _resistance_module()._runs([2, 3, 5]) == [(slice(2, 4), slice(0, 2)), (slice(5, 6), slice(2, 3))]
+    # with `most`, a run is cut at every multiple of `most` positions too
+    assert _resistance_module()._runs([0, 1, 2, 3, 4, 7, 8], 3) == [
+        (slice(0, 3), slice(0, 3)), (slice(3, 5), slice(3, 5)), (slice(7, 8), slice(5, 6)), (slice(8, 9), slice(6, 7))
+    ]
 
 
 def test_matrix_csv(tmp_path, rng):
